@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the tier-1 test suite.
+# Local CI gate: formatting, lints, the tier-1 test suite, and a build of
+# the repo benchmark (perfbench/, its own workspace) so an engine-API change
+# that breaks the benchmark fails here.
 #
-#   ./ci.sh             # fmt + clippy + tests
+#   ./ci.sh             # fmt + clippy + tests + perfbench build
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -74,6 +76,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test (workspace, release)"
 cargo test --workspace --release
+
+echo "==> perfbench build (repo benchmark against the engine API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
     || [ "$run_audit" -eq 1 ]; then

@@ -46,7 +46,9 @@
 
 use speck_bench::cli::parse_flags;
 use speck_bench::corpus::{common_corpus, smoke_corpus};
+use speck_core::json::push_num;
 use speck_core::metrics::{compare_snapshots, MetricsRegistry, MetricsSnapshot};
+use speck_core::plan::fnv1a_bytes;
 use speck_core::{tuning, SpeckConfig, SpeckSpgemm};
 use speck_simt::{CostModel, DeviceConfig};
 use speck_sparse::gen::common_matrices;
@@ -54,21 +56,6 @@ use speck_sparse::Csr;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// FNV-1a over a byte stream: order-sensitive, bit-exact.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn push_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
 
 /// Peak resident set size in bytes, from `/proc/self/status` (VmHWM).
 fn peak_rss_bytes() -> u64 {
@@ -163,7 +150,9 @@ fn main() {
     let engine = SpeckSpgemm::default()
         .with_plan_cache_capacity(0)
         .with_metrics(Arc::clone(&registry));
-    let mut digest = Digest::new();
+    // Every simulated time and memory figure, little-endian, in call
+    // order; the digest is its FNV-1a (order-sensitive, bit-exact).
+    let mut sim_bytes: Vec<u8> = Vec::new();
     let mut total_nnz_c = 0u64;
 
     // Warm-up round: populate the engine's reusable workspaces and page in
@@ -180,8 +169,8 @@ fn main() {
         for (_, a, b) in &pairs {
             let (_, report) = engine.multiply(a, b);
             assert!(!report.reused_plan, "digest round must stay cold");
-            digest.push_u64(report.sim_time_s.to_bits());
-            digest.push_u64(report.peak_mem_bytes as u64);
+            sim_bytes.extend(report.sim_time_s.to_bits().to_le_bytes());
+            sim_bytes.extend((report.peak_mem_bytes as u64).to_le_bytes());
             if round == 0 {
                 cold_sim += report.sim_time_s;
             }
@@ -189,6 +178,7 @@ fn main() {
         }
     }
     let mult_s = t_mult.elapsed().as_secs_f64();
+    let digest = fnv1a_bytes(&sim_bytes);
     let matrices_per_sec = multiplies as f64 / mult_s;
 
     // Reuse round: a caching engine is primed over the corpus, then runs
@@ -259,7 +249,7 @@ fn main() {
     let _ = writeln!(json, "    \"reuse\": {reuse_s:.3},");
     let _ = writeln!(json, "    \"batch\": {batch_s:.3}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"sim_digest\": \"{:016x}\"", digest.0);
+    let _ = writeln!(json, "  \"sim_digest\": \"{:016x}\"", digest);
     json.push_str("}\n");
 
     std::fs::write(&out_path, &json).expect("write BENCH_throughput.json");
@@ -268,7 +258,7 @@ fn main() {
         "throughput: {matrices_per_sec:.2} matrices/s over {multiplies} multiplies \
          ({mult_s:.2}s); reuse speedup {reuse_speedup:.2}x (simulated); \
          batch {batch_matrices_per_sec:.2} matrices/s; sim digest {:016x}; wrote {out_path}",
-        digest.0
+        digest
     );
 
     // Metrics snapshot: taken from the caching engine so the plan-cache
@@ -339,11 +329,11 @@ fn main() {
     }
 
     if let Some(expect) = expect_digest {
-        if digest.0 != expect {
+        if digest != expect {
             eprintln!(
                 "FAIL: cold-path sim digest {:016x} != expected {expect:016x} — \
                  a host-side change moved simulated results",
-                digest.0
+                digest
             );
             failed = true;
         } else {
@@ -352,17 +342,6 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
-    }
-}
-
-/// Writes a JSON number deterministically: integral values as integers,
-/// the rest via shortest-roundtrip `Display` — matching the audit
-/// exporter's convention so the baseline stays byte-stable.
-fn fnum(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
     }
 }
 
@@ -397,9 +376,9 @@ fn write_audit_baseline(path: &str, pairs: &[(String, Csr<f64>, Csr<f64>)]) {
              \"mispredictions\": {}, \"ties\": {}, \"regret_cycles\": ",
             t.decisions, t.confirmed, t.mispredictions, t.ties
         );
-        fnum(&mut json, t.regret_cycles);
+        push_num(&mut json, t.regret_cycles);
         json.push_str(", \"misprediction_rate\": ");
-        fnum(&mut json, audit.misprediction_rate());
+        push_num(&mut json, audit.misprediction_rate());
         json.push_str(if i + 1 == pairs.len() { "}\n" } else { "},\n" });
     }
     json.push_str("  ],\n");
@@ -408,14 +387,14 @@ fn write_audit_baseline(path: &str, pairs: &[(String, Csr<f64>, Csr<f64>)]) {
         "  \"total\": {{\"decisions\": {decisions}, \"confirmed\": {confirmed}, \
          \"mispredictions\": {mispred}, \"ties\": {ties}, \"regret_cycles\": "
     );
-    fnum(&mut json, regret);
+    push_num(&mut json, regret);
     json.push_str("},\n  \"misprediction_rate\": ");
     let rate = if decisions == 0 {
         0.0
     } else {
         mispred as f64 / decisions as f64
     };
-    fnum(&mut json, rate);
+    push_num(&mut json, rate);
     json.push_str(",\n");
 
     // Table-2 gate accuracy: the fraction of the named common matrices
@@ -433,7 +412,7 @@ fn write_audit_baseline(path: &str, pairs: &[(String, Csr<f64>, Csr<f64>)]) {
         .collect();
     let acc = tuning::accuracy(&base.thresholds, &meas);
     json.push_str("  \"gate_accuracy\": ");
-    fnum(&mut json, acc);
+    push_num(&mut json, acc);
     json.push_str("\n}\n");
     std::fs::write(path, &json).expect("write audit baseline");
     println!(

@@ -3,7 +3,6 @@
 //! SpGEMM / sorting).
 
 use crate::cost::BlockCost;
-use crate::exec::KernelReport;
 use std::collections::BTreeMap;
 
 /// Accumulated simulated time of one named pipeline stage.
@@ -42,12 +41,13 @@ impl Timeline {
         self.stages.get_mut(stage).unwrap()
     }
 
-    /// Attributes a kernel launch to a stage.
-    pub fn add_kernel(&mut self, stage: &'static str, report: &KernelReport) {
+    /// Attributes one kernel launch of `seconds` with merged event
+    /// counters `cost` to a stage.
+    pub fn add_launch(&mut self, stage: &'static str, seconds: f64, cost: &BlockCost) {
         let s = self.stage_mut(stage);
-        s.seconds += report.sim_time_s;
+        s.seconds += seconds;
         s.launches += 1;
-        s.cost = s.cost.merge(&report.total_cost);
+        s.cost = s.cost.merge(cost);
     }
 
     /// Attributes a fixed duration (e.g. a device allocation) to a stage.
@@ -113,9 +113,9 @@ mod tests {
             },
         );
         let mut t = Timeline::new();
-        t.add_kernel("analysis", &r);
-        t.add_kernel("numeric", &r);
-        t.add_kernel("numeric", &r);
+        t.add_launch("analysis", r.sim_time_s, &r.total_cost);
+        t.add_launch("numeric", r.sim_time_s, &r.total_cost);
+        t.add_launch("numeric", r.sim_time_s, &r.total_cost);
         assert_eq!(t.stages().count(), 2);
         let sum: f64 = ["analysis", "numeric"].iter().map(|s| t.share(s)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
@@ -138,8 +138,8 @@ mod tests {
             },
         );
         let mut t = Timeline::new();
-        t.add_kernel("numeric", &r);
-        t.add_kernel("numeric", &r);
+        t.add_launch("numeric", r.sim_time_s, &r.total_cost);
+        t.add_launch("numeric", r.sim_time_s, &r.total_cost);
         t.add_fixed("numeric", 1e-3); // fixed costs carry no counters
         let (_, st) = t.stages().next().unwrap();
         assert_eq!(st.cost.issue_rounds, 2 * r.total_cost.issue_rounds);
@@ -147,7 +147,7 @@ mod tests {
         assert_eq!(t.total_cost(), st.cost);
         // Merging another timeline merges the counters too.
         let mut t2 = Timeline::new();
-        t2.add_kernel("numeric", &r);
+        t2.add_launch("numeric", r.sim_time_s, &r.total_cost);
         t2.merge(&t);
         assert_eq!(t2.total_cost().issue_rounds, 3 * r.total_cost.issue_rounds);
     }

@@ -36,10 +36,11 @@ use crate::global_lb::{
     numeric_entries, plan_numeric, plan_symbolic, symbolic_entries, AccMethod, GateProvenance,
     PassPlan,
 };
+use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::{alternative_group_sizes, estimated_rounds};
 use crate::pipeline::stage;
 use crate::symbolic::group_blocks;
-use crate::trace::{parse_json_value, ExecutionTrace, JsonValue};
+use crate::trace::ExecutionTrace;
 use speck_simt::{CostModel, DeviceConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -237,7 +238,7 @@ impl DecisionReport {
             }
             out.push_str(", \"acc\": ");
             match r.acc {
-                Some(a) => push_json_string(&mut out, acc_name(a)),
+                Some(a) => push_json_string(&mut out, a.name()),
                 None => out.push_str("null"),
             }
             out.push_str(", \"chosen\": ");
@@ -348,7 +349,7 @@ impl DecisionReport {
                 acc: rec
                     .get("acc")
                     .and_then(JsonValue::as_str)
-                    .and_then(acc_from_name),
+                    .and_then(AccMethod::from_name),
                 features,
                 chosen: str_field("chosen")?,
                 chosen_est_cycles: num_field("chosen_est_cycles")?,
@@ -401,10 +402,7 @@ impl DecisionReport {
             "decision", "acc", "bin", "decisions", "mispred", "ties", "regret cycles"
         );
         for ((cell, acc, bin), st) in &cells {
-            let acc = match acc {
-                Some(a) => acc_name(*a),
-                None => "-",
-            };
+            let acc = acc.map_or("-", AccMethod::name);
             let bin = bin.map_or("-".to_string(), |b| b.to_string());
             let _ = writeln!(
                 out,
@@ -450,10 +448,7 @@ impl AuditDiff {
             "decision", "acc", "bin", "decisions", "mispred", "regret delta"
         );
         for ((cell, acc, bin), (old, new)) in &self.cells {
-            let acc = match acc {
-                Some(a) => acc_name(*a),
-                None => "-",
-            };
+            let acc = acc.map_or("-", AccMethod::name);
             let bin = bin.map_or("-".to_string(), |b| b.to_string());
             let _ = writeln!(
                 out,
@@ -879,7 +874,7 @@ fn block_records(
                     ("nnz_a".to_string(), nnz_a as f64),
                     ("products".to_string(), products as f64),
                 ],
-                chosen: acc_name(acc).to_string(),
+                chosen: acc.name().to_string(),
                 chosen_est_cycles: measured,
                 measured_cycles: measured,
                 alternatives,
@@ -982,55 +977,6 @@ fn block_records(
                 });
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization helpers (module-local copies, matching trace.rs)
-// ---------------------------------------------------------------------------
-
-fn acc_name(a: AccMethod) -> &'static str {
-    match a {
-        AccMethod::Hash => "hash",
-        AccMethod::Dense => "dense",
-        AccMethod::Direct => "direct",
-    }
-}
-
-fn acc_from_name(s: &str) -> Option<AccMethod> {
-    match s {
-        "hash" => Some(AccMethod::Hash),
-        "dense" => Some(AccMethod::Dense),
-        "direct" => Some(AccMethod::Direct),
-        _ => None,
-    }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes an f64 as a JSON number (shortest-roundtrip `Display` —
-/// deterministic, and re-parsing recovers the exact value).
-fn push_num(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
     }
 }
 

@@ -23,6 +23,24 @@ pub enum AccMethod {
     Direct,
 }
 
+impl AccMethod {
+    /// Lower-case name used in exports and tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            AccMethod::Hash => "hash",
+            AccMethod::Dense => "dense",
+            AccMethod::Direct => "direct",
+        }
+    }
+
+    /// Inverse of [`AccMethod::name`].
+    pub fn from_name(s: &str) -> Option<AccMethod> {
+        [AccMethod::Hash, AccMethod::Dense, AccMethod::Direct]
+            .into_iter()
+            .find(|a| a.name() == s)
+    }
+}
+
 /// One thread block of a SpGEMM pass.
 #[derive(Clone, Debug)]
 pub struct BlockPlan {

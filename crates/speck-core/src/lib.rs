@@ -50,9 +50,11 @@
 //! let (c, report) = engine.execute_plan(&plan, &a, &a);
 //! assert_eq!(c.nnz(), plan.nnz_c());
 //! assert!(report.reused_plan);
-//! // Independent multiplies can also run as one batch:
+//! // Independent multiplies can also run as one batch; a pattern the
+//! // cache already holds runs warm in every slot:
+//! let _ = engine.multiply(&a, &a);
 //! let results = engine.multiply_batch(&[(&a, &a), (&a, &a)]);
-//! assert!(results[1].1.reused_plan);
+//! assert!(results.iter().all(|(_, r)| r.reused_plan));
 //! ```
 
 #![warn(missing_docs)]
@@ -65,6 +67,7 @@ pub mod config;
 pub mod denseacc;
 pub mod global_lb;
 pub mod hashacc;
+pub mod json;
 pub mod local_lb;
 pub mod metrics;
 pub mod numeric;
@@ -84,6 +87,7 @@ pub use audit::{
 };
 pub use cascade::KernelCascade;
 pub use config::{GlobalLbMode, GlobalLbThresholds, LocalLbMode, SpeckConfig};
+pub use json::{parse_json_value, JsonValue};
 pub use metrics::{
     compare_snapshots, HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot, Span,
 };
@@ -95,7 +99,7 @@ pub use pipeline::{
 pub use plan::{pattern_fingerprint, PatternKey, PlanCache, SpgemmPlan};
 pub use profile::{diff_traces, profile_trace, ProfileReport, TraceDiff};
 pub use trace::{
-    parse_json_value, BlockAnnotation, ExecutionTrace, JsonValue, KernelTraceRecord, TraceBuilder,
-    TraceRecord, TraceRecordKind, TRACE_FORMAT,
+    BlockAnnotation, ExecutionTrace, KernelTraceRecord, Recorder, TraceRecord, TraceRecordKind,
+    TRACE_FORMAT,
 };
 pub use workspace::{SharedWorkspaces, Workspace, WorkspacePool};

@@ -17,7 +17,11 @@
 //! * [`MetricsSink`] — a copyable `Option<&MetricsRegistry>` wrapper the
 //!   pipeline threads through its stages; with no registry attached every
 //!   call is a no-op, so the free functions ([`crate::multiply`]) stay
-//!   metrics-free while [`crate::SpeckSpgemm`] records everything.
+//!   metrics-free while [`crate::SpeckSpgemm`] records everything. The
+//!   per-launch `sim/stage/*` and `sim/kernel/*` counters are not
+//!   recorded launch by launch: [`MetricsSink::record_launches`] folds
+//!   them from the multiply's one record stream ([`crate::trace`]), the
+//!   same records the `Timeline` and the execution trace fold.
 //! * [`MetricsSnapshot`] — a point-in-time copy with two serialisations:
 //!   [`MetricsSnapshot::canonical_json`] holds only the deterministic
 //!   metrics (counters + histograms, all integers, sorted keys) and is
@@ -26,7 +30,8 @@
 //!   pool occupancy). [`compare_snapshots`] diffs a run against a
 //!   committed baseline — deterministic metrics exactly, `wall/` gauges
 //!   within a declared tolerance — which is what `ci.sh --metrics` gates
-//!   on.
+//!   on. Both serialisations and [`MetricsSnapshot::parse_json`] use the
+//!   crate's one JSON module ([`crate::json`]).
 //!
 //! ## Determinism contract
 //!
@@ -55,7 +60,9 @@
 //! | `wall/*`       | wall-clock gauges — tolerance-gated in CI          |
 //! | `pool/*`       | occupancy gauges — informational, never gated      |
 
-use speck_simt::KernelReport;
+use crate::json::{parse_json_value, push_json_string, JsonValue};
+use crate::plan::fnv1a_bytes;
+use crate::trace::{TraceRecord, TraceRecordKind};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,13 +267,8 @@ enum Metric {
 const SHARD_COUNT: usize = 16;
 
 fn shard_of(name: &str) -> usize {
-    // FNV-1a over the name; shards only need a rough spread.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h as usize) % SHARD_COUNT
+    // Shards only need a rough spread.
+    (fnv1a_bytes(name.as_bytes()) as usize) % SHARD_COUNT
 }
 
 /// Sharded registry of named metrics.
@@ -476,29 +478,36 @@ impl<'a> MetricsSink<'a> {
         MaybeSpan(self.reg.map(|r| r.span(name)))
     }
 
-    /// Records one simulated kernel launch under a pipeline stage: launch
-    /// count, simulated cycles (millicycle resolution), every non-zero
-    /// cost-model counter, and grid-size / cycle histograms — both per
-    /// stage and per kernel name.
-    pub fn record_kernel(&self, stage: &str, report: &KernelReport) {
+    /// Folds the kernel launches of a record stream into the `sim/*`
+    /// counters: per launch, under its stage and its kernel name, the
+    /// launch count, simulated cycles (millicycle resolution), every
+    /// non-zero cost-model counter, and grid-size / cycle histograms.
+    /// Fixed-cost records carry no counters.
+    pub fn record_launches(&self, records: &[TraceRecord]) {
         let Some(reg) = self.reg else { return };
-        let cycles_milli = (report.sim_cycles * 1e3).round() as u64;
-        reg.counter(&format!("sim/stage/{stage}/launches")).add(1);
-        reg.counter(&format!("sim/stage/{stage}/cycles_milli"))
-            .add(cycles_milli);
-        for (cname, v) in report.total_cost.counters() {
-            if v > 0 {
-                reg.counter(&format!("sim/stage/{stage}/{cname}")).add(v);
+        for r in records {
+            let TraceRecordKind::Kernel(k) = &r.kind else {
+                continue;
+            };
+            let stage = r.stage;
+            let cycles_milli = (k.sim_cycles * 1e3).round() as u64;
+            reg.counter(&format!("sim/stage/{stage}/launches")).add(1);
+            reg.counter(&format!("sim/stage/{stage}/cycles_milli"))
+                .add(cycles_milli);
+            for (cname, v) in k.cost.counters() {
+                if v > 0 {
+                    reg.counter(&format!("sim/stage/{stage}/{cname}")).add(v);
+                }
             }
+            reg.histogram(&format!("sim/stage/{stage}/grid"))
+                .record(k.grid as u64);
+            let kname = &k.name;
+            reg.counter(&format!("sim/kernel/{kname}/launches")).add(1);
+            reg.counter(&format!("sim/kernel/{kname}/cycles_milli"))
+                .add(cycles_milli);
+            reg.histogram("sim/launch/cycles_milli")
+                .record(cycles_milli);
         }
-        reg.histogram(&format!("sim/stage/{stage}/grid"))
-            .record(report.grid as u64);
-        let kname = report.name.as_ref();
-        reg.counter(&format!("sim/kernel/{kname}/launches")).add(1);
-        reg.counter(&format!("sim/kernel/{kname}/cycles_milli"))
-            .add(cycles_milli);
-        reg.histogram("sim/launch/cycles_milli")
-            .record(cycles_milli);
     }
 }
 
@@ -538,24 +547,6 @@ pub struct MetricsSnapshot {
     /// Relative tolerance this snapshot declares for its `wall/` gauges
     /// when used as a comparison baseline.
     pub wall_tolerance: Option<f64>,
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl MetricsSnapshot {
@@ -668,268 +659,56 @@ impl MetricsSnapshot {
 
     /// Parses a snapshot previously written by [`Self::full_json`] or
     /// [`Self::canonical_json`]. Unknown top-level keys are skipped, so
-    /// baselines survive additive format evolution.
+    /// baselines survive additive format evolution. Counters and
+    /// histogram sums read back exactly, above 2^53 too.
     pub fn parse_json(text: &str) -> Result<MetricsSnapshot, String> {
-        Parser {
-            b: text.as_bytes(),
-            pos: 0,
+        let root = parse_json_value(text)?;
+        match root.get("format").and_then(JsonValue::as_str) {
+            Some(SNAPSHOT_FORMAT) => {}
+            Some(other) => return Err(format!("unknown metrics format '{other}'")),
+            None => return Err("missing \"format\" field".into()),
         }
-        .parse_snapshot()
-    }
-}
-
-/// Minimal recursive-descent parser for the snapshot's JSON subset.
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("metrics json: {what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+        let section = |key: &str| {
+            root.get(key)
+                .and_then(JsonValue::as_obj)
+                .unwrap_or_default()
+        };
+        let int = |v: &JsonValue, what: &str| {
+            v.as_u64()
+                .ok_or_else(|| format!("metrics json: {what} is not an unsigned integer"))
+        };
+        let mut snap = MetricsSnapshot {
+            wall_tolerance: root.get("wall_tolerance").and_then(JsonValue::as_f64),
+            ..MetricsSnapshot::default()
+        };
+        for (name, v) in section("counters") {
+            snap.counters.insert(name.clone(), int(v, name)?);
         }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), String> {
-        if self.peek() == Some(ch) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", ch as char))
+        for (name, v) in section("gauges") {
+            let g = v
+                .as_f64()
+                .ok_or_else(|| format!("metrics json: gauge {name} is not a number"))?;
+            snap.gauges.insert(name.clone(), g);
         }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.pos) else {
-                return self.err("unterminated string");
+        for (name, v) in section("histograms") {
+            let field = |key: &str| {
+                v.get(key)
+                    .ok_or(format!("metrics json: {name}.{key} missing"))
             };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.pos) else {
-                        return self.err("dangling escape");
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
+            let mut h = HistogramSnapshot {
+                count: int(field("count")?, name)?,
+                sum: int(field("sum")?, name)?,
+                buckets: Vec::new(),
+            };
+            for pair in field("buckets")?.as_arr().unwrap_or_default() {
+                match pair.as_arr() {
+                    Some([b, n]) => h.buckets.push((int(b, name)? as u32, int(n, name)?)),
+                    _ => return Err(format!("metrics json: {name} has a malformed bucket")),
                 }
-                c => s.push(c as char),
             }
+            snap.histograms.insert(name.clone(), h);
         }
-    }
-
-    /// Returns the raw text of a number token.
-    fn parse_number_text(&mut self) -> Result<&str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return self.err("expected a number");
-        }
-        std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let pos = self.pos;
-        let t = self.parse_number_text()?;
-        t.parse::<u64>()
-            .map_err(|e| format!("metrics json: bad integer '{t}' at byte {pos}: {e}"))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, String> {
-        let pos = self.pos;
-        let t = self.parse_number_text()?;
-        t.parse::<f64>()
-            .map_err(|e| format!("metrics json: bad number '{t}' at byte {pos}: {e}"))
-    }
-
-    /// Skips one JSON value of any shape (for unknown keys).
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => {
-                self.parse_string()?;
-            }
-            Some(b'{') => {
-                self.expect(b'{')?;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.parse_string()?;
-                    self.expect(b':')?;
-                    self.skip_value()?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value()?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(c) if c == b't' || c == b'f' || c == b'n' => {
-                while self.b.get(self.pos).is_some_and(u8::is_ascii_alphabetic) {
-                    self.pos += 1;
-                }
-            }
-            _ => {
-                self.parse_number_text()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses `{ "k": ... , ... }` invoking `on_key` per key.
-    fn parse_object(
-        &mut self,
-        mut on_key: impl FnMut(&mut Self, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            on_key(self, &key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn parse_histogram(&mut self) -> Result<HistogramSnapshot, String> {
-        let mut h = HistogramSnapshot::default();
-        self.parse_object(|p, key| {
-            match key {
-                "count" => h.count = p.parse_u64()?,
-                "sum" => h.sum = p.parse_u64()?,
-                "buckets" => {
-                    p.expect(b'[')?;
-                    if p.peek() == Some(b']') {
-                        p.pos += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        p.expect(b'[')?;
-                        let b = p.parse_u64()? as u32;
-                        p.expect(b',')?;
-                        let n = p.parse_u64()?;
-                        p.expect(b']')?;
-                        h.buckets.push((b, n));
-                        match p.peek() {
-                            Some(b',') => p.pos += 1,
-                            Some(b']') => {
-                                p.pos += 1;
-                                break;
-                            }
-                            _ => return p.err("expected ',' or ']'"),
-                        }
-                    }
-                }
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(h)
-    }
-
-    fn parse_snapshot(&mut self) -> Result<MetricsSnapshot, String> {
-        let mut snap = MetricsSnapshot::default();
-        let mut format = None;
-        self.parse_object(|p, key| {
-            match key {
-                "format" => format = Some(p.parse_string()?),
-                "wall_tolerance" => snap.wall_tolerance = Some(p.parse_f64()?),
-                "counters" => p.parse_object(|p, name| {
-                    let v = p.parse_u64()?;
-                    snap.counters.insert(name.to_string(), v);
-                    Ok(())
-                })?,
-                "gauges" => p.parse_object(|p, name| {
-                    let v = p.parse_f64()?;
-                    snap.gauges.insert(name.to_string(), v);
-                    Ok(())
-                })?,
-                "histograms" => p.parse_object(|p, name| {
-                    let h = p.parse_histogram()?;
-                    snap.histograms.insert(name.to_string(), h);
-                    Ok(())
-                })?,
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        })?;
-        match format.as_deref() {
-            Some(SNAPSHOT_FORMAT) => Ok(snap),
-            Some(other) => Err(format!("unknown metrics format '{other}'")),
-            None => Err("missing \"format\" field".into()),
-        }
+        Ok(snap)
     }
 }
 
@@ -1105,6 +884,24 @@ mod tests {
         assert_eq!(canon.counters, snap.counters);
         assert_eq!(canon.histograms, snap.histograms);
         assert!(canon.gauges.is_empty());
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_roundtrip_exactly() {
+        // f64 holds integers exactly only up to 2^53; counters and
+        // histogram sums must survive the JSON text without passing
+        // through it.
+        let reg = MetricsRegistry::new();
+        reg.counter("big").add(u64::MAX - 1);
+        reg.histogram("h").record_n((1 << 53) + 1, 3);
+        let snap = reg.snapshot();
+        assert!(snap.histograms["h"].sum > 1 << 53);
+        let parsed = MetricsSnapshot::parse_json(&snap.full_json()).unwrap();
+        assert_eq!(parsed.counters["big"], u64::MAX - 1);
+        assert_eq!(parsed, snap);
+        // A malformed section fails instead of truncating.
+        let bad = snap.full_json().replace("18446744073709551614", "-1");
+        assert!(MetricsSnapshot::parse_json(&bad).is_err());
     }
 
     #[test]

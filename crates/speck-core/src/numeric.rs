@@ -14,20 +14,20 @@
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
-use crate::global_lb::PassPlan;
+use crate::global_lb::{AccMethod, PassPlan};
 use crate::hashacc::{compound_key, split_key};
 use crate::local_lb::select_group_size;
 use crate::metrics::MetricsSink;
 use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
+use crate::symbolic::LaunchGroups;
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig, KernelConfig,
     KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
-use std::collections::BTreeMap;
 
 /// Flat output of one block: concatenated column indices and values of all
 /// its rows (row-major), plus the per-row entry counts.
@@ -285,7 +285,7 @@ pub struct NumericJob<'a> {
     pub plan: &'a PassPlan,
     /// `plan`'s blocks grouped by (method, config) for launching — the
     /// output of [`crate::symbolic::group_blocks`].
-    pub groups: &'a BTreeMap<(u8, usize), Vec<usize>>,
+    pub groups: &'a LaunchGroups,
     /// Exact NNZ of every row of C (symbolic pass output).
     pub row_nnz: &'a [u32],
     /// Prefix-summed row offsets of C — [`row_ptr_from_nnz`] of
@@ -345,7 +345,7 @@ pub fn run_numeric<V: Scalar>(
             let kc = cascade.config(cfg_idx);
             let block = |i: usize| &plan.blocks[group[i]];
             match method {
-                0 => {
+                AccMethod::Hash => {
                     let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
                     let scratch_sorted = cfg_idx <= MAX_SCRATCH_SORT_CFG;
                     let (report, outs) = launch_map(
@@ -382,7 +382,7 @@ pub fn run_numeric<V: Scalar>(
                     }
                     reports.push(report);
                 }
-                1 => {
+                AccMethod::Dense => {
                     let slots = cascade.dense_numeric_slots(cfg_idx, std::mem::size_of::<V>());
                     let (report, outs) = launch_map(
                         dev,
@@ -402,7 +402,7 @@ pub fn run_numeric<V: Scalar>(
                     }
                     reports.push(report);
                 }
-                _ => {
+                AccMethod::Direct => {
                     let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
                     let (report, outs) =
                         launch_map(dev, cost, "numeric_direct", group.len(), dk, |ctx| {

@@ -23,7 +23,7 @@ use crate::metrics::{MetricsRegistry, MetricsSink, MetricsSnapshot};
 use crate::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
 use crate::plan::{fnv1a_bytes, PatternKey, PlanCache, SpgemmPlan};
 use crate::symbolic::{group_blocks, run_symbolic};
-use crate::trace::{pass_annotations, ExecutionTrace, TraceBuilder};
+use crate::trace::{pass_annotations, timeline_of, ExecutionTrace, Recorder, TraceRecord};
 use crate::workspace::{SharedWorkspaces, WorkspacePool};
 use rayon::prelude::*;
 use speck_simt::{CostModel, DeviceConfig, MemTracker, Timeline};
@@ -45,13 +45,23 @@ pub mod stage {
     pub const NUMERIC: &str = "num. SpGEMM";
     /// Trailing radix sort.
     pub const SORTING: &str = "sorting";
+    /// Every stage, in pipeline order.
+    pub const ALL: [&str; 6] = [
+        ANALYSIS,
+        SYMBOLIC_LOAD,
+        SYMBOLIC,
+        NUMERIC_LOAD,
+        NUMERIC,
+        SORTING,
+    ];
 }
 
 /// Everything the caller may want to know about one multiplication.
 #[derive(Clone, Debug)]
 pub struct MultiplyReport {
-    /// Per-stage simulated durations (Fig. 11). For a reused plan this
-    /// holds only the stages that actually ran (numeric + sorting).
+    /// Per-stage simulated durations (Fig. 11), folded from the multiply's
+    /// record stream. For a reused plan this holds only the stages that
+    /// actually ran (numeric + sorting).
     pub timeline: Timeline,
     /// Total simulated time in seconds.
     pub sim_time_s: f64,
@@ -265,14 +275,11 @@ impl SpeckSpgemm {
     /// Fingerprint of everything besides the operands that determines a
     /// plan: device, cost model, and configuration. Part of the cache key,
     /// so mutating the engine's public fields never revives a stale plan.
+    /// Tracing and auditing are not part of it: a cache hit runs warm and
+    /// never reads the plan's setup records, so observing and plain
+    /// engines share plans.
     fn env_digest(&self) -> u64 {
-        // Tracing and auditing are part of the key: an observing engine
-        // must not revive a plan that carries no setup trace (and vice
-        // versa).
-        let env = format!(
-            "{:?}|{:?}|{:?}|trace={}|audit={}",
-            self.device, self.cost, self.config, self.tracing, self.auditing
-        );
+        let env = format!("{:?}|{:?}|{:?}", self.device, self.cost, self.config);
         fnv1a_bytes(env.as_bytes())
     }
 
@@ -285,76 +292,18 @@ impl SpeckSpgemm {
     pub fn multiply<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> (Csr<V>, MultiplyReport) {
         let m = MetricsSink::new(&self.metrics);
         m.add("engine/multiply_calls", 1);
-        let observe = self.tracing || self.auditing;
-        let _capture = observe.then(speck_simt::CaptureGuard::new);
-        let pool = self.workspaces.pool::<V>();
-        if self.plans.lock().unwrap().capacity() == 0 {
-            let plan = plan_inner(
-                &self.device,
-                &self.cost,
-                &self.config,
-                a,
-                b,
-                &pool,
-                observe,
-                m,
-            );
-            return execute_inner(
-                &self.device,
-                &self.cost,
-                &self.config,
-                &plan,
-                a,
-                b,
-                &pool,
-                false,
-                self.tracing,
-                self.auditing,
-                m,
-            );
+        // A disabled cache is never consulted, so it counts no misses.
+        let key = (self.plans.lock().unwrap().capacity() > 0)
+            .then(|| PatternKey::new(a, b, self.env_digest()));
+        let hit = key.as_ref().and_then(|k| self.plans.lock().unwrap().get(k));
+        if let Some(plan) = hit.and_then(|p| p.downcast::<SpgemmPlan<V>>().ok()) {
+            return self.run(&plan, a, b, true, m);
         }
-        let key = PatternKey::new(a, b, self.env_digest());
-        if let Some(hit) = self.plans.lock().unwrap().get(&key) {
-            if let Ok(plan) = hit.downcast::<SpgemmPlan<V>>() {
-                return execute_inner(
-                    &self.device,
-                    &self.cost,
-                    &self.config,
-                    &plan,
-                    a,
-                    b,
-                    &pool,
-                    true,
-                    self.tracing,
-                    self.auditing,
-                    m,
-                );
-            }
+        let plan = Arc::new(self.build_plan(a, b, m));
+        let out = self.run(&plan, a, b, false, m);
+        if let Some(key) = key {
+            self.plans.lock().unwrap().insert(key, plan);
         }
-        let plan = Arc::new(plan_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            a,
-            b,
-            &pool,
-            observe,
-            m,
-        ));
-        let out = execute_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            &plan,
-            a,
-            b,
-            &pool,
-            false,
-            self.tracing,
-            self.auditing,
-            m,
-        );
-        self.plans.lock().unwrap().insert(key, plan);
         out
     }
 
@@ -363,19 +312,7 @@ impl SpeckSpgemm {
     /// plan. Pair with [`SpeckSpgemm::execute_plan`] to amortise the setup
     /// across many multiplications of the same pattern.
     pub fn plan<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> SpgemmPlan<V> {
-        let observe = self.tracing || self.auditing;
-        let _capture = observe.then(speck_simt::CaptureGuard::new);
-        let pool = self.workspaces.pool::<V>();
-        plan_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            a,
-            b,
-            &pool,
-            observe,
-            MetricsSink::new(&self.metrics),
-        )
+        self.build_plan(a, b, MetricsSink::new(&self.metrics))
     }
 
     /// Executes a plan against operands with the *same sparsity pattern*
@@ -390,20 +327,35 @@ impl SpeckSpgemm {
         a: &Csr<V>,
         b: &Csr<V>,
     ) -> (Csr<V>, MultiplyReport) {
-        let _capture = (self.tracing || self.auditing).then(speck_simt::CaptureGuard::new);
+        self.run(plan, a, b, true, MetricsSink::new(&self.metrics))
+    }
+
+    /// Whether per-block capture is needed (tracing or auditing).
+    fn observing(&self) -> bool {
+        self.tracing || self.auditing
+    }
+
+    fn build_plan<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>, m: MetricsSink<'_>) -> SpgemmPlan<V> {
+        let _capture = self.observing().then(speck_simt::CaptureGuard::new);
+        let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
         let pool = self.workspaces.pool::<V>();
+        plan_inner(dev, cost, cfg, a, b, &pool, self.observing(), m)
+    }
+
+    fn run<V: Scalar>(
+        &self,
+        plan: &SpgemmPlan<V>,
+        a: &Csr<V>,
+        b: &Csr<V>,
+        reused: bool,
+        m: MetricsSink<'_>,
+    ) -> (Csr<V>, MultiplyReport) {
+        let _capture = self.observing().then(speck_simt::CaptureGuard::new);
+        let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
+        let pool = self.workspaces.pool::<V>();
+        let (tracing, auditing) = (self.tracing, self.auditing);
         execute_inner(
-            &self.device,
-            &self.cost,
-            &self.config,
-            plan,
-            a,
-            b,
-            &pool,
-            true,
-            self.tracing,
-            self.auditing,
-            MetricsSink::new(&self.metrics),
+            dev, cost, cfg, plan, a, b, &pool, reused, tracing, auditing, m,
         )
     }
 
@@ -449,19 +401,8 @@ pub fn multiply_with_pool<V: Scalar>(
     pool: &WorkspacePool<V>,
 ) -> (Csr<V>, MultiplyReport) {
     let plan = plan_with_pool(dev, cost, cfg, a, b, pool);
-    execute_inner(
-        dev,
-        cost,
-        cfg,
-        &plan,
-        a,
-        b,
-        pool,
-        false,
-        false,
-        false,
-        MetricsSink::none(),
-    )
+    let m = MetricsSink::none();
+    execute_inner(dev, cost, cfg, &plan, a, b, pool, false, false, false, m)
 }
 
 /// Runs the setup stages (analysis + symbolic load balancing + symbolic
@@ -483,7 +424,8 @@ pub fn plan_with_pool<V: Scalar>(
 /// [`plan_with_pool`] with a metrics sink attached: every kernel launch,
 /// load-balancing decision, and stage span is recorded. Recording reads
 /// finished [`speck_simt::KernelReport`]s only, so simulated results are
-/// bit-identical with or without a registry.
+/// bit-identical with or without a registry. `observe` (tracing or
+/// auditing) adds per-block annotations to the setup records.
 #[allow(clippy::too_many_arguments)]
 fn plan_inner<V: Scalar>(
     dev: &DeviceConfig,
@@ -498,30 +440,18 @@ fn plan_inner<V: Scalar>(
     assert_eq!(a.cols(), b.rows(), "spECK multiply: dimension mismatch");
     let span = m.span("plan");
     let cascade = KernelCascade::for_device(dev);
-    let mut timeline = Timeline::new();
-    // The tracer mirrors every timeline call below, in the same order, so
-    // the finished trace reconciles with the timeline bit-for-bit.
-    // `observe` is tracing OR auditing: the audit layer reads the same
-    // setup trace a cold execute resumes from.
-    let mut tracer = observe.then(|| TraceBuilder::new(dev));
+    let mut rec = Recorder::new(dev);
     let mut setup_mem_bytes = 0usize;
-    let alloc_s = |n: usize| dev.cycles_to_seconds(dev.alloc_overhead_cycles) * n as f64;
+    let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
 
     // Stage 1: row analysis.
     let (info, analysis_report) = {
         let _s = span.child("analysis");
         analyze(dev, cost, a, b)
     };
-    timeline.add_kernel(stage::ANALYSIS, &analysis_report);
-    m.record_kernel(stage::ANALYSIS, &analysis_report);
-    if let Some(t) = tracer.as_mut() {
-        t.add_kernel(stage::ANALYSIS, &analysis_report, None, None, None);
-    }
+    rec.kernel(stage::ANALYSIS, &analysis_report, None, None, None);
     setup_mem_bytes += info.rows.len() * std::mem::size_of::<crate::analysis::RowInfo>();
-    timeline.add_fixed(stage::ANALYSIS, alloc_s(1));
-    if let Some(t) = tracer.as_mut() {
-        t.add_fixed(stage::ANALYSIS, "alloc", alloc_s(1));
-    }
+    rec.fixed(stage::ANALYSIS, "alloc", alloc_s);
 
     // Stage 2: symbolic load balancing.
     let splan = {
@@ -529,19 +459,12 @@ fn plan_inner<V: Scalar>(
         plan_symbolic(dev, cost, &cascade, cfg, &info, b.cols())
     };
     for r in &splan.lb_reports {
-        timeline.add_kernel(stage::SYMBOLIC_LOAD, r);
-        m.record_kernel(stage::SYMBOLIC_LOAD, r);
-        if let Some(t) = tracer.as_mut() {
-            t.add_kernel(stage::SYMBOLIC_LOAD, r, None, None, None);
-        }
+        rec.kernel(stage::SYMBOLIC_LOAD, r, None, None, None);
     }
     splan.record_metrics(&m, "symbolic");
     if splan.lb_alloc_bytes > 0 {
         setup_mem_bytes += splan.lb_alloc_bytes;
-        timeline.add_fixed(stage::SYMBOLIC_LOAD, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::SYMBOLIC_LOAD, "alloc", alloc_s(1));
-        }
+        rec.fixed(stage::SYMBOLIC_LOAD, "alloc", alloc_s);
     }
 
     // Stage 3: symbolic SpGEMM.
@@ -549,25 +472,12 @@ fn plan_inner<V: Scalar>(
         let _s = span.child("symbolic");
         run_symbolic(dev, cost, &cascade, cfg, a, b, &info, &splan, pool)
     };
-    for r in &sym.reports {
-        timeline.add_kernel(stage::SYMBOLIC, r);
-        m.record_kernel(stage::SYMBOLIC, r);
-    }
-    if let Some(t) = tracer.as_mut() {
-        // One report per (method, config) group, in group order — stamp
-        // each with its bin, accumulator, rows, and group size.
-        let anns = pass_annotations(dev, &cascade, cfg, &info, &splan, &group_blocks(&splan));
-        for (r, (acc, cfg_idx, ann)) in sym.reports.iter().zip(anns) {
-            t.add_kernel(stage::SYMBOLIC, r, Some(cfg_idx), Some(acc), Some(ann));
-        }
-    }
+    let anns = observe.then(|| pass_annotations(dev, &cascade, cfg, &info, &splan, &sym.groups));
+    rec.pass(stage::SYMBOLIC, &sym.reports, &sym.groups, anns);
     sym.record_metrics(&m);
     // Row-count array + prefix sum for C's offsets.
     setup_mem_bytes += (a.rows() + 1) * 8;
-    timeline.add_fixed(stage::SYMBOLIC, alloc_s(1));
-    if let Some(t) = tracer.as_mut() {
-        t.add_fixed(stage::SYMBOLIC, "alloc", alloc_s(1));
-    }
+    rec.fixed(stage::SYMBOLIC, "alloc", alloc_s);
 
     // Stage 4: numeric load balancing on exact sizes.
     let nplan = {
@@ -584,19 +494,12 @@ fn plan_inner<V: Scalar>(
         )
     };
     for r in &nplan.lb_reports {
-        timeline.add_kernel(stage::NUMERIC_LOAD, r);
-        m.record_kernel(stage::NUMERIC_LOAD, r);
-        if let Some(t) = tracer.as_mut() {
-            t.add_kernel(stage::NUMERIC_LOAD, r, None, None, None);
-        }
+        rec.kernel(stage::NUMERIC_LOAD, r, None, None, None);
     }
     nplan.record_metrics(&m, "numeric");
     if nplan.lb_alloc_bytes > 0 {
         setup_mem_bytes += nplan.lb_alloc_bytes;
-        timeline.add_fixed(stage::NUMERIC_LOAD, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::NUMERIC_LOAD, "alloc", alloc_s(1));
-        }
+        rec.fixed(stage::NUMERIC_LOAD, "alloc", alloc_s);
     }
 
     // Global hash-map fallback pool: as many maps as can be live at once
@@ -609,11 +512,9 @@ fn plan_inner<V: Scalar>(
             .min(dev.max_concurrent_blocks(largest_cfg.threads, largest_cfg.scratch_bytes));
         let per_map = info.max_products as usize * (8 + std::mem::size_of::<V>());
         setup_mem_bytes += live * per_map;
-        timeline.add_fixed(stage::NUMERIC_LOAD, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::NUMERIC_LOAD, "alloc overflow pool", alloc_s(1));
-        }
+        rec.fixed(stage::NUMERIC_LOAD, "alloc overflow pool", alloc_s);
     }
+    m.record_launches(rec.records());
 
     let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
     let ngroups = group_blocks(&nplan);
@@ -631,10 +532,9 @@ fn plan_inner<V: Scalar>(
         ngroups,
         row_nnz: sym.row_nnz,
         row_ptr,
-        setup_timeline: timeline,
+        setup: rec.into_records(),
         setup_mem_bytes,
         sym_spilled_blocks: sym.spilled_blocks,
-        setup_trace: tracer.map(TraceBuilder::finish),
         _values: PhantomData,
     }
 }
@@ -652,26 +552,15 @@ pub fn execute_plan_with_pool<V: Scalar>(
     b: &Csr<V>,
     pool: &WorkspacePool<V>,
 ) -> (Csr<V>, MultiplyReport) {
-    execute_inner(
-        dev,
-        cost,
-        cfg,
-        plan,
-        a,
-        b,
-        pool,
-        true,
-        false,
-        false,
-        MetricsSink::none(),
-    )
+    let m = MetricsSink::none();
+    execute_inner(dev, cost, cfg, plan, a, b, pool, true, false, false, m)
 }
 
 /// The execution half of the pipeline. Cold calls (`reused == false`)
-/// start from the plan's setup timeline so the combined report is bit
-/// identical to the unfactored pipeline; reused calls start from an empty
-/// timeline. Device memory is accounted identically either way — the
-/// setup structures the numeric kernels read (analysis records, row
+/// resume the record stream from the plan's setup records so the combined
+/// report is bit identical to the unfactored pipeline; reused calls start
+/// an empty stream. Device memory is accounted identically either way —
+/// the setup structures the numeric kernels read (analysis records, row
 /// counts, the overflow pool) are resident whether this call built them
 /// or a previous one did.
 #[allow(clippy::too_many_arguments)]
@@ -694,23 +583,9 @@ fn execute_inner<V: Scalar>(
         m.add("engine/plan_reuses", 1);
     }
     let cascade = KernelCascade::for_device(dev);
-    let alloc_s = |n: usize| dev.cycles_to_seconds(dev.alloc_overhead_cycles) * n as f64;
-    let mut timeline = if reused {
-        Timeline::new()
-    } else {
-        plan.setup_timeline.clone()
-    };
-    // Mirrors the timeline exactly: a reused call traces only the stages
-    // that run; a cold call resumes from the plan's setup trace so the
-    // combined trace covers the whole pipeline. Auditing rides on the
-    // same trace even when the caller asked for no trace in the report.
-    let mut tracer = (tracing || auditing).then(|| {
-        if reused {
-            TraceBuilder::new(dev)
-        } else {
-            TraceBuilder::resume(dev, plan.setup_trace.as_ref())
-        }
-    });
+    let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
+    let setup: &[TraceRecord] = if reused { &[] } else { &plan.setup };
+    let mut rec = Recorder::resume(dev, setup);
     let mut mem = MemTracker::new();
     mem.alloc(plan.setup_mem_bytes);
     // Output matrix C: counted for memory, not for time (paper §6: "the
@@ -728,54 +603,42 @@ fn execute_inner<V: Scalar>(
         let _s = span.child("numeric");
         run_numeric(dev, cost, &cascade, cfg, a, b, &plan.info, &job, pool)
     };
-    for r in &num.reports {
-        timeline.add_kernel(stage::NUMERIC, r);
-        m.record_kernel(stage::NUMERIC, r);
-    }
-    if let Some(t) = tracer.as_mut() {
-        let anns = pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups);
-        for (r, (acc, cfg_idx, ann)) in num.reports.iter().zip(anns) {
-            t.add_kernel(stage::NUMERIC, r, Some(cfg_idx), Some(acc), Some(ann));
-        }
-    }
+    let observe = tracing || auditing;
+    let anns = observe
+        .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups));
+    rec.pass(stage::NUMERIC, &num.reports, &plan.ngroups, anns);
     num.record_metrics(&m);
 
     // Stage 6: sorting.
     if let Some(r) = &num.sort_report {
         let _s = span.child("sorting");
-        timeline.add_kernel(stage::SORTING, r);
-        m.record_kernel(stage::SORTING, r);
-        if let Some(t) = tracer.as_mut() {
-            t.add_kernel(stage::SORTING, r, None, None, None);
-        }
+        rec.kernel(stage::SORTING, r, None, None, None);
         // Radix double-buffer.
         mem.alloc(num.radix_elems * (4 + std::mem::size_of::<V>()));
-        timeline.add_fixed(stage::SORTING, alloc_s(1));
-        if let Some(t) = tracer.as_mut() {
-            t.add_fixed(stage::SORTING, "alloc", alloc_s(1));
-        }
+        rec.fixed(stage::SORTING, "alloc", alloc_s);
     }
+    // The setup records were folded into the metrics when the plan was
+    // built; only this call's launches are new.
+    m.record_launches(rec.records());
+    let timeline = timeline_of(setup.iter().chain(rec.records()));
 
     // The audit is built read-only from the finished trace *after* every
     // kernel ran: it never changes simulated results.
-    let finished = tracer.map(TraceBuilder::finish);
-    let audit = if auditing {
-        finished.as_ref().map(|tr| {
-            Arc::new(crate::audit::build_report(
-                dev,
-                cost,
-                cfg,
-                &plan.info,
-                &plan.row_nnz,
-                &plan.sym_gate,
-                &plan.nplan.gate,
-                plan.b_cols,
-                std::mem::size_of::<V>(),
-                tr,
-            ))
-        })
-    } else {
-        None
+    let trace = observe.then(|| ExecutionTrace::new(dev, [setup, rec.records()].concat()));
+    let audit = match &trace {
+        Some(tr) if auditing => Some(Arc::new(crate::audit::build_report(
+            dev,
+            cost,
+            cfg,
+            &plan.info,
+            &plan.row_nnz,
+            &plan.sym_gate,
+            &plan.nplan.gate,
+            plan.b_cols,
+            std::mem::size_of::<V>(),
+            tr,
+        ))),
+        _ => None,
     };
     let report = MultiplyReport {
         sim_time_s: timeline.total_seconds(),
@@ -791,11 +654,7 @@ fn execute_inner<V: Scalar>(
         radix_elems: num.radix_elems,
         products: plan.info.total_products,
         reused_plan: reused,
-        trace: if tracing {
-            finished.map(Arc::new)
-        } else {
-            None
-        },
+        trace: trace.filter(|_| tracing).map(Arc::new),
         audit,
         timeline,
     };
@@ -874,17 +733,7 @@ mod tests {
     fn stage_shares_sum_to_one() {
         let a = uniform_random(1000, 1000, 2, 10, 7);
         let r = verify(&a, &a);
-        let total: f64 = [
-            stage::ANALYSIS,
-            stage::SYMBOLIC_LOAD,
-            stage::SYMBOLIC,
-            stage::NUMERIC_LOAD,
-            stage::NUMERIC,
-            stage::SORTING,
-        ]
-        .iter()
-        .map(|s| r.timeline.share(s))
-        .sum();
+        let total: f64 = stage::ALL.iter().map(|s| r.timeline.share(s)).sum();
         assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
     }
 
@@ -1140,6 +989,26 @@ mod tests {
         let p = crate::profile::profile_trace(cold_tr, 10);
         assert!(!p.top_rows.is_empty());
         assert!((p.top_rows[0].row as usize) < a.rows());
+    }
+
+    #[test]
+    fn tracing_engine_reuses_a_plain_engines_plan() {
+        let a = uniform_random(400, 400, 2, 6, 53);
+        let e = SpeckSpgemm::default();
+        let (_, cold) = e.multiply(&a, &a);
+        assert!(cold.trace.is_none());
+        // Observing engines share the plain engine's plans: the hit runs
+        // warm and traces only the stages it executed.
+        let (_, warm) = e.clone().with_tracing(true).multiply(&a, &a);
+        assert!(warm.reused_plan);
+        let tr = warm
+            .trace
+            .as_ref()
+            .expect("tracing engine attaches a trace");
+        assert_eq!(tr.total_seconds().to_bits(), warm.sim_time_s.to_bits());
+        let (_, audited) = e.clone().with_auditing(true).multiply(&a, &a);
+        assert!(audited.reused_plan);
+        assert!(audited.audit.is_some());
     }
 
     #[test]

@@ -29,10 +29,10 @@
 
 use crate::analysis::AnalysisInfo;
 use crate::global_lb::{GateProvenance, PassPlan, PassSummary};
-use speck_simt::Timeline;
+use crate::symbolic::LaunchGroups;
+use crate::trace::{timeline_of, TraceRecord};
 use speck_sparse::{Csr, Scalar};
 use std::any::{Any, TypeId};
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -44,8 +44,9 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// different from the FNV offset basis works.
 const CHECK_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a over a byte stream (used for the engine's environment digest).
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte string: the engine's environment digest, the
+/// metrics registry's shard choice and the bench's simulation digest.
+pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -55,7 +56,9 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// Streams one matrix pattern (dims, `row_ptr`, `col_idx`) into two
-/// FNV-1a accumulators at once.
+/// FNV-1a accumulators at once, one 64-bit word per step. Byte-wise
+/// [`fnv1a_bytes`] would take eight steps per word, and the fingerprint
+/// runs on every cached `multiply`.
 fn mix_pattern<V: Scalar>(m: &Csr<V>, h: &mut (u64, u64)) {
     let mut step = |w: u64| {
         h.0 ^= w;
@@ -147,7 +150,7 @@ impl PatternKey {
 /// Executing a plan ([`crate::SpeckSpgemm::execute_plan`]) runs only the
 /// numeric pass and the trailing sort; the plan supplies the analysis
 /// records, the numeric block plan with its launch groups, C's exact row
-/// structure, and the cached setup timeline/memory so a cold
+/// structure, and the setup stages' records and memory so a cold
 /// plan-then-execute reproduces [`crate::multiply`] bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct SpgemmPlan<V> {
@@ -170,24 +173,23 @@ pub struct SpgemmPlan<V> {
     pub(crate) nplan: PassPlan,
     /// `nplan`'s blocks grouped into launches of identical
     /// (method, config), precomputed once.
-    pub(crate) ngroups: BTreeMap<(u8, usize), Vec<usize>>,
+    pub(crate) ngroups: LaunchGroups,
     /// Exact NNZ of every row of C (symbolic pass output).
     pub(crate) row_nnz: Vec<u32>,
     /// Prefix-summed row offsets of C (`row_nnz` scanned; len `rows+1`).
     pub(crate) row_ptr: Vec<usize>,
-    /// Simulated timeline of the setup stages (analysis through numeric
-    /// load balancing, including their allocation overheads).
-    pub(crate) setup_timeline: Timeline,
+    /// Records of the setup stages (analysis through numeric load
+    /// balancing, including their allocation overheads). A cold execute
+    /// resumes the multiply's record stream from them; a reused one never
+    /// reads them. Per-block annotations are present only when the plan
+    /// was built by a tracing or auditing engine.
+    pub(crate) setup: Vec<TraceRecord>,
     /// Simulated device bytes the setup stages allocated (analysis
     /// records, LB bookkeeping, row counts, the global overflow-map
     /// pool). Held by the plan, so reused executions still account them.
     pub(crate) setup_mem_bytes: usize,
     /// Blocks that spilled to a global hash map during the symbolic pass.
     pub(crate) sym_spilled_blocks: usize,
-    /// Execution trace of the setup stages, captured only when the plan
-    /// was built by a tracing engine — a cold execute resumes from it so
-    /// the combined trace covers the whole pipeline.
-    pub(crate) setup_trace: Option<crate::trace::ExecutionTrace>,
     pub(crate) _values: PhantomData<fn() -> V>,
 }
 
@@ -215,7 +217,7 @@ impl<V: Scalar> SpgemmPlan<V> {
     /// Simulated seconds of the setup stages this plan amortises
     /// (analysis + symbolic load + symbolic pass + numeric load).
     pub fn setup_sim_time_s(&self) -> f64 {
-        self.setup_timeline.total_seconds()
+        timeline_of(&self.setup).total_seconds()
     }
 
     /// Checks that `(a, b)` structurally match the plan's dimensions and

@@ -134,7 +134,9 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
     let mut body_total = 0.0f64;
 
     for (seq, rec, k) in traced_kernels(tr) {
-        let cell = bins.entry((rec.stage.clone(), k.acc, k.bin)).or_default();
+        let cell = bins
+            .entry((rec.stage.to_string(), k.acc, k.bin))
+            .or_default();
         cell.launches += 1;
         cell.seconds += rec.dur_s;
 
@@ -192,7 +194,7 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
         kernels.push(KernelImbalance {
             name: k.name.clone(),
             seq,
-            stage: rec.stage.clone(),
+            stage: rec.stage.to_string(),
             grid: k.grid,
             body_cycles: k.body_cycles,
             imbalance,
@@ -253,15 +255,6 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
     }
 }
 
-fn acc_label(a: Option<AccMethod>) -> &'static str {
-    match a {
-        Some(AccMethod::Hash) => "hash",
-        Some(AccMethod::Dense) => "dense",
-        Some(AccMethod::Direct) => "direct",
-        None => "-",
-    }
-}
-
 fn fmt_rows(rows: &[u32]) -> String {
     match rows.len() {
         0 => "-".to_string(),
@@ -299,7 +292,7 @@ impl ProfileReport {
                 out,
                 "  {:<14} {:<7} {:>4} {:>9} {:>8} {:>14.0}",
                 stage,
-                acc_label(*acc),
+                acc.map_or("-", AccMethod::name),
                 bin_s,
                 c.launches,
                 c.blocks,
@@ -389,7 +382,7 @@ impl ProfileReport {
                 "\n    {{\"stage\": {:?}, \"acc\": {:?}, \"bin\": {}, \"launches\": {}, \
                  \"blocks\": {}, \"block_cycles\": {}, \"seconds\": {}}}",
                 stage,
-                acc_label(*acc),
+                acc.map_or("-", AccMethod::name),
                 bin.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
                 c.launches,
                 c.blocks,
@@ -530,7 +523,7 @@ impl TraceDiff {
                     out,
                     "  {:<14} {:<7} {:>4} {:>14.0} {:>14.0} {:>+14.0}",
                     stage,
-                    acc_label(*acc),
+                    acc.map_or("-", AccMethod::name),
                     bin_s,
                     o,
                     n,
@@ -545,7 +538,7 @@ impl TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{BlockAnnotation, TraceBuilder};
+    use crate::trace::{BlockAnnotation, Recorder};
     use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig};
 
     fn traced_report(
@@ -563,8 +556,8 @@ mod tests {
     fn sample() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_hash_c1", 8);
-        let mut tb = TraceBuilder::new(&dev);
-        tb.add_kernel(
+        let mut rec = Recorder::new(&dev);
+        rec.kernel(
             "num. SpGEMM",
             &rep,
             Some(1),
@@ -578,7 +571,7 @@ mod tests {
                     .collect(),
             ),
         );
-        tb.finish()
+        ExecutionTrace::new(&dev, rec.into_records())
     }
 
     #[test]
@@ -619,20 +612,20 @@ mod tests {
         assert!(t.contains("SM utilization"));
         assert!(t.contains("per-bin cycle attribution"));
         let j = p.to_json();
-        assert!(crate::trace::parse_json_value(&j).is_ok());
+        assert!(crate::json::parse_json_value(&j).is_ok());
     }
 
     #[test]
     fn diff_reports_stage_deltas() {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_direct", 4);
-        let mut cold = TraceBuilder::new(&dev);
-        cold.add_fixed("analysis", "alloc", 2e-6);
-        cold.add_kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
-        let cold = cold.finish();
-        let mut warm = TraceBuilder::new(&dev);
-        warm.add_kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
-        let warm = warm.finish();
+        let mut cold = Recorder::new(&dev);
+        cold.fixed("analysis", "alloc", 2e-6);
+        cold.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
+        let cold = ExecutionTrace::new(&dev, cold.into_records());
+        let mut warm = Recorder::new(&dev);
+        warm.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
+        let warm = ExecutionTrace::new(&dev, warm.into_records());
 
         let d = diff_traces(&cold, &warm);
         assert!(d.total_delta_s < 0.0);

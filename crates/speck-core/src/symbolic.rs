@@ -25,8 +25,10 @@ use std::collections::BTreeMap;
 pub struct SymbolicOutput {
     /// Exact NNZ of every row of C.
     pub row_nnz: Vec<u32>,
-    /// One report per kernel launch.
+    /// One report per kernel launch, in `groups` order.
     pub reports: Vec<KernelReport>,
+    /// The launch groups the pass ran.
+    pub groups: LaunchGroups,
     /// Blocks that fell back to a global hash map.
     pub spilled_blocks: usize,
 }
@@ -47,23 +49,21 @@ impl SymbolicOutput {
     }
 }
 
-/// Groups plan blocks into launches of identical (method, config). The
-/// groups hold indices into `plan.blocks` — the plans (with their row
-/// lists) stay where they are instead of being cloned per launch. The
-/// method key is 0 = hash, 1 = dense, 2 = direct.
+/// Plan blocks grouped into launches of identical (accumulator, cascade
+/// config), as indices into `plan.blocks`. Iteration order is launch order.
+pub type LaunchGroups = BTreeMap<(AccMethod, usize), Vec<usize>>;
+
+/// Groups plan blocks into launches of identical (accumulator, config).
+/// The groups hold indices into `plan.blocks` — the plans (with their row
+/// lists) stay where they are instead of being cloned per launch.
 ///
 /// Public so callers that drive [`crate::numeric::run_numeric`] directly
 /// (reusable plans, the nsparse-style baseline) can precompute the
 /// launch groups once and reuse them across executions.
-pub fn group_blocks(plan: &PassPlan) -> BTreeMap<(u8, usize), Vec<usize>> {
-    let mut groups: BTreeMap<(u8, usize), Vec<usize>> = BTreeMap::new();
+pub fn group_blocks(plan: &PassPlan) -> LaunchGroups {
+    let mut groups = LaunchGroups::new();
     for (i, b) in plan.blocks.iter().enumerate() {
-        let m = match b.method {
-            AccMethod::Hash => 0u8,
-            AccMethod::Dense => 1,
-            AccMethod::Direct => 2,
-        };
-        groups.entry((m, b.cfg_idx)).or_default().push(i);
+        groups.entry((b.method, b.cfg_idx)).or_default().push(i);
     }
     groups
 }
@@ -248,11 +248,12 @@ pub fn run_symbolic<V: Scalar>(
     let mut reports = Vec::new();
     let mut spilled_blocks = 0usize;
 
-    for ((method, cfg_idx), group) in group_blocks(plan) {
+    let groups = group_blocks(plan);
+    for (&(method, cfg_idx), group) in &groups {
         let kc = cascade.config(cfg_idx);
         let block = |i: usize| &plan.blocks[group[i]];
         match method {
-            0 => {
+            AccMethod::Hash => {
                 let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
                 let (report, outs) = launch_map(
                     dev,
@@ -284,7 +285,7 @@ pub fn run_symbolic<V: Scalar>(
                 }
                 reports.push(report);
             }
-            1 => {
+            AccMethod::Dense => {
                 let bits = cascade.dense_symbolic_bits(cfg_idx);
                 let (report, outs) = launch_map(
                     dev,
@@ -303,7 +304,7 @@ pub fn run_symbolic<V: Scalar>(
                 }
                 reports.push(report);
             }
-            _ => {
+            AccMethod::Direct => {
                 let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
                 let (report, outs) =
                     launch_map(dev, cost, "symbolic_direct", group.len(), dk, |ctx| {
@@ -323,6 +324,7 @@ pub fn run_symbolic<V: Scalar>(
     SymbolicOutput {
         row_nnz,
         reports,
+        groups,
         spilled_blocks,
     }
 }

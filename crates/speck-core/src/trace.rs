@@ -1,24 +1,37 @@
-//! Per-multiply execution traces: spECK-annotated kernel timelines with
-//! per-block schedules, exported as Chrome Trace Event JSON.
+//! The multiply's one record stream, and the execution trace built on it:
+//! spECK-annotated kernel timelines with per-block schedules, exported as
+//! Chrome Trace Event JSON.
+//!
+//! # One record stream
+//!
+//! The pipeline calls a [`Recorder`] once per kernel launch
+//! ([`Recorder::kernel`], [`Recorder::pass`]) and once per fixed cost
+//! ([`Recorder::fixed`]). The resulting ordered `Vec<TraceRecord>` on a
+//! multiply-local clock is the only per-launch ledger of the run; every
+//! other view is a fold of it:
+//!
+//! * [`timeline_of`] — the report's per-stage `Timeline` (paper Fig. 11);
+//! * [`crate::metrics::MetricsSink::record_launches`] — the `sim/stage/*`
+//!   and `sim/kernel/*` metrics counters;
+//! * [`ExecutionTrace`] — the records plus the device shape, for export,
+//!   profiling ([`crate::profile`]) and the decision audit
+//!   ([`crate::audit`]).
+//!
+//! A plan keeps its setup records, and a cold execute resumes from them,
+//! so the combined stream covers the whole pipeline. Because every view
+//! folds the same records in the same order, they reconcile bit-for-bit —
+//! pinned by the reconciliation proptests.
+//!
+//! # Annotations
 //!
 //! The simulator's [`speck_simt::trace`] module captures *where each block
-//! ran* (SM, resident slot, start/end cycles, cost breakdown). This module
-//! adds the spECK semantics the profiler needs — which pipeline stage a
-//! kernel belongs to, which cascade bin and accumulator a block used,
-//! which output rows it computed, and the dynamic group size `g` it chose
-//! — and serialises the whole multiply as Chrome Trace Event JSON loadable
-//! in Perfetto or `chrome://tracing` (SM slots as tracks, kernels and
-//! stages as frames).
-//!
-//! # Event model
-//!
-//! An [`ExecutionTrace`] is an ordered list of [`TraceRecord`]s on a
-//! multiply-local clock, one per `Timeline::add_kernel` /
-//! `Timeline::add_fixed` call the pipeline makes, in the same order.
-//! Folding record durations per stage therefore reconciles *bit-for-bit*
-//! with the `Timeline` stage seconds (and, scaled to `cycles_milli`, with
-//! the `sim/stage/*` metrics counters) — pinned by the reconciliation
-//! proptests.
+//! ran* (SM, resident slot, start/end cycles, cost breakdown) while a
+//! capture guard is alive. This module adds the spECK semantics the
+//! profiler needs — which cascade bin and accumulator a launch used,
+//! which output rows each block computed, and the dynamic group size `g`
+//! it chose. Bin and accumulator are always recorded; per-block
+//! annotations clone every block's row list, so the pipeline computes
+//! them only when tracing or auditing.
 //!
 //! # Determinism classes
 //!
@@ -31,8 +44,11 @@ use crate::analysis::AnalysisInfo;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan};
+use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::select_group_size;
-use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace, KernelReport};
+use crate::pipeline::stage;
+use crate::symbolic::LaunchGroups;
+use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace, KernelReport, Timeline};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -51,7 +67,7 @@ pub struct BlockAnnotation {
     pub group_size: Option<u32>,
 }
 
-/// One kernel launch inside an [`ExecutionTrace`].
+/// One kernel launch in the record stream.
 #[derive(Clone, Debug)]
 pub struct KernelTraceRecord {
     /// Kernel name (e.g. `numeric_hash_c3`).
@@ -66,6 +82,13 @@ pub struct KernelTraceRecord {
     pub blocks_per_sm: usize,
     /// Kernel body makespan in cycles (excluding launch overhead).
     pub body_cycles: f64,
+    /// Simulated cycles including launch overhead. Not part of the Chrome
+    /// export: a parsed trace rebuilds it as body plus overhead.
+    pub sim_cycles: f64,
+    /// Event counters merged over every block of the launch. Not part of
+    /// the Chrome export: a parsed trace rebuilds it from the block
+    /// events.
+    pub cost: BlockCost,
     /// Cascade bin (kernel-configuration index) for SpGEMM kernels.
     pub bin: Option<usize>,
     /// Accumulator kind for SpGEMM kernels.
@@ -89,22 +112,146 @@ pub enum TraceRecordKind {
     },
 }
 
-/// One step of the multiply on the trace clock.
+/// One step of the multiply on the record clock.
 #[derive(Clone, Debug)]
 pub struct TraceRecord {
-    /// Pipeline stage this record is attributed to (see
-    /// [`crate::pipeline::stage`]).
-    pub stage: String,
+    /// Pipeline stage this record is attributed to (one of
+    /// [`crate::pipeline::stage::ALL`]).
+    pub stage: &'static str,
     /// Start offset on the multiply-local clock, seconds.
     pub start_s: f64,
     /// Duration, seconds. For kernels this is `sim_time_s` (launch
-    /// overhead included), exactly what the `Timeline` accumulated.
+    /// overhead included).
     pub dur_s: f64,
     /// What happened.
     pub kind: TraceRecordKind,
 }
 
-/// A full per-multiply execution trace.
+/// Clock value after the last record: each record starts where the
+/// previous one ended.
+fn end_of(records: &[TraceRecord]) -> f64 {
+    records.last().map_or(0.0, |r| r.start_s + r.dur_s)
+}
+
+/// Folds records into the per-stage timeline of paper Fig. 11: seconds
+/// summed per stage in record order, kernel launches counted, and their
+/// event counters merged.
+pub fn timeline_of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Timeline {
+    let mut t = Timeline::new();
+    for r in records {
+        match &r.kind {
+            TraceRecordKind::Kernel(k) => t.add_launch(r.stage, r.dur_s, &k.cost),
+            TraceRecordKind::Fixed { .. } => t.add_fixed(r.stage, r.dur_s),
+        }
+    }
+    t
+}
+
+/// Builds the record stream of one multiply.
+#[derive(Clone, Debug)]
+pub struct Recorder {
+    launch_overhead_cycles: f64,
+    start_s: f64,
+    records: Vec<TraceRecord>,
+}
+
+impl Recorder {
+    /// An empty stream for `dev`, clock at zero.
+    pub fn new(dev: &DeviceConfig) -> Self {
+        Self::resume(dev, &[])
+    }
+
+    /// An empty stream continuing after `setup` (a plan's setup records):
+    /// its clock starts where they end, so `setup` followed by this
+    /// stream's records is the whole multiply.
+    pub fn resume(dev: &DeviceConfig, setup: &[TraceRecord]) -> Self {
+        Recorder {
+            launch_overhead_cycles: dev.launch_overhead_cycles,
+            start_s: end_of(setup),
+            records: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, stage: &'static str, dur_s: f64, kind: TraceRecordKind) {
+        let start_s = self
+            .records
+            .last()
+            .map_or(self.start_s, |r| r.start_s + r.dur_s);
+        self.records.push(TraceRecord {
+            stage,
+            start_s,
+            dur_s,
+            kind,
+        });
+    }
+
+    /// Appends one kernel launch, advancing the clock by its
+    /// `sim_time_s`. `bin`/`acc`/`annotations` carry the spECK semantics
+    /// for SpGEMM kernels and are `None` for helper kernels (analysis,
+    /// binning, merging, sorting).
+    pub fn kernel(
+        &mut self,
+        stage: &'static str,
+        report: &KernelReport,
+        bin: Option<usize>,
+        acc: Option<AccMethod>,
+        annotations: Option<Vec<BlockAnnotation>>,
+    ) {
+        let rec = KernelTraceRecord {
+            name: report.name.to_string(),
+            grid: report.grid,
+            threads: report.cfg.threads,
+            scratch_bytes: report.cfg.scratch_bytes,
+            blocks_per_sm: report.blocks_per_sm,
+            body_cycles: (report.sim_cycles - self.launch_overhead_cycles).max(0.0),
+            sim_cycles: report.sim_cycles,
+            cost: report.total_cost,
+            bin,
+            acc,
+            blocks: report.trace.clone(),
+            annotations,
+        };
+        self.push(stage, report.sim_time_s, TraceRecordKind::Kernel(rec));
+    }
+
+    /// Appends the launches of one SpGEMM pass: `reports[i]` is the launch
+    /// of the `i`-th `(accumulator, bin)` group of `groups`, the order
+    /// `run_symbolic`/`run_numeric` launch them. `annotations`, when
+    /// given, holds one per-block list per group.
+    pub fn pass(
+        &mut self,
+        stage: &'static str,
+        reports: &[KernelReport],
+        groups: &LaunchGroups,
+        annotations: Option<Vec<Vec<BlockAnnotation>>>,
+    ) {
+        let mut anns = annotations.map(Vec::into_iter);
+        for (r, &(acc, bin)) in reports.iter().zip(groups.keys()) {
+            let ann = anns.as_mut().and_then(Iterator::next);
+            self.kernel(stage, r, Some(bin), Some(acc), ann);
+        }
+    }
+
+    /// Appends a fixed-duration step (allocation overheads), advancing the
+    /// clock by `seconds`.
+    pub fn fixed(&mut self, stage: &'static str, label: &str, seconds: f64) {
+        let label = label.to_string();
+        self.push(stage, seconds, TraceRecordKind::Fixed { label });
+    }
+
+    /// The records so far, in clock order.
+    pub fn records(&self) -> &[TraceRecord] {
+        &self.records
+    }
+
+    /// Finishes the stream.
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        self.records
+    }
+}
+
+/// A full per-multiply execution trace: the record stream plus the device
+/// shape the export and the profiler need.
 #[derive(Clone, Debug)]
 pub struct ExecutionTrace {
     /// Device name the multiply ran on.
@@ -125,59 +272,44 @@ pub struct ExecutionTrace {
     pub end_s: f64,
 }
 
-fn acc_name(a: AccMethod) -> &'static str {
-    match a {
-        AccMethod::Hash => "hash",
-        AccMethod::Dense => "dense",
-        AccMethod::Direct => "direct",
-    }
-}
-
-fn acc_from_name(s: &str) -> Option<AccMethod> {
-    match s {
-        "hash" => Some(AccMethod::Hash),
-        "dense" => Some(AccMethod::Dense),
-        "direct" => Some(AccMethod::Direct),
-        _ => None,
-    }
-}
-
-fn acc_from_group_key(m: u8) -> AccMethod {
-    match m {
-        0 => AccMethod::Hash,
-        1 => AccMethod::Dense,
-        _ => AccMethod::Direct,
-    }
-}
-
 impl ExecutionTrace {
-    /// Seconds per stage, folded in record order — bit-identical to the
-    /// `Timeline` stage seconds of the same multiply (both accumulate the
-    /// same f64 sequence onto 0.0).
-    pub fn per_stage_seconds(&self) -> BTreeMap<String, f64> {
-        let mut out: BTreeMap<String, f64> = BTreeMap::new();
-        for r in &self.records {
-            *out.entry(r.stage.clone()).or_insert(0.0) += r.dur_s;
+    /// The trace of `records` run on `dev`.
+    pub fn new(dev: &DeviceConfig, records: Vec<TraceRecord>) -> Self {
+        ExecutionTrace {
+            device_name: dev.name.to_string(),
+            num_sms: dev.num_sms,
+            max_blocks_per_sm: dev.max_blocks_per_sm,
+            clock_ghz: dev.clock_ghz,
+            launch_overhead_cycles: dev.launch_overhead_cycles,
+            end_s: end_of(&records),
+            records,
         }
-        out
     }
 
-    /// Kernel launches per stage (fixed records excluded) — equals the
-    /// `sim/stage/<stage>/launches` metrics counters.
+    /// Seconds per stage, folded in record order — bit-identical to the
+    /// report's `Timeline` stage seconds (it is the same fold).
+    pub fn per_stage_seconds(&self) -> BTreeMap<String, f64> {
+        timeline_of(&self.records)
+            .stages()
+            .map(|(name, st)| (name.to_string(), st.seconds))
+            .collect()
+    }
+
+    /// Kernel launches per stage (stages with only fixed records
+    /// excluded) — equals the `sim/stage/<stage>/launches` metrics
+    /// counters.
     pub fn per_stage_launches(&self) -> BTreeMap<String, u64> {
-        let mut out: BTreeMap<String, u64> = BTreeMap::new();
-        for r in &self.records {
-            if matches!(r.kind, TraceRecordKind::Kernel(_)) {
-                *out.entry(r.stage.clone()).or_insert(0) += 1;
-            }
-        }
-        out
+        timeline_of(&self.records)
+            .stages()
+            .filter(|(_, st)| st.launches > 0)
+            .map(|(name, st)| (name.to_string(), st.launches as u64))
+            .collect()
     }
 
     /// Total simulated seconds: stage sums added in sorted-stage order,
     /// matching `Timeline::total_seconds` bit-for-bit.
     pub fn total_seconds(&self) -> f64 {
-        self.per_stage_seconds().values().sum()
+        timeline_of(&self.records).total_seconds()
     }
 
     /// Iterates the kernel records in clock order.
@@ -189,131 +321,25 @@ impl ExecutionTrace {
     }
 }
 
-/// Builds an [`ExecutionTrace`] alongside the pipeline's `Timeline`: the
-/// pipeline calls [`TraceBuilder::add_kernel`] / [`TraceBuilder::add_fixed`]
-/// adjacent to every `Timeline::add_kernel` / `add_fixed`, in the same
-/// order, so the finished trace reconciles with the timeline exactly.
-#[derive(Clone, Debug)]
-pub struct TraceBuilder {
-    device_name: String,
-    num_sms: usize,
-    max_blocks_per_sm: usize,
-    clock_ghz: f64,
-    launch_overhead_cycles: f64,
-    clock_s: f64,
-    records: Vec<TraceRecord>,
-}
-
-impl TraceBuilder {
-    /// An empty trace for `dev`, clock at zero.
-    pub fn new(dev: &DeviceConfig) -> Self {
-        TraceBuilder {
-            device_name: dev.name.to_string(),
-            num_sms: dev.num_sms,
-            max_blocks_per_sm: dev.max_blocks_per_sm,
-            clock_ghz: dev.clock_ghz,
-            launch_overhead_cycles: dev.launch_overhead_cycles,
-            clock_s: 0.0,
-            records: Vec::new(),
-        }
-    }
-
-    /// A builder resuming after `setup` (a plan's setup-stage trace): its
-    /// records are replayed verbatim and the clock continues from its end
-    /// — mirroring how a cold execute starts from the plan's setup
-    /// timeline.
-    pub fn resume(dev: &DeviceConfig, setup: Option<&ExecutionTrace>) -> Self {
-        let mut b = Self::new(dev);
-        if let Some(s) = setup {
-            b.records = s.records.clone();
-            b.clock_s = s.end_s;
-        }
-        b
-    }
-
-    /// Appends one kernel launch, advancing the clock by its
-    /// `sim_time_s`. `bin`/`acc`/`annotations` carry the spECK semantics
-    /// for SpGEMM kernels and are `None` for helper kernels (analysis,
-    /// binning, merging, sorting).
-    pub fn add_kernel(
-        &mut self,
-        stage: &str,
-        report: &KernelReport,
-        bin: Option<usize>,
-        acc: Option<AccMethod>,
-        annotations: Option<Vec<BlockAnnotation>>,
-    ) {
-        let body_cycles = (report.sim_cycles - self.launch_overhead_cycles).max(0.0);
-        let rec = KernelTraceRecord {
-            name: report.name.to_string(),
-            grid: report.grid,
-            threads: report.cfg.threads,
-            scratch_bytes: report.cfg.scratch_bytes,
-            blocks_per_sm: report.blocks_per_sm,
-            body_cycles,
-            bin,
-            acc,
-            blocks: report.trace.clone(),
-            annotations,
-        };
-        self.records.push(TraceRecord {
-            stage: stage.to_string(),
-            start_s: self.clock_s,
-            dur_s: report.sim_time_s,
-            kind: TraceRecordKind::Kernel(rec),
-        });
-        self.clock_s += report.sim_time_s;
-    }
-
-    /// Appends a fixed-duration step (allocation overheads), advancing the
-    /// clock by `seconds`.
-    pub fn add_fixed(&mut self, stage: &str, label: &str, seconds: f64) {
-        self.records.push(TraceRecord {
-            stage: stage.to_string(),
-            start_s: self.clock_s,
-            dur_s: seconds,
-            kind: TraceRecordKind::Fixed {
-                label: label.to_string(),
-            },
-        });
-        self.clock_s += seconds;
-    }
-
-    /// Finishes the trace.
-    pub fn finish(self) -> ExecutionTrace {
-        ExecutionTrace {
-            device_name: self.device_name,
-            num_sms: self.num_sms,
-            max_blocks_per_sm: self.max_blocks_per_sm,
-            clock_ghz: self.clock_ghz,
-            launch_overhead_cycles: self.launch_overhead_cycles,
-            records: self.records,
-            end_s: self.clock_s,
-        }
-    }
-}
-
-/// Per-launch spECK annotations for one pass, in the launch order
-/// [`crate::symbolic::group_blocks`] produces (BTreeMap iteration order —
-/// the same order `run_symbolic`/`run_numeric` push their reports).
-/// Returns `(method, cfg_idx, annotations)` per launch.
+/// Per-block spECK annotations of one SpGEMM pass: one list per launch
+/// group of `groups`, in group order. Clones every block's row list, so
+/// the pipeline calls it only when tracing or auditing.
 pub(crate) fn pass_annotations(
     dev: &DeviceConfig,
     cascade: &KernelCascade,
     cfg: &SpeckConfig,
     info: &AnalysisInfo,
     plan: &PassPlan,
-    groups: &BTreeMap<(u8, usize), Vec<usize>>,
-) -> Vec<(AccMethod, usize, Vec<BlockAnnotation>)> {
+    groups: &LaunchGroups,
+) -> Vec<Vec<BlockAnnotation>> {
     groups
         .iter()
-        .map(|(&(method, cfg_idx), group)| {
-            let acc = acc_from_group_key(method);
+        .map(|(&(acc, cfg_idx), group)| {
             let threads = match acc {
                 AccMethod::Direct => 256.min(dev.max_threads_per_block),
                 _ => cascade.config(cfg_idx).threads,
             };
-            let anns = group
+            group
                 .iter()
                 .map(|&bi| {
                     let rows = plan.blocks[bi].rows.clone();
@@ -333,8 +359,7 @@ pub(crate) fn pass_annotations(
                     });
                     BlockAnnotation { rows, group_size }
                 })
-                .collect();
-            (acc, cfg_idx, anns)
+                .collect()
         })
         .collect()
 }
@@ -342,34 +367,6 @@ pub(crate) fn pass_annotations(
 // ---------------------------------------------------------------------------
 // Chrome Trace Event export
 // ---------------------------------------------------------------------------
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes an f64 as a JSON number (Rust's shortest-roundtrip `Display` —
-/// deterministic, and re-parsing recovers the exact value).
-fn push_num(out: &mut String, v: f64) {
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
 
 impl ExecutionTrace {
     /// Seconds → trace microseconds.
@@ -494,386 +491,102 @@ impl ExecutionTrace {
 
         // Kernel / fixed records and their blocks.
         for (seq, r) in self.records.iter().enumerate() {
-            let mut k = String::new();
-            match &r.kind {
-                TraceRecordKind::Fixed { label } => {
-                    k.push_str("{\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": ");
-                    push_json_string(&mut k, label);
-                    k.push_str(", \"cat\": ");
-                    push_json_string(&mut k, &r.stage);
-                    k.push_str(", \"ts\": ");
-                    push_num(&mut k, self.us(r.start_s));
-                    k.push_str(", \"dur\": ");
-                    push_num(&mut k, self.us(r.dur_s));
-                    let _ = write!(k, ", \"args\": {{\"kind\": \"fixed\", \"seq\": {seq}");
-                    k.push_str(", \"start_s\": ");
-                    let _ = write!(k, "{}", r.start_s);
-                    k.push_str(", \"dur_s\": ");
-                    let _ = write!(k, "{}", r.dur_s);
-                    k.push_str("}}");
-                    event(&mut out, &k);
-                }
-                TraceRecordKind::Kernel(kr) => {
-                    k.push_str("{\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": ");
-                    push_json_string(&mut k, &kr.name);
-                    k.push_str(", \"cat\": ");
-                    push_json_string(&mut k, &r.stage);
-                    k.push_str(", \"ts\": ");
-                    push_num(&mut k, self.us(r.start_s));
-                    k.push_str(", \"dur\": ");
-                    push_num(&mut k, self.us(r.dur_s));
-                    let _ = write!(
-                        k,
-                        ", \"args\": {{\"kind\": \"kernel\", \"seq\": {seq}, \"grid\": {}, \
-                         \"threads\": {}, \"scratch_bytes\": {}, \"blocks_per_sm\": {}",
-                        kr.grid, kr.threads, kr.scratch_bytes, kr.blocks_per_sm
-                    );
-                    k.push_str(", \"body_cycles\": ");
-                    let _ = write!(k, "{}", kr.body_cycles);
-                    k.push_str(", \"start_s\": ");
-                    let _ = write!(k, "{}", r.start_s);
-                    k.push_str(", \"dur_s\": ");
-                    let _ = write!(k, "{}", r.dur_s);
-                    if let Some(bin) = kr.bin {
-                        let _ = write!(k, ", \"bin\": {bin}");
-                    }
-                    if let Some(acc) = kr.acc {
-                        let _ = write!(k, ", \"acc\": \"{}\"", acc_name(acc));
-                    }
-                    k.push_str("}}");
-                    event(&mut out, &k);
+            let (name, kind) = match &r.kind {
+                TraceRecordKind::Fixed { label } => (label, "fixed"),
+                TraceRecordKind::Kernel(kr) => (&kr.name, "kernel"),
+            };
+            let mut k = String::from("{\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": ");
+            push_json_string(&mut k, name);
+            k.push_str(", \"cat\": ");
+            push_json_string(&mut k, r.stage);
+            k.push_str(", \"ts\": ");
+            push_num(&mut k, self.us(r.start_s));
+            k.push_str(", \"dur\": ");
+            push_num(&mut k, self.us(r.dur_s));
+            let _ = write!(k, ", \"args\": {{\"kind\": \"{kind}\", \"seq\": {seq}");
+            let TraceRecordKind::Kernel(kr) = &r.kind else {
+                let _ = write!(
+                    k,
+                    ", \"start_s\": {}, \"dur_s\": {}}}}}",
+                    r.start_s, r.dur_s
+                );
+                event(&mut out, &k);
+                continue;
+            };
+            let _ = write!(
+                k,
+                ", \"grid\": {}, \"threads\": {}, \"scratch_bytes\": {}, \"blocks_per_sm\": {}, \
+                 \"body_cycles\": {}, \"start_s\": {}, \"dur_s\": {}",
+                kr.grid,
+                kr.threads,
+                kr.scratch_bytes,
+                kr.blocks_per_sm,
+                kr.body_cycles,
+                r.start_s,
+                r.dur_s
+            );
+            if let Some(bin) = kr.bin {
+                let _ = write!(k, ", \"bin\": {bin}");
+            }
+            if let Some(acc) = kr.acc {
+                let _ = write!(k, ", \"acc\": \"{}\"", acc.name());
+            }
+            k.push_str("}}");
+            event(&mut out, &k);
 
-                    if let Some(bt) = &kr.blocks {
-                        let base_us =
-                            self.us(r.start_s) + self.cycles_us(self.launch_overhead_cycles);
-                        for e in &bt.events {
-                            let ann = kr
-                                .annotations
-                                .as_ref()
-                                .and_then(|a| a.get(e.grid_idx as usize));
-                            let mut b = String::new();
-                            b.push_str("{\"ph\": \"X\", \"pid\": 0, \"tid\": ");
-                            let _ = write!(b, "{}", self.slot_tid(e.sm, e.slot));
-                            b.push_str(", \"name\": ");
-                            match ann {
-                                Some(a) if a.rows.len() == 1 => {
-                                    push_json_string(&mut b, &format!("row {}", a.rows[0]));
-                                }
-                                Some(a) if !a.rows.is_empty() => {
-                                    push_json_string(
-                                        &mut b,
-                                        &format!(
-                                            "rows[{}] {}..{}",
-                                            a.rows.len(),
-                                            a.rows.first().unwrap(),
-                                            a.rows.last().unwrap()
-                                        ),
-                                    );
-                                }
-                                _ => push_json_string(&mut b, &format!("b{}", e.grid_idx)),
-                            }
-                            b.push_str(", \"cat\": ");
-                            push_json_string(&mut b, &kr.name);
-                            b.push_str(", \"ts\": ");
-                            push_num(&mut b, base_us + self.cycles_us(e.start_cycles));
-                            b.push_str(", \"dur\": ");
-                            push_num(&mut b, self.cycles_us(e.end_cycles - e.start_cycles));
-                            let _ = write!(
-                                b,
-                                ", \"args\": {{\"seq\": {seq}, \"grid\": {}, \"sm\": {}, \
-                                 \"slot\": {}",
-                                e.grid_idx, e.sm, e.slot
-                            );
-                            b.push_str(", \"start_cycles\": ");
-                            let _ = write!(b, "{}", e.start_cycles);
-                            b.push_str(", \"compute_cycles\": ");
-                            let _ = write!(b, "{}", e.compute_cycles);
-                            b.push_str(", \"memory_cycles\": ");
-                            let _ = write!(b, "{}", e.memory_cycles);
-                            if let Some(a) = ann {
-                                if !a.rows.is_empty() {
-                                    b.push_str(", \"rows\": ");
-                                    let list = a
-                                        .rows
-                                        .iter()
-                                        .map(|r| r.to_string())
-                                        .collect::<Vec<_>>()
-                                        .join(",");
-                                    push_json_string(&mut b, &list);
-                                }
-                                if let Some(g) = a.group_size {
-                                    let _ = write!(b, ", \"g\": {g}");
-                                }
-                            }
-                            for (cname, v) in e.cost.counters() {
-                                if v != 0 {
-                                    let _ = write!(b, ", \"cost/{cname}\": {v}");
-                                }
-                            }
-                            b.push_str("}}");
-                            event(&mut out, &b);
-                        }
+            let Some(bt) = &kr.blocks else { continue };
+            let base_us = self.us(r.start_s) + self.cycles_us(self.launch_overhead_cycles);
+            for e in &bt.events {
+                let ann = kr
+                    .annotations
+                    .as_ref()
+                    .and_then(|a| a.get(e.grid_idx as usize));
+                let rows = ann.map_or(&[][..], |a| a.rows.as_slice());
+                let label = match rows {
+                    [] => format!("b{}", e.grid_idx),
+                    [row] => format!("row {row}"),
+                    _ => format!("rows[{}] {}..{}", rows.len(), rows[0], rows[rows.len() - 1]),
+                };
+                let mut b = String::new();
+                let _ = write!(
+                    b,
+                    "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {}, \"name\": ",
+                    self.slot_tid(e.sm, e.slot)
+                );
+                push_json_string(&mut b, &label);
+                b.push_str(", \"cat\": ");
+                push_json_string(&mut b, &kr.name);
+                b.push_str(", \"ts\": ");
+                push_num(&mut b, base_us + self.cycles_us(e.start_cycles));
+                b.push_str(", \"dur\": ");
+                push_num(&mut b, self.cycles_us(e.end_cycles - e.start_cycles));
+                let _ = write!(
+                    b,
+                    ", \"args\": {{\"seq\": {seq}, \"grid\": {}, \"sm\": {}, \"slot\": {}, \
+                     \"start_cycles\": {}, \"compute_cycles\": {}, \"memory_cycles\": {}",
+                    e.grid_idx, e.sm, e.slot, e.start_cycles, e.compute_cycles, e.memory_cycles
+                );
+                if !rows.is_empty() {
+                    let list: Vec<String> = rows.iter().map(u32::to_string).collect();
+                    b.push_str(", \"rows\": ");
+                    push_json_string(&mut b, &list.join(","));
+                }
+                if let Some(g) = ann.and_then(|a| a.group_size) {
+                    let _ = write!(b, ", \"g\": {g}");
+                }
+                for (cname, v) in e.cost.counters() {
+                    if v != 0 {
+                        let _ = write!(b, ", \"cost/{cname}\": {v}");
                     }
                 }
+                b.push_str("}}");
+                event(&mut out, &b);
             }
         }
 
         out.push_str("\n]\n}\n");
         out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Dependency-free Chrome Trace Event parser + trace reconstruction
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (the subset Chrome traces use).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks a key up in an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as f64, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as usize, if a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Num(v) if *v >= 0.0 && *v == v.trunc() => Some(*v as usize),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("trace json: {what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), String> {
-        if self.peek() == Some(ch) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", ch as char))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.pos) else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.pos) else {
-                        return self.err("dangling escape");
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                c if c < 0x80 => s.push(c as char),
-                c => {
-                    // Re-decode a multi-byte UTF-8 sequence.
-                    let start = self.pos - 1;
-                    let len = if c >= 0xf0 {
-                        4
-                    } else if c >= 0xe0 {
-                        3
-                    } else {
-                        2
-                    };
-                    let chunk = self
-                        .b
-                        .get(start..start + len)
-                        .ok_or("truncated utf-8 sequence")?;
-                    s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'{') => {
-                self.expect(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                loop {
-                    let key = self.parse_string()?;
-                    self.expect(b':')?;
-                    let v = self.parse_value()?;
-                    fields.push((key, v));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(fields));
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(b't') => {
-                if self.b[self.pos..].starts_with(b"true") {
-                    self.pos += 4;
-                    Ok(JsonValue::Bool(true))
-                } else {
-                    self.err("bad literal")
-                }
-            }
-            Some(b'f') => {
-                if self.b[self.pos..].starts_with(b"false") {
-                    self.pos += 5;
-                    Ok(JsonValue::Bool(false))
-                } else {
-                    self.err("bad literal")
-                }
-            }
-            Some(b'n') => {
-                if self.b[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(JsonValue::Null)
-                } else {
-                    self.err("bad literal")
-                }
-            }
-            Some(c) if c.is_ascii_digit() || c == b'-' || c == b'+' => {
-                let start = self.pos;
-                while self.b.get(self.pos).is_some_and(|c| {
-                    c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let t = std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())?;
-                t.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|e| format!("trace json: bad number '{t}': {e}"))
-            }
-            _ => self.err("expected a value"),
-        }
-    }
-}
-
-/// Parses one JSON document (any value shape). Dependency-free — this is
-/// the in-repo validator for exported Chrome traces.
-pub fn parse_json_value(text: &str) -> Result<JsonValue, String> {
-    let mut p = JsonParser {
-        b: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return p.err("trailing data");
-    }
-    Ok(v)
 }
 
 impl ExecutionTrace {
@@ -885,138 +598,101 @@ impl ExecutionTrace {
     /// annotations all round-trip.
     pub fn from_chrome_trace(text: &str) -> Result<ExecutionTrace, String> {
         let root = parse_json_value(text)?;
-        let other = root
-            .get("otherData")
-            .ok_or("trace json: missing otherData")?;
-        if other.get("format").and_then(|v| v.as_str()) != Some(TRACE_FORMAT) {
+        let other = field(&root, "otherData", Some)?;
+        if field(other, "format", JsonValue::as_str)? != TRACE_FORMAT {
             return Err(format!(
                 "trace json: not a {TRACE_FORMAT} trace (otherData.format mismatch)"
             ));
         }
-        let num = |key: &str| -> Result<f64, String> {
-            other
-                .get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("trace json: missing otherData.{key}"))
+        let num = |key: &str| field(other, key, JsonValue::as_f64);
+        let launch_overhead_cycles = num("launch_overhead_cycles")?;
+        // Complete ("X") events of one process track, with args and seq.
+        let events = field(&root, "traceEvents", JsonValue::as_arr)?;
+        let slices = |pid: usize| {
+            events
+                .iter()
+                .filter(move |ev| {
+                    ev.get("ph").and_then(JsonValue::as_str) == Some("X")
+                        && ev.get("pid").and_then(JsonValue::as_usize) == Some(pid)
+                })
+                .map(|ev| {
+                    let args = field(ev, "args", Some)?;
+                    Ok::<_, String>((ev, args, field(args, "seq", JsonValue::as_usize)?))
+                })
         };
-        let events = root
-            .get("traceEvents")
-            .and_then(|v| v.as_arr())
-            .ok_or("trace json: missing traceEvents")?;
 
         // Pass 1: records by seq.
         let mut by_seq: BTreeMap<usize, TraceRecord> = BTreeMap::new();
-        for ev in events {
-            if ev.get("ph").and_then(|v| v.as_str()) != Some("X")
-                || ev.get("pid").and_then(|v| v.as_usize()) != Some(1)
-            {
-                continue;
-            }
-            let args = ev.get("args").ok_or("trace json: record without args")?;
-            let seq = args
-                .get("seq")
-                .and_then(|v| v.as_usize())
-                .ok_or("trace json: record without seq")?;
-            let stage = ev
-                .get("cat")
-                .and_then(|v| v.as_str())
-                .ok_or("trace json: record without cat")?
-                .to_string();
-            let name = ev
-                .get("name")
-                .and_then(|v| v.as_str())
-                .ok_or("trace json: record without name")?
-                .to_string();
-            let start_s = args
-                .get("start_s")
-                .and_then(|v| v.as_f64())
-                .ok_or("trace json: record without start_s")?;
-            let dur_s = args
-                .get("dur_s")
-                .and_then(|v| v.as_f64())
-                .ok_or("trace json: record without dur_s")?;
-            let kind = match args.get("kind").and_then(|v| v.as_str()) {
+        for slice in slices(1) {
+            let (ev, args, seq) = slice?;
+            let cat = field(ev, "cat", JsonValue::as_str)?;
+            let stage = stage::ALL
+                .into_iter()
+                .find(|s| *s == cat)
+                .ok_or_else(|| format!("trace json: unknown stage {cat:?}"))?;
+            let name = field(ev, "name", JsonValue::as_str)?.to_string();
+            let int = |key: &str| args.get(key).and_then(JsonValue::as_usize);
+            let kind = match args.get("kind").and_then(JsonValue::as_str) {
                 Some("fixed") => TraceRecordKind::Fixed { label: name },
-                Some("kernel") => TraceRecordKind::Kernel(KernelTraceRecord {
-                    name,
-                    grid: args.get("grid").and_then(|v| v.as_usize()).unwrap_or(0),
-                    threads: args.get("threads").and_then(|v| v.as_usize()).unwrap_or(0),
-                    scratch_bytes: args
-                        .get("scratch_bytes")
-                        .and_then(|v| v.as_usize())
-                        .unwrap_or(0),
-                    blocks_per_sm: args
-                        .get("blocks_per_sm")
-                        .and_then(|v| v.as_usize())
-                        .unwrap_or(1),
-                    body_cycles: args
-                        .get("body_cycles")
-                        .and_then(|v| v.as_f64())
-                        .unwrap_or(0.0),
-                    bin: args.get("bin").and_then(|v| v.as_usize()),
-                    acc: args
-                        .get("acc")
-                        .and_then(|v| v.as_str())
-                        .and_then(acc_from_name),
-                    blocks: None,
-                    annotations: None,
-                }),
+                Some("kernel") => {
+                    let body_cycles = args.get("body_cycles").and_then(JsonValue::as_f64);
+                    let body_cycles = body_cycles.unwrap_or(0.0);
+                    TraceRecordKind::Kernel(KernelTraceRecord {
+                        name,
+                        grid: int("grid").unwrap_or(0),
+                        threads: int("threads").unwrap_or(0),
+                        scratch_bytes: int("scratch_bytes").unwrap_or(0),
+                        blocks_per_sm: int("blocks_per_sm").unwrap_or(1),
+                        body_cycles,
+                        sim_cycles: body_cycles + launch_overhead_cycles,
+                        cost: BlockCost::default(),
+                        bin: int("bin"),
+                        acc: args
+                            .get("acc")
+                            .and_then(JsonValue::as_str)
+                            .and_then(AccMethod::from_name),
+                        blocks: None,
+                        annotations: None,
+                    })
+                }
                 _ => return Err("trace json: record with unknown kind".into()),
             };
-            by_seq.insert(
-                seq,
-                TraceRecord {
-                    stage,
-                    start_s,
-                    dur_s,
-                    kind,
-                },
-            );
+            let record = TraceRecord {
+                stage,
+                start_s: field(args, "start_s", JsonValue::as_f64)?,
+                dur_s: field(args, "dur_s", JsonValue::as_f64)?,
+                kind,
+            };
+            by_seq.insert(seq, record);
         }
 
         // Pass 2: per-block events, attached to their kernel by seq.
         let mut blocks_by_seq: BTreeMap<usize, Vec<(BlockEvent, Option<BlockAnnotation>)>> =
             BTreeMap::new();
-        for ev in events {
-            if ev.get("ph").and_then(|v| v.as_str()) != Some("X")
-                || ev.get("pid").and_then(|v| v.as_usize()) != Some(0)
-            {
-                continue;
-            }
-            let args = ev.get("args").ok_or("trace json: block without args")?;
-            let seq = args
-                .get("seq")
-                .and_then(|v| v.as_usize())
-                .ok_or("trace json: block without seq")?;
-            let getf = |key: &str| args.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-            let start_cycles = getf("start_cycles");
-            let compute_cycles = getf("compute_cycles");
-            let memory_cycles = getf("memory_cycles");
+        for slice in slices(0) {
+            let (_, args, seq) = slice?;
+            let getf = |key: &str| args.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+            let int = |key: &str| args.get(key).and_then(JsonValue::as_u64);
+            let (start_cycles, compute_cycles, memory_cycles) = (
+                getf("start_cycles"),
+                getf("compute_cycles"),
+                getf("memory_cycles"),
+            );
             let mut cost = BlockCost::default();
-            if let JsonValue::Obj(fields) = args {
-                for (k, v) in fields {
-                    if let Some(cname) = k.strip_prefix("cost/") {
-                        if let Some(n) = v.as_f64() {
-                            cost.set_counter(cname, n as u64);
-                        }
-                    }
+            for (k, v) in args.as_obj().unwrap_or_default() {
+                if let (Some(cname), Some(n)) = (k.strip_prefix("cost/"), v.as_u64()) {
+                    cost.set_counter(cname, n);
                 }
             }
-            let ann = args.get("rows").and_then(|v| v.as_str()).map(|list| {
-                let rows = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .filter_map(|s| s.parse::<u32>().ok())
-                    .collect();
-                BlockAnnotation {
-                    rows,
-                    group_size: args.get("g").and_then(|v| v.as_usize()).map(|g| g as u32),
-                }
+            let ann = args.get("rows").and_then(JsonValue::as_str).map(|list| {
+                let rows = list.split(',').filter_map(|s| s.parse().ok()).collect();
+                let group_size = int("g").map(|g| g as u32);
+                BlockAnnotation { rows, group_size }
             });
             let e = BlockEvent {
-                grid_idx: args.get("grid").and_then(|v| v.as_usize()).unwrap_or(0) as u32,
-                sm: args.get("sm").and_then(|v| v.as_usize()).unwrap_or(0) as u32,
-                slot: args.get("slot").and_then(|v| v.as_usize()).unwrap_or(0) as u32,
+                grid_idx: int("grid").unwrap_or(0) as u32,
+                sm: int("sm").unwrap_or(0) as u32,
+                slot: int("slot").unwrap_or(0) as u32,
                 start_cycles,
                 end_cycles: start_cycles + compute_cycles.max(memory_cycles),
                 compute_cycles,
@@ -1028,50 +704,54 @@ impl ExecutionTrace {
 
         let mut records: Vec<TraceRecord> = Vec::with_capacity(by_seq.len());
         for (seq, mut rec) in by_seq {
-            if let TraceRecordKind::Kernel(kr) = &mut rec.kind {
-                if let Some(mut evs) = blocks_by_seq.remove(&seq) {
-                    evs.sort_by_key(|(e, _)| e.grid_idx);
-                    let has_ann = evs.iter().any(|(_, a)| a.is_some());
-                    if has_ann {
-                        kr.annotations = Some(
-                            evs.iter()
-                                .map(|(_, a)| {
-                                    a.clone().unwrap_or(BlockAnnotation {
-                                        rows: Vec::new(),
-                                        group_size: None,
-                                    })
-                                })
-                                .collect(),
-                        );
-                    }
-                    kr.blocks = Some(Arc::new(KernelBlockTrace {
-                        body_cycles: kr.body_cycles,
-                        events: evs.into_iter().map(|(e, _)| e).collect(),
-                    }));
+            if let (TraceRecordKind::Kernel(kr), Some(mut evs)) =
+                (&mut rec.kind, blocks_by_seq.remove(&seq))
+            {
+                evs.sort_by_key(|(e, _)| e.grid_idx);
+                if evs.iter().any(|(_, a)| a.is_some()) {
+                    let empty = BlockAnnotation {
+                        rows: Vec::new(),
+                        group_size: None,
+                    };
+                    let anns = evs.iter().map(|(_, a)| a.clone().unwrap_or(empty.clone()));
+                    kr.annotations = Some(anns.collect());
                 }
+                kr.cost = evs
+                    .iter()
+                    .fold(BlockCost::default(), |acc, (e, _)| acc.merge(&e.cost));
+                kr.blocks = Some(Arc::new(KernelBlockTrace {
+                    body_cycles: kr.body_cycles,
+                    events: evs.into_iter().map(|(e, _)| e).collect(),
+                }));
             }
             records.push(rec);
         }
 
-        let end_s = records
-            .last()
-            .map(|r| r.start_s + r.dur_s)
-            .unwrap_or(0.0)
-            .max(num("end_s")?);
         Ok(ExecutionTrace {
             device_name: other
                 .get("device")
-                .and_then(|v| v.as_str())
+                .and_then(JsonValue::as_str)
                 .unwrap_or("unknown")
                 .to_string(),
             num_sms: num("num_sms")? as usize,
             max_blocks_per_sm: num("max_blocks_per_sm")? as usize,
             clock_ghz: num("clock_ghz")?,
-            launch_overhead_cycles: num("launch_overhead_cycles")?,
+            launch_overhead_cycles,
+            end_s: end_of(&records).max(num("end_s")?),
             records,
-            end_s,
         })
     }
+}
+
+/// `v[key]` read through `get`, or an error naming the missing key.
+fn field<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    get: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("trace json: missing {key}"))
 }
 
 #[cfg(test)]
@@ -1087,8 +767,8 @@ mod tests {
             ctx.charge_rounds((ctx.block_id() as u64 % 3) * 7 + 1);
             ctx.charge_gmem_tx(5 * ctx.block_id() as u64);
         });
-        let mut tb = TraceBuilder::new(&dev);
-        tb.add_kernel(
+        let mut rec = Recorder::new(&dev);
+        rec.kernel(
             "symb. SpGEMM",
             &report,
             Some(2),
@@ -1102,9 +782,9 @@ mod tests {
                     .collect(),
             ),
         );
-        tb.add_fixed("symb. SpGEMM", "alloc", 1e-6);
-        tb.add_kernel("sorting", &report, None, None, None);
-        tb.finish()
+        rec.fixed("symb. SpGEMM", "alloc", 1e-6);
+        rec.kernel("sorting", &report, None, None, None);
+        ExecutionTrace::new(&dev, rec.into_records())
     }
 
     #[test]
@@ -1175,25 +855,29 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json_value("{").is_err());
-        assert!(parse_json_value("[1, 2,]").is_err());
-        assert!(parse_json_value("{\"a\": }").is_err());
-        assert!(parse_json_value("12 34").is_err());
+    fn from_chrome_trace_rejects_foreign_documents() {
+        assert!(ExecutionTrace::from_chrome_trace("{").is_err());
         assert!(ExecutionTrace::from_chrome_trace("{\"traceEvents\": []}").is_err());
+        // Stage names outside the pipeline's fixed set are rejected.
+        let json = sample_trace()
+            .chrome_trace_json()
+            .replace("sorting", "bogus");
+        assert!(ExecutionTrace::from_chrome_trace(&json).is_err());
     }
 
     #[test]
-    fn parser_accepts_standard_json_shapes() {
-        let v = parse_json_value(
-            "{\"a\": [1, -2.5, 3e2], \"b\": {\"c\": null, \"d\": true}, \"e\": \"x\\ny\"}",
-        )
-        .unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(300.0)
-        );
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
-        assert_eq!(v.get("e").unwrap().as_str(), Some("x\ny"));
+    fn timeline_folds_the_records() {
+        let tr = sample_trace();
+        let t = timeline_of(&tr.records);
+        let (_, k) = tr.kernels().next().unwrap();
+        assert_eq!(t.total_seconds().to_bits(), tr.total_seconds().to_bits());
+        let (name, st) = t.stages().next().unwrap();
+        assert_eq!(name, "symb. SpGEMM");
+        assert_eq!(st.launches, 1);
+        assert_eq!(st.cost, k.cost);
+        // A parsed trace rebuilds the launch's merged counters exactly.
+        let back = ExecutionTrace::from_chrome_trace(&tr.chrome_trace_json()).unwrap();
+        let (_, kb) = back.kernels().next().unwrap();
+        assert_eq!(kb.cost, k.cost);
     }
 }
