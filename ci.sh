@@ -3,7 +3,7 @@
 # the repo benchmark (perfbench/, its own workspace) so an engine-API change
 # that breaks the benchmark fails here.
 #
-#   ./ci.sh             # fmt + clippy + tests + perfbench build
+#   ./ci.sh             # fmt + clippy + rustdoc + tests + perfbench build
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -30,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Cold-path simulation digest pinned by the last simulation-affecting
-# change. Host-side work (pooling, plan caching, batching, metrics
+# change. Host-side work (pooling, plan caching, metrics
 # collection) must keep it; intentional simulator/algorithm changes update
 # it alongside BENCH_throughput.json and BENCH_metrics.json.
 EXPECTED_SIM_DIGEST=6d086aa6157bb570
@@ -73,6 +73,11 @@ if ! cargo clippy --version >/dev/null 2>&1; then
     exit 3
 fi
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings denied catches stale intra-doc links to renamed
+# or deleted items.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test (workspace, release)"
 cargo test --workspace --release

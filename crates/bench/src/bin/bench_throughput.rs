@@ -10,7 +10,7 @@
 //! digest must be bit-identical before and after any change that only
 //! touches host execution (see DESIGN.md §3). The digest rounds run on a
 //! cache-disabled engine so every multiply takes the full cold pipeline;
-//! plan reuse is measured separately by the reuse and batch rounds, whose
+//! plan reuse is measured separately by the reuse and warm rounds, whose
 //! *simulated* speedup is reported as `reuse_speedup`.
 //!
 //! Usage: `cargo run --release --bin bench_throughput [-- ROUNDS [OUT [BASELINE_MPS]]] [--expect-digest HEX]`
@@ -141,7 +141,7 @@ fn main() {
     let build_s = t_build.elapsed().as_secs_f64();
 
     // One registry observes the whole bench: the digest engine's cold
-    // rounds and the caching engine's reuse/batch rounds all record into
+    // rounds and the caching engine's reuse/warm rounds all record into
     // it, so the emitted snapshot covers every pipeline path.
     let registry = Arc::new(MetricsRegistry::new());
 
@@ -206,17 +206,17 @@ fn main() {
     let reuse_s = t_reuse.elapsed().as_secs_f64();
     let reuse_speedup = cold_sim / warm_sim;
 
-    // Batch round: the same warm multiplies dispatched through
-    // multiply_batch (host-parallel, shared plan cache + workspaces).
-    let batch_pairs: Vec<(&Csr<f64>, &Csr<f64>)> = fresh.iter().map(|(a, b)| (a, b)).collect();
-    let t_batch = Instant::now();
-    let mut batch_multiplies = 0usize;
+    // Warm round: the same warm multiplies, `rounds` times over.
+    let t_warm = Instant::now();
+    let mut warm_multiplies = 0usize;
     for _ in 0..rounds {
-        let outs = caching.multiply_batch(&batch_pairs);
-        batch_multiplies += outs.len();
+        for (a, b) in &fresh {
+            let _ = caching.multiply(a, b);
+            warm_multiplies += 1;
+        }
     }
-    let batch_s = t_batch.elapsed().as_secs_f64();
-    let batch_matrices_per_sec = batch_multiplies as f64 / batch_s;
+    let warm_s = t_warm.elapsed().as_secs_f64();
+    let warm_matrices_per_sec = warm_multiplies as f64 / warm_s;
     let rss = peak_rss_bytes();
 
     let mut json = String::new();
@@ -239,7 +239,7 @@ fn main() {
     let _ = writeln!(json, "  \"reuse_warm_sim_s\": {warm_sim:.6},");
     let _ = writeln!(
         json,
-        "  \"batch_matrices_per_sec\": {batch_matrices_per_sec:.3},"
+        "  \"warm_matrices_per_sec\": {warm_matrices_per_sec:.3},"
     );
     let _ = writeln!(json, "  \"total_nnz_c_per_round\": {total_nnz_c},");
     let _ = writeln!(json, "  \"peak_rss_bytes\": {rss},");
@@ -247,7 +247,7 @@ fn main() {
     let _ = writeln!(json, "    \"build_corpus\": {build_s:.3},");
     let _ = writeln!(json, "    \"multiply\": {mult_s:.3},");
     let _ = writeln!(json, "    \"reuse\": {reuse_s:.3},");
-    let _ = writeln!(json, "    \"batch\": {batch_s:.3}");
+    let _ = writeln!(json, "    \"warm\": {warm_s:.3}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"sim_digest\": \"{:016x}\"", digest);
     json.push_str("}\n");
@@ -257,7 +257,7 @@ fn main() {
     println!(
         "throughput: {matrices_per_sec:.2} matrices/s over {multiplies} multiplies \
          ({mult_s:.2}s); reuse speedup {reuse_speedup:.2}x (simulated); \
-         batch {batch_matrices_per_sec:.2} matrices/s; sim digest {:016x}; wrote {out_path}",
+         warm {warm_matrices_per_sec:.2} matrices/s; sim digest {:016x}; wrote {out_path}",
         digest
     );
 

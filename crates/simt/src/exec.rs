@@ -6,10 +6,9 @@ use crate::block::BlockCtx;
 use crate::cost::{BlockCost, CostModel};
 use crate::device::DeviceConfig;
 use crate::kernel::KernelConfig;
-use crate::trace::{self, BlockEvent, BlockPlacement, KernelBlockTrace};
+use crate::trace::{BlockEvent, BlockPlacement, KernelBlockTrace};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Outcome of one simulated kernel launch.
 #[derive(Clone, Debug)]
@@ -29,10 +28,12 @@ pub struct KernelReport {
     pub sim_cycles: f64,
     /// Simulated execution time in seconds.
     pub sim_time_s: f64,
-    /// Per-block schedule trace, present only while a
-    /// [`trace::CaptureGuard`] was alive at launch time. `Arc` so cloning
-    /// reports (timelines do) never copies event vectors.
-    pub trace: Option<Arc<KernelBlockTrace>>,
+    /// Per-block event counters, in grid order.
+    pub block_costs: Vec<BlockCost>,
+    /// Per-block `(compute, memory)` cycles, in grid order: the
+    /// scheduler's input, from which [`KernelReport::block_trace`]
+    /// replays the launch's schedule.
+    pub block_cycles: Vec<(f64, f64)>,
 }
 
 /// Schedules per-block `(compute, memory)` cycle costs onto the device and
@@ -68,9 +69,10 @@ pub fn schedule_blocks(dev: &DeviceConfig, cfg: KernelConfig, blocks: &[(f64, f6
 /// in grid order: the SM chosen by the greedy deal plus a resident-slot
 /// assignment (the block lands on the slot of that SM that frees earliest,
 /// lowest slot index on ties, and occupies it for its serial critical
-/// path). Capture shares the *same* loop and accumulators as the untraced
-/// path, so the returned makespan is bit-identical whether or not
-/// placements are recorded.
+/// path). Recording placements shares the *same* loop and accumulators
+/// as the plain path, so the returned makespan is bit-identical whether
+/// or not placements are recorded — which is what lets
+/// [`KernelReport::block_trace`] replay a launch's schedule exactly.
 pub fn schedule_blocks_placed(
     dev: &DeviceConfig,
     cfg: KernelConfig,
@@ -215,16 +217,35 @@ where
         .map(|c| *c)
         .reduce(BlockCost::default, |a, b| a.merge(&b));
 
-    // Capture is checked once per launch; when off the scheduler runs the
-    // identical loop with no extra bookkeeping, so `sim_cycles` is
-    // bit-identical either way.
-    let mut placements = trace::capture_enabled().then(|| Vec::with_capacity(grid));
-    let body = schedule_blocks_placed(dev, cfg, &block_cycles, placements.as_mut());
-    let block_trace = placements.map(|pl| {
-        let events = pl
+    let body = schedule_blocks(dev, cfg, &block_cycles);
+    let sim_cycles = body + dev.launch_overhead_cycles;
+    let report = KernelReport {
+        name,
+        grid,
+        cfg,
+        blocks_per_sm: dev.blocks_per_sm(cfg.threads, cfg.scratch_bytes),
+        total_cost,
+        sim_cycles,
+        sim_time_s: dev.cycles_to_seconds(sim_cycles),
+        block_costs: costs,
+        block_cycles,
+    };
+    (report, outputs)
+}
+
+impl KernelReport {
+    /// Per-block schedule of this launch on `dev` (the device it ran on),
+    /// rebuilt by replaying [`schedule_blocks_placed`] over the stored
+    /// per-block cycles. The replay is the loop the launch ran, so its
+    /// events and `body_cycles` are bit-identical to the launch's.
+    pub fn block_trace(&self, dev: &DeviceConfig) -> KernelBlockTrace {
+        let mut placements = Vec::with_capacity(self.grid);
+        let body_cycles =
+            schedule_blocks_placed(dev, self.cfg, &self.block_cycles, Some(&mut placements));
+        let events = placements
             .iter()
-            .zip(costs.iter())
-            .zip(block_cycles.iter())
+            .zip(&self.block_costs)
+            .zip(&self.block_cycles)
             .enumerate()
             .map(|(i, ((p, c), &(cc, mc)))| BlockEvent {
                 grid_idx: i as u32,
@@ -237,26 +258,12 @@ where
                 cost: *c,
             })
             .collect();
-        Arc::new(KernelBlockTrace {
+        KernelBlockTrace {
             events,
-            body_cycles: body,
-        })
-    });
-    let sim_cycles = body + dev.launch_overhead_cycles;
-    let report = KernelReport {
-        name,
-        grid,
-        cfg,
-        blocks_per_sm: dev.blocks_per_sm(cfg.threads, cfg.scratch_bytes),
-        total_cost,
-        sim_cycles,
-        sim_time_s: dev.cycles_to_seconds(sim_cycles),
-        trace: block_trace,
-    };
-    (report, outputs)
-}
+            body_cycles,
+        }
+    }
 
-impl KernelReport {
     /// Kernel body cycles, excluding the launch overhead.
     pub fn body_cycles(&self, dev: &DeviceConfig) -> f64 {
         (self.sim_cycles - dev.launch_overhead_cycles).max(0.0)
@@ -470,7 +477,7 @@ mod tests {
     fn schedule_empty_block_list_is_zero() {
         let d = dev();
         assert_eq!(schedule_blocks(&d, KernelConfig::new(32, 0), &[]), 0.0);
-        // And with capture on: still zero, no placements recorded.
+        // And with placements requested: still zero, none recorded.
         let mut pl = Vec::new();
         let t = schedule_blocks_placed(&d, KernelConfig::new(32, 0), &[], Some(&mut pl));
         assert_eq!(t, 0.0);
@@ -555,32 +562,28 @@ mod tests {
     }
 
     #[test]
-    fn capture_records_one_event_per_block() {
+    fn block_trace_replays_one_event_per_block() {
         let d = dev();
-        let run = || {
-            launch(
-                &d,
-                &CostModel::default(),
-                "traced",
-                37,
-                KernelConfig::new(64, 0),
-                |ctx| {
-                    ctx.charge_rounds((ctx.block_id() as u64 % 5) * 3 + 1);
-                    ctx.charge_gmem_tx(ctx.block_id() as u64 * 2);
-                },
-            )
-        };
-        let untraced = run();
-        assert!(untraced.trace.is_none());
-        let traced = {
-            let _g = crate::trace::CaptureGuard::new();
-            run()
-        };
-        let tr = traced.trace.as_ref().expect("capture was on");
+        let r = launch(
+            &d,
+            &CostModel::default(),
+            "traced",
+            37,
+            KernelConfig::new(64, 0),
+            |ctx| {
+                ctx.charge_rounds((ctx.block_id() as u64 % 5) * 3 + 1);
+                ctx.charge_gmem_tx(ctx.block_id() as u64 * 2);
+            },
+        );
+        let tr = r.block_trace(&d);
         assert_eq!(tr.events.len(), 37);
-        // Capture must not perturb the simulated time.
-        assert_eq!(traced.sim_cycles.to_bits(), untraced.sim_cycles.to_bits());
-        assert_eq!(tr.body_cycles.to_bits(), untraced.body_cycles(&d).to_bits());
+        // The replay reproduces the launch's makespan and counters.
+        assert_eq!(tr.body_cycles.to_bits(), r.body_cycles(&d).to_bits());
+        let merged = tr
+            .events
+            .iter()
+            .fold(BlockCost::default(), |acc, e| acc.merge(&e.cost));
+        assert_eq!(merged, r.total_cost);
         // Events are in grid order with sane placements.
         let bpsm = d.blocks_per_sm(64, 0) as u32;
         for (i, e) in tr.events.iter().enumerate() {

@@ -45,4 +45,4 @@ pub use kernel::KernelConfig;
 pub use memtrack::MemTracker;
 pub use scratchpad::Scratchpad;
 pub use timeline::{StageTime, Timeline};
-pub use trace::{capture_enabled, BlockEvent, BlockPlacement, CaptureGuard, KernelBlockTrace};
+pub use trace::{BlockEvent, BlockPlacement, KernelBlockTrace};

@@ -1,21 +1,22 @@
-//! Opt-in per-block execution tracing.
+//! Per-block execution traces.
 //!
-//! The scheduler in [`crate::exec::schedule_blocks`] normally reduces the
-//! per-block schedule to a single makespan. When capture is enabled (see
-//! [`CaptureGuard`]), [`crate::exec::launch_map`] additionally keeps one
-//! [`BlockEvent`] per scheduled block — which SM it was dealt to, which
-//! resident slot it occupied, its start/end cycles on the slot clock, and
-//! its full [`BlockCost`] breakdown — attached to the
-//! [`crate::exec::KernelReport`] as a [`KernelBlockTrace`].
+//! The scheduler in [`crate::exec::schedule_blocks`] reduces the
+//! per-block schedule to a single makespan. Every
+//! [`crate::exec::KernelReport`] keeps the per-block cycles and
+//! [`BlockCost`]s its launch computed, so
+//! [`crate::exec::KernelReport::block_trace`] can rebuild the schedule
+//! after the fact: one [`BlockEvent`] per block — which SM it was dealt
+//! to, which resident slot it occupied, its start/end cycles on the slot
+//! clock, and its full [`BlockCost`] breakdown — as a
+//! [`KernelBlockTrace`].
 //!
-//! # Capture switch
+//! # Replay
 //!
-//! Capture is a process-wide counter flipped by the RAII [`CaptureGuard`]
-//! (nested guards compose: capture is on while at least one guard is
-//! alive). The disabled path costs a single relaxed atomic load per kernel
-//! launch and nothing per block, and capture **never** changes the
-//! simulated cycle arithmetic — the traced and untraced scheduler share
-//! one loop, so `sim_cycles` is bit-identical either way.
+//! The rebuild replays [`crate::exec::schedule_blocks_placed`] over the
+//! stored `(compute, memory)` pairs: the loop the launch itself ran, so
+//! events and `body_cycles` are bit-identical to the launch. Whether a
+//! trace exists is up to the caller holding the report, so one caller's
+//! tracing never reaches another's launches.
 //!
 //! # Determinism classes
 //!
@@ -24,46 +25,6 @@
 //! across runs and rayon schedules. No wall-clock data is captured.
 
 use crate::cost::BlockCost;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static CAPTURE: AtomicUsize = AtomicUsize::new(0);
-
-/// Returns true while at least one [`CaptureGuard`] is alive.
-///
-/// Checked once per [`crate::exec::launch_map`] call; the per-block hot
-/// path never consults it.
-pub fn capture_enabled() -> bool {
-    CAPTURE.load(Ordering::Relaxed) > 0
-}
-
-/// RAII switch for per-block trace capture.
-///
-/// While a guard is alive every kernel launch in the process records a
-/// [`KernelBlockTrace`] into its report. Guards nest (a counter, not a
-/// flag), so concurrent traced sections compose instead of clobbering
-/// each other.
-#[derive(Debug)]
-pub struct CaptureGuard(());
-
-impl CaptureGuard {
-    /// Enables capture until the guard is dropped.
-    pub fn new() -> Self {
-        CAPTURE.fetch_add(1, Ordering::Relaxed);
-        CaptureGuard(())
-    }
-}
-
-impl Default for CaptureGuard {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for CaptureGuard {
-    fn drop(&mut self) {
-        CAPTURE.fetch_sub(1, Ordering::Relaxed);
-    }
-}
 
 /// Placement of one block on the simulated device: which SM the greedy
 /// deal chose, which resident slot stacked it, and the slot-clock
@@ -151,24 +112,6 @@ impl KernelBlockTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn guard_toggles_capture() {
-        // Note: other tests may hold guards concurrently (tests run in
-        // parallel), so only assert the relative effect of our guard.
-        let before = CAPTURE.load(Ordering::Relaxed);
-        {
-            let _g = CaptureGuard::new();
-            assert!(CAPTURE.load(Ordering::Relaxed) > before);
-            assert!(capture_enabled());
-            {
-                let _g2 = CaptureGuard::new();
-                assert!(CAPTURE.load(Ordering::Relaxed) > before + 1);
-            }
-            assert!(capture_enabled());
-        }
-        assert_eq!(CAPTURE.load(Ordering::Relaxed), before);
-    }
 
     #[test]
     fn serial_is_max_of_pipes() {

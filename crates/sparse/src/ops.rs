@@ -1,7 +1,7 @@
 //! Element-wise sparse operations: addition, scaling, diagonal access.
 //!
 //! SpGEMM rarely appears alone — the paper's motivating applications
-//! (algebraic multigrid [2], graph algorithms [12]) interleave it with
+//! (algebraic multigrid \[2\], graph algorithms \[12\]) interleave it with
 //! matrix addition and diagonal scaling (e.g. building the smoothed
 //! prolongator `P = (I - w D^-1 A) T`). These helpers make the examples
 //! real workloads instead of bare multiplications.

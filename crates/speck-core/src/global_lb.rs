@@ -8,7 +8,7 @@ use crate::block_merge::block_merge;
 use crate::cascade::{numeric_entry_bytes, symbolic_entry_bytes, KernelCascade};
 use crate::config::{GlobalLbMode, SpeckConfig};
 use crate::denseacc::dense_iterations;
-use crate::metrics::{LocalHistogram, MetricsSink};
+use crate::metrics::{LocalHistogram, MetricsRegistry};
 use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport};
 
 /// Accumulation method chosen for a block (paper Fig. 2: Hash / Dense /
@@ -157,27 +157,23 @@ impl PassPlan {
     /// the decision consulted, and a rows-per-block histogram. All values
     /// derive from the deterministic plan, so they belong to the canonical
     /// snapshot section.
-    pub(crate) fn record_metrics(&self, m: &MetricsSink<'_>, pass: &str) {
-        if m.registry().is_none() {
-            return;
-        }
-        m.add(&format!("sim/lb/{pass}/decisions"), 1);
+    pub(crate) fn record_metrics(&self, m: &MetricsRegistry, pass: &str) {
+        let add = |name: &str, v: u64| m.counter(&format!("sim/lb/{pass}/{name}")).add(v);
+        add("decisions", 1);
         if self.used_global_lb {
-            m.add(&format!("sim/lb/{pass}/global_lb_used"), 1);
+            add("global_lb_used", 1);
         }
-        m.add(
-            &format!("sim/lb/{pass}/decision_rows"),
-            self.decision_rows as u64,
-        );
+        add("decision_rows", self.decision_rows as u64);
         let (h, d, r) = self.method_counts();
-        m.add(&format!("sim/lb/{pass}/blocks_hash"), h as u64);
-        m.add(&format!("sim/lb/{pass}/blocks_dense"), d as u64);
-        m.add(&format!("sim/lb/{pass}/blocks_direct"), r as u64);
+        add("blocks_hash", h as u64);
+        add("blocks_dense", d as u64);
+        add("blocks_direct", r as u64);
         let mut rows = LocalHistogram::new();
         for b in &self.blocks {
             rows.record(b.rows.len() as u64);
         }
-        m.record_local(&format!("sim/lb/{pass}/rows_per_block"), &rows);
+        m.histogram(&format!("sim/lb/{pass}/rows_per_block"))
+            .merge_local(&rows);
     }
 }
 

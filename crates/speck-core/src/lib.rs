@@ -19,7 +19,8 @@
 //!    accumulator choice plus in-scratchpad or global sorting ([`sort`]).
 //! 6. **Output assembly**.
 //!
-//! Entry point: [`multiply`] / [`SpeckSpgemm`].
+//! Entry point: [`SpeckSpgemm`], the one way into the pipeline; the free
+//! [`multiply`] runs a one-off engine with plan caching off.
 //!
 //! ```
 //! use speck_core::SpeckSpgemm;
@@ -50,11 +51,20 @@
 //! let (c, report) = engine.execute_plan(&plan, &a, &a);
 //! assert_eq!(c.nnz(), plan.nnz_c());
 //! assert!(report.reused_plan);
-//! // Independent multiplies can also run as one batch; a pattern the
-//! // cache already holds runs warm in every slot:
+//! // Clones share the plan cache, so independent multiplies can run on
+//! // scoped threads; a pattern the cache already holds runs warm on
+//! // every thread:
 //! let _ = engine.multiply(&a, &a);
-//! let results = engine.multiply_batch(&[(&a, &a), (&a, &a)]);
-//! assert!(results.iter().all(|(_, r)| r.reused_plan));
+//! let warm = std::thread::scope(|s| {
+//!     let calls: Vec<_> = (0..2)
+//!         .map(|_| {
+//!             let (e, a) = (engine.clone(), &a);
+//!             s.spawn(move || e.multiply(a, a).1.reused_plan)
+//!         })
+//!         .collect();
+//!     calls.into_iter().all(|c| c.join().unwrap())
+//! });
+//! assert!(warm);
 //! ```
 
 #![warn(missing_docs)]
@@ -88,14 +98,9 @@ pub use audit::{
 pub use cascade::KernelCascade;
 pub use config::{GlobalLbMode, GlobalLbThresholds, LocalLbMode, SpeckConfig};
 pub use json::{parse_json_value, JsonValue};
-pub use metrics::{
-    compare_snapshots, HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot, Span,
-};
+pub use metrics::{compare_snapshots, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Span};
 pub use partial::{multiply_multi_gpu, multiply_partitioned};
-pub use pipeline::{
-    execute_plan_with_pool, multiply, multiply_with_pool, plan_with_pool, MultiplyReport,
-    SpeckSpgemm, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use pipeline::{multiply, MultiplyReport, SpeckSpgemm, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use plan::{pattern_fingerprint, PatternKey, PlanCache, SpgemmPlan};
 pub use profile::{diff_traces, profile_trace, ProfileReport, TraceDiff};
 pub use trace::{

@@ -9,19 +9,17 @@
 //! * [`MetricsRegistry`] — a sharded map of named [`Counter`]s,
 //!   [`Gauge`]s, and [`Histogram`]s. Registration takes a brief per-shard
 //!   lock; every update afterwards is a plain atomic, so concurrently
-//!   executing blocks and batched multiplies record without contention.
+//!   executing blocks and concurrent multiplies record without contention.
 //! * [`Span`] — hierarchical wall-clock timing (`plan/analysis`,
 //!   `execute/numeric`, …). Each span records a deterministic entry
 //!   counter (`span/<path>/count`) and a volatile wall-time gauge
 //!   (`wall/span/<path>/seconds`).
-//! * [`MetricsSink`] — a copyable `Option<&MetricsRegistry>` wrapper the
-//!   pipeline threads through its stages; with no registry attached every
-//!   call is a no-op, so the free functions ([`crate::multiply`]) stay
-//!   metrics-free while [`crate::SpeckSpgemm`] records everything. The
-//!   per-launch `sim/stage/*` and `sim/kernel/*` counters are not
-//!   recorded launch by launch: [`MetricsSink::record_launches`] folds
-//!   them from the multiply's one record stream ([`crate::trace`]), the
-//!   same records the `Timeline` and the execution trace fold.
+//! * Recording — every multiply records into its engine's registry, and
+//!   the pipeline's stages take `&MetricsRegistry` directly. The per-launch
+//!   `sim/stage/*` and `sim/kernel/*` counters are not recorded launch by
+//!   launch: [`MetricsRegistry::record_launches`] folds them from the
+//!   multiply's one record stream ([`crate::trace`]), the same records
+//!   the `Timeline` and the execution trace fold.
 //! * [`MetricsSnapshot`] — a point-in-time copy with two serialisations:
 //!   [`MetricsSnapshot::canonical_json`] holds only the deterministic
 //!   metrics (counters + histograms, all integers, sorted keys) and is
@@ -344,6 +342,37 @@ impl MetricsRegistry {
         }
     }
 
+    /// Folds the kernel launches of a record stream into the `sim/*`
+    /// counters: per launch, under its stage and its kernel name, the
+    /// launch count, simulated cycles (millicycle resolution), every
+    /// non-zero cost-model counter, and grid-size / cycle histograms.
+    /// Fixed-cost records carry no counters.
+    pub fn record_launches(&self, records: &[TraceRecord]) {
+        for r in records {
+            let TraceRecordKind::Kernel(k) = &r.kind else {
+                continue;
+            };
+            let stage = r.stage;
+            let cycles_milli = (k.sim_cycles * 1e3).round() as u64;
+            self.counter(&format!("sim/stage/{stage}/launches")).add(1);
+            self.counter(&format!("sim/stage/{stage}/cycles_milli"))
+                .add(cycles_milli);
+            for (cname, v) in k.cost.counters() {
+                if v > 0 {
+                    self.counter(&format!("sim/stage/{stage}/{cname}")).add(v);
+                }
+            }
+            self.histogram(&format!("sim/stage/{stage}/grid"))
+                .record(k.grid as u64);
+            let kname = &k.name;
+            self.counter(&format!("sim/kernel/{kname}/launches")).add(1);
+            self.counter(&format!("sim/kernel/{kname}/cycles_milli"))
+                .add(cycles_milli);
+            self.histogram("sim/launch/cycles_milli")
+                .record(cycles_milli);
+        }
+    }
+
     /// Point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
@@ -408,106 +437,6 @@ impl Drop for Span<'_> {
         self.reg
             .gauge(&format!("wall/span/{}/seconds", self.path))
             .add(self.start.elapsed().as_secs_f64());
-    }
-}
-
-/// A child of a [`MaybeSpan`]: either live or a no-op.
-pub struct MaybeSpan<'a>(Option<Span<'a>>);
-
-impl<'a> MaybeSpan<'a> {
-    /// Starts a child span (no-op when the parent is a no-op).
-    pub fn child(&self, name: &str) -> MaybeSpan<'a> {
-        MaybeSpan(self.0.as_ref().map(|s| s.child(name)))
-    }
-}
-
-/// Copyable handle the pipeline threads through its stages: either a live
-/// registry reference or a no-op. Every method is safe to call on the
-/// no-op sink, so instrumentation sites need no `if let`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MetricsSink<'a> {
-    reg: Option<&'a MetricsRegistry>,
-}
-
-impl<'a> MetricsSink<'a> {
-    /// A sink recording into `reg`.
-    pub fn new(reg: &'a MetricsRegistry) -> Self {
-        MetricsSink { reg: Some(reg) }
-    }
-
-    /// The no-op sink.
-    pub fn none() -> Self {
-        MetricsSink { reg: None }
-    }
-
-    /// The underlying registry, when one is attached.
-    pub fn registry(&self) -> Option<&'a MetricsRegistry> {
-        self.reg
-    }
-
-    /// Adds `v` to the counter `name`.
-    pub fn add(&self, name: &str, v: u64) {
-        if let Some(reg) = self.reg {
-            reg.counter(name).add(v);
-        }
-    }
-
-    /// Records `v` into the histogram `name`.
-    pub fn record(&self, name: &str, v: u64) {
-        if let Some(reg) = self.reg {
-            reg.histogram(name).record(v);
-        }
-    }
-
-    /// Merges a locally accumulated histogram into `name`.
-    pub fn record_local(&self, name: &str, local: &LocalHistogram) {
-        if let Some(reg) = self.reg {
-            reg.histogram(name).merge_local(local);
-        }
-    }
-
-    /// Sets the gauge `name` to `v`.
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        if let Some(reg) = self.reg {
-            reg.gauge(name).set(v);
-        }
-    }
-
-    /// Starts a span (no-op without a registry).
-    pub fn span(&self, name: &str) -> MaybeSpan<'a> {
-        MaybeSpan(self.reg.map(|r| r.span(name)))
-    }
-
-    /// Folds the kernel launches of a record stream into the `sim/*`
-    /// counters: per launch, under its stage and its kernel name, the
-    /// launch count, simulated cycles (millicycle resolution), every
-    /// non-zero cost-model counter, and grid-size / cycle histograms.
-    /// Fixed-cost records carry no counters.
-    pub fn record_launches(&self, records: &[TraceRecord]) {
-        let Some(reg) = self.reg else { return };
-        for r in records {
-            let TraceRecordKind::Kernel(k) = &r.kind else {
-                continue;
-            };
-            let stage = r.stage;
-            let cycles_milli = (k.sim_cycles * 1e3).round() as u64;
-            reg.counter(&format!("sim/stage/{stage}/launches")).add(1);
-            reg.counter(&format!("sim/stage/{stage}/cycles_milli"))
-                .add(cycles_milli);
-            for (cname, v) in k.cost.counters() {
-                if v > 0 {
-                    reg.counter(&format!("sim/stage/{stage}/{cname}")).add(v);
-                }
-            }
-            reg.histogram(&format!("sim/stage/{stage}/grid"))
-                .record(k.grid as u64);
-            let kname = &k.name;
-            reg.counter(&format!("sim/kernel/{kname}/launches")).add(1);
-            reg.counter(&format!("sim/kernel/{kname}/cycles_milli"))
-                .add(cycles_milli);
-            reg.histogram("sim/launch/cycles_milli")
-                .record(cycles_milli);
-        }
     }
 }
 
@@ -980,16 +909,6 @@ mod tests {
                 .unwrap()
                 >= 0.0
         );
-    }
-
-    #[test]
-    fn noop_sink_records_nothing() {
-        let sink = MetricsSink::none();
-        sink.add("x", 1);
-        sink.record("y", 2);
-        sink.gauge_set("z", 3.0);
-        let _span = sink.span("s").child("c");
-        assert!(sink.registry().is_none());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan};
 use crate::hashacc::{compound_key, split_key};
 use crate::local_lb::select_group_size;
-use crate::metrics::MetricsSink;
+use crate::metrics::MetricsRegistry;
 use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
@@ -51,9 +51,11 @@ impl<V> NumericOutput<V> {
     /// Records the pass's deterministic outputs under `sim/numeric/`:
     /// spilled-block count and elements routed through the global radix
     /// sort.
-    pub(crate) fn record_metrics(&self, m: &MetricsSink<'_>) {
-        m.add("sim/numeric/spilled_blocks", self.spilled_blocks as u64);
-        m.add("sim/numeric/radix_elems", self.radix_elems as u64);
+    pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
+        m.counter("sim/numeric/spilled_blocks")
+            .add(self.spilled_blocks as u64);
+        m.counter("sim/numeric/radix_elems")
+            .add(self.radix_elems as u64);
     }
 }
 

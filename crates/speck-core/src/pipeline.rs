@@ -1,31 +1,32 @@
 //! The end-to-end spECK pipeline (paper Fig. 2) and its public API.
 //!
-//! The pipeline is factored into two halves around the pattern/value
-//! boundary of the algorithm:
+//! [`SpeckSpgemm`] is the one way into the pipeline. It runs the stages in
+//! two halves around the pattern/value boundary of the algorithm:
 //!
-//! * [`plan_with_pool`] runs the *setup* stages — row analysis, symbolic
-//!   load balancing, the symbolic pass, numeric load balancing — which
-//!   depend only on the sparsity patterns of A and B, and packages their
-//!   outputs as a self-contained [`SpgemmPlan`].
-//! * [`execute_plan_with_pool`] runs the *execution* stages — the numeric
-//!   pass and the trailing sort — against a plan and the operand values.
+//! * [`SpeckSpgemm::plan`] runs the *setup* stages — row analysis,
+//!   symbolic load balancing, the symbolic pass, numeric load balancing —
+//!   which depend only on the sparsity patterns of A and B, and packages
+//!   their outputs as a self-contained [`SpgemmPlan`].
+//! * [`SpeckSpgemm::execute_plan`] runs the *execution* stages — the
+//!   numeric pass and the trailing sort — against a plan and the operand
+//!   values.
 //!
-//! [`multiply`] is plan-then-execute in one call (the cold path, bit
-//! identical to the unfactored pipeline), and [`SpeckSpgemm::multiply`]
-//! additionally caches plans by pattern fingerprint so repeated patterns
-//! transparently skip the setup stages entirely (see [`crate::plan`]).
+//! [`SpeckSpgemm::multiply`] is plan-then-execute in one call, and caches
+//! plans by pattern fingerprint so repeated patterns transparently skip
+//! the setup stages entirely (see [`crate::plan`]). The free [`multiply`]
+//! runs a one-off engine with plan caching off: the cold path, bit
+//! identical to the unfactored pipeline.
 
 use crate::analysis::analyze;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
 use crate::global_lb::{plan_numeric, plan_symbolic, ThresholdSet};
-use crate::metrics::{MetricsRegistry, MetricsSink, MetricsSnapshot};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
-use crate::plan::{fnv1a_bytes, PatternKey, PlanCache, SpgemmPlan};
+use crate::plan::{fnv1a_bytes, PatternId, PatternKey, PlanCache, SpgemmPlan};
 use crate::symbolic::{group_blocks, run_symbolic};
 use crate::trace::{pass_annotations, timeline_of, ExecutionTrace, Recorder, TraceRecord};
-use crate::workspace::{SharedWorkspaces, WorkspacePool};
-use rayon::prelude::*;
+use crate::workspace::SharedWorkspaces;
 use speck_simt::{CostModel, DeviceConfig, MemTracker, Timeline};
 use speck_sparse::{Csr, Scalar};
 use std::marker::PhantomData;
@@ -178,37 +179,25 @@ impl SpeckSpgemm {
     }
 
     /// Enables (or disables) execution tracing: every multiply through
-    /// this engine captures per-block schedules in the simulator (a
-    /// [`speck_simt::CaptureGuard`] spans the call) and attaches a full
-    /// [`ExecutionTrace`] to its report. Tracing never changes simulated
-    /// results — only the reports grow. Off by default; the disabled path
-    /// costs one atomic load per kernel launch.
+    /// this engine attaches a full [`ExecutionTrace`], with every kernel
+    /// record's per-block schedule replayed from its launch report, to
+    /// its report. Tracing never changes simulated results — only the
+    /// reports grow — and never affects other engines. Off by default.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self
     }
 
-    /// Whether execution tracing is enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
     /// Enables (or disables) decision auditing: every multiply through
-    /// this engine captures per-block schedules (like tracing) and
+    /// this engine records per-block schedules (like tracing) and
     /// attaches a [`crate::audit::DecisionReport`] reconciling each
     /// pipeline decision against measured cycles and shadow-cost
     /// estimates of the rejected alternatives. Auditing never changes
     /// simulated results — the report is built read-only from the
-    /// finished trace. Off by default, and the disabled path adds no
-    /// work beyond tracing's one atomic load per launch.
+    /// finished trace. Off by default.
     pub fn with_auditing(mut self, on: bool) -> Self {
         self.auditing = on;
         self
-    }
-
-    /// Whether decision auditing is enabled.
-    pub fn auditing(&self) -> bool {
-        self.auditing
     }
 
     /// Shares a metrics registry: every multiply through this engine (and
@@ -283,24 +272,33 @@ impl SpeckSpgemm {
         fnv1a_bytes(env.as_bytes())
     }
 
+    /// Whether kernel records carry per-block schedules and annotations
+    /// (tracing or auditing).
+    fn observing(&self) -> bool {
+        self.tracing || self.auditing
+    }
+
     /// Computes `C = A · B`; returns the result and the full report.
     ///
     /// When the `(A, B)` sparsity pattern (and scalar type, device, cost
     /// model, and configuration) matches a cached plan, the setup stages
     /// are skipped and the report's `reused_plan` is true; otherwise the
     /// full pipeline runs and the new plan is cached.
+    ///
+    /// Panics when `a.cols() != b.rows()` (matching the reference
+    /// implementations in `speck-sparse`).
     pub fn multiply<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> (Csr<V>, MultiplyReport) {
-        let m = MetricsSink::new(&self.metrics);
-        m.add("engine/multiply_calls", 1);
+        self.metrics.counter("engine/multiply_calls").add(1);
         // A disabled cache is never consulted, so it counts no misses.
         let key = (self.plans.lock().unwrap().capacity() > 0)
             .then(|| PatternKey::new(a, b, self.env_digest()));
         let hit = key.as_ref().and_then(|k| self.plans.lock().unwrap().get(k));
         if let Some(plan) = hit.and_then(|p| p.downcast::<SpgemmPlan<V>>().ok()) {
-            return self.run(&plan, a, b, true, m);
+            // The hit matched the whole pattern key: no re-check needed.
+            return self.execute_inner(&plan, a, b, true);
         }
-        let plan = Arc::new(self.build_plan(a, b, m));
-        let out = self.run(&plan, a, b, false, m);
+        let plan = Arc::new(self.plan_inner(a, b, key.map(|k| k.pattern)));
+        let out = self.execute_inner(&plan, a, b, false);
         if let Some(key) = key {
             self.plans.lock().unwrap().insert(key, plan);
         }
@@ -312,70 +310,244 @@ impl SpeckSpgemm {
     /// plan. Pair with [`SpeckSpgemm::execute_plan`] to amortise the setup
     /// across many multiplications of the same pattern.
     pub fn plan<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> SpgemmPlan<V> {
-        self.build_plan(a, b, MetricsSink::new(&self.metrics))
+        self.plan_inner(a, b, None)
     }
 
     /// Executes a plan against operands with the *same sparsity pattern*
     /// it was built from (values may differ): numeric pass + sort only.
     /// The report's timeline holds just those stages and `reused_plan` is
-    /// true. Panics when the operands' shape or NNZ disagree with the
-    /// plan; matching column structure is the caller's contract (the
-    /// cached [`SpeckSpgemm::multiply`] verifies it by fingerprint).
+    /// true. Panics, before any kernel runs, when the operands' shape,
+    /// NNZ or pattern fingerprints disagree with the plan.
     pub fn execute_plan<V: Scalar>(
         &self,
         plan: &SpgemmPlan<V>,
         a: &Csr<V>,
         b: &Csr<V>,
     ) -> (Csr<V>, MultiplyReport) {
-        self.run(plan, a, b, true, MetricsSink::new(&self.metrics))
+        plan.check_pattern(a, b);
+        self.execute_inner(plan, a, b, true)
     }
 
-    /// Whether per-block capture is needed (tracing or auditing).
-    fn observing(&self) -> bool {
-        self.tracing || self.auditing
-    }
-
-    fn build_plan<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>, m: MetricsSink<'_>) -> SpgemmPlan<V> {
-        let _capture = self.observing().then(speck_simt::CaptureGuard::new);
-        let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
+    /// The setup half of the pipeline: stages 1–4, recorded into the
+    /// engine's metrics registry, packaged as a plan for the operands'
+    /// pattern (`pattern` when the caller already fingerprinted it).
+    /// Recording reads finished [`speck_simt::KernelReport`]s only, so
+    /// simulated results are bit-identical whatever the engine observes.
+    /// The plan captures the setup stages' records and device-memory
+    /// footprint, so executing it cold reproduces the unfactored
+    /// pipeline bit for bit.
+    fn plan_inner<V: Scalar>(
+        &self,
+        a: &Csr<V>,
+        b: &Csr<V>,
+        pattern: Option<PatternId>,
+    ) -> SpgemmPlan<V> {
+        assert_eq!(a.cols(), b.rows(), "spECK multiply: dimension mismatch");
+        let (dev, cost, cfg, m) = (&self.device, &self.cost, &self.config, &*self.metrics);
         let pool = self.workspaces.pool::<V>();
-        plan_inner(dev, cost, cfg, a, b, &pool, self.observing(), m)
+        let span = m.span("plan");
+        let cascade = KernelCascade::for_device(dev);
+        let mut rec = Recorder::new(dev, self.observing());
+        let mut setup_mem_bytes = 0usize;
+        let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
+
+        // Stage 1: row analysis.
+        let (info, analysis_report) = {
+            let _s = span.child("analysis");
+            analyze(dev, cost, a, b)
+        };
+        rec.kernel(stage::ANALYSIS, &analysis_report, None, None, None);
+        setup_mem_bytes += info.rows.len() * std::mem::size_of::<crate::analysis::RowInfo>();
+        rec.fixed(stage::ANALYSIS, "alloc", alloc_s);
+
+        // Stage 2: symbolic load balancing.
+        let splan = {
+            let _s = span.child("symbolic_lb");
+            plan_symbolic(dev, cost, &cascade, cfg, &info, b.cols())
+        };
+        for r in &splan.lb_reports {
+            rec.kernel(stage::SYMBOLIC_LOAD, r, None, None, None);
+        }
+        splan.record_metrics(m, "symbolic");
+        if splan.lb_alloc_bytes > 0 {
+            setup_mem_bytes += splan.lb_alloc_bytes;
+            rec.fixed(stage::SYMBOLIC_LOAD, "alloc", alloc_s);
+        }
+
+        // Stage 3: symbolic SpGEMM.
+        let sym = {
+            let _s = span.child("symbolic");
+            run_symbolic(dev, cost, &cascade, cfg, a, b, &info, &splan, &pool)
+        };
+        let anns = self
+            .observing()
+            .then(|| pass_annotations(dev, &cascade, cfg, &info, &splan, &sym.groups));
+        rec.pass(stage::SYMBOLIC, &sym.reports, &sym.groups, anns);
+        sym.record_metrics(m);
+        // Row-count array + prefix sum for C's offsets.
+        setup_mem_bytes += (a.rows() + 1) * 8;
+        rec.fixed(stage::SYMBOLIC, "alloc", alloc_s);
+
+        // Stage 4: numeric load balancing on exact sizes.
+        let nplan = {
+            let _s = span.child("numeric_lb");
+            plan_numeric(
+                dev,
+                cost,
+                &cascade,
+                cfg,
+                &info,
+                &sym.row_nnz,
+                b.cols(),
+                std::mem::size_of::<V>(),
+            )
+        };
+        for r in &nplan.lb_reports {
+            rec.kernel(stage::NUMERIC_LOAD, r, None, None, None);
+        }
+        nplan.record_metrics(m, "numeric");
+        if nplan.lb_alloc_bytes > 0 {
+            setup_mem_bytes += nplan.lb_alloc_bytes;
+            rec.fixed(stage::NUMERIC_LOAD, "alloc", alloc_s);
+        }
+
+        // Global hash-map fallback pool: as many maps as can be live at
+        // once (paper §4.3), sized by the largest conceivable overflow row.
+        // The overflow-row count was hoisted into the analysis sweep.
+        if info.overflow_rows > 0 {
+            let largest_cfg = cascade.config(cascade.largest());
+            let live = info
+                .overflow_rows
+                .min(dev.max_concurrent_blocks(largest_cfg.threads, largest_cfg.scratch_bytes));
+            let per_map = info.max_products as usize * (8 + std::mem::size_of::<V>());
+            setup_mem_bytes += live * per_map;
+            rec.fixed(stage::NUMERIC_LOAD, "alloc overflow pool", alloc_s);
+        }
+        m.record_launches(rec.records());
+
+        let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
+        let ngroups = group_blocks(&nplan);
+        SpgemmPlan {
+            pattern: pattern.unwrap_or_else(|| PatternId::of(a, b)),
+            symbolic: splan.summary(),
+            sym_gate: splan.gate,
+            numeric: nplan.summary(),
+            info,
+            nplan,
+            ngroups,
+            row_nnz: sym.row_nnz,
+            row_ptr,
+            setup: rec.into_records(),
+            setup_mem_bytes,
+            sym_spilled_blocks: sym.spilled_blocks,
+            _values: PhantomData,
+        }
     }
 
-    fn run<V: Scalar>(
+    /// The execution half of the pipeline. Cold calls (`reused == false`)
+    /// resume the record stream from the plan's setup records so the
+    /// combined report is bit identical to the unfactored pipeline; reused
+    /// calls start an empty stream. Device memory is accounted identically
+    /// either way — the setup structures the numeric kernels read
+    /// (analysis records, row counts, the overflow pool) are resident
+    /// whether this call built them or a previous one did.
+    fn execute_inner<V: Scalar>(
         &self,
         plan: &SpgemmPlan<V>,
         a: &Csr<V>,
         b: &Csr<V>,
         reused: bool,
-        m: MetricsSink<'_>,
     ) -> (Csr<V>, MultiplyReport) {
-        let _capture = self.observing().then(speck_simt::CaptureGuard::new);
-        let (dev, cost, cfg) = (&self.device, &self.cost, &self.config);
+        let (dev, cost, cfg, m) = (&self.device, &self.cost, &self.config, &*self.metrics);
         let pool = self.workspaces.pool::<V>();
-        let (tracing, auditing) = (self.tracing, self.auditing);
-        execute_inner(
-            dev, cost, cfg, plan, a, b, &pool, reused, tracing, auditing, m,
-        )
-    }
+        let span = m.span("execute");
+        if reused {
+            m.counter("engine/plan_reuses").add(1);
+        }
+        let cascade = KernelCascade::for_device(dev);
+        let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
+        let setup: &[TraceRecord] = if reused { &[] } else { &plan.setup };
+        let mut rec = Recorder::resume(dev, setup, self.observing());
+        let mut mem = MemTracker::new();
+        mem.alloc(plan.setup_mem_bytes);
+        // Output matrix C: counted for memory, not for time (paper §6: "the
+        // memory allocation of the output matrix is not measured").
+        mem.alloc(plan.nnz_c() * (4 + std::mem::size_of::<V>()));
 
-    /// Multiplies every `(A, B)` pair, running independent multiplies
-    /// across the rayon pool. All calls share the engine's workspace
-    /// registry and plan cache, so repeated patterns inside (or across)
-    /// batches hit the reuse fast path. Results are returned in input
-    /// order.
-    pub fn multiply_batch<V: Scalar>(
-        &self,
-        pairs: &[(&Csr<V>, &Csr<V>)],
-    ) -> Vec<(Csr<V>, MultiplyReport)> {
-        pairs
-            .par_iter()
-            .map(|&(a, b)| self.multiply(a, b))
-            .collect()
+        // Stage 5: numeric SpGEMM.
+        let job = NumericJob {
+            plan: &plan.nplan,
+            groups: &plan.ngroups,
+            row_nnz: &plan.row_nnz,
+            row_ptr: &plan.row_ptr,
+        };
+        let num = {
+            let _s = span.child("numeric");
+            run_numeric(dev, cost, &cascade, cfg, a, b, &plan.info, &job, &pool)
+        };
+        let anns = self
+            .observing()
+            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups));
+        rec.pass(stage::NUMERIC, &num.reports, &plan.ngroups, anns);
+        num.record_metrics(m);
+
+        // Stage 6: sorting.
+        if let Some(r) = &num.sort_report {
+            let _s = span.child("sorting");
+            rec.kernel(stage::SORTING, r, None, None, None);
+            // Radix double-buffer.
+            mem.alloc(num.radix_elems * (4 + std::mem::size_of::<V>()));
+            rec.fixed(stage::SORTING, "alloc", alloc_s);
+        }
+        // The setup records were folded into the metrics when the plan was
+        // built; only this call's launches are new.
+        m.record_launches(rec.records());
+        let timeline = timeline_of(setup.iter().chain(rec.records()));
+
+        // The audit is built read-only from the finished trace *after*
+        // every kernel ran: it never changes simulated results.
+        let trace = self
+            .observing()
+            .then(|| ExecutionTrace::new(dev, [setup, rec.records()].concat()));
+        let audit = match &trace {
+            Some(tr) if self.auditing => Some(Arc::new(crate::audit::build_report(
+                dev,
+                cost,
+                cfg,
+                &plan.info,
+                &plan.row_nnz,
+                &plan.sym_gate,
+                &plan.nplan.gate,
+                plan.pattern.b_cols,
+                std::mem::size_of::<V>(),
+                tr,
+            ))),
+            _ => None,
+        };
+        let report = MultiplyReport {
+            sim_time_s: timeline.total_seconds(),
+            peak_mem_bytes: mem.peak(),
+            symbolic_used_lb: plan.symbolic.used_global_lb,
+            numeric_used_lb: plan.numeric.used_global_lb,
+            symbolic_threshold_set: plan.symbolic.threshold_set,
+            numeric_threshold_set: plan.numeric.threshold_set,
+            symbolic_ratio: plan.symbolic.decision_ratio,
+            numeric_ratio: plan.numeric.decision_ratio,
+            numeric_methods: plan.numeric.method_counts,
+            spilled_blocks: plan.sym_spilled_blocks + num.spilled_blocks,
+            radix_elems: num.radix_elems,
+            products: plan.info.total_products,
+            reused_plan: reused,
+            trace: trace.filter(|_| self.tracing).map(Arc::new),
+            audit,
+            timeline,
+        };
+        (num.c, report)
     }
 }
 
-/// Computes `C = A · B` with spECK on the simulator.
+/// Computes `C = A · B` with spECK on the simulator: a one-off
+/// [`SpeckSpgemm`] with plan caching off runs the full cold pipeline.
 ///
 /// Panics when `a.cols() != b.rows()` (matching the reference
 /// implementations in `speck-sparse`).
@@ -386,279 +558,13 @@ pub fn multiply<V: Scalar>(
     a: &Csr<V>,
     b: &Csr<V>,
 ) -> (Csr<V>, MultiplyReport) {
-    multiply_with_pool(dev, cost, cfg, a, b, &WorkspacePool::new())
-}
-
-/// Like [`multiply`], but borrowing kernel workspaces from `pool` (and
-/// leaving them there for later calls). The pool never affects the report —
-/// only host-side allocation traffic.
-pub fn multiply_with_pool<V: Scalar>(
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    cfg: &SpeckConfig,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pool: &WorkspacePool<V>,
-) -> (Csr<V>, MultiplyReport) {
-    let plan = plan_with_pool(dev, cost, cfg, a, b, pool);
-    let m = MetricsSink::none();
-    execute_inner(dev, cost, cfg, &plan, a, b, pool, false, false, false, m)
-}
-
-/// Runs the setup stages (analysis + symbolic load balancing + symbolic
-/// pass + numeric load balancing) and returns the self-contained
-/// [`SpgemmPlan`]. The plan captures the setup stages' simulated timeline
-/// and device-memory footprint, so executing it cold reproduces
-/// [`multiply`] bit for bit.
-pub fn plan_with_pool<V: Scalar>(
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    cfg: &SpeckConfig,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pool: &WorkspacePool<V>,
-) -> SpgemmPlan<V> {
-    plan_inner(dev, cost, cfg, a, b, pool, false, MetricsSink::none())
-}
-
-/// [`plan_with_pool`] with a metrics sink attached: every kernel launch,
-/// load-balancing decision, and stage span is recorded. Recording reads
-/// finished [`speck_simt::KernelReport`]s only, so simulated results are
-/// bit-identical with or without a registry. `observe` (tracing or
-/// auditing) adds per-block annotations to the setup records.
-#[allow(clippy::too_many_arguments)]
-fn plan_inner<V: Scalar>(
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    cfg: &SpeckConfig,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pool: &WorkspacePool<V>,
-    observe: bool,
-    m: MetricsSink<'_>,
-) -> SpgemmPlan<V> {
-    assert_eq!(a.cols(), b.rows(), "spECK multiply: dimension mismatch");
-    let span = m.span("plan");
-    let cascade = KernelCascade::for_device(dev);
-    let mut rec = Recorder::new(dev);
-    let mut setup_mem_bytes = 0usize;
-    let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
-
-    // Stage 1: row analysis.
-    let (info, analysis_report) = {
-        let _s = span.child("analysis");
-        analyze(dev, cost, a, b)
+    let engine = SpeckSpgemm {
+        device: dev.clone(),
+        cost: cost.clone(),
+        config: cfg.clone(),
+        ..SpeckSpgemm::default()
     };
-    rec.kernel(stage::ANALYSIS, &analysis_report, None, None, None);
-    setup_mem_bytes += info.rows.len() * std::mem::size_of::<crate::analysis::RowInfo>();
-    rec.fixed(stage::ANALYSIS, "alloc", alloc_s);
-
-    // Stage 2: symbolic load balancing.
-    let splan = {
-        let _s = span.child("symbolic_lb");
-        plan_symbolic(dev, cost, &cascade, cfg, &info, b.cols())
-    };
-    for r in &splan.lb_reports {
-        rec.kernel(stage::SYMBOLIC_LOAD, r, None, None, None);
-    }
-    splan.record_metrics(&m, "symbolic");
-    if splan.lb_alloc_bytes > 0 {
-        setup_mem_bytes += splan.lb_alloc_bytes;
-        rec.fixed(stage::SYMBOLIC_LOAD, "alloc", alloc_s);
-    }
-
-    // Stage 3: symbolic SpGEMM.
-    let sym = {
-        let _s = span.child("symbolic");
-        run_symbolic(dev, cost, &cascade, cfg, a, b, &info, &splan, pool)
-    };
-    let anns = observe.then(|| pass_annotations(dev, &cascade, cfg, &info, &splan, &sym.groups));
-    rec.pass(stage::SYMBOLIC, &sym.reports, &sym.groups, anns);
-    sym.record_metrics(&m);
-    // Row-count array + prefix sum for C's offsets.
-    setup_mem_bytes += (a.rows() + 1) * 8;
-    rec.fixed(stage::SYMBOLIC, "alloc", alloc_s);
-
-    // Stage 4: numeric load balancing on exact sizes.
-    let nplan = {
-        let _s = span.child("numeric_lb");
-        plan_numeric(
-            dev,
-            cost,
-            &cascade,
-            cfg,
-            &info,
-            &sym.row_nnz,
-            b.cols(),
-            std::mem::size_of::<V>(),
-        )
-    };
-    for r in &nplan.lb_reports {
-        rec.kernel(stage::NUMERIC_LOAD, r, None, None, None);
-    }
-    nplan.record_metrics(&m, "numeric");
-    if nplan.lb_alloc_bytes > 0 {
-        setup_mem_bytes += nplan.lb_alloc_bytes;
-        rec.fixed(stage::NUMERIC_LOAD, "alloc", alloc_s);
-    }
-
-    // Global hash-map fallback pool: as many maps as can be live at once
-    // (paper §4.3), sized by the largest conceivable overflow row. The
-    // overflow-row count was hoisted into the analysis sweep.
-    if info.overflow_rows > 0 {
-        let largest_cfg = cascade.config(cascade.largest());
-        let live = info
-            .overflow_rows
-            .min(dev.max_concurrent_blocks(largest_cfg.threads, largest_cfg.scratch_bytes));
-        let per_map = info.max_products as usize * (8 + std::mem::size_of::<V>());
-        setup_mem_bytes += live * per_map;
-        rec.fixed(stage::NUMERIC_LOAD, "alloc overflow pool", alloc_s);
-    }
-    m.record_launches(rec.records());
-
-    let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
-    let ngroups = group_blocks(&nplan);
-    SpgemmPlan {
-        a_rows: a.rows(),
-        a_cols: a.cols(),
-        b_cols: b.cols(),
-        a_nnz: a.nnz(),
-        b_nnz: b.nnz(),
-        symbolic: splan.summary(),
-        sym_gate: splan.gate,
-        numeric: nplan.summary(),
-        info,
-        nplan,
-        ngroups,
-        row_nnz: sym.row_nnz,
-        row_ptr,
-        setup: rec.into_records(),
-        setup_mem_bytes,
-        sym_spilled_blocks: sym.spilled_blocks,
-        _values: PhantomData,
-    }
-}
-
-/// Executes `plan` against `(a, b)` as a *reused* plan: only the numeric
-/// pass and the trailing sort run; the report's timeline holds just those
-/// stages and `reused_plan` is true. See
-/// [`SpeckSpgemm::execute_plan`] for the operand contract.
-pub fn execute_plan_with_pool<V: Scalar>(
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    cfg: &SpeckConfig,
-    plan: &SpgemmPlan<V>,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pool: &WorkspacePool<V>,
-) -> (Csr<V>, MultiplyReport) {
-    let m = MetricsSink::none();
-    execute_inner(dev, cost, cfg, plan, a, b, pool, true, false, false, m)
-}
-
-/// The execution half of the pipeline. Cold calls (`reused == false`)
-/// resume the record stream from the plan's setup records so the combined
-/// report is bit identical to the unfactored pipeline; reused calls start
-/// an empty stream. Device memory is accounted identically either way —
-/// the setup structures the numeric kernels read (analysis records, row
-/// counts, the overflow pool) are resident whether this call built them
-/// or a previous one did.
-#[allow(clippy::too_many_arguments)]
-fn execute_inner<V: Scalar>(
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    cfg: &SpeckConfig,
-    plan: &SpgemmPlan<V>,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pool: &WorkspacePool<V>,
-    reused: bool,
-    tracing: bool,
-    auditing: bool,
-    m: MetricsSink<'_>,
-) -> (Csr<V>, MultiplyReport) {
-    plan.check_shape(a, b);
-    let span = m.span("execute");
-    if reused {
-        m.add("engine/plan_reuses", 1);
-    }
-    let cascade = KernelCascade::for_device(dev);
-    let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
-    let setup: &[TraceRecord] = if reused { &[] } else { &plan.setup };
-    let mut rec = Recorder::resume(dev, setup);
-    let mut mem = MemTracker::new();
-    mem.alloc(plan.setup_mem_bytes);
-    // Output matrix C: counted for memory, not for time (paper §6: "the
-    // memory allocation of the output matrix is not measured").
-    mem.alloc(plan.nnz_c() * (4 + std::mem::size_of::<V>()));
-
-    // Stage 5: numeric SpGEMM.
-    let job = NumericJob {
-        plan: &plan.nplan,
-        groups: &plan.ngroups,
-        row_nnz: &plan.row_nnz,
-        row_ptr: &plan.row_ptr,
-    };
-    let num = {
-        let _s = span.child("numeric");
-        run_numeric(dev, cost, &cascade, cfg, a, b, &plan.info, &job, pool)
-    };
-    let observe = tracing || auditing;
-    let anns = observe
-        .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups));
-    rec.pass(stage::NUMERIC, &num.reports, &plan.ngroups, anns);
-    num.record_metrics(&m);
-
-    // Stage 6: sorting.
-    if let Some(r) = &num.sort_report {
-        let _s = span.child("sorting");
-        rec.kernel(stage::SORTING, r, None, None, None);
-        // Radix double-buffer.
-        mem.alloc(num.radix_elems * (4 + std::mem::size_of::<V>()));
-        rec.fixed(stage::SORTING, "alloc", alloc_s);
-    }
-    // The setup records were folded into the metrics when the plan was
-    // built; only this call's launches are new.
-    m.record_launches(rec.records());
-    let timeline = timeline_of(setup.iter().chain(rec.records()));
-
-    // The audit is built read-only from the finished trace *after* every
-    // kernel ran: it never changes simulated results.
-    let trace = observe.then(|| ExecutionTrace::new(dev, [setup, rec.records()].concat()));
-    let audit = match &trace {
-        Some(tr) if auditing => Some(Arc::new(crate::audit::build_report(
-            dev,
-            cost,
-            cfg,
-            &plan.info,
-            &plan.row_nnz,
-            &plan.sym_gate,
-            &plan.nplan.gate,
-            plan.b_cols,
-            std::mem::size_of::<V>(),
-            tr,
-        ))),
-        _ => None,
-    };
-    let report = MultiplyReport {
-        sim_time_s: timeline.total_seconds(),
-        peak_mem_bytes: mem.peak(),
-        symbolic_used_lb: plan.symbolic.used_global_lb,
-        numeric_used_lb: plan.numeric.used_global_lb,
-        symbolic_threshold_set: plan.symbolic.threshold_set,
-        numeric_threshold_set: plan.numeric.threshold_set,
-        symbolic_ratio: plan.symbolic.decision_ratio,
-        numeric_ratio: plan.numeric.decision_ratio,
-        numeric_methods: plan.numeric.method_counts,
-        spilled_blocks: plan.sym_spilled_blocks + num.spilled_blocks,
-        radix_elems: num.radix_elems,
-        products: plan.info.total_products,
-        reused_plan: reused,
-        trace: trace.filter(|_| tracing).map(Arc::new),
-        audit,
-        timeline,
-    };
-    (num.c, report)
+    engine.with_plan_cache_capacity(0).multiply(a, b)
 }
 
 #[cfg(test)]
@@ -848,32 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn multiply_batch_matches_individual_and_reuses() {
-        let ms = [
-            uniform_random(300, 300, 2, 8, 31),
-            rmat(8, 6, 0.57, 0.19, 0.19, 32),
-            banded(500, 3, 1.0, 33),
-        ];
-        let e = SpeckSpgemm::default();
-        let pairs: Vec<(&Csr<f64>, &Csr<f64>)> = ms.iter().map(|m| (m, m)).collect();
-        let outs = e.multiply_batch(&pairs);
-        assert_eq!(outs.len(), ms.len());
-        for ((c, r), m) in outs.iter().zip(&ms) {
-            assert!(!r.reused_plan);
-            let expect = spgemm_seq(m, m);
-            assert!(c.approx_eq(&expect, 1e-10, 1e-12));
-        }
-        // A second batch over the same patterns is fully warm and agrees
-        // bit for bit.
-        let outs2 = e.multiply_batch(&pairs);
-        for ((c2, r2), (c1, _)) in outs2.iter().zip(&outs) {
-            assert!(r2.reused_plan);
-            assert!(c2.approx_eq(c1, 0.0, 0.0));
-        }
-        assert_eq!(e.cached_plans(), ms.len());
-    }
-
-    #[test]
     fn config_change_invalidates_cached_plans() {
         let a = uniform_random(200, 200, 2, 6, 41);
         let e = SpeckSpgemm::default();
@@ -950,7 +830,7 @@ mod tests {
         }
         // Every kernel record carries its per-block schedule.
         for (_, k) in tr.kernels() {
-            let bt = k.blocks.as_ref().expect("capture was on");
+            let bt = k.blocks.as_ref().expect("tracing attaches block schedules");
             assert_eq!(bt.events.len(), k.grid);
         }
         // The export is byte-deterministic across engines.
@@ -962,6 +842,61 @@ mod tests {
         assert_eq!(j1, r2.trace.as_ref().unwrap().chrome_trace_json());
         let back = crate::trace::ExecutionTrace::from_chrome_trace(&j1).unwrap();
         assert_eq!(back.chrome_trace_json(), j1);
+    }
+
+    #[test]
+    fn concurrent_engines_with_mixed_tracing_stay_independent() {
+        // A traced engine multiplies while a plain engine builds plans on
+        // another thread, round by round in lockstep. Tracing belongs to
+        // the engine, not the process: the plain plans must hold no block
+        // events, and the traced export must not depend on what else ran.
+        const ROUNDS: usize = 20;
+        let a = rmat(10, 8, 0.57, 0.19, 0.19, 61);
+        let b = uniform_random(2000, 2000, 2, 8, 62);
+        let traced_engine = || {
+            SpeckSpgemm::default()
+                .with_plan_cache_capacity(0)
+                .with_tracing(true)
+        };
+        let solo = traced_engine().multiply(&a, &a).1.trace.unwrap();
+        let solo_json = solo.chrome_trace_json();
+
+        let (traced, plain) = (traced_engine(), SpeckSpgemm::default());
+        let barrier = std::sync::Barrier::new(2);
+        let (traces, plans) = std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                (0..ROUNDS)
+                    .map(|_| {
+                        barrier.wait();
+                        traced.multiply(&a, &a).1.trace.unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let p = s.spawn(|| {
+                (0..ROUNDS)
+                    .map(|_| {
+                        barrier.wait();
+                        plain.plan(&b, &b)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            (t.join().unwrap(), p.join().unwrap())
+        });
+
+        for plan in &plans {
+            for r in &plan.setup {
+                if let crate::trace::TraceRecordKind::Kernel(k) = &r.kind {
+                    assert!(k.blocks.is_none(), "plain plan holds block events");
+                }
+            }
+        }
+        for tr in &traces {
+            for (_, k) in tr.kernels() {
+                let bt = k.blocks.as_ref().expect("traced record without blocks");
+                assert_eq!(bt.events.len(), k.grid);
+            }
+            assert_eq!(tr.chrome_trace_json(), solo_json);
+        }
     }
 
     #[test]

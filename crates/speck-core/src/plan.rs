@@ -10,10 +10,11 @@
 //!
 //! * [`SpgemmPlan`] — the self-contained result of the setup stages
 //!   (analysis, symbolic load balancing, symbolic pass, numeric load
-//!   balancing), enough to run the numeric pass directly. Built by
-//!   [`crate::pipeline::plan_with_pool`] / [`crate::SpeckSpgemm::plan`],
-//!   consumed by [`crate::pipeline::execute_plan_with_pool`] /
-//!   [`crate::SpeckSpgemm::execute_plan`].
+//!   balancing), enough to run the numeric pass directly, plus the
+//!   pattern identity of the operands it was built from. Built by
+//!   [`crate::SpeckSpgemm::plan`], consumed by
+//!   [`crate::SpeckSpgemm::execute_plan`], which refuses operands of any
+//!   other pattern before a kernel runs.
 //! * [`PatternKey`] + [`pattern_fingerprint`] — a cheap FNV-1a fingerprint
 //!   of `(dims, row_ptr, col_idx)` of both operands, so
 //!   [`crate::SpeckSpgemm::multiply`] can transparently detect a repeated
@@ -87,22 +88,14 @@ fn mix_pattern<V: Scalar>(m: &Csr<V>, h: &mut (u64, u64)) {
 /// pair: dimensions, `row_ptr`, and `col_idx` of both operands. Values are
 /// deliberately excluded — a plan depends only on the pattern.
 pub fn pattern_fingerprint<V: Scalar>(a: &Csr<V>, b: &Csr<V>) -> u64 {
-    let mut h = (FNV_OFFSET, CHECK_OFFSET);
-    mix_pattern(a, &mut h);
-    mix_pattern(b, &mut h);
-    h.0
+    PatternId::of(a, b).primary
 }
 
-/// Cache key identifying one `(A, B)` pattern under one engine
-/// environment (device + cost model + configuration) and scalar type.
-///
-/// Equality compares the primary *and* a secondary fingerprint plus exact
-/// dimensions and NNZ counts, so a collision of the primary hash alone
-/// never aliases two patterns. `Hash` intentionally covers only the
-/// primary fingerprint: colliding primaries land in the same bucket and
-/// are separated by `Eq` (exercised by the collision tests below).
+/// Identity of one `(A, B)` sparsity-pattern pair: exact dimensions and
+/// NNZ counts plus a primary and a secondary fingerprint of both
+/// operands' patterns. Values do not participate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PatternKey {
+pub(crate) struct PatternId {
     pub(crate) primary: u64,
     pub(crate) check: u64,
     pub(crate) a_rows: usize,
@@ -110,6 +103,37 @@ pub struct PatternKey {
     pub(crate) b_cols: usize,
     pub(crate) a_nnz: usize,
     pub(crate) b_nnz: usize,
+}
+
+impl PatternId {
+    pub(crate) fn of<V: Scalar>(a: &Csr<V>, b: &Csr<V>) -> Self {
+        let mut h = (FNV_OFFSET, CHECK_OFFSET);
+        mix_pattern(a, &mut h);
+        mix_pattern(b, &mut h);
+        PatternId {
+            primary: h.0,
+            check: h.1,
+            a_rows: a.rows(),
+            a_cols: a.cols(),
+            b_cols: b.cols(),
+            a_nnz: a.nnz(),
+            b_nnz: b.nnz(),
+        }
+    }
+}
+
+/// Cache key identifying one `(A, B)` pattern under one engine
+/// environment (device + cost model + configuration) and scalar type.
+///
+/// Equality compares the whole pattern identity — primary *and*
+/// secondary fingerprint plus exact dimensions and NNZ counts — so a
+/// collision of the primary hash alone never aliases two patterns. `Hash`
+/// intentionally covers only the primary fingerprint: colliding primaries
+/// land in the same bucket and are separated by `Eq` (exercised by the
+/// collision tests below).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PatternKey {
+    pub(crate) pattern: PatternId,
     pub(crate) env: u64,
     pub(crate) vtype: TypeId,
 }
@@ -117,7 +141,7 @@ pub struct PatternKey {
 #[allow(clippy::derived_hash_with_manual_eq)]
 impl Hash for PatternKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.primary.hash(state);
+        self.pattern.primary.hash(state);
     }
 }
 
@@ -126,17 +150,8 @@ impl PatternKey {
     /// the environment digest `env` (see
     /// [`crate::SpeckSpgemm`]'s cache: device + cost + config).
     pub fn new<V: Scalar>(a: &Csr<V>, b: &Csr<V>, env: u64) -> Self {
-        let mut h = (FNV_OFFSET, CHECK_OFFSET);
-        mix_pattern(a, &mut h);
-        mix_pattern(b, &mut h);
         PatternKey {
-            primary: h.0,
-            check: h.1,
-            a_rows: a.rows(),
-            a_cols: a.cols(),
-            b_cols: b.cols(),
-            a_nnz: a.nnz(),
-            b_nnz: b.nnz(),
+            pattern: PatternId::of(a, b),
             env,
             vtype: TypeId::of::<V>(),
         }
@@ -154,11 +169,9 @@ impl PatternKey {
 /// plan-then-execute reproduces [`crate::multiply`] bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct SpgemmPlan<V> {
-    pub(crate) a_rows: usize,
-    pub(crate) a_cols: usize,
-    pub(crate) b_cols: usize,
-    pub(crate) a_nnz: usize,
-    pub(crate) b_nnz: usize,
+    /// Pattern identity of the operands the plan was built from;
+    /// [`crate::SpeckSpgemm::execute_plan`] checks operands against it.
+    pub(crate) pattern: PatternId,
     /// Per-row analysis records (paper Alg. 1) the numeric kernels read.
     pub(crate) info: AnalysisInfo,
     /// Decision summary of the symbolic pass (for reporting).
@@ -209,42 +222,36 @@ impl<V: Scalar> SpgemmPlan<V> {
         &self.row_ptr
     }
 
-    /// Per-row analysis records the plan was built from.
-    pub fn analysis(&self) -> &AnalysisInfo {
-        &self.info
-    }
-
     /// Simulated seconds of the setup stages this plan amortises
     /// (analysis + symbolic load + symbolic pass + numeric load).
     pub fn setup_sim_time_s(&self) -> f64 {
         timeline_of(&self.setup).total_seconds()
     }
 
-    /// Checks that `(a, b)` structurally match the plan's dimensions and
-    /// NNZ counts; panics otherwise. Column-index equality is the
-    /// caller's contract (the engine's cache verifies it by fingerprint).
-    pub(crate) fn check_shape(&self, a: &Csr<V>, b: &Csr<V>) {
+    /// Checks that `(a, b)` have the sparsity pattern the plan was built
+    /// from — dimensions, NNZ counts and both fingerprints — and panics
+    /// otherwise, before any kernel runs.
+    pub(crate) fn check_pattern(&self, a: &Csr<V>, b: &Csr<V>) {
+        let p = &self.pattern;
         assert!(
-            a.rows() == self.a_rows
-                && a.cols() == self.a_cols
-                && b.rows() == self.a_cols
-                && b.cols() == self.b_cols
-                && a.nnz() == self.a_nnz
-                && b.nnz() == self.b_nnz,
+            b.rows() == a.cols() && PatternId::of(a, b) == *p,
             "execute_plan: operands do not match the plan \
-             (plan: A {}x{}/{} nnz, B {}x{}/{} nnz; got A {}x{}/{} nnz, B {}x{}/{} nnz)",
-            self.a_rows,
-            self.a_cols,
-            self.a_nnz,
-            self.a_cols,
-            self.b_cols,
-            self.b_nnz,
+             (plan: A {}x{}/{} nnz, B {}x{}/{} nnz, fingerprint {:016x}; \
+             got A {}x{}/{} nnz, B {}x{}/{} nnz, fingerprint {:016x})",
+            p.a_rows,
+            p.a_cols,
+            p.a_nnz,
+            p.a_cols,
+            p.b_cols,
+            p.b_nnz,
+            p.primary,
             a.rows(),
             a.cols(),
             a.nnz(),
             b.rows(),
             b.cols(),
             b.nnz(),
+            pattern_fingerprint(a, b),
         );
     }
 }
@@ -377,13 +384,15 @@ mod tests {
 
     fn key_with(primary: u64, check: u64, env: u64) -> PatternKey {
         PatternKey {
-            primary,
-            check,
-            a_rows: 4,
-            a_cols: 4,
-            b_cols: 4,
-            a_nnz: 4,
-            b_nnz: 4,
+            pattern: PatternId {
+                primary,
+                check,
+                a_rows: 4,
+                a_cols: 4,
+                b_cols: 4,
+                a_nnz: 4,
+                b_nnz: 4,
+            },
             env,
             vtype: TypeId::of::<f64>(),
         }

@@ -361,91 +361,6 @@ impl ProfileReport {
         }
         out
     }
-
-    /// Serialises the report as deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = write!(out, "  \"total_s\": {},\n  \"stages\": {{", self.total_s);
-        for (i, (stage, s)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{:?}: {}", stage, s);
-        }
-        out.push_str("},\n  \"bins\": [");
-        for (i, ((stage, acc, bin), c)) in self.bins.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"stage\": {:?}, \"acc\": {:?}, \"bin\": {}, \"launches\": {}, \
-                 \"blocks\": {}, \"block_cycles\": {}, \"seconds\": {}}}",
-                stage,
-                acc.map_or("-", AccMethod::name),
-                bin.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
-                c.launches,
-                c.blocks,
-                c.block_cycles,
-                c.seconds
-            );
-        }
-        out.push_str("\n  ],\n  \"top_rows\": [");
-        for (i, r) in self.top_rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"row\": {}, \"cycles\": {}, \"events\": {}}}",
-                r.row, r.cycles, r.events
-            );
-        }
-        out.push_str("\n  ],\n  \"top_blocks\": [");
-        for (i, b) in self.top_blocks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"kernel\": {:?}, \"seq\": {}, \"grid_idx\": {}, \"cycles\": {}, \
-                 \"rows\": {}}}",
-                b.kernel,
-                b.seq,
-                b.grid_idx,
-                b.cycles,
-                b.rows.len()
-            );
-        }
-        out.push_str("\n  ],\n  \"kernels\": [");
-        for (i, k) in self.kernels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": {:?}, \"stage\": {:?}, \"grid\": {}, \"body_cycles\": {}, \
-                 \"imbalance\": {}, \"tail_block\": {}, \"tail_cycles\": {}}}",
-                k.name, k.stage, k.grid, k.body_cycles, k.imbalance, k.tail_block, k.tail_cycles
-            );
-        }
-        out.push_str("\n  ],\n  \"sm_util\": [");
-        for (i, u) in self.sm_util.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{u}");
-        }
-        out.push_str("],\n  \"util_histogram\": [");
-        for (i, n) in self.util_histogram.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{n}");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +462,6 @@ mod tests {
         grid: usize,
     ) -> speck_simt::KernelReport {
         let cost = CostModel::default();
-        let _g = speck_simt::CaptureGuard::new();
         launch(dev, &cost, name, grid, KernelConfig::new(64, 0), |ctx| {
             ctx.charge_rounds((ctx.block_id() as u64 % 4) * 11 + 2);
         })
@@ -556,7 +470,7 @@ mod tests {
     fn sample() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_hash_c1", 8);
-        let mut rec = Recorder::new(&dev);
+        let mut rec = Recorder::new(&dev, true);
         rec.kernel(
             "num. SpGEMM",
             &rep,
@@ -611,19 +525,17 @@ mod tests {
         assert!(t.contains("hottest rows"));
         assert!(t.contains("SM utilization"));
         assert!(t.contains("per-bin cycle attribution"));
-        let j = p.to_json();
-        assert!(crate::json::parse_json_value(&j).is_ok());
     }
 
     #[test]
     fn diff_reports_stage_deltas() {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_direct", 4);
-        let mut cold = Recorder::new(&dev);
+        let mut cold = Recorder::new(&dev, true);
         cold.fixed("analysis", "alloc", 2e-6);
         cold.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
         let cold = ExecutionTrace::new(&dev, cold.into_records());
-        let mut warm = Recorder::new(&dev);
+        let mut warm = Recorder::new(&dev, true);
         warm.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
         let warm = ExecutionTrace::new(&dev, warm.into_records());
 

@@ -11,7 +11,7 @@ use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan};
 use crate::hashacc::compound_key;
 use crate::local_lb::select_group_size;
-use crate::metrics::{LocalHistogram, MetricsSink};
+use crate::metrics::{LocalHistogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig, KernelConfig,
@@ -36,16 +36,14 @@ pub struct SymbolicOutput {
 impl SymbolicOutput {
     /// Records the pass's deterministic outputs under `sim/symbolic/`:
     /// spilled-block count and the exact C row-size distribution.
-    pub(crate) fn record_metrics(&self, m: &MetricsSink<'_>) {
-        if m.registry().is_none() {
-            return;
-        }
-        m.add("sim/symbolic/spilled_blocks", self.spilled_blocks as u64);
+    pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
+        m.counter("sim/symbolic/spilled_blocks")
+            .add(self.spilled_blocks as u64);
         let mut h = LocalHistogram::new();
         for &n in &self.row_nnz {
             h.record(n as u64);
         }
-        m.record_local("sim/symbolic/row_nnz", &h);
+        m.histogram("sim/symbolic/row_nnz").merge_local(&h);
     }
 }
 

@@ -11,7 +11,7 @@
 //! other view is a fold of it:
 //!
 //! * [`timeline_of`] — the report's per-stage `Timeline` (paper Fig. 11);
-//! * [`crate::metrics::MetricsSink::record_launches`] — the `sim/stage/*`
+//! * [`crate::metrics::MetricsRegistry::record_launches`] — the `sim/stage/*`
 //!   and `sim/kernel/*` metrics counters;
 //! * [`ExecutionTrace`] — the records plus the device shape, for export,
 //!   profiling ([`crate::profile`]) and the decision audit
@@ -24,9 +24,10 @@
 //!
 //! # Annotations
 //!
-//! The simulator's [`speck_simt::trace`] module captures *where each block
-//! ran* (SM, resident slot, start/end cycles, cost breakdown) while a
-//! capture guard is alive. This module adds the spECK semantics the
+//! The simulator's [`speck_simt::trace`] module rebuilds *where each block
+//! ran* (SM, resident slot, start/end cycles, cost breakdown) from a
+//! launch's report; a recorder built with `blocks` attaches that schedule
+//! to every kernel record. This module adds the spECK semantics the
 //! profiler needs — which cascade bin and accumulator a launch used,
 //! which output rows each block computed, and the dynamic group size `g`
 //! it chose. Bin and accumulator are always recorded; per-block
@@ -93,8 +94,8 @@ pub struct KernelTraceRecord {
     pub bin: Option<usize>,
     /// Accumulator kind for SpGEMM kernels.
     pub acc: Option<AccMethod>,
-    /// Per-block schedule from the simulator (grid order), when block
-    /// capture was on during the launch.
+    /// Per-block schedule from the simulator (grid order), when the
+    /// recorder was built to attach block schedules.
     pub blocks: Option<Arc<KernelBlockTrace>>,
     /// Per-block spECK annotations (grid order), for SpGEMM kernels.
     pub annotations: Option<Vec<BlockAnnotation>>,
@@ -149,24 +150,28 @@ pub fn timeline_of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Ti
 
 /// Builds the record stream of one multiply.
 #[derive(Clone, Debug)]
-pub struct Recorder {
-    launch_overhead_cycles: f64,
+pub struct Recorder<'a> {
+    dev: &'a DeviceConfig,
+    blocks: bool,
     start_s: f64,
     records: Vec<TraceRecord>,
 }
 
-impl Recorder {
-    /// An empty stream for `dev`, clock at zero.
-    pub fn new(dev: &DeviceConfig) -> Self {
-        Self::resume(dev, &[])
+impl<'a> Recorder<'a> {
+    /// An empty stream for `dev`, clock at zero. With `blocks`, every
+    /// kernel record carries its per-block schedule, replayed from the
+    /// launch's report ([`KernelReport::block_trace`]).
+    pub fn new(dev: &'a DeviceConfig, blocks: bool) -> Self {
+        Self::resume(dev, &[], blocks)
     }
 
     /// An empty stream continuing after `setup` (a plan's setup records):
     /// its clock starts where they end, so `setup` followed by this
     /// stream's records is the whole multiply.
-    pub fn resume(dev: &DeviceConfig, setup: &[TraceRecord]) -> Self {
+    pub fn resume(dev: &'a DeviceConfig, setup: &[TraceRecord], blocks: bool) -> Self {
         Recorder {
-            launch_overhead_cycles: dev.launch_overhead_cycles,
+            dev,
+            blocks,
             start_s: end_of(setup),
             records: Vec::new(),
         }
@@ -203,12 +208,12 @@ impl Recorder {
             threads: report.cfg.threads,
             scratch_bytes: report.cfg.scratch_bytes,
             blocks_per_sm: report.blocks_per_sm,
-            body_cycles: (report.sim_cycles - self.launch_overhead_cycles).max(0.0),
+            body_cycles: report.body_cycles(self.dev),
             sim_cycles: report.sim_cycles,
             cost: report.total_cost,
             bin,
             acc,
-            blocks: report.trace.clone(),
+            blocks: self.blocks.then(|| Arc::new(report.block_trace(self.dev))),
             annotations,
         };
         self.push(stage, report.sim_time_s, TraceRecordKind::Kernel(rec));
@@ -762,12 +767,11 @@ mod tests {
     fn sample_trace() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let cost = CostModel::default();
-        let _g = speck_simt::CaptureGuard::new();
         let report = speck_simt::launch(&dev, &cost, "k0", 6, KernelConfig::new(64, 0), |ctx| {
             ctx.charge_rounds((ctx.block_id() as u64 % 3) * 7 + 1);
             ctx.charge_gmem_tx(5 * ctx.block_id() as u64);
         });
-        let mut rec = Recorder::new(&dev);
+        let mut rec = Recorder::new(&dev, true);
         rec.kernel(
             "symb. SpGEMM",
             &report,

@@ -11,9 +11,8 @@
 //! [`WorkspacePool`] hands workspaces to concurrently running blocks (one
 //! checkout per block, returned on drop), and [`SharedWorkspaces`] keeps
 //! one pool per scalar type so an engine can reuse them across `multiply`
-//! calls — including the concurrent multiplies of
-//! [`crate::SpeckSpgemm::multiply_batch`], which all draw from the same
-//! registry.
+//! calls — including concurrent multiplies through engine clones, which
+//! all draw from the same registry.
 //!
 //! **Invariant — host-side reuse never changes simulated cost.** Whatever
 //! a kernel charges through [`speck_simt::BlockCtx`] must be identical
@@ -192,7 +191,7 @@ impl SharedWorkspaces {
     }
 
     /// Total idle workspaces across every scalar type's pool — a coarse
-    /// gauge of peak block concurrency seen so far (batched multiplies
+    /// gauge of peak block concurrency seen so far (concurrent multiplies
     /// grow it toward the rayon width times per-call concurrency).
     pub fn total_idle(&self) -> usize {
         let pools = self.pools.lock().unwrap();

@@ -160,7 +160,7 @@ impl_tuple_strategy!(
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Size specifier for [`vec`]: any strategy producing a `usize` length
+    /// Size specifier for [`vec()`]: any strategy producing a `usize` length
     /// (plain and inclusive ranges qualify).
     pub struct VecStrategy<S> {
         element: S,
@@ -168,7 +168,7 @@ pub mod collection {
         max: usize,
     }
 
-    /// Accepted length specifications for [`vec`].
+    /// Accepted length specifications for [`vec()`].
     pub trait SizeRange {
         /// Inclusive (min, max) bounds.
         fn bounds(&self) -> (usize, usize);

@@ -82,7 +82,7 @@ fn snapshot_roundtrips_and_matches_itself() {
 
 #[test]
 fn batch_multiply_snapshot_is_deterministic() {
-    // multiply_batch runs concurrently over the rayon pool — the
+    // Engine clones multiply concurrently on scoped threads — the shared
     // registry's atomics must still produce an order-independent, stable
     // canonical snapshot.
     use speck_repro::sparse::gen::{banded, uniform_random};
@@ -94,9 +94,16 @@ fn batch_multiply_snapshot_is_deterministic() {
             uniform_random(150, 150, 2, 8, 13),
         ];
         let engine = SpeckSpgemm::default();
-        let pairs: Vec<(&Csr<f64>, &Csr<f64>)> = ms.iter().map(|m| (m, m)).collect();
-        let _ = engine.multiply_batch(&pairs);
-        let _ = engine.multiply_batch(&pairs); // warm round
+        let concurrent_round = || {
+            std::thread::scope(|s| {
+                for m in &ms {
+                    let e = engine.clone();
+                    s.spawn(move || e.multiply(m, m));
+                }
+            })
+        };
+        concurrent_round();
+        concurrent_round(); // warm round
         engine.metrics_snapshot().canonical_json()
     };
     assert_eq!(run(), run());

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use speck_repro::sparse::reference::spgemm_seq;
 use speck_repro::sparse::{Coo, Csr};
 use speck_repro::speck::pipeline::stage;
-use speck_repro::speck::SpeckSpgemm;
+use speck_repro::speck::{MultiplyReport, SpeckSpgemm};
 
 fn arb_csr(rows: usize, cols: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>> {
     proptest::collection::vec(
@@ -105,6 +105,22 @@ proptest! {
     }
 }
 
+/// Multiplies every `(m, m)` on its own scoped thread, each through a
+/// clone of `engine` (clones share the plan cache and workspaces);
+/// results in input order.
+fn multiply_concurrently(engine: &SpeckSpgemm, ms: &[Csr<f64>]) -> Vec<(Csr<f64>, MultiplyReport)> {
+    std::thread::scope(|s| {
+        let calls: Vec<_> = ms
+            .iter()
+            .map(|m| {
+                let e = engine.clone();
+                s.spawn(move || e.multiply(m, m))
+            })
+            .collect();
+        calls.into_iter().map(|c| c.join().unwrap()).collect()
+    })
+}
+
 #[test]
 fn batch_agrees_with_sequential_multiplies() {
     let ms: Vec<Csr<f64>> = (0..6)
@@ -114,22 +130,58 @@ fn batch_agrees_with_sequential_multiplies() {
         .collect();
     let solo = SpeckSpgemm::default();
     let batch = SpeckSpgemm::default();
-    let pairs: Vec<(&Csr<f64>, &Csr<f64>)> = ms.iter().map(|m| (m, m)).collect();
-    let outs = batch.multiply_batch(&pairs);
-    assert_eq!(outs.len(), pairs.len());
+    let outs = multiply_concurrently(&batch, &ms);
+    assert_eq!(outs.len(), ms.len());
     for ((c_b, r_b), m) in outs.iter().zip(&ms) {
         let (c_s, r_s) = solo.multiply(m, m);
         assert!(c_b.approx_eq(&c_s, 0.0, 0.0), "batch result differs");
         assert_eq!(r_b.sim_time_s.to_bits(), r_s.sim_time_s.to_bits());
         assert_eq!(r_b.peak_mem_bytes, r_s.peak_mem_bytes);
     }
-    // Second batch over the same patterns: every multiply is warm.
-    let outs2 = batch.multiply_batch(&pairs);
+    // Second concurrent round over the same patterns: every multiply is
+    // warm.
+    let outs2 = multiply_concurrently(&batch, &ms);
     for ((c2, r2), (c1, r1)) in outs2.iter().zip(&outs) {
         assert!(r2.reused_plan);
         assert!(c2.approx_eq(c1, 0.0, 0.0));
         assert!(r2.sim_time_s < r1.sim_time_s);
     }
+    assert_eq!(batch.cached_plans(), ms.len());
+}
+
+/// `m` with every row's columns cyclically shifted by one and re-sorted:
+/// a valid CSR with the same shape, row lengths and NNZ, but a different
+/// column pattern (for rows that are neither empty nor full).
+fn shift_columns(m: &Csr<f64>) -> Csr<f64> {
+    let mut col_idx = Vec::with_capacity(m.nnz());
+    for r in 0..m.rows() {
+        let (cols, _) = m.row(r);
+        let mut row: Vec<u32> = cols.iter().map(|&c| (c + 1) % m.cols() as u32).collect();
+        row.sort_unstable();
+        col_idx.extend(row);
+    }
+    Csr::from_parts_unchecked(
+        m.rows(),
+        m.cols(),
+        m.row_ptr().to_vec(),
+        col_idx,
+        m.vals().to_vec(),
+    )
+}
+
+#[test]
+#[should_panic(expected = "do not match the plan")]
+fn execute_plan_rejects_a_same_shape_pattern() {
+    let a = speck_repro::sparse::gen::uniform_random(200, 200, 2, 6, 9);
+    let shifted = shift_columns(&a);
+    shifted.validate().unwrap();
+    assert_eq!((shifted.rows(), shifted.cols()), (a.rows(), a.cols()));
+    assert_eq!(shifted.nnz(), a.nnz());
+    assert_ne!(shifted.col_idx(), a.col_idx());
+    let engine = SpeckSpgemm::default();
+    let plan = engine.plan(&a, &a);
+    // Same shape and NNZ, different columns: refused before any kernel.
+    let _ = engine.execute_plan(&plan, &shifted, &shifted);
 }
 
 #[test]
