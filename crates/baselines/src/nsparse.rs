@@ -198,7 +198,6 @@ impl SpgemmMethod for NsparseLike {
         let job = NumericJob {
             plan: &nplan,
             groups: &ngroups,
-            row_nnz: &sym.row_nnz,
             row_ptr: &row_ptr,
         };
         let num = run_numeric(dev, cost, &cascade, &cfg, a, b, &info, &job, &pool);

@@ -174,6 +174,29 @@ where
     R: Send,
     F: Fn(&mut BlockCtx) -> R + Sync,
 {
+    launch_map_init(dev, cost, name, grid, cfg, || (), |_, ctx| f(ctx))
+}
+
+/// [`launch_map`] with host-side state shared by the blocks of one host
+/// chunk: `init` runs once per chunk of blocks a host thread executes
+/// (rayon's `map_init`), and every block of that chunk gets `&mut` to its
+/// result. The state is host scratch only — simulated cost comes from what
+/// each block charges through its [`BlockCtx`], so it must not depend on
+/// which chunk ran the block.
+pub fn launch_map_init<T, R, I, F>(
+    dev: &DeviceConfig,
+    cost: &CostModel,
+    name: impl Into<Cow<'static, str>>,
+    grid: usize,
+    cfg: KernelConfig,
+    init: I,
+    f: F,
+) -> (KernelReport, Vec<R>)
+where
+    R: Send,
+    I: Fn() -> T + Sync,
+    F: Fn(&mut T, &mut BlockCtx) -> R + Sync,
+{
     let name = name.into();
     assert!(
         cfg.threads <= dev.max_threads_per_block,
@@ -192,9 +215,9 @@ where
     // remaining serial work is a plain unzip of already-computed values.
     let results: Vec<(BlockCost, (f64, f64), R)> = (0..grid)
         .into_par_iter()
-        .map(|block_id| {
+        .map_init(init, |state, block_id| {
             let mut ctx = BlockCtx::new(block_id, cfg, dev.transaction_bytes, dev.warp_size);
-            let r = f(&mut ctx);
+            let r = f(state, &mut ctx);
             let c = ctx.into_cost();
             let cycles = cost.split_cycles(&c);
             (c, cycles, r)
@@ -357,6 +380,44 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 2);
         }
+    }
+
+    #[test]
+    fn map_init_state_is_shared_within_a_chunk() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let d = dev();
+        let grid = 4096;
+        let inits = AtomicUsize::new(0);
+        let kernel = |ctx: &mut BlockCtx| {
+            ctx.charge_rounds(ctx.block_id() as u64);
+            ctx.block_id() * 3
+        };
+        let (plain, plain_out) = launch_map(
+            &d,
+            &CostModel::default(),
+            "k",
+            grid,
+            KernelConfig::new(32, 0),
+            kernel,
+        );
+        let (shared, shared_out) = launch_map_init(
+            &d,
+            &CostModel::default(),
+            "k",
+            grid,
+            KernelConfig::new(32, 0),
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, ctx| kernel(ctx),
+        );
+        assert_eq!(plain_out, shared_out);
+        assert_eq!(plain.sim_cycles, shared.sim_cycles);
+        assert_eq!(plain.block_cycles, shared.block_cycles);
+        // One state per host chunk, far fewer than one per block.
+        let inits = inits.into_inner();
+        assert!(
+            (1..grid).contains(&inits),
+            "{inits} inits for {grid} blocks"
+        );
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub mod trace;
 pub use block::{simulate_group_rounds, BlockCtx};
 pub use cost::{AccUnitCosts, BlockCost, CostModel, COST_COUNTER_NAMES};
 pub use device::DeviceConfig;
-pub use exec::{launch, launch_map, schedule_blocks, schedule_blocks_placed, KernelReport};
+pub use exec::{
+    launch, launch_map, launch_map_init, schedule_blocks, schedule_blocks_placed, KernelReport,
+};
 pub use kernel::KernelConfig;
 pub use memtrack::MemTracker;
 pub use scratchpad::Scratchpad;

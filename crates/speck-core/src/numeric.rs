@@ -5,11 +5,11 @@
 //! device-wide radix pass. Dense blocks sweep the column range in chunks
 //! (already sorted). Direct blocks scale one row of B.
 //!
-//! Kernels borrow their accumulators from a [`WorkspacePool`] instead of
-//! allocating per block, and blocks stage output as flat
-//! (columns, values, per-row counts) triples that are copied straight into
-//! the final CSR arrays (the symbolic pass's exact counts give every row's
-//! offset up front).
+//! Kernels borrow their accumulators from a [`WorkspacePool`], one
+//! checkout per host chunk of blocks, and write C in place as the paper's
+//! kernel does: the symbolic pass's exact counts fix every row's offset up
+//! front, so C's arrays are split into per-row slices, each taken once by
+//! the block that computes the row.
 
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
@@ -24,14 +24,69 @@ use crate::sort::{
 use crate::symbolic::LaunchGroups;
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
-    launch_map, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig, KernelConfig,
-    KernelReport,
+    launch_map, launch_map_init, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig,
+    KernelConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
+use std::sync::Mutex;
 
-/// Flat output of one block: concatenated column indices and values of all
-/// its rows (row-major), plus the per-row entry counts.
-type BlockOut<V> = (Vec<u32>, Vec<V>, Vec<u32>);
+/// What one numeric block reports back besides the rows it wrote: whether
+/// it spilled to a global hash map, whether its rows still need the global
+/// radix pass, and how many entries it wrote.
+type BlockResult = (bool, bool, usize);
+
+/// One row of C: its column and value slices in the final arrays.
+type RowOut<'c, V> = (&'c mut [u32], &'c mut [V]);
+
+/// C's column and value arrays split into one slice pair per row, each
+/// handed to the one block that computes the row.
+struct RowSlots<'c, V> {
+    rows: Vec<Mutex<Option<RowOut<'c, V>>>>,
+}
+
+impl<'c, V> RowSlots<'c, V> {
+    /// Splits `cols`/`vals` at the offsets of `row_ptr`.
+    fn new(row_ptr: &[usize], mut cols: &'c mut [u32], mut vals: &'c mut [V]) -> Self {
+        let rows = row_ptr
+            .windows(2)
+            .map(|w| {
+                let len = w[1] - w[0];
+                let (c, rest) = std::mem::take(&mut cols).split_at_mut(len);
+                cols = rest;
+                let (v, rest) = std::mem::take(&mut vals).split_at_mut(len);
+                vals = rest;
+                Mutex::new(Some((c, v)))
+            })
+            .collect();
+        Self { rows }
+    }
+
+    /// Takes row `r`'s output slices; panics if the row was taken before.
+    fn take(&self, r: u32) -> RowOut<'c, V> {
+        let slot = self.rows[r as usize]
+            .lock()
+            .expect("a row slot is never held across a panic")
+            .take();
+        slot.unwrap_or_else(|| panic!("numeric row {r} computed twice"))
+    }
+
+    /// Whether every row has been taken.
+    fn all_taken(self) -> bool {
+        self.rows.into_iter().all(|m| {
+            m.into_inner()
+                .expect("a row slot is never held across a panic")
+                .is_none()
+        })
+    }
+}
+
+/// Checks that row `r` produced exactly as many entries as its slice has.
+fn check_row_len(r: u32, computed: usize, slot_len: usize) {
+    assert_eq!(
+        computed, slot_len,
+        "numeric row {r} disagrees with the symbolic count"
+    );
+}
 
 /// Result of the numeric pass.
 pub struct NumericOutput<V> {
@@ -64,6 +119,7 @@ impl<V> NumericOutput<V> {
 fn hash_block<V: Scalar>(
     ctx: &mut BlockCtx,
     ws: &mut Workspace<V>,
+    out: &RowSlots<'_, V>,
     a: &Csr<V>,
     b: &Csr<V>,
     info: &AnalysisInfo,
@@ -72,9 +128,7 @@ fn hash_block<V: Scalar>(
     entry_bytes: usize,
     cfg: &SpeckConfig,
     scratch_sorted: bool,
-) -> (BlockOut<V>, bool, bool) {
-    // Returns the computed rows, whether the block spilled to a global
-    // hash map, and whether its rows still need the global radix pass.
+) -> BlockResult {
     let threads = ctx.threads();
     let nnz_a: u64 = rows
         .iter()
@@ -143,35 +197,44 @@ fn hash_block<V: Scalar>(
     ctx.charge_gmem_store(n, entry_bytes);
     ctx.charge_rounds((capacity as u64).div_ceil(threads as u64));
 
-    // Split per local row (keys sort row-major, so the flat buffer is
-    // already row-major).
-    let mut cols = Vec::with_capacity(n);
-    let mut vals = Vec::with_capacity(n);
-    let mut counts = vec![0u32; rows.len()];
-    for &(key, val) in entries.iter() {
-        let (lr, col) = split_key(key);
-        counts[lr as usize] += 1;
-        cols.push(col);
-        vals.push(val);
+    // Keys sort row-major, so each local row's entries are one run.
+    let mut rest = &entries[..];
+    for (li, &r) in rows.iter().enumerate() {
+        let len = rest
+            .iter()
+            .take_while(|&&(key, _)| split_key(key).0 == li as u32)
+            .count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        let (cols, vals) = out.take(r);
+        check_row_len(r, len, cols.len());
+        for ((c, v), &(key, val)) in cols.iter_mut().zip(vals.iter_mut()).zip(run) {
+            *c = split_key(key).1;
+            *v = val;
+        }
     }
-    ((cols, vals, counts), spilled, !scratch_sorted)
+    (spilled, !scratch_sorted, n)
 }
 
 /// Numeric dense kernel for one row (paper Fig. 5).
+#[allow(clippy::too_many_arguments)]
 fn dense_block<V: Scalar>(
     ctx: &mut BlockCtx,
     ws: &mut Workspace<V>,
+    out: &RowSlots<'_, V>,
     a: &Csr<V>,
     b: &Csr<V>,
     info: &AnalysisInfo,
     row: u32,
     slots: usize,
-) -> (Vec<u32>, Vec<V>) {
+) -> BlockResult {
     let threads = ctx.threads();
     let ri = &info.rows[row as usize];
     let range = ri.col_range();
+    let (cols_out, vals_out) = out.take(row);
     if range == 0 {
-        return (Vec::new(), Vec::new());
+        check_row_len(row, 0, cols_out.len());
+        return (false, false, 0);
     }
     ctx.scratch.reserve(
         slots * crate::cascade::dense_numeric_slot_bytes(std::mem::size_of::<V>()),
@@ -184,8 +247,7 @@ fn dense_block<V: Scalar>(
     let iterations = range.div_ceil(slots as u64);
     let width = (slots as u64).min(range) as usize;
     dense.reuse_numeric(ri.col_min, width);
-    let mut cols_out = Vec::new();
-    let mut vals_out = Vec::new();
+    let mut written = 0usize;
     let cols_b = b.col_idx();
     let vals_b = b.vals();
     for it in 0..iterations {
@@ -208,19 +270,24 @@ fn dense_block<V: Scalar>(
             *cur = stop;
         }
         // Prefix-sum compaction + partial store after every iteration
-        // (draining leaves the chunk clean for the next window).
-        let start = cols_out.len();
+        // (draining leaves the chunk clean for the next window). Entries
+        // past the row's slice are only counted, for the check below.
+        let start = written;
         dense.drain_set(|c, v| {
-            cols_out.push(c);
-            vals_out.push(v);
+            if written < cols_out.len() {
+                cols_out[written] = c;
+                vals_out[written] = v;
+            }
+            written += 1;
         });
-        let stored = cols_out.len() - start;
+        let stored = written - start;
         ctx.charge_smem((dense.width() as u64) / 8);
         ctx.charge_rounds((dense.width() as u64).div_ceil(threads as u64));
         ctx.charge_gmem_store(stored, 12);
         ctx.charge_smem(a_cols.len() as u64);
         ctx.charge_sync();
     }
+    check_row_len(row, written, cols_out.len());
     let mut tx = 0u64;
     for &k in a_cols {
         tx += ctx.stream_tx(threads, b.row_nnz(k as usize), 12);
@@ -228,32 +295,33 @@ fn dense_block<V: Scalar>(
     ctx.charge_gmem_tx(tx);
     ctx.charge_rounds(ri.products.div_ceil(threads as u64));
     ctx.charge_gmem_scatter(a_cols.len() as u64 + 1);
-    (cols_out, vals_out)
+    (false, false, written)
 }
 
 /// Direct kernel: each row is one scaled row of B, already sorted
 /// (paper §4.3 "Single entry rows of A").
 fn direct_block<V: Scalar>(
     ctx: &mut BlockCtx,
+    out: &RowSlots<'_, V>,
     a: &Csr<V>,
     b: &Csr<V>,
     rows: &[u32],
-) -> BlockOut<V> {
+) -> BlockResult {
     let threads = ctx.threads();
-    let mut cols_out = Vec::new();
-    let mut vals_out = Vec::new();
-    let mut counts = Vec::with_capacity(rows.len());
     let mut elems = 0usize;
     for &r in rows {
         let (a_cols, a_vals) = a.row(r as usize);
+        let (cols, vals) = out.take(r);
         if let (Some(&k), Some(&av)) = (a_cols.first(), a_vals.first()) {
             let (b_cols, b_vals) = b.row(k as usize);
+            check_row_len(r, b_cols.len(), cols.len());
             elems += b_cols.len();
-            cols_out.extend_from_slice(b_cols);
-            vals_out.extend(b_vals.iter().map(|&bv| av * bv));
-            counts.push(b_cols.len() as u32);
+            cols.copy_from_slice(b_cols);
+            for (v, &bv) in vals.iter_mut().zip(b_vals) {
+                *v = av * bv;
+            }
         } else {
-            counts.push(0);
+            check_row_len(r, 0, cols.len());
         }
     }
     // Stream every referenced row in and out once, no accumulation.
@@ -261,7 +329,7 @@ fn direct_block<V: Scalar>(
     let rounds_in = ctx.charge_gmem_stream(threads, elems, 12);
     ctx.charge_gmem_store(elems, 12);
     ctx.charge_rounds(rounds_in / 2);
-    (cols_out, vals_out, counts)
+    (false, false, elems)
 }
 
 /// Builds C's prefix-summed row offsets from the symbolic pass's exact
@@ -288,14 +356,15 @@ pub struct NumericJob<'a> {
     /// `plan`'s blocks grouped by (method, config) for launching — the
     /// output of [`crate::symbolic::group_blocks`].
     pub groups: &'a LaunchGroups,
-    /// Exact NNZ of every row of C (symbolic pass output).
-    pub row_nnz: &'a [u32],
-    /// Prefix-summed row offsets of C — [`row_ptr_from_nnz`] of
-    /// `row_nnz`.
+    /// Prefix-summed row offsets of C — [`row_ptr_from_nnz`] of the
+    /// symbolic pass's exact row counts.
     pub row_ptr: &'a [usize],
 }
 
 /// Runs the numeric pass and assembles C.
+///
+/// Panics if a row's computed entry count disagrees with `job.row_ptr`,
+/// if the plan lists a row in two blocks, or if it leaves a row out.
 #[allow(clippy::too_many_arguments)]
 pub fn run_numeric<V: Scalar>(
     dev: &DeviceConfig,
@@ -310,116 +379,84 @@ pub fn run_numeric<V: Scalar>(
 ) -> NumericOutput<V> {
     let entry_bytes = numeric_entry_bytes(b.cols(), std::mem::size_of::<V>());
     let plan = job.plan;
-    let row_nnz = job.row_nnz;
     let row_ptr = job.row_ptr;
     let mut reports = Vec::new();
     let mut spilled_blocks = 0usize;
     let mut radix_elems = 0usize;
 
     // The symbolic counts are exact, so C's layout is known before the
-    // numeric kernels run: the precomputed row offsets give every block's
-    // flat output its final place directly.
+    // numeric kernels run: every block writes its rows in place.
     let n = a.rows();
     debug_assert_eq!(row_ptr.len(), n + 1);
     let total = *row_ptr.last().unwrap_or(&0);
     let mut col_idx = vec![0u32; total];
     let mut vals = vec![V::zero(); total];
-    let mut rows_filled = 0usize;
+    let out = RowSlots::new(row_ptr, &mut col_idx, &mut vals);
 
-    {
-        let mut place = |rows: &[u32], bcols: &[u32], bvals: &[V], counts: &[u32]| {
-            let mut off = 0usize;
-            for (&r, &cnt) in rows.iter().zip(counts) {
-                let cnt = cnt as usize;
-                assert_eq!(
-                    cnt, row_nnz[r as usize] as usize,
-                    "numeric row {r} disagrees with the symbolic count"
-                );
-                let dst = row_ptr[r as usize];
-                col_idx[dst..dst + cnt].copy_from_slice(&bcols[off..off + cnt]);
-                vals[dst..dst + cnt].copy_from_slice(&bvals[off..off + cnt]);
-                off += cnt;
-                rows_filled += 1;
+    for (&(method, cfg_idx), group) in job.groups {
+        let kc = cascade.config(cfg_idx);
+        let rows = |ctx: &BlockCtx| &plan.blocks[group[ctx.block_id()]].rows;
+        let (report, results) = match method {
+            AccMethod::Hash => {
+                let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
+                let scratch_sorted = cfg_idx <= MAX_SCRATCH_SORT_CFG;
+                launch_map_init(
+                    dev,
+                    cost,
+                    format!("numeric_hash_c{cfg_idx}"),
+                    group.len(),
+                    kc,
+                    || pool.acquire(),
+                    |ws, ctx| {
+                        let rows = rows(ctx);
+                        hash_block(
+                            ctx,
+                            ws,
+                            &out,
+                            a,
+                            b,
+                            info,
+                            rows,
+                            capacity,
+                            entry_bytes,
+                            cfg,
+                            scratch_sorted,
+                        )
+                    },
+                )
+            }
+            AccMethod::Dense => {
+                let slots = cascade.dense_numeric_slots(cfg_idx, std::mem::size_of::<V>());
+                launch_map_init(
+                    dev,
+                    cost,
+                    format!("numeric_dense_c{cfg_idx}"),
+                    group.len(),
+                    kc,
+                    || pool.acquire(),
+                    |ws, ctx| {
+                        let row = rows(ctx)[0];
+                        dense_block(ctx, ws, &out, a, b, info, row, slots)
+                    },
+                )
+            }
+            AccMethod::Direct => {
+                let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
+                launch_map(dev, cost, "numeric_direct", group.len(), dk, |ctx| {
+                    let rows = rows(ctx);
+                    direct_block(ctx, &out, a, b, rows)
+                })
             }
         };
-
-        for (&(method, cfg_idx), group) in job.groups {
-            let kc = cascade.config(cfg_idx);
-            let block = |i: usize| &plan.blocks[group[i]];
-            match method {
-                AccMethod::Hash => {
-                    let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
-                    let scratch_sorted = cfg_idx <= MAX_SCRATCH_SORT_CFG;
-                    let (report, outs) = launch_map(
-                        dev,
-                        cost,
-                        format!("numeric_hash_c{cfg_idx}"),
-                        group.len(),
-                        kc,
-                        |ctx| {
-                            let bp = block(ctx.block_id());
-                            let mut ws = pool.acquire();
-                            hash_block(
-                                ctx,
-                                &mut ws,
-                                a,
-                                b,
-                                info,
-                                &bp.rows,
-                                capacity,
-                                entry_bytes,
-                                cfg,
-                                scratch_sorted,
-                            )
-                        },
-                    );
-                    for (&bi, ((bcols, bvals, counts), spilled, needs_radix)) in
-                        group.iter().zip(outs)
-                    {
-                        spilled_blocks += usize::from(spilled);
-                        if needs_radix {
-                            radix_elems += bcols.len();
-                        }
-                        place(&plan.blocks[bi].rows, &bcols, &bvals, &counts);
-                    }
-                    reports.push(report);
-                }
-                AccMethod::Dense => {
-                    let slots = cascade.dense_numeric_slots(cfg_idx, std::mem::size_of::<V>());
-                    let (report, outs) = launch_map(
-                        dev,
-                        cost,
-                        format!("numeric_dense_c{cfg_idx}"),
-                        group.len(),
-                        kc,
-                        |ctx| {
-                            let bp = block(ctx.block_id());
-                            let mut ws = pool.acquire();
-                            dense_block(ctx, &mut ws, a, b, info, bp.rows[0], slots)
-                        },
-                    );
-                    for (&bi, (bcols, bvals)) in group.iter().zip(outs) {
-                        let count = bcols.len() as u32;
-                        place(&plan.blocks[bi].rows[..1], &bcols, &bvals, &[count]);
-                    }
-                    reports.push(report);
-                }
-                AccMethod::Direct => {
-                    let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
-                    let (report, outs) =
-                        launch_map(dev, cost, "numeric_direct", group.len(), dk, |ctx| {
-                            let bp = block(ctx.block_id());
-                            direct_block(ctx, a, b, &bp.rows)
-                        });
-                    for (&bi, (bcols, bvals, counts)) in group.iter().zip(outs) {
-                        place(&plan.blocks[bi].rows, &bcols, &bvals, &counts);
-                    }
-                    reports.push(report);
-                }
+        for (spilled, needs_radix, elems) in results {
+            spilled_blocks += usize::from(spilled);
+            if needs_radix {
+                radix_elems += elems;
             }
         }
+        reports.push(report);
     }
-    assert_eq!(rows_filled, n, "some rows were never computed");
+    assert!(out.all_taken(), "some rows were never computed");
 
     // Trailing radix sort pass for rows the hash kernels left unsorted.
     // (Functionally our accumulator already emits sorted entries; the pass
@@ -447,6 +484,16 @@ mod tests {
     use speck_sparse::reference::spgemm_seq;
 
     fn full_multiply(a: &Csr<f64>, cfg: &SpeckConfig) -> NumericOutput<f64> {
+        tampered_multiply(a, cfg, |_, _| {})
+    }
+
+    /// Runs both passes on `a * a`, letting `tamper` edit the numeric
+    /// plan and C's row offsets before the numeric pass.
+    fn tampered_multiply(
+        a: &Csr<f64>,
+        cfg: &SpeckConfig,
+        tamper: impl FnOnce(&mut PassPlan, &mut Vec<usize>),
+    ) -> NumericOutput<f64> {
         let dev = DeviceConfig::titan_v();
         let cost = CostModel::default();
         let cascade = KernelCascade::for_device(&dev);
@@ -454,9 +501,10 @@ mod tests {
         let (info, _) = analyze(&dev, &cost, a, a);
         let splan = plan_symbolic(&dev, &cost, &cascade, cfg, &info, a.cols());
         let sym = run_symbolic(&dev, &cost, &cascade, cfg, a, a, &info, &splan, &pool);
-        let nplan = plan_numeric(&dev, &cost, &cascade, cfg, &info, &sym.row_nnz, a.cols(), 8);
+        let mut nplan = plan_numeric(&dev, &cost, &cascade, cfg, &info, &sym.row_nnz, a.cols(), 8);
+        let mut row_ptr = row_ptr_from_nnz(&sym.row_nnz);
+        tamper(&mut nplan, &mut row_ptr);
         let groups = group_blocks(&nplan);
-        let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
         run_numeric(
             &dev,
             &cost,
@@ -468,7 +516,6 @@ mod tests {
             &NumericJob {
                 plan: &nplan,
                 groups: &groups,
-                row_nnz: &sym.row_nnz,
                 row_ptr: &row_ptr,
             },
             &pool,
@@ -555,6 +602,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "disagrees with the symbolic count")]
+    fn short_row_slice_panics_in_the_block() {
+        let a = uniform_random(300, 300, 2, 8, 21);
+        tampered_multiply(&a, &SpeckConfig::default(), |_, row_ptr| {
+            // Row 200 gets one slot fewer than it computes.
+            for p in &mut row_ptr[201..] {
+                *p -= 1;
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "computed twice")]
+    fn row_listed_in_two_blocks_panics() {
+        let a = uniform_random(300, 300, 2, 8, 21);
+        tampered_multiply(&a, &SpeckConfig::default(), |plan, _| {
+            let last = plan.blocks.last().unwrap().clone();
+            plan.blocks.push(last);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "some rows were never computed")]
+    fn row_left_out_of_the_plan_panics() {
+        let a = uniform_random(300, 300, 2, 8, 21);
+        tampered_multiply(&a, &SpeckConfig::default(), |plan, _| {
+            plan.blocks.pop();
+        });
+    }
+
+    #[test]
     fn empty_matrix_produces_empty_c() {
         let a: Csr<f64> = Csr::empty(20, 20);
         let out = check(&a, &SpeckConfig::default());
@@ -603,7 +681,6 @@ mod tests {
             &NumericJob {
                 plan: &nplan,
                 groups: &groups,
-                row_nnz: &sym.row_nnz,
                 row_ptr: &row_ptr,
             },
             &pool,

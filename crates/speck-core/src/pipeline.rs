@@ -218,7 +218,9 @@ impl SpeckSpgemm {
     /// Point-in-time snapshot of the engine's metrics, augmented with the
     /// plan-cache counters (`plan_cache/hits|misses|evictions` — counted
     /// inside the cache, injected here) and workspace-pool occupancy
-    /// gauges (`pool/*` — volatile, never baseline-gated).
+    /// gauges (`pool/*` — volatile, never baseline-gated;
+    /// `pool/workspace_peak_in_use` counts host chunks holding a workspace
+    /// at once, at most the number of pool threads per dispatch).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         let cache = self.plans.lock().unwrap();
@@ -478,7 +480,6 @@ impl SpeckSpgemm {
         let job = NumericJob {
             plan: &plan.nplan,
             groups: &plan.ngroups,
-            row_nnz: &plan.row_nnz,
             row_ptr: &plan.row_ptr,
         };
         let num = {

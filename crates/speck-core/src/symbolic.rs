@@ -3,7 +3,8 @@
 //! Executes the pass plan from [`crate::global_lb`]: hash blocks count
 //! distinct columns in a scratchpad map, dense blocks count bits in a
 //! chunked bitmask, and direct blocks read row lengths straight from B's
-//! offsets.
+//! offsets. Hash and dense blocks borrow their buffers from a
+//! [`WorkspacePool`], one checkout per host chunk of blocks.
 
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
@@ -14,8 +15,8 @@ use crate::local_lb::select_group_size;
 use crate::metrics::{LocalHistogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
-    launch_map, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig, KernelConfig,
-    KernelReport,
+    launch_map, launch_map_init, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig,
+    KernelConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
 use std::collections::BTreeMap;
@@ -253,26 +254,16 @@ pub fn run_symbolic<V: Scalar>(
         match method {
             AccMethod::Hash => {
                 let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
-                let (report, outs) = launch_map(
+                let (report, outs) = launch_map_init(
                     dev,
                     cost,
                     format!("symbolic_hash_c{cfg_idx}"),
                     group.len(),
                     kc,
-                    |ctx| {
+                    || pool.acquire(),
+                    |ws, ctx| {
                         let bp = block(ctx.block_id());
-                        let mut ws = pool.acquire();
-                        hash_block(
-                            ctx,
-                            &mut ws,
-                            a,
-                            b,
-                            info,
-                            &bp.rows,
-                            capacity,
-                            entry_bytes,
-                            cfg,
-                        )
+                        hash_block(ctx, ws, a, b, info, &bp.rows, capacity, entry_bytes, cfg)
                     },
                 );
                 for (&bi, (counts, spilled)) in group.iter().zip(outs) {
@@ -285,16 +276,16 @@ pub fn run_symbolic<V: Scalar>(
             }
             AccMethod::Dense => {
                 let bits = cascade.dense_symbolic_bits(cfg_idx);
-                let (report, outs) = launch_map(
+                let (report, outs) = launch_map_init(
                     dev,
                     cost,
                     format!("symbolic_dense_c{cfg_idx}"),
                     group.len(),
                     kc,
-                    |ctx| {
+                    || pool.acquire(),
+                    |ws, ctx| {
                         let bp = block(ctx.block_id());
-                        let mut ws = pool.acquire();
-                        dense_block(ctx, &mut ws, a, b, info, bp.rows[0], bits)
+                        dense_block(ctx, ws, a, b, info, bp.rows[0], bits)
                     },
                 );
                 for (&bi, count) in group.iter().zip(outs) {

@@ -1,18 +1,19 @@
-//! Reusable per-block kernel workspaces.
+//! Reusable kernel workspaces.
 //!
-//! Every simulated block used to allocate its accumulator and iteration
-//! buffers from scratch — on the host that is pure allocator traffic, since
-//! the *simulated* cost of the scratchpad is charged separately through
-//! [`speck_simt::Scratchpad`]. A [`Workspace`] owns those buffers once and
-//! re-arms them per block ("clear-on-reuse"): the hash accumulator resets
-//! its keys and statistics, the dense chunk its mask, and the scratch
-//! vectors just clear while keeping capacity.
+//! Allocating a block's accumulator and iteration buffers from scratch is
+//! pure host allocator traffic, since the *simulated* cost of the
+//! scratchpad is charged separately through [`speck_simt::Scratchpad`].
+//! A [`Workspace`] owns those buffers once and re-arms them per block
+//! ("clear-on-reuse"): the hash accumulator resets its keys and
+//! statistics, the dense chunk its mask, and the scratch vectors just
+//! clear while keeping capacity.
 //!
-//! [`WorkspacePool`] hands workspaces to concurrently running blocks (one
-//! checkout per block, returned on drop), and [`SharedWorkspaces`] keeps
-//! one pool per scalar type so an engine can reuse them across `multiply`
-//! calls — including concurrent multiplies through engine clones, which
-//! all draw from the same registry.
+//! [`WorkspacePool`] hands workspaces out to the host chunks of a launch
+//! (one checkout per chunk of blocks, through
+//! [`speck_simt::launch_map_init`], returned on drop), and
+//! [`SharedWorkspaces`] keeps one pool per scalar type so an engine can
+//! reuse them across `multiply` calls — including concurrent multiplies
+//! through engine clones, which all draw from the same registry.
 //!
 //! **Invariant — host-side reuse never changes simulated cost.** Whatever
 //! a kernel charges through [`speck_simt::BlockCtx`] must be identical
@@ -28,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Reusable buffers for one simulated block.
+/// Reusable buffers for the blocks of one host chunk, re-armed per block.
 #[derive(Debug)]
 pub struct Workspace<V> {
     /// Hash accumulator (key/value arrays); re-arm with
@@ -65,11 +66,12 @@ impl<V: Scalar> Default for Workspace<V> {
     }
 }
 
-/// A pool of [`Workspace`]s shared by concurrently executing blocks.
+/// A pool of [`Workspace`]s shared by concurrently executing host chunks.
 ///
 /// `acquire` pops an idle workspace (or creates one when all are checked
 /// out); the guard returns it on drop. The pool therefore holds at most
-/// one workspace per peak-concurrent block, regardless of grid size.
+/// one workspace per peak-concurrent chunk — per dispatch, at most the
+/// number of pool threads — regardless of grid size.
 #[derive(Debug, Default)]
 pub struct WorkspacePool<V> {
     idle: Mutex<Vec<Workspace<V>>>,
@@ -110,8 +112,8 @@ impl<V: Scalar> WorkspacePool<V> {
     }
 
     /// Highest number of simultaneously checked-out workspaces seen — the
-    /// pool's occupancy high-water mark (block concurrency actually
-    /// reached, as opposed to grid size).
+    /// pool's occupancy high-water mark: host chunks running at once,
+    /// which one dispatch keeps to at most the number of pool threads.
     pub fn peak_in_use(&self) -> usize {
         self.peak_in_use.load(Ordering::Relaxed)
     }
@@ -191,8 +193,8 @@ impl SharedWorkspaces {
     }
 
     /// Total idle workspaces across every scalar type's pool — a coarse
-    /// gauge of peak block concurrency seen so far (concurrent multiplies
-    /// grow it toward the rayon width times per-call concurrency).
+    /// gauge of peak chunk concurrency seen so far (one dispatch reaches at
+    /// most the rayon width; concurrent multiplies add theirs).
     pub fn total_idle(&self) -> usize {
         let pools = self.pools.lock().unwrap();
         pools.values().map(|e| (e.idle)(e.pool.as_ref())).sum()

@@ -55,15 +55,17 @@ proptest! {
     }
 
     #[test]
-    fn counts_per_row_partition_the_map(
+    fn insert_key_reports_each_distinct_key_once(
         entries in proptest::collection::vec((0u32..8, 0u32..100), 0..200),
     ) {
         let mut acc: Accumulator<f64> = Accumulator::new(64);
+        let mut new_keys = 0usize;
         for &(r, c) in &entries {
-            acc.insert_key(compound_key(r, c));
+            new_keys += usize::from(acc.insert_key(compound_key(r, c)));
         }
-        let counts = acc.counts_per_local_row(8);
-        prop_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), acc.len());
+        let distinct: std::collections::BTreeSet<_> = entries.iter().collect();
+        prop_assert_eq!(new_keys, distinct.len());
+        prop_assert_eq!(acc.len(), distinct.len());
     }
 
     #[test]

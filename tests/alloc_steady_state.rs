@@ -71,13 +71,15 @@ fn warm_engine_allocates_less_and_stays_steady() {
         steady1 <= fresh + fresh / 20,
         "steady-state multiply allocated {steady1} times vs {fresh} cold"
     );
-    // Absolute lock on the hot path: this 600-row multiply currently sits
-    // around 1.6k allocations. Reintroducing per-row output staging
-    // (two vectors per row) or per-block accumulator construction would at
-    // least double that, so a 2.5k ceiling catches such regressions while
-    // leaving ample headroom for allocator noise.
+    // Absolute lock on the hot path: this warm 600-row multiply sits at
+    // about 120 allocations with 2 pool threads (80 with 1, 290 with 32;
+    // the pool's per-chunk result vectors grow with its width), because
+    // numeric blocks write C in place and each host chunk of blocks checks
+    // out one workspace. Reintroducing per-block output vectors (about
+    // 720), per-row staging or per-block accumulator construction would
+    // exceed the 375 ceiling, which leaves headroom for allocator noise.
     assert!(
-        steady1 < 2_500,
+        steady1 < 375,
         "steady-state multiply allocated {steady1} times — per-block/per-row allocations are back"
     );
     // And steady state must be steady: back-to-back warm calls may only
