@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the tier-1 test suite, and a build of
-# the repo benchmark (perfbench/, its own workspace) so an engine-API change
-# that breaks the benchmark fails here.
+# Local CI gate: formatting, lints, the tier-1 test suite, and a build and
+# one-second smoke run of the repo benchmark (perfbench/, its own
+# workspace) so an engine-API change that breaks the benchmark fails here.
 #
 #   ./ci.sh             # fmt + clippy + rustdoc + tests + perfbench build
+#                       #     and smoke run
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -84,6 +85,18 @@ cargo test --workspace --release
 
 echo "==> perfbench build (repo benchmark against the engine API)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+# A one-second run of the benchmark's `small` workload: every product it
+# computes must verify, and none may fail.
+echo "==> perfbench smoke run (small workload, 1 s)"
+perfbench_last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload small --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$perfbench_last"
+if ! grep -q '"correct": *true' <<<"$perfbench_last" \
+    || ! grep -q '"failed": *0[,}]' <<<"$perfbench_last"; then
+    echo "FAIL: perfbench smoke run is not correct or has failed operations" >&2
+    exit 1
+fi
 
 if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
     || [ "$run_audit" -eq 1 ]; then

@@ -14,7 +14,7 @@ use crate::{MethodResult, SpgemmMethod};
 use speck_core::analysis::analyze;
 use speck_core::cascade::{numeric_entry_bytes, symbolic_entry_bytes, KernelCascade};
 use speck_core::config::{GlobalLbMode, LocalLbMode, SpeckConfig};
-use speck_core::global_lb::{AccMethod, BlockPlan, GateProvenance, PassPlan, ThresholdSet};
+use speck_core::global_lb::{AccMethod, GateProvenance, PassPlan, ThresholdSet};
 use speck_core::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
 use speck_core::symbolic::{group_blocks, run_symbolic};
 use speck_core::WorkspacePool;
@@ -49,47 +49,9 @@ fn plan(cascade: &KernelCascade, entries: &[u64], entry_bytes: usize) -> PassPla
         let idx = cascade.fit_hash(e as usize, entry_bytes).unwrap_or(largest);
         bins[idx].push(r as u32);
     }
-    let mut blocks = Vec::new();
-    for (idx, bin) in bins.iter().enumerate() {
-        if idx == 0 {
-            // PWARP-style small bin: sequential fill up to the shared map
-            // capacity (but no demand-aware neighbour merging like spECK's
-            // Alg. 2 — order is whatever the scatter binning produced).
-            let cap = cascade.hash_capacity(idx, entry_bytes) as u64;
-            let mut cur: Vec<u32> = Vec::new();
-            let mut used = 0u64;
-            for &r in bin {
-                let e = entries[r as usize];
-                if !cur.is_empty() && (used + e > cap || cur.len() >= SMALL_BIN_PACK) {
-                    blocks.push(BlockPlan {
-                        rows: std::mem::take(&mut cur),
-                        cfg_idx: idx,
-                        method: AccMethod::Hash,
-                    });
-                    used = 0;
-                }
-                cur.push(r);
-                used += e;
-            }
-            if !cur.is_empty() {
-                blocks.push(BlockPlan {
-                    rows: cur,
-                    cfg_idx: idx,
-                    method: AccMethod::Hash,
-                });
-            }
-        } else {
-            for &r in bin {
-                blocks.push(BlockPlan {
-                    rows: vec![r],
-                    cfg_idx: idx,
-                    method: AccMethod::Hash,
-                });
-            }
-        }
-    }
-    PassPlan {
-        blocks,
+    let mut plan = PassPlan {
+        blocks: Vec::new(),
+        rows: Vec::with_capacity(entries.len()),
         used_global_lb: true,
         threshold_set: ThresholdSet::Base,
         lb_reports: Vec::new(),
@@ -108,7 +70,34 @@ fn plan(cascade: &KernelCascade, entries: &[u64], entry_bytes: usize) -> PassPla
             thr_rows: 0,
             used_global_lb: true,
         },
+    };
+    for (idx, bin) in bins.iter().enumerate() {
+        if idx == 0 {
+            // PWARP-style small bin: sequential fill up to the shared map
+            // capacity (but no demand-aware neighbour merging like spECK's
+            // Alg. 2 — order is whatever the scatter binning produced).
+            let cap = cascade.hash_capacity(idx, entry_bytes) as u64;
+            let mut start = 0usize;
+            let mut used = 0u64;
+            for (i, &r) in bin.iter().enumerate() {
+                let e = entries[r as usize];
+                if i > start && (used + e > cap || i - start >= SMALL_BIN_PACK) {
+                    plan.push_block(&bin[start..i], idx, AccMethod::Hash);
+                    start = i;
+                    used = 0;
+                }
+                used += e;
+            }
+            if start < bin.len() {
+                plan.push_block(&bin[start..], idx, AccMethod::Hash);
+            }
+        } else {
+            for &r in bin {
+                plan.push_block(&[r], idx, AccMethod::Hash);
+            }
+        }
     }
+    plan
 }
 
 impl SpgemmMethod for NsparseLike {

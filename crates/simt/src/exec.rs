@@ -1,6 +1,11 @@
 //! Kernel launch: runs every block functionally (rayon across host cores)
 //! and schedules the recorded block costs onto SM slots to produce a
 //! deterministic simulated kernel time.
+//!
+//! A launch costs the host one pool dispatch: the blocks run in one
+//! parallel map, whose results (cost counters, split cycles, block
+//! outputs) are unzipped serially while the launch's aggregate counters
+//! are summed in the same loop.
 
 use crate::block::BlockCtx;
 use crate::cost::{BlockCost, CostModel};
@@ -224,21 +229,18 @@ where
         })
         .collect();
 
+    // The unzip also folds the aggregate counters: every field is an
+    // integer sum, so the total does not depend on the order.
     let mut costs = Vec::with_capacity(grid);
     let mut block_cycles = Vec::with_capacity(grid);
     let mut outputs = Vec::with_capacity(grid);
+    let mut total_cost = BlockCost::default();
     for (c, cy, r) in results {
+        total_cost = total_cost.merge(&c);
         costs.push(c);
         block_cycles.push(cy);
         outputs.push(r);
     }
-    // Parallel fold/reduce of the aggregate counters: every field is an
-    // integer sum, so the reduction is associative, and the chunk-ordered
-    // combination keeps it deterministic.
-    let total_cost = costs
-        .par_iter()
-        .map(|c| *c)
-        .reduce(BlockCost::default, |a, b| a.merge(&b));
 
     let body = schedule_blocks(dev, cfg, &block_cycles);
     let sim_cycles = body + dev.launch_overhead_cycles;
@@ -662,19 +664,29 @@ mod tests {
 
     #[test]
     fn total_cost_aggregates_blocks() {
+        // One block runs inline as a single chunk; 4096 span several host
+        // chunks on any pool wider than one thread. Block i charges i + 1
+        // rounds.
         let d = dev();
-        let r = launch(
-            &d,
-            &CostModel::default(),
-            "k",
-            10,
-            KernelConfig::new(32, 0),
-            |ctx| {
-                ctx.charge_rounds(2);
-                ctx.charge_smem(3);
-            },
-        );
-        assert_eq!(r.total_cost.issue_rounds, 20);
-        assert_eq!(r.total_cost.smem_ops, 30);
+        for grid in [1u64, 4096] {
+            let r = launch(
+                &d,
+                &CostModel::default(),
+                "k",
+                grid as usize,
+                KernelConfig::new(32, 0),
+                |ctx| {
+                    ctx.charge_rounds(ctx.block_id() as u64 + 1);
+                    ctx.charge_smem(3);
+                },
+            );
+            assert_eq!(r.total_cost.issue_rounds, grid * (grid + 1) / 2);
+            assert_eq!(r.total_cost.smem_ops, 3 * grid);
+            let merged = r
+                .block_costs
+                .iter()
+                .fold(BlockCost::default(), |acc, c| acc.merge(c));
+            assert_eq!(merged, r.total_cost);
+        }
     }
 }

@@ -6,9 +6,14 @@
 //! maximum product count over rows is also extracted. This is all the
 //! information the global and local load balancers and the accumulator
 //! selection consume.
+//!
+//! Each block of the analysis kernel owns a contiguous run of rows and
+//! writes their [`RowInfo`] records in place, into its chunk of the final
+//! per-row vector; the host allocates that vector once per call.
 
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
-use speck_simt::{launch_map, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport};
+use crate::workspace::Slots;
+use speck_simt::{launch, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport};
 use speck_sparse::{Csr, Scalar};
 
 /// Per-row analysis record.
@@ -99,18 +104,21 @@ pub fn analyze<V: Scalar>(
     let grid = n.div_ceil(rows_per_block);
     let cfg = KernelConfig::new(threads, 0);
 
-    let (report, per_block): (KernelReport, Vec<Vec<RowInfo>>) = launch_map(
+    let mut rows = vec![RowInfo::default(); n];
+    let chunks = Slots::new(rows.chunks_mut(rows_per_block));
+    let report = launch(
         dev,
         cost,
         "row_analysis",
         grid,
         cfg,
         |ctx: &mut BlockCtx| {
+            let out = chunks
+                .take(ctx.block_id())
+                .expect("each analysis block runs once");
             let start = ctx.block_id() * rows_per_block;
-            let end = (start + rows_per_block).min(n);
-            let mut out = Vec::with_capacity(end - start);
             let mut nnz_in_block = 0usize;
-            for i in start..end {
+            for (i, slot) in (start..).zip(out.iter_mut()) {
                 let (a_cols, _) = a.row(i);
                 let mut info = RowInfo {
                     products: 0,
@@ -135,7 +143,7 @@ pub fn analyze<V: Scalar>(
                     info.col_max = 0;
                 }
                 nnz_in_block += a_cols.len();
-                out.push(info);
+                *slot = info;
             }
             // Cost: stream A's columns once (coalesced, 4 B each); per NZ of
             // A, fetch the B row-offset pair plus the first and last column
@@ -143,29 +151,25 @@ pub fn analyze<V: Scalar>(
             // NZ, since clustered references (the common case, cf. paper
             // Fig. 8) hit cache (Alg. 1 lines 5-7). The block-level
             // prod_max reduction is a couple of scratchpad ops per row.
-            ctx.charge_gmem_stream(ctx.threads(), end - start + 1, 8); // A row_ptr
+            let block_rows = out.len();
+            ctx.charge_gmem_stream(ctx.threads(), block_rows + 1, 8); // A row_ptr
             ctx.charge_gmem_stream(ctx.threads(), nnz_in_block, 4); // A cols
             ctx.charge_gmem_scatter(nnz_in_block as u64);
-            ctx.charge_smem(2 * (end - start) as u64);
-            out
+            ctx.charge_smem(2 * block_rows as u64);
         },
     );
 
-    let mut rows = Vec::with_capacity(n);
-    for block in per_block {
-        rows.extend(block);
-    }
-    let max_products = rows.iter().map(|r| r.products).max().unwrap_or(0);
-    let total_products = rows.iter().map(|r| r.products).sum();
-    // Host-side bookkeeping folded into the analysis sweep: it charges
-    // nothing (the simulated kernel above already paid for reading the
-    // per-row products).
+    // Host-side bookkeeping folded into one sweep over the records: it
+    // charges nothing (the simulated kernel above already paid for
+    // reading the per-row products).
     let cascade = KernelCascade::for_device(dev);
     let overflow_cap = cascade.hash_capacity(cascade.largest(), symbolic_entry_bytes(b.cols()));
-    let overflow_rows = rows
-        .iter()
-        .filter(|r| r.products as usize > overflow_cap)
-        .count();
+    let (mut max_products, mut total_products, mut overflow_rows) = (0u64, 0u64, 0usize);
+    for r in &rows {
+        max_products = max_products.max(r.products);
+        total_products += r.products;
+        overflow_rows += usize::from(r.products as usize > overflow_cap);
+    }
     (
         AnalysisInfo {
             rows,

@@ -681,8 +681,8 @@ fn gate_record(
         let block_cycles: Vec<f64> = group
             .iter()
             .map(|&bi| {
-                alt_plan.blocks[bi]
-                    .rows
+                alt_plan
+                    .block_rows(bi)
                     .iter()
                     .map(|row| attr.get(row).copied().unwrap_or(0.0))
                     .sum()

@@ -2,12 +2,19 @@
 //! rows into the six kernel configurations by scratchpad demand, merging
 //! the smallest bin, and producing the block plan each SpGEMM pass
 //! executes.
+//!
+//! A [`PassPlan`] is flat: one row list holding every block's rows back
+//! to back, and per block a copyable run of it ([`BlockPlan`]: offset,
+//! length, configuration, accumulator). Building a plan allocates per
+//! pass, not per block, and kernels read a block's rows as a slice
+//! ([`PassPlan::block_rows`]).
 
 use crate::analysis::AnalysisInfo;
 use crate::block_merge::block_merge;
 use crate::cascade::{numeric_entry_bytes, symbolic_entry_bytes, KernelCascade};
 use crate::config::{GlobalLbMode, SpeckConfig};
 use crate::denseacc::dense_iterations;
+use crate::hashacc::MAX_HASH_BLOCK_ROWS;
 use crate::metrics::{LocalHistogram, MetricsRegistry};
 use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport};
 
@@ -41,12 +48,15 @@ impl AccMethod {
     }
 }
 
-/// One thread block of a SpGEMM pass.
-#[derive(Clone, Debug)]
+/// One thread block of a SpGEMM pass: a run of its plan's row list
+/// ([`PassPlan::block_rows`]) and the configuration it runs at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockPlan {
-    /// Rows of A this block computes (1–32 for hash, 1 for dense, many for
-    /// direct).
-    pub rows: Vec<u32>,
+    /// Offset of the block's first row in [`PassPlan::rows`].
+    pub start: usize,
+    /// Rows of A this block computes (1–32 for hash, 1 for dense, up to
+    /// [`DIRECT_ROWS_PER_BLOCK`] for direct).
+    pub len: usize,
     /// Kernel-cascade index the block runs at.
     pub cfg_idx: usize,
     /// Accumulator.
@@ -91,8 +101,11 @@ pub struct GateProvenance {
 /// Plan for one SpGEMM pass.
 #[derive(Clone, Debug)]
 pub struct PassPlan {
-    /// All blocks, grouped by (method, cfg) for launching.
+    /// All blocks, in plan order; [`crate::symbolic::group_blocks`]
+    /// groups them by (method, cfg) for launching.
     pub blocks: Vec<BlockPlan>,
+    /// The rows of every block, back to back in block order.
+    pub rows: Vec<u32>,
     /// Whether the global load balancer (binning) ran.
     pub used_global_lb: bool,
     /// Which threshold set the Auto decision consulted.
@@ -127,6 +140,23 @@ pub struct PassSummary {
 }
 
 impl PassPlan {
+    /// Rows of A that block `i` computes.
+    pub fn block_rows(&self, i: usize) -> &[u32] {
+        let b = &self.blocks[i];
+        &self.rows[b.start..b.start + b.len]
+    }
+
+    /// Appends a block computing `rows` at cascade index `cfg_idx`.
+    pub fn push_block(&mut self, rows: &[u32], cfg_idx: usize, method: AccMethod) {
+        self.blocks.push(BlockPlan {
+            start: self.rows.len(),
+            len: rows.len(),
+            cfg_idx,
+            method,
+        });
+        self.rows.extend_from_slice(rows);
+    }
+
     /// The pass's copyable decision summary (for reports).
     pub fn summary(&self) -> PassSummary {
         PassSummary {
@@ -170,7 +200,7 @@ impl PassPlan {
         add("blocks_direct", r as u64);
         let mut rows = LocalHistogram::new();
         for b in &self.blocks {
-            rows.record(b.rows.len() as u64);
+            rows.record(b.len as u64);
         }
         m.histogram(&format!("sim/lb/{pass}/rows_per_block"))
             .merge_local(&rows);
@@ -339,30 +369,30 @@ fn plan_pass(
         .unwrap_or(largest);
     let needs_large = max_cfg >= large_kernel_cut;
     let gate = decide_lb(mode, ratio, n, needs_large, thr.0, thr.1, thr.2, thr.3);
-    let (use_lb, set) = (gate.used_global_lb, gate.threshold_set);
+    let use_lb = gate.used_global_lb;
 
-    let mut blocks: Vec<BlockPlan> = Vec::new();
-    let mut lb_reports = Vec::new();
-    let mut lb_alloc_bytes = 0usize;
+    let mut plan = PassPlan {
+        blocks: Vec::new(),
+        rows: Vec::with_capacity(n),
+        used_global_lb: use_lb,
+        threshold_set: gate.threshold_set,
+        lb_reports: Vec::new(),
+        lb_alloc_bytes: 0,
+        decision_ratio: ratio,
+        decision_rows: n,
+        gate,
+    };
 
     // Direct blocks: many rows per block, no scratchpad.
     let directs: Vec<u32> = (0..n as u32).filter(|&r| direct_rows[r as usize]).collect();
     for chunk in directs.chunks(DIRECT_ROWS_PER_BLOCK) {
-        blocks.push(BlockPlan {
-            rows: chunk.to_vec(),
-            cfg_idx: 0,
-            method: AccMethod::Direct,
-        });
+        plan.push_block(chunk, 0, AccMethod::Direct);
     }
 
     // Dense blocks: one row each at the configuration sized for the row.
     for r in 0..n as u32 {
         if let Some(cfg_idx) = dense_rows[r as usize] {
-            blocks.push(BlockPlan {
-                rows: vec![r],
-                cfg_idx,
-                method: AccMethod::Dense,
-            });
+            plan.push_block(&[r], cfg_idx, AccMethod::Dense);
         }
     }
 
@@ -375,8 +405,9 @@ fn plan_pass(
             let idx = cascade.fit_hash(need, entry_bytes).unwrap_or(largest);
             bins[idx].push(r);
         }
-        lb_reports.push(charge_binning(dev, cost, pass_name, n, n_bins));
-        lb_alloc_bytes += n * 4 + n_bins * 8;
+        plan.lb_reports
+            .push(charge_binning(dev, cost, pass_name, n, n_bins));
+        plan.lb_alloc_bytes += n * 4 + n_bins * 8;
 
         // Smallest non-empty bin: merge neighbouring rows into blocks.
         // Larger bins: one row per block.
@@ -394,7 +425,7 @@ fn plan_pass(
                     .collect();
                 let (segs, work) = block_merge(&demands, cap.max(1), block_merge_enabled);
                 if work > 0 {
-                    lb_reports.push(launch(
+                    plan.lb_reports.push(launch(
                         dev,
                         cost,
                         "block_merge",
@@ -407,19 +438,11 @@ fn plan_pass(
                     ));
                 }
                 for seg in segs {
-                    blocks.push(BlockPlan {
-                        rows: bin[seg.start..seg.start + seg.len].to_vec(),
-                        cfg_idx: idx,
-                        method: AccMethod::Hash,
-                    });
+                    plan.push_block(&bin[seg.start..seg.start + seg.len], idx, AccMethod::Hash);
                 }
             } else {
                 for &r in bin {
-                    blocks.push(BlockPlan {
-                        rows: vec![r],
-                        cfg_idx: idx,
-                        method: AccMethod::Hash,
-                    });
+                    plan.push_block(&[r], idx, AccMethod::Hash);
                 }
             }
         }
@@ -430,26 +453,12 @@ fn plan_pass(
         let cfg_idx = max_cfg;
         let cap = cascade.hash_capacity(cfg_idx, entry_bytes) as u64;
         let per_row = max_entries.max(1);
-        let rows_per_block = ((cap / per_row).max(1) as usize).min(32);
+        let rows_per_block = ((cap / per_row).max(1) as usize).min(MAX_HASH_BLOCK_ROWS);
         for chunk in hash_rows.chunks(rows_per_block) {
-            blocks.push(BlockPlan {
-                rows: chunk.to_vec(),
-                cfg_idx,
-                method: AccMethod::Hash,
-            });
+            plan.push_block(chunk, cfg_idx, AccMethod::Hash);
         }
     }
-
-    PassPlan {
-        blocks,
-        used_global_lb: use_lb,
-        threshold_set: set,
-        lb_reports,
-        lb_alloc_bytes,
-        decision_ratio: ratio,
-        decision_rows: n,
-        gate,
-    }
+    plan
 }
 
 /// Plans the symbolic pass from the row analysis.
@@ -606,7 +615,9 @@ mod tests {
     }
 
     fn rows_covered(plan: &PassPlan) -> Vec<u32> {
-        let mut all: Vec<u32> = plan.blocks.iter().flat_map(|b| b.rows.clone()).collect();
+        let mut all: Vec<u32> = (0..plan.blocks.len())
+            .flat_map(|i| plan.block_rows(i).iter().copied())
+            .collect();
         all.sort_unstable();
         all
     }
@@ -749,8 +760,11 @@ mod tests {
             plan.blocks.iter().map(|b| b.cfg_idx).collect();
         assert_eq!(cfgs.len(), 1);
         // Rows are packed multiple per block (short rows).
-        assert!(plan.blocks.iter().any(|b| b.rows.len() > 1));
-        assert!(plan.blocks.iter().all(|b| b.rows.len() <= 32));
+        let lens: Vec<usize> = (0..plan.blocks.len())
+            .map(|i| plan.block_rows(i).len())
+            .collect();
+        assert!(lens.iter().any(|&l| l > 1));
+        assert!(lens.iter().all(|&l| l <= 32));
     }
 
     #[test]
@@ -777,9 +791,9 @@ mod tests {
             ..SpeckConfig::default()
         };
         let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
-        for b in &plan.blocks {
+        for (i, b) in plan.blocks.iter().enumerate() {
             if b.method == AccMethod::Hash {
-                assert!(b.rows.len() <= 32);
+                assert!(plan.block_rows(i).len() <= 32);
             }
         }
     }

@@ -21,11 +21,18 @@ const HASH_PRIME: u64 = 4_294_967_291;
 /// Sentinel for an empty slot.
 const EMPTY: u64 = u64::MAX;
 
+/// Most rows one hash block may hold: the compound key's row field is
+/// 5 bits wide (the paper limits blocks to 32 rows).
+pub const MAX_HASH_BLOCK_ROWS: usize = 32;
+
 /// Builds the compound key for (local row, column) — 5 bits of row, the
-/// rest column (paper limits blocks to 32 rows so 5 bits suffice).
+/// rest column.
 #[inline]
 pub fn compound_key(local_row: u32, col: u32) -> u64 {
-    debug_assert!(local_row < 32, "blocks hold at most 32 rows");
+    debug_assert!(
+        (local_row as usize) < MAX_HASH_BLOCK_ROWS,
+        "blocks hold at most 32 rows"
+    );
     ((local_row as u64) << 59) | col as u64
 }
 

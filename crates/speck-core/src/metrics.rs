@@ -61,6 +61,7 @@
 use crate::json::{parse_json_value, push_json_string, JsonValue};
 use crate::plan::fnv1a_bytes;
 use crate::trace::{TraceRecord, TraceRecordKind};
+use speck_simt::BlockCost;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -292,7 +293,15 @@ impl MetricsRegistry {
         cast: G,
     ) -> T {
         let mut shard = self.shards[shard_of(name)].lock().unwrap();
-        let metric = shard.entry(name.to_string()).or_insert_with(make).clone();
+        // Look up by `&str` first: only a registration allocates the key.
+        let metric = match shard.get(name) {
+            Some(m) => m.clone(),
+            None => {
+                let m = make();
+                shard.insert(name.to_string(), m.clone());
+                m
+            }
+        };
         drop(shard);
         cast(&metric).unwrap_or_else(|| panic!("metric '{name}' registered with another kind"))
     }
@@ -347,30 +356,89 @@ impl MetricsRegistry {
     /// launch count, simulated cycles (millicycle resolution), every
     /// non-zero cost-model counter, and grid-size / cycle histograms.
     /// Fixed-cost records carry no counters.
+    ///
+    /// The stream is folded per stage and per kernel name first, so the
+    /// registry sees each metric once per call, not once per launch; the
+    /// sums and histograms are the same either way.
     pub fn record_launches(&self, records: &[TraceRecord]) {
+        /// One stage's launches, folded.
+        struct StageFold {
+            stage: &'static str,
+            launches: u64,
+            cycles_milli: u64,
+            cost: BlockCost,
+            grid: LocalHistogram,
+        }
+        let mut stages: Vec<StageFold> = Vec::new();
+        let mut kernels: Vec<(&str, u64, u64)> = Vec::new();
+        let mut launch_cycles = LocalHistogram::new();
         for r in records {
             let TraceRecordKind::Kernel(k) = &r.kind else {
                 continue;
             };
-            let stage = r.stage;
             let cycles_milli = (k.sim_cycles * 1e3).round() as u64;
-            self.counter(&format!("sim/stage/{stage}/launches")).add(1);
-            self.counter(&format!("sim/stage/{stage}/cycles_milli"))
-                .add(cycles_milli);
-            for (cname, v) in k.cost.counters() {
+            let si = match stages.iter().position(|f| f.stage == r.stage) {
+                Some(i) => i,
+                None => {
+                    stages.push(StageFold {
+                        stage: r.stage,
+                        launches: 0,
+                        cycles_milli: 0,
+                        cost: BlockCost::default(),
+                        grid: LocalHistogram::new(),
+                    });
+                    stages.len() - 1
+                }
+            };
+            let f = &mut stages[si];
+            f.launches += 1;
+            f.cycles_milli += cycles_milli;
+            f.cost = f.cost.merge(&k.cost);
+            f.grid.record(k.grid as u64);
+            match kernels.iter_mut().find(|(name, ..)| *name == k.name) {
+                Some((_, n, c)) => {
+                    *n += 1;
+                    *c += cycles_milli;
+                }
+                None => kernels.push((&k.name, 1, cycles_milli)),
+            }
+            launch_cycles.record(cycles_milli);
+        }
+        // No launch registers no metric, not even an empty histogram.
+        if stages.is_empty() {
+            return;
+        }
+        // One reused buffer for the metric names.
+        fn named<'k>(key: &'k mut String, args: std::fmt::Arguments) -> &'k str {
+            key.clear();
+            key.write_fmt(args)
+                .expect("writing to a String cannot fail");
+            key
+        }
+        let key = &mut String::new();
+        for f in &stages {
+            let stage = f.stage;
+            self.counter(named(key, format_args!("sim/stage/{stage}/launches")))
+                .add(f.launches);
+            self.counter(named(key, format_args!("sim/stage/{stage}/cycles_milli")))
+                .add(f.cycles_milli);
+            for (cname, v) in f.cost.counters() {
                 if v > 0 {
-                    self.counter(&format!("sim/stage/{stage}/{cname}")).add(v);
+                    self.counter(named(key, format_args!("sim/stage/{stage}/{cname}")))
+                        .add(v);
                 }
             }
-            self.histogram(&format!("sim/stage/{stage}/grid"))
-                .record(k.grid as u64);
-            let kname = &k.name;
-            self.counter(&format!("sim/kernel/{kname}/launches")).add(1);
-            self.counter(&format!("sim/kernel/{kname}/cycles_milli"))
-                .add(cycles_milli);
-            self.histogram("sim/launch/cycles_milli")
-                .record(cycles_milli);
+            self.histogram(named(key, format_args!("sim/stage/{stage}/grid")))
+                .merge_local(&f.grid);
         }
+        for &(kname, launches, cycles_milli) in &kernels {
+            self.counter(named(key, format_args!("sim/kernel/{kname}/launches")))
+                .add(launches);
+            self.counter(named(key, format_args!("sim/kernel/{kname}/cycles_milli")))
+                .add(cycles_milli);
+        }
+        self.histogram("sim/launch/cycles_milli")
+            .merge_local(&launch_cycles);
     }
 
     /// Point-in-time copy of every metric, sorted by name.

@@ -22,13 +22,12 @@ use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
 use crate::symbolic::LaunchGroups;
-use crate::workspace::{Workspace, WorkspacePool};
+use crate::workspace::{Slots, Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, launch_map_init, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig,
     KernelConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
-use std::sync::Mutex;
 
 /// What one numeric block reports back besides the rows it wrote: whether
 /// it spilled to a global hash map, whether its rows still need the global
@@ -40,44 +39,28 @@ type RowOut<'c, V> = (&'c mut [u32], &'c mut [V]);
 
 /// C's column and value arrays split into one slice pair per row, each
 /// handed to the one block that computes the row.
-struct RowSlots<'c, V> {
-    rows: Vec<Mutex<Option<RowOut<'c, V>>>>,
+type RowSlots<'c, V> = Slots<RowOut<'c, V>>;
+
+/// Splits `cols`/`vals` at the offsets of `row_ptr`.
+fn row_slots<'c, V>(
+    row_ptr: &[usize],
+    mut cols: &'c mut [u32],
+    mut vals: &'c mut [V],
+) -> RowSlots<'c, V> {
+    Slots::new(row_ptr.windows(2).map(|w| {
+        let len = w[1] - w[0];
+        let (c, rest) = std::mem::take(&mut cols).split_at_mut(len);
+        cols = rest;
+        let (v, rest) = std::mem::take(&mut vals).split_at_mut(len);
+        vals = rest;
+        (c, v)
+    }))
 }
 
-impl<'c, V> RowSlots<'c, V> {
-    /// Splits `cols`/`vals` at the offsets of `row_ptr`.
-    fn new(row_ptr: &[usize], mut cols: &'c mut [u32], mut vals: &'c mut [V]) -> Self {
-        let rows = row_ptr
-            .windows(2)
-            .map(|w| {
-                let len = w[1] - w[0];
-                let (c, rest) = std::mem::take(&mut cols).split_at_mut(len);
-                cols = rest;
-                let (v, rest) = std::mem::take(&mut vals).split_at_mut(len);
-                vals = rest;
-                Mutex::new(Some((c, v)))
-            })
-            .collect();
-        Self { rows }
-    }
-
-    /// Takes row `r`'s output slices; panics if the row was taken before.
-    fn take(&self, r: u32) -> RowOut<'c, V> {
-        let slot = self.rows[r as usize]
-            .lock()
-            .expect("a row slot is never held across a panic")
-            .take();
-        slot.unwrap_or_else(|| panic!("numeric row {r} computed twice"))
-    }
-
-    /// Whether every row has been taken.
-    fn all_taken(self) -> bool {
-        self.rows.into_iter().all(|m| {
-            m.into_inner()
-                .expect("a row slot is never held across a panic")
-                .is_none()
-        })
-    }
+/// Takes row `r`'s output slices; panics if the row was taken before.
+fn take_row<'c, V>(out: &RowSlots<'c, V>, r: u32) -> RowOut<'c, V> {
+    out.take(r as usize)
+        .unwrap_or_else(|| panic!("numeric row {r} computed twice"))
 }
 
 /// Checks that row `r` produced exactly as many entries as its slice has.
@@ -206,7 +189,7 @@ fn hash_block<V: Scalar>(
             .count();
         let (run, tail) = rest.split_at(len);
         rest = tail;
-        let (cols, vals) = out.take(r);
+        let (cols, vals) = take_row(out, r);
         check_row_len(r, len, cols.len());
         for ((c, v), &(key, val)) in cols.iter_mut().zip(vals.iter_mut()).zip(run) {
             *c = split_key(key).1;
@@ -231,7 +214,7 @@ fn dense_block<V: Scalar>(
     let threads = ctx.threads();
     let ri = &info.rows[row as usize];
     let range = ri.col_range();
-    let (cols_out, vals_out) = out.take(row);
+    let (cols_out, vals_out) = take_row(out, row);
     if range == 0 {
         check_row_len(row, 0, cols_out.len());
         return (false, false, 0);
@@ -311,7 +294,7 @@ fn direct_block<V: Scalar>(
     let mut elems = 0usize;
     for &r in rows {
         let (a_cols, a_vals) = a.row(r as usize);
-        let (cols, vals) = out.take(r);
+        let (cols, vals) = take_row(out, r);
         if let (Some(&k), Some(&av)) = (a_cols.first(), a_vals.first()) {
             let (b_cols, b_vals) = b.row(k as usize);
             check_row_len(r, b_cols.len(), cols.len());
@@ -391,11 +374,11 @@ pub fn run_numeric<V: Scalar>(
     let total = *row_ptr.last().unwrap_or(&0);
     let mut col_idx = vec![0u32; total];
     let mut vals = vec![V::zero(); total];
-    let out = RowSlots::new(row_ptr, &mut col_idx, &mut vals);
+    let out = row_slots(row_ptr, &mut col_idx, &mut vals);
 
     for (&(method, cfg_idx), group) in job.groups {
         let kc = cascade.config(cfg_idx);
-        let rows = |ctx: &BlockCtx| &plan.blocks[group[ctx.block_id()]].rows;
+        let rows = |ctx: &BlockCtx| plan.block_rows(group[ctx.block_id()]);
         let (report, results) = match method {
             AccMethod::Hash => {
                 let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
@@ -618,7 +601,7 @@ mod tests {
     fn row_listed_in_two_blocks_panics() {
         let a = uniform_random(300, 300, 2, 8, 21);
         tampered_multiply(&a, &SpeckConfig::default(), |plan, _| {
-            let last = plan.blocks.last().unwrap().clone();
+            let last = *plan.blocks.last().unwrap();
             plan.blocks.push(last);
         });
     }

@@ -10,7 +10,7 @@ use crate::analysis::AnalysisInfo;
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan};
-use crate::hashacc::compound_key;
+use crate::hashacc::{compound_key, MAX_HASH_BLOCK_ROWS};
 use crate::local_lb::select_group_size;
 use crate::metrics::{LocalHistogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
@@ -53,8 +53,8 @@ impl SymbolicOutput {
 pub type LaunchGroups = BTreeMap<(AccMethod, usize), Vec<usize>>;
 
 /// Groups plan blocks into launches of identical (accumulator, config).
-/// The groups hold indices into `plan.blocks` — the plans (with their row
-/// lists) stay where they are instead of being cloned per launch.
+/// The groups hold indices into `plan.blocks` — the blocks (and the plan's
+/// row list) stay where they are instead of being copied per launch.
 ///
 /// Public so callers that drive [`crate::numeric::run_numeric`] directly
 /// (reusable plans, the nsparse-style baseline) can precompute the
@@ -68,7 +68,9 @@ pub fn group_blocks(plan: &PassPlan) -> LaunchGroups {
 }
 
 /// Per-block symbolic hash kernel: counts distinct output columns of up to
-/// 32 rows in one scratchpad map.
+/// [`MAX_HASH_BLOCK_ROWS`] rows in one scratchpad map. Returns the counts in
+/// `rows` order (the rest of the array stays zero) and whether the map
+/// spilled to global memory.
 #[allow(clippy::too_many_arguments)]
 fn hash_block<V: Scalar>(
     ctx: &mut BlockCtx,
@@ -80,7 +82,12 @@ fn hash_block<V: Scalar>(
     capacity: usize,
     entry_bytes: usize,
     cfg: &SpeckConfig,
-) -> (Vec<u32>, bool) {
+) -> ([u32; MAX_HASH_BLOCK_ROWS], bool) {
+    assert!(
+        rows.len() <= MAX_HASH_BLOCK_ROWS,
+        "a hash block holds at most {MAX_HASH_BLOCK_ROWS} rows, got {}",
+        rows.len()
+    );
     let threads = ctx.threads();
     let nnz_a: u64 = rows
         .iter()
@@ -102,7 +109,7 @@ fn hash_block<V: Scalar>(
     let iters = &mut ws.iters;
     iters.clear();
     let mut tx = 0u64;
-    let mut counts = vec![0u32; rows.len()];
+    let mut counts = [0u32; MAX_HASH_BLOCK_ROWS];
 
     for (li, &r) in rows.iter().enumerate() {
         let (a_cols, _) = a.row(r as usize);
@@ -250,7 +257,7 @@ pub fn run_symbolic<V: Scalar>(
     let groups = group_blocks(plan);
     for (&(method, cfg_idx), group) in &groups {
         let kc = cascade.config(cfg_idx);
-        let block = |i: usize| &plan.blocks[group[i]];
+        let rows = |ctx: &BlockCtx| plan.block_rows(group[ctx.block_id()]);
         match method {
             AccMethod::Hash => {
                 let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
@@ -262,13 +269,13 @@ pub fn run_symbolic<V: Scalar>(
                     kc,
                     || pool.acquire(),
                     |ws, ctx| {
-                        let bp = block(ctx.block_id());
-                        hash_block(ctx, ws, a, b, info, &bp.rows, capacity, entry_bytes, cfg)
+                        let rows = rows(ctx);
+                        hash_block(ctx, ws, a, b, info, rows, capacity, entry_bytes, cfg)
                     },
                 );
                 for (&bi, (counts, spilled)) in group.iter().zip(outs) {
                     spilled_blocks += usize::from(spilled);
-                    for (&r, c) in plan.blocks[bi].rows.iter().zip(counts) {
+                    for (&r, c) in plan.block_rows(bi).iter().zip(counts) {
                         row_nnz[r as usize] = c;
                     }
                 }
@@ -284,12 +291,12 @@ pub fn run_symbolic<V: Scalar>(
                     kc,
                     || pool.acquire(),
                     |ws, ctx| {
-                        let bp = block(ctx.block_id());
-                        dense_block(ctx, ws, a, b, info, bp.rows[0], bits)
+                        let row = rows(ctx)[0];
+                        dense_block(ctx, ws, a, b, info, row, bits)
                     },
                 );
                 for (&bi, count) in group.iter().zip(outs) {
-                    row_nnz[plan.blocks[bi].rows[0] as usize] = count;
+                    row_nnz[plan.block_rows(bi)[0] as usize] = count;
                 }
                 reports.push(report);
             }
@@ -297,11 +304,11 @@ pub fn run_symbolic<V: Scalar>(
                 let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
                 let (report, outs) =
                     launch_map(dev, cost, "symbolic_direct", group.len(), dk, |ctx| {
-                        let bp = block(ctx.block_id());
-                        direct_block(ctx, a, b, &bp.rows)
+                        let rows = rows(ctx);
+                        direct_block(ctx, a, b, rows)
                     });
                 for (&bi, counts) in group.iter().zip(outs) {
-                    for (&r, c) in plan.blocks[bi].rows.iter().zip(counts) {
+                    for (&r, c) in plan.block_rows(bi).iter().zip(counts) {
                         row_nnz[r as usize] = c;
                     }
                 }

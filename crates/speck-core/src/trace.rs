@@ -327,8 +327,8 @@ impl ExecutionTrace {
 }
 
 /// Per-block spECK annotations of one SpGEMM pass: one list per launch
-/// group of `groups`, in group order. Clones every block's row list, so
-/// the pipeline calls it only when tracing or auditing.
+/// group of `groups`, in group order. Copies every block's rows, so the
+/// pipeline calls it only when tracing or auditing.
 pub(crate) fn pass_annotations(
     dev: &DeviceConfig,
     cascade: &KernelCascade,
@@ -347,7 +347,7 @@ pub(crate) fn pass_annotations(
             group
                 .iter()
                 .map(|&bi| {
-                    let rows = plan.blocks[bi].rows.clone();
+                    let rows = plan.block_rows(bi).to_vec();
                     let group_size = (acc == AccMethod::Hash).then(|| {
                         let nnz_a: u64 = rows
                             .iter()

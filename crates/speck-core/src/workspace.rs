@@ -13,7 +13,10 @@
 //! [`speck_simt::launch_map_init`], returned on drop), and
 //! [`SharedWorkspaces`] keeps one pool per scalar type so an engine can
 //! reuse them across `multiply` calls — including concurrent multiplies
-//! through engine clones, which all draw from the same registry.
+//! through engine clones, which all draw from the same registry. Kernels
+//! that write one output buffer in place (the row analysis, the numeric
+//! pass) hand its disjoint pieces to their blocks through the
+//! crate-private `Slots`.
 //!
 //! **Invariant — host-side reuse never changes simulated cost.** Whatever
 //! a kernel charges through [`speck_simt::BlockCtx`] must be identical
@@ -28,6 +31,39 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Disjoint pieces of one output buffer — per-row slices of C, per-block
+/// chunks of the row-analysis records — each handed out once to the block
+/// that writes it, so parallel blocks fill one buffer in place.
+pub(crate) struct Slots<T> {
+    slots: Vec<Mutex<Option<T>>>,
+}
+
+impl<T> Slots<T> {
+    /// One slot per piece, in order.
+    pub(crate) fn new(pieces: impl IntoIterator<Item = T>) -> Self {
+        Self {
+            slots: pieces.into_iter().map(|p| Mutex::new(Some(p))).collect(),
+        }
+    }
+
+    /// Takes piece `i`; `None` if it was taken before.
+    pub(crate) fn take(&self, i: usize) -> Option<T> {
+        self.slots[i]
+            .lock()
+            .expect("a slot is never held across a panic")
+            .take()
+    }
+
+    /// Whether every piece has been taken.
+    pub(crate) fn all_taken(self) -> bool {
+        self.slots.into_iter().all(|m| {
+            m.into_inner()
+                .expect("a slot is never held across a panic")
+                .is_none()
+        })
+    }
+}
 
 /// Reusable buffers for the blocks of one host chunk, re-armed per block.
 #[derive(Debug)]

@@ -2,13 +2,11 @@
 //!
 //! The build environment has no registry access, so this crate provides the
 //! subset of rayon's API the workspace uses — `into_par_iter` on ranges,
-//! `par_iter` on slices, `map`, `map_init`, `collect`, `reduce`, `sum` — on
-//! top of a persistent `std::thread` worker pool.
+//! `map`, `map_init`, `collect` — on top of a persistent `std::thread`
+//! worker pool.
 //!
 //! Guarantees the workspace relies on:
 //! - **Order preservation**: `collect()` returns items in iteration order.
-//! - **Determinism**: `reduce()` combines per-chunk partial results in chunk
-//!   order, so the combination tree is fixed regardless of thread timing.
 //! - **Re-entrancy**: nested parallel calls from inside a worker run inline
 //!   (serially) instead of deadlocking the pool.
 
@@ -18,9 +16,7 @@ use pool::parallel_chunks;
 
 /// The rayon prelude: import the traits.
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator,
-    };
+    pub use crate::{IntoParallelIterator, ParallelIterator};
 }
 
 /// Number of worker threads the global pool uses (including the caller).
@@ -66,26 +62,6 @@ pub trait IntoParallelIterator {
     fn into_par_iter(self) -> Self::Iter;
 }
 
-/// `par_iter()` on borrowed collections.
-pub trait IntoParallelRefIterator<'a> {
-    /// Item type (a reference).
-    type Item: Send;
-    /// Resulting iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Parallel iterator over `&self`.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-/// `par_iter_mut()` on borrowed collections (disjoint chunk handout).
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Item type (a mutable reference).
-    type Item: Send;
-    /// Resulting iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// Parallel iterator over `&mut self`.
-    fn par_iter_mut(&'a mut self) -> Self::Iter;
-}
-
 /// Producer for `Range<usize>`.
 pub struct RangeProducer {
     start: usize,
@@ -112,39 +88,6 @@ impl IntoParallelIterator for std::ops::Range<usize> {
             start: self.start,
             len: self.end.saturating_sub(self.start),
         })
-    }
-}
-
-/// Producer for slices.
-pub struct SliceProducer<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> Producer for SliceProducer<'a, T> {
-    type Item = &'a T;
-    type State = ();
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-    fn init(&self) {}
-    fn produce(&self, _: &mut (), idx: usize) -> &'a T {
-        &self.slice[idx]
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    type Iter = ParIter<SliceProducer<'a, T>>;
-    fn par_iter(&'a self) -> Self::Iter {
-        ParIter(SliceProducer { slice: self })
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = ParIter<SliceProducer<'a, T>>;
-    fn par_iter(&'a self) -> Self::Iter {
-        ParIter(SliceProducer { slice: self })
     }
 }
 
@@ -241,36 +184,6 @@ pub trait ParallelIterator: Sized {
     fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
         C::from_par_iter(self)
     }
-
-    /// Reduces all items with `op`, seeding each chunk with `identity()`.
-    /// Chunk partials are combined in chunk order (deterministic tree).
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
-    {
-        let producer = self.into_producer();
-        let partials = run_chunked(&producer, |state, range, out: &mut Vec<Self::Item>| {
-            let mut acc = identity();
-            for i in range {
-                acc = op(acc, producer.produce(state, i));
-            }
-            out.push(acc);
-        });
-        partials.into_iter().fold(identity(), &op)
-    }
-
-    /// Sums all items (deterministic chunk-ordered combination).
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item> + std::iter::Sum<S> + Send,
-    {
-        let producer = self.into_producer();
-        let partials = run_chunked(&producer, |state, range, out: &mut Vec<S>| {
-            out.push(range.map(|i| producer.produce(state, i)).sum());
-        });
-        partials.into_iter().sum()
-    }
 }
 
 impl<P: Producer> ParallelIterator for ParIter<P> {
@@ -290,23 +203,25 @@ pub trait FromParallelIterator<T: Send> {
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
         let producer = iter.into_producer();
-        run_chunked(&producer, |state, range, out: &mut Vec<T>| {
-            for i in range {
-                out.push(producer.produce(state, i));
-            }
+        run_chunked(&producer, |state, range| {
+            let mut out = Vec::with_capacity(range.len());
+            out.extend(range.map(|i| producer.produce(state, i)));
+            out
         })
     }
 }
 
-/// Runs `work(state, index_range, &mut sink)` over `producer`'s index space
-/// split into contiguous chunks, dynamically dealt to the pool's workers.
-/// Returns the concatenation of every chunk's sink **in chunk order**, so
-/// callers observe a deterministic, order-preserving result.
+/// Runs `work(state, index_range)` over `producer`'s index space split
+/// into contiguous chunks, dynamically dealt to the pool's workers, each
+/// chunk returning its items. Returns the concatenation of every chunk's
+/// items **in chunk order**, so callers observe a deterministic,
+/// order-preserving result: an inline run's `Vec` as it is, the chunks of
+/// a pool run moved into one `Vec` presized to their total.
 fn run_chunked<P, T, W>(producer: &P, work: W) -> Vec<T>
 where
     P: Producer,
     T: Send,
-    W: Fn(&mut P::State, std::ops::Range<usize>, &mut Vec<T>) + Sync,
+    W: Fn(&mut P::State, std::ops::Range<usize>) -> Vec<T> + Sync,
 {
     let len = producer.len();
     if len == 0 {
@@ -315,10 +230,7 @@ where
     let workers = pool::num_threads();
     // Small inputs or a serial pool: run inline.
     if workers <= 1 || len <= 1 {
-        let mut state = producer.init();
-        let mut out = Vec::new();
-        work(&mut state, 0..len, &mut out);
-        return out;
+        return work(&mut producer.init(), 0..len);
     }
     // ~4 chunks per worker bounds both scheduling overhead and tail
     // imbalance without requiring work stealing.
@@ -327,16 +239,18 @@ where
     let slots: Vec<std::sync::Mutex<Option<Vec<T>>>> =
         (0..n_chunks).map(|_| std::sync::Mutex::new(None)).collect();
     parallel_chunks(n_chunks, &|ci| {
-        let mut state = producer.init();
         let start = ci * chunk;
         let end = (start + chunk).min(len);
-        let mut out = Vec::new();
-        work(&mut state, start..end, &mut out);
+        let out = work(&mut producer.init(), start..end);
         *slots[ci].lock().unwrap() = Some(out);
     });
-    let mut merged = Vec::new();
-    for slot in slots {
-        merged.extend(slot.into_inner().unwrap().expect("chunk not executed"));
+    let parts: Vec<Vec<T>> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap().expect("chunk not executed"))
+        .collect();
+    let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        merged.extend(part);
     }
     merged
 }
@@ -355,24 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_par_iter_works() {
-        let data: Vec<u64> = (0..5_000).collect();
-        let doubled: Vec<u64> = data.par_iter().map(|&x| x + 1).collect();
-        assert_eq!(doubled[4_999], 5_000);
-    }
-
-    #[test]
-    fn reduce_is_deterministic() {
-        let run = || {
-            (0..100_000usize)
-                .into_par_iter()
-                .map(|i| i as f64 * 0.1)
-                .reduce(|| 0.0, |a, b| a + b)
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
-    }
-
-    #[test]
     fn map_init_reuses_worker_state() {
         let v: Vec<usize> = (0..1_000)
             .into_par_iter()
@@ -387,10 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn sum_matches_serial() {
-        let par: u64 = (0..10_000usize).into_par_iter().map(|i| i as u64).sum();
-        let ser: u64 = (0..10_000u64).sum();
-        assert_eq!(par, ser);
+    fn collect_keeps_owned_items_in_order_for_one_and_many_chunks() {
+        // One item runs inline as a single chunk; 10 000 items split into
+        // several chunks on any pool wider than one thread.
+        for len in [1usize, 10_000] {
+            let v: Vec<String> = (0..len).into_par_iter().map(|i| i.to_string()).collect();
+            assert_eq!(v.len(), len);
+            assert!(v.iter().enumerate().all(|(i, s)| *s == i.to_string()));
+        }
     }
 
     #[test]

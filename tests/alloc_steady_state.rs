@@ -1,7 +1,8 @@
 //! Locks the allocation behaviour of the hot path: once an engine's
 //! workspace pools are warm, repeated multiplications must allocate
-//! substantially less than a fresh engine does, and the steady-state
-//! allocation count must stay stable from call to call.
+//! substantially less than a fresh engine does, the steady-state
+//! allocation count must stay stable from call to call, and a cold
+//! multiply (no cached plan) must not allocate per block or per row.
 //!
 //! This file holds exactly one test so the process-wide counting
 //! allocator only ever sees the work under measurement.
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use speck_repro::sparse::gen::uniform_random;
+use speck_repro::sparse::gen::{banded, uniform_random};
 use speck_repro::speck::SpeckSpgemm;
 
 struct CountingAlloc;
@@ -72,14 +73,15 @@ fn warm_engine_allocates_less_and_stays_steady() {
         "steady-state multiply allocated {steady1} times vs {fresh} cold"
     );
     // Absolute lock on the hot path: this warm 600-row multiply sits at
-    // about 120 allocations with 2 pool threads (80 with 1, 290 with 32;
+    // about 50 allocations with 2 pool threads (41 with 1, 144 with 32;
     // the pool's per-chunk result vectors grow with its width), because
-    // numeric blocks write C in place and each host chunk of blocks checks
-    // out one workspace. Reintroducing per-block output vectors (about
+    // numeric blocks write C in place, each host chunk of blocks checks
+    // out one workspace, and the launch metrics are folded before they
+    // reach the registry. Reintroducing per-block output vectors (about
     // 720), per-row staging or per-block accumulator construction would
-    // exceed the 375 ceiling, which leaves headroom for allocator noise.
+    // exceed the 200 ceiling, which leaves headroom for allocator noise.
     assert!(
-        steady1 < 375,
+        steady1 < 200,
         "steady-state multiply allocated {steady1} times — per-block/per-row allocations are back"
     );
     // And steady state must be steady: back-to-back warm calls may only
@@ -88,5 +90,29 @@ fn warm_engine_allocates_less_and_stays_steady() {
     assert!(
         hi - lo <= lo / 5 + 64,
         "steady-state allocation count drifts: {steady1} then {steady2}"
+    );
+
+    // Cold path: with plan caching off every call runs analysis, both
+    // load balancers and the symbolic pass. On this banded matrix most
+    // rows get a block of their own, so any allocation per block or per
+    // row (block row lists, per-block count or analysis vectors) scales
+    // with the 12 000 rows — about 3 per row once cost 37 000
+    // allocations. What remains is per launch and per host chunk of
+    // blocks, so the bound grows with the pool's width: about 220 with 2
+    // pool threads (190 with 1, 580 with 32).
+    let b = banded(12_000, 12, 0.65, 7);
+    let cold_engine = SpeckSpgemm::default().with_plan_cache_capacity(0);
+    for _ in 0..2 {
+        let _ = cold_engine.multiply(&b, &b);
+    }
+    let cold = count_allocs(|| {
+        let _ = cold_engine.multiply(&b, &b);
+    });
+    let threads = rayon::current_num_threads() as u64;
+    let ceiling = b.rows() as u64 / 30 + 16 * threads;
+    assert!(
+        cold < ceiling,
+        "cold multiply of {} rows allocated {cold} times (ceiling {ceiling}) — per-block/per-row allocations are back",
+        b.rows()
     );
 }
