@@ -5,10 +5,22 @@
 //! otherwise — the arithmetic is done in `u64` either way; the width only
 //! changes the *capacity* via the entry size in [`crate::cascade`]).
 //!
-//! When the local map can no longer guarantee that a whole group insert
-//! succeeds, all entries move to a *global* hash map and accumulation
-//! continues there — the paper's global fallback pool (§4.3). Every probe,
-//! insert and spilled element is counted so the cost model can price it.
+//! The kernels insert one referenced row of B per call
+//! ([`Accumulator::insert_row_keys`] in the symbolic pass,
+//! [`Accumulator::insert_row_scaled`] in the numeric pass), `g` keys at a
+//! time as the paper's thread groups do. Before each group the local map
+//! must be able to take the whole group; when it can no longer guarantee
+//! that, all entries move to a *global* hash map and accumulation
+//! continues there — the paper's global fallback pool (§4.3). A row that
+//! fits the local map as a whole cannot trigger that rule in any of its
+//! groups, so it runs in one probe loop. Every probe, insert and spilled
+//! element is counted so the cost model can price it; the per-key
+//! [`Accumulator::insert`] / [`Accumulator::insert_key`] (baselines,
+//! tests) count exactly the same events.
+//!
+//! The map records the slots it claims, so re-arming it for the next block
+//! ([`Accumulator::reset`]) and draining it visit only those slots, not the
+//! whole bin-sized table.
 
 use speck_sparse::Scalar;
 use std::collections::HashMap;
@@ -74,28 +86,119 @@ impl Hasher for KeyHasher {
 
 type GlobalMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
+/// `ceil(2^64 / cap)` for the multiply-based modulo in [`slot_of`].
+fn mod_magic(cap: usize) -> u64 {
+    assert!(cap > 0 && cap <= u32::MAX as usize);
+    // Wraps to 0 for cap == 1, where the product below is 0 == x % 1.
+    (u64::MAX / cap as u64).wrapping_add(1)
+}
+
+/// The home slot of `key` in a table of `capacity` slots whose
+/// [`mod_magic`] is `magic`.
+#[inline]
+fn slot_of(key: u64, magic: u64, capacity: usize) -> usize {
+    // Multiply-shift before the modulo: `(key * prime) % capacity`
+    // alone keeps only the *low* bits of the product, which depend
+    // only on the low bits of the key — the compound key's local-row
+    // field (bits 59+) would never influence the slot and all rows of
+    // a merged block would collide on the same probe clusters. Taking
+    // the product's high half first mixes every key bit into the slot.
+    let h = key.wrapping_mul(HASH_PRIME).rotate_right(32) ^ key;
+    let x = h.wrapping_mul(HASH_PRIME) >> 32;
+    // `x % capacity` by Lemire's multiply-based reduction (exact for
+    // 32-bit `x`): the hardware divide would dominate the probe loop.
+    let m = ((magic.wrapping_mul(x) as u128 * capacity as u128) >> 64) as usize;
+    debug_assert_eq!(m, x as usize % capacity);
+    m
+}
+
+/// Where a linear probe for a key ended.
+enum Probe {
+    /// The slot holding the key.
+    Hit(usize),
+    /// The first empty slot on the key's probe path.
+    Empty(usize),
+    /// The table is full and lacks the key.
+    Full,
+}
+
+/// Linear probe for `key` from its home slot in `keys` (a table whose
+/// [`mod_magic`] is `magic`), and the steps taken beyond the home slot —
+/// `capacity + 1` of them when the table is full.
+#[inline]
+fn probe(keys: &[u64], magic: u64, key: u64) -> (Probe, u64) {
+    let capacity = keys.len();
+    let mut slot = slot_of(key, magic, capacity);
+    let mut probes = 0u64;
+    loop {
+        let k = keys[slot];
+        if k == key {
+            return (Probe::Hit(slot), probes);
+        }
+        if k == EMPTY {
+            return (Probe::Empty(slot), probes);
+        }
+        probes += 1;
+        slot += 1;
+        if slot == capacity {
+            slot = 0;
+        }
+        if probes as usize > capacity {
+            return (Probe::Full, probes);
+        }
+    }
+}
+
+/// Stores `key` where [`probe`] found its place: adds `val` to a hit's
+/// value, or claims the empty slot (recording it in `touched`) and returns
+/// `true`. `val == None` (symbolic) leaves the values alone — a stale value
+/// is never read, because a numeric insert writes a slot it claims before
+/// any read. A full table has no place for the key: the caller spills
+/// first.
+#[inline]
+fn store<V: Scalar>(
+    keys: &mut [u64],
+    vals: &mut [V],
+    touched: &mut Vec<u32>,
+    found: Probe,
+    key: u64,
+    val: Option<V>,
+) -> bool {
+    match found {
+        Probe::Hit(slot) => {
+            if let Some(v) = val {
+                vals[slot] += v;
+            }
+            false
+        }
+        Probe::Empty(slot) => {
+            keys[slot] = key;
+            touched.push(slot as u32);
+            if let Some(v) = val {
+                vals[slot] = v;
+            }
+            true
+        }
+        Probe::Full => unreachable!("a full local map spills before storing"),
+    }
+}
+
 /// Hash accumulator with scratchpad storage and global spill.
 #[derive(Debug)]
 pub struct Accumulator<V> {
     keys: Vec<u64>,
     vals: Vec<V>,
-    capacity: usize,
-    /// `ceil(2^64 / capacity)` — lets [`Accumulator::slot_of`] reduce the
-    /// hash with two multiplies instead of a hardware divide (exact for
-    /// any 32-bit hash and capacity; Lemire's fastmod).
+    /// `ceil(2^64 / capacity)` — lets [`slot_of`] reduce the hash with two
+    /// multiplies instead of a hardware divide (exact for any 32-bit hash
+    /// and capacity; Lemire's fastmod).
     mod_magic: u64,
-    local_len: usize,
+    /// The claimed local slots in claim order: exactly the non-EMPTY
+    /// `keys`. Holds at most `capacity` entries, so it is reserved with
+    /// the table and never grows while inserting.
+    touched: Vec<u32>,
     global: Option<GlobalMap<V>>,
     /// Event counters for the cost model.
     pub stats: AccStats,
-}
-
-/// `ceil(2^64 / cap)` for the multiply-based modulo in
-/// [`Accumulator::slot_of`].
-fn mod_magic(cap: usize) -> u64 {
-    assert!(cap > 0 && cap <= u32::MAX as usize);
-    // Wraps to 0 for cap == 1, where the product below is 0 == x % 1.
-    (u64::MAX / cap as u64).wrapping_add(1)
 }
 
 impl<V: Scalar> Accumulator<V> {
@@ -105,9 +208,8 @@ impl<V: Scalar> Accumulator<V> {
         Self {
             keys: vec![EMPTY; capacity],
             vals: vec![V::zero(); capacity],
-            capacity,
             mod_magic: mod_magic(capacity),
-            local_len: 0,
+            touched: Vec::with_capacity(capacity),
             global: None,
             stats: AccStats::default(),
         }
@@ -115,36 +217,42 @@ impl<V: Scalar> Accumulator<V> {
 
     /// Re-arms the accumulator for a fresh block at `capacity` slots,
     /// reusing the key/value allocations. Equivalent to
-    /// `*self = Accumulator::new(capacity)` but without the heap traffic:
-    /// stale values are never read (an insert writes the slot before any
-    /// read), so only the keys need clearing. The statistics reset too —
-    /// they feed the cost model, and a reused accumulator must charge
-    /// exactly what a fresh one would.
+    /// `*self = Accumulator::new(capacity)` but without the heap traffic.
+    /// At the same capacity only the slots claimed since the last clear
+    /// are emptied (a block claims far fewer slots than a bin-sized table
+    /// holds); stale values are never read, so they stay. A new capacity
+    /// rebuilds the whole table. The statistics reset too — they feed the
+    /// cost model, and a reused accumulator must charge exactly what a
+    /// fresh one would.
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "Accumulator: capacity must be positive");
-        if capacity != self.capacity {
+        if capacity != self.capacity() {
             // A shrinking resize would keep a stale prefix: rebuild whole.
             self.keys.clear();
             self.keys.resize(capacity, EMPTY);
             self.vals.clear();
             self.vals.resize(capacity, V::zero());
-            self.capacity = capacity;
             self.mod_magic = mod_magic(capacity);
-        } else if self.local_len != 0 {
-            // `local_len` counts the non-EMPTY keys exactly (each local
-            // insert of a new key increments it; drain and spill zero it
-            // after clearing), so a drained accumulator skips the O(n)
-            // sweep.
-            self.keys.fill(EMPTY);
+            self.touched.clear();
+            self.touched.reserve(capacity);
+        } else {
+            self.clear_touched();
         }
-        self.local_len = 0;
         self.global = None;
         self.stats = AccStats::default();
     }
 
+    /// Empties the claimed local slots only.
+    fn clear_touched(&mut self) {
+        for &s in &self.touched {
+            self.keys[s as usize] = EMPTY;
+        }
+        self.touched.clear();
+    }
+
     /// Number of distinct keys stored (local + global).
     pub fn len(&self) -> usize {
-        self.local_len + self.global.as_ref().map_or(0, |g| g.len())
+        self.touched.len() + self.global.as_ref().map_or(0, |g| g.len())
     }
 
     /// True when nothing is stored.
@@ -154,7 +262,7 @@ impl<V: Scalar> Accumulator<V> {
 
     /// Local slot capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.keys.len()
     }
 
     /// True once the accumulator has fallen back to global memory.
@@ -164,49 +272,29 @@ impl<V: Scalar> Accumulator<V> {
 
     /// Current local fill rate in `[0, 1]`.
     pub fn fill(&self) -> f64 {
-        self.local_len as f64 / self.capacity as f64
-    }
-
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        // Multiply-shift before the modulo: `(key * prime) % capacity`
-        // alone keeps only the *low* bits of the product, which depend
-        // only on the low bits of the key — the compound key's local-row
-        // field (bits 59+) would never influence the slot and all rows of
-        // a merged block would collide on the same probe clusters. Taking
-        // the product's high half first mixes every key bit into the slot.
-        let h = key.wrapping_mul(HASH_PRIME).rotate_right(32) ^ key;
-        let x = h.wrapping_mul(HASH_PRIME) >> 32;
-        // `x % capacity` by Lemire's multiply-based reduction (exact for
-        // 32-bit `x`): the hardware divide would dominate the probe loop.
-        let m = ((self.mod_magic.wrapping_mul(x) as u128 * self.capacity as u128) >> 64) as usize;
-        debug_assert_eq!(m, x as usize % self.capacity);
-        m
+        self.touched.len() as f64 / self.capacity() as f64
     }
 
     /// Ensures `headroom` more inserts can all land locally; if not,
     /// moves everything to the global map (the paper spills *before*
     /// threads race on the last slots, then continues globally).
     pub fn reserve_or_spill(&mut self, headroom: usize) {
-        if self.global.is_some() {
-            return;
-        }
-        if self.local_len + headroom > self.capacity {
+        if self.global.is_none() && self.touched.len() + headroom > self.capacity() {
             self.spill();
         }
     }
 
     fn spill(&mut self) {
         let mut g: GlobalMap<V> =
-            HashMap::with_capacity_and_hasher(self.capacity * 2, BuildHasherDefault::default());
+            HashMap::with_capacity_and_hasher(self.capacity() * 2, BuildHasherDefault::default());
         for (i, &k) in self.keys.iter().enumerate() {
             if k != EMPTY {
                 g.insert(k, self.vals[i]);
             }
         }
-        self.stats.spilled += self.local_len as u64;
+        self.stats.spilled += self.touched.len() as u64;
         self.keys.fill(EMPTY);
-        self.local_len = 0;
+        self.touched.clear();
         self.global = Some(g);
     }
 
@@ -216,8 +304,21 @@ impl<V: Scalar> Accumulator<V> {
     /// batched inserts; a completely full local map spills automatically
     /// as a safety net.
     pub fn insert(&mut self, key: u64, val: V) -> bool {
+        self.insert_one(key, Some(val))
+    }
+
+    /// Symbolic insert: records the key only; returns `true` when new.
+    ///
+    /// Skips the value array entirely — the symbolic pass never reads
+    /// values.
+    pub fn insert_key(&mut self, key: u64) -> bool {
+        self.insert_one(key, None)
+    }
+
+    fn insert_one(&mut self, key: u64, val: Option<V>) -> bool {
         if let Some(g) = self.global.as_mut() {
             self.stats.gmem_inserts += 1;
+            let val = val.unwrap_or_else(V::zero);
             return match g.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     *e.get_mut() += val;
@@ -230,72 +331,111 @@ impl<V: Scalar> Accumulator<V> {
             };
         }
         self.stats.smem_inserts += 1;
-        let mut slot = self.slot_of(key);
-        let mut probes = 0u64;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                self.stats.probes += probes;
-                self.vals[slot] += val;
-                return false;
-            }
-            if k == EMPTY {
-                self.stats.probes += probes;
-                self.keys[slot] = key;
-                self.vals[slot] = val;
-                self.local_len += 1;
-                return true;
-            }
-            probes += 1;
-            slot += 1;
-            if slot == self.capacity {
-                slot = 0;
-            }
-            if probes as usize > self.capacity {
-                // Local map completely full: spill and retry globally.
-                self.stats.probes += probes;
-                self.spill();
-                return self.insert(key, val);
-            }
+        let (found, probes) = probe(&self.keys, self.mod_magic, key);
+        self.stats.probes += probes;
+        if let Probe::Full = found {
+            // Local map completely full: spill and retry globally.
+            self.spill();
+            return self.insert_one(key, val);
         }
+        store(
+            &mut self.keys,
+            &mut self.vals,
+            &mut self.touched,
+            found,
+            key,
+            val,
+        )
     }
 
-    /// Symbolic insert: records the key only; returns `true` when new.
-    ///
-    /// Skips the value array entirely — the slot's stale value is fine
-    /// because a later *numeric* insert always writes a new slot before
-    /// reading it, and the symbolic pass never reads values at all.
-    pub fn insert_key(&mut self, key: u64) -> bool {
-        if self.global.is_some() {
-            return self.insert(key, V::zero());
+    /// Symbolic whole-row insert: the keys of local row `li` at columns
+    /// `cols` (one referenced row of B), `g` at a time. Returns how many
+    /// keys were new. Counts, statistics and spill point are exactly those
+    /// of `reserve_or_spill(group.len())` followed by
+    /// [`Accumulator::insert_key`] per key, for each group of `g`.
+    pub fn insert_row_keys(&mut self, li: u32, cols: &[u32], g: usize) -> u32 {
+        self.insert_row(li, cols, g, |_| None)
+    }
+
+    /// Numeric whole-row insert: adds `a_val * vals[i]` under column
+    /// `cols[i]` of local row `li`, `g` at a time. Returns how many keys
+    /// were new. Equivalent to `reserve_or_spill(group.len())` followed by
+    /// [`Accumulator::insert`] per product, for each group of `g` — the
+    /// same statistics, spill point and per-key addition order.
+    pub fn insert_row_scaled(
+        &mut self,
+        li: u32,
+        cols: &[u32],
+        vals: &[V],
+        a_val: V,
+        g: usize,
+    ) -> u32 {
+        debug_assert_eq!(cols.len(), vals.len());
+        self.insert_row(li, cols, g, |i| Some(a_val * vals[i]))
+    }
+
+    fn insert_row(
+        &mut self,
+        li: u32,
+        cols: &[u32],
+        g: usize,
+        val: impl Fn(usize) -> Option<V>,
+    ) -> u32 {
+        if self.global.is_none() && self.touched.len() + cols.len() <= self.capacity() {
+            // The whole row fits, so no group's reserve can spill.
+            return self.insert_run(li, cols, 0, &val);
         }
-        self.stats.smem_inserts += 1;
-        let mut slot = self.slot_of(key);
+        let g = g.max(1);
+        let mut new = 0;
+        for (n, group) in cols.chunks(g).enumerate() {
+            let offset = n * g;
+            self.reserve_or_spill(group.len());
+            new += if self.global.is_some() {
+                let mut group_new = 0;
+                for (i, &c) in group.iter().enumerate() {
+                    group_new += u32::from(self.insert_one(compound_key(li, c), val(offset + i)));
+                }
+                group_new
+            } else {
+                self.insert_run(li, group, offset, &val)
+            };
+        }
+        new
+    }
+
+    /// Inserts the keys of local row `li` at columns `cols`, with
+    /// `val(offset + i)` the value of `cols[i]`, into a local map that has
+    /// room for all of them. Returns how many keys were new; adds the
+    /// inserts and probe steps to the statistics once, after the run.
+    #[inline]
+    fn insert_run(
+        &mut self,
+        li: u32,
+        cols: &[u32],
+        offset: usize,
+        val: &impl Fn(usize) -> Option<V>,
+    ) -> u32 {
+        // The table's parts and the counters in locals, so the loop keeps
+        // them in registers.
+        let Self {
+            keys,
+            vals,
+            mod_magic,
+            touched,
+            stats,
+            ..
+        } = self;
         let mut probes = 0u64;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                self.stats.probes += probes;
-                return false;
-            }
-            if k == EMPTY {
-                self.stats.probes += probes;
-                self.keys[slot] = key;
-                self.local_len += 1;
-                return true;
-            }
-            probes += 1;
-            slot += 1;
-            if slot == self.capacity {
-                slot = 0;
-            }
-            if probes as usize > self.capacity {
-                // Local map completely full: spill and retry globally.
-                self.stats.probes += probes;
-                self.spill();
-                return self.insert(key, V::zero());
-            }
+        let mut new = 0u32;
+        for (i, &c) in cols.iter().enumerate() {
+            let key = compound_key(li, c);
+            let (found, steps) = probe(keys, *mod_magic, key);
+            probes += steps;
+            new += u32::from(store(keys, vals, touched, found, key, val(offset + i)));
         }
+        stats.smem_inserts += cols.len() as u64;
+        stats.probes += probes;
+        new
     }
 
     /// Extracts all `(key, value)` pairs, sorted by key. (Compound keys
@@ -308,21 +448,22 @@ impl<V: Scalar> Accumulator<V> {
     }
 
     /// [`Accumulator::drain_sorted`] into a caller-provided buffer
-    /// (cleared first), so a reused workspace pays no allocation.
+    /// (cleared first), so a reused workspace pays no allocation. Gathers
+    /// from the claimed slots only and empties them.
     pub fn drain_sorted_into(&mut self, out: &mut Vec<(u64, V)>) {
         out.clear();
         out.reserve(self.len());
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != EMPTY {
-                out.push((k, self.vals[i]));
-            }
-        }
+        out.extend(
+            self.touched
+                .iter()
+                .map(|&s| (self.keys[s as usize], self.vals[s as usize])),
+        );
+        self.clear_touched();
         if let Some(g) = self.global.take() {
             out.extend(g);
         }
+        // Local and global keys are disjoint, so the order is total.
         out.sort_unstable_by_key(|&(k, _)| k);
-        self.keys.fill(EMPTY);
-        self.local_len = 0;
     }
 }
 
@@ -405,8 +546,8 @@ mod tests {
 
     #[test]
     fn insert_key_counts_global_entries_once() {
-        // The symbolic kernel counts a row's output from `insert_key`'s
-        // "new key" answers, so they must stay exact after a spill.
+        // "New key" answers must stay exact after a spill: the symbolic
+        // kernel builds its row counts from them.
         let mut acc: Accumulator<f64> = Accumulator::new(4);
         let mut new_keys = 0;
         for c in (0..10u32).chain(0..10) {
@@ -436,6 +577,51 @@ mod tests {
             assert_eq!(k, ok);
             assert!((v - ov).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn row_insert_spills_at_the_first_group_that_does_not_fit() {
+        // Capacity 8, groups of 4: the first row (6 keys) fits whole; the
+        // second row's first group would need 6 + 4 > 8 slots, so all six
+        // local entries move to the global map before it inserts.
+        let mut acc: Accumulator<f64> = Accumulator::new(8);
+        assert_eq!(acc.insert_row_keys(0, &[0, 1, 2, 3, 4, 5], 4), 6);
+        assert!(!acc.spilled_to_global());
+        assert_eq!(acc.insert_row_keys(1, &[0, 1, 2, 3, 4, 5], 4), 6);
+        assert!(acc.spilled_to_global());
+        assert_eq!(acc.stats.smem_inserts, 6);
+        assert_eq!(acc.stats.spilled, 6);
+        assert_eq!(acc.stats.gmem_inserts, 6);
+        assert_eq!(acc.len(), 12);
+    }
+
+    #[test]
+    fn row_insert_scales_and_accumulates() {
+        let mut acc: Accumulator<f64> = Accumulator::new(16);
+        assert_eq!(acc.insert_row_scaled(2, &[3, 5], &[1.0, 2.0], 0.5, 1), 2);
+        assert_eq!(acc.insert_row_scaled(2, &[5, 7], &[4.0, 1.0], 2.0, 1), 1);
+        let out = acc.drain_sorted();
+        assert_eq!(
+            out,
+            vec![
+                (compound_key(2, 3), 0.5),
+                (compound_key(2, 5), 9.0),
+                (compound_key(2, 7), 2.0)
+            ]
+        );
+        assert_eq!(acc.stats.smem_inserts, 4);
+    }
+
+    #[test]
+    fn reset_and_drain_leave_no_stale_key() {
+        let mut acc: Accumulator<f64> = Accumulator::new(32);
+        acc.insert_row_keys(0, &[1, 2, 3, 4, 5], 2);
+        acc.reset(32);
+        assert!(acc.is_empty());
+        // Every key is new again after the reset.
+        assert_eq!(acc.insert_row_keys(0, &[1, 2, 3, 4, 5], 2), 5);
+        acc.drain_sorted();
+        assert_eq!(acc.insert_row_keys(0, &[1, 2, 3, 4, 5], 2), 5);
     }
 
     #[test]

@@ -63,12 +63,14 @@ pub fn select_group_size(
     }
 }
 
-/// Iterations the block needs at group size `g` for the given per-task
-/// B row lengths — used by tests and the Fig. 13 bench to count how close
-/// dynamic `g` comes to optimal (paper: within 1.02x on average).
-pub fn rounds_for_g(g: usize, threads: usize, b_row_lens: &[u64]) -> u64 {
-    let k = (threads / g.max(1)).max(1);
-    speck_simt::simulate_group_rounds(k, b_row_lens.iter().map(|&l| l.div_ceil(g as u64)))
+/// Iterations a block of `threads` threads needs at group size `g` for
+/// the given per-task B row lengths (one task per NZ of A) — what the hash
+/// kernels charge as issue rounds, and what tests use to count how close
+/// dynamic `g` comes to optimal (paper Fig. 13: within 1.02x on average).
+pub fn rounds_for_g(g: usize, threads: usize, b_row_lens: impl IntoIterator<Item = u64>) -> u64 {
+    let g = g.max(1);
+    let k = (threads / g).max(1);
+    speck_simt::simulate_group_rounds(k, b_row_lens.into_iter().map(|l| l.div_ceil(g as u64)))
 }
 
 /// Work/span lower bound on the issue rounds a block needs at group size
@@ -188,8 +190,8 @@ mod tests {
         // iterations' parallel width.
         let lens: Vec<u64> = vec![2; 512];
         let g_dyn = select_group_size(LocalLbMode::Dynamic, 256, 512, 1024, 2);
-        let r_dyn = rounds_for_g(g_dyn, 256, &lens);
-        let r_fix = rounds_for_g(32, 256, &lens);
+        let r_dyn = rounds_for_g(g_dyn, 256, lens.iter().copied());
+        let r_fix = rounds_for_g(32, 256, lens.iter().copied());
         assert!(
             r_dyn * 4 <= r_fix,
             "dynamic rounds {r_dyn} vs fixed-32 rounds {r_fix}"
@@ -260,9 +262,9 @@ mod tests {
         let total: u64 = lens.iter().sum();
         let max = *lens.iter().max().unwrap();
         let g_dyn = select_group_size(LocalLbMode::Dynamic, 256, lens.len() as u64, total, max);
-        let r_dyn = rounds_for_g(g_dyn, 256, &lens);
+        let r_dyn = rounds_for_g(g_dyn, 256, lens.iter().copied());
         let best = (0..=8)
-            .map(|l| rounds_for_g(1 << l, 256, &lens))
+            .map(|l| rounds_for_g(1 << l, 256, lens.iter().copied()))
             .min()
             .unwrap();
         assert!(r_dyn <= 2 * best, "dyn {r_dyn} vs best {best}");

@@ -15,8 +15,8 @@ use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan};
-use crate::hashacc::{compound_key, split_key};
-use crate::local_lb::select_group_size;
+use crate::hashacc::split_key;
+use crate::local_lb::{rounds_for_g, select_group_size};
 use crate::metrics::MetricsRegistry;
 use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
@@ -24,8 +24,7 @@ use crate::sort::{
 use crate::symbolic::LaunchGroups;
 use crate::workspace::{Slots, Workspace, WorkspacePool};
 use speck_simt::{
-    launch_map, launch_map_init, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig,
-    KernelConfig, KernelReport,
+    launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
 
@@ -124,40 +123,29 @@ fn hash_block<V: Scalar>(
         .max()
         .unwrap_or(0);
     let g = select_group_size(cfg.local_lb, threads, nnz_a, products, max_b);
-    let k = (threads / g).max(1);
 
     ctx.scratch
         .reserve(capacity * entry_bytes, "numeric hash map");
-    let Workspace {
-        acc,
-        iters,
-        entries,
-        ..
-    } = ws;
+    let Workspace { acc, entries, .. } = ws;
     acc.reset(capacity);
-    iters.clear();
     let mut tx = 0u64;
 
     for (li, &r) in rows.iter().enumerate() {
         let (a_cols, a_vals) = a.row(r as usize);
         for (&kc, &av) in a_cols.iter().zip(a_vals) {
             let (b_cols, b_vals) = b.row(kc as usize);
-            iters.push((b_cols.len() as u64).div_ceil(g as u64));
             // Numeric reads column + value of B (4 + val bytes).
             tx += ctx.stream_tx(g, b_cols.len(), entry_bytes);
-            let mut pos = 0usize;
-            while pos < b_cols.len() {
-                let end = (pos + g).min(b_cols.len());
-                acc.reserve_or_spill(end - pos);
-                for i in pos..end {
-                    acc.insert(compound_key(li as u32, b_cols[i]), av * b_vals[i]);
-                }
-                pos = end;
-            }
+            acc.insert_row_scaled(li as u32, b_cols, b_vals, av, g);
         }
     }
 
-    ctx.charge_rounds(simulate_group_rounds(k, iters.iter().copied()));
+    // One task per NZ of A: its row of B, `g` entries per iteration.
+    let b_row_lens = rows
+        .iter()
+        .flat_map(|&r| a.row(r as usize).0)
+        .map(|&kc| b.row_nnz(kc as usize) as u64);
+    ctx.charge_rounds(rounds_for_g(g, threads, b_row_lens));
     ctx.charge_gmem_tx(tx);
     ctx.charge_gmem_scatter(nnz_a); // B row-offset pair per NZ of A (one sector)
                                     // Insert issue cost is part of the loop rounds; only contention

@@ -9,14 +9,13 @@
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
-use crate::global_lb::{AccMethod, PassPlan};
-use crate::hashacc::{compound_key, MAX_HASH_BLOCK_ROWS};
-use crate::local_lb::select_group_size;
+use crate::global_lb::{AccMethod, PassPlan, DIRECT_ROWS_PER_BLOCK};
+use crate::hashacc::MAX_HASH_BLOCK_ROWS;
+use crate::local_lb::{rounds_for_g, select_group_size};
 use crate::metrics::{LocalHistogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
-    launch_map, launch_map_init, simulate_group_rounds, BlockCtx, CostModel, DeviceConfig,
-    KernelConfig, KernelReport,
+    launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
 use std::collections::BTreeMap;
@@ -100,35 +99,29 @@ fn hash_block<V: Scalar>(
         .max()
         .unwrap_or(0);
     let g = select_group_size(cfg.local_lb, threads, nnz_a, products, max_b);
-    let k = (threads / g).max(1);
 
     ctx.scratch
         .reserve(capacity * entry_bytes, "symbolic hash map");
     let acc = &mut ws.acc;
     acc.reset(capacity);
-    let iters = &mut ws.iters;
-    iters.clear();
     let mut tx = 0u64;
     let mut counts = [0u32; MAX_HASH_BLOCK_ROWS];
 
     for (li, &r) in rows.iter().enumerate() {
         let (a_cols, _) = a.row(r as usize);
-        let mut row_count = 0u32;
         for &kc in a_cols {
             let (b_cols, _) = b.row(kc as usize);
-            iters.push((b_cols.len() as u64).div_ceil(g as u64));
             tx += ctx.stream_tx(g, b_cols.len(), 4);
-            for batch in b_cols.chunks(g.max(1)) {
-                acc.reserve_or_spill(batch.len());
-                for &j in batch {
-                    row_count += u32::from(acc.insert_key(compound_key(li as u32, j)));
-                }
-            }
+            counts[li] += acc.insert_row_keys(li as u32, b_cols, g);
         }
-        counts[li] = row_count;
     }
 
-    ctx.charge_rounds(simulate_group_rounds(k, iters.iter().copied()));
+    // One task per NZ of A: its row of B, `g` entries per iteration.
+    let b_row_lens = rows
+        .iter()
+        .flat_map(|&r| a.row(r as usize).0)
+        .map(|&kc| b.row_nnz(kc as usize) as u64);
+    ctx.charge_rounds(rounds_for_g(g, threads, b_row_lens));
     ctx.charge_gmem_tx(tx);
     ctx.charge_gmem_scatter(nnz_a); // B row-offset pair per NZ of A (one sector)
                                     // Insert issue cost is part of the loop rounds; only contention
@@ -215,19 +208,27 @@ fn dense_block<V: Scalar>(
 }
 
 /// Per-block direct kernel: rows with at most one NZ of A need only B's
-/// row offsets (paper §4.3 "Single entry rows of A").
-fn direct_block<V: Scalar>(ctx: &mut BlockCtx, a: &Csr<V>, b: &Csr<V>, rows: &[u32]) -> Vec<u32> {
+/// row offsets (paper §4.3 "Single entry rows of A"). Returns the counts in
+/// `rows` order (the rest of the array stays zero).
+fn direct_block<V: Scalar>(
+    ctx: &mut BlockCtx,
+    a: &Csr<V>,
+    b: &Csr<V>,
+    rows: &[u32],
+) -> [u32; DIRECT_ROWS_PER_BLOCK] {
+    assert!(
+        rows.len() <= DIRECT_ROWS_PER_BLOCK,
+        "a direct block holds at most {DIRECT_ROWS_PER_BLOCK} rows, got {}",
+        rows.len()
+    );
     let threads = ctx.threads();
-    let mut counts = Vec::with_capacity(rows.len());
-    for &r in rows {
+    let mut counts = [0u32; DIRECT_ROWS_PER_BLOCK];
+    for (count, &r) in counts.iter_mut().zip(rows) {
         let (a_cols, _) = a.row(r as usize);
         debug_assert!(a_cols.len() <= 1, "direct path requires <= 1 NZ per row");
-        let c = if let Some(&k) = a_cols.first() {
-            b.row_nnz(k as usize) as u32
-        } else {
-            0
-        };
-        counts.push(c);
+        if let Some(&k) = a_cols.first() {
+            *count = b.row_nnz(k as usize) as u32;
+        }
     }
     // Two offset reads of A and two of B per row, one count written.
     ctx.charge_rounds((rows.len() as u64).div_ceil(threads as u64) * 2);

@@ -1,12 +1,12 @@
 //! Reusable kernel workspaces.
 //!
-//! Allocating a block's accumulator and iteration buffers from scratch is
-//! pure host allocator traffic, since the *simulated* cost of the
-//! scratchpad is charged separately through [`speck_simt::Scratchpad`].
-//! A [`Workspace`] owns those buffers once and re-arms them per block
-//! ("clear-on-reuse"): the hash accumulator resets its keys and
-//! statistics, the dense chunk its mask, and the scratch vectors just
-//! clear while keeping capacity.
+//! Allocating a block's accumulator and staging buffers anew is pure
+//! host allocator traffic, since the *simulated* cost of the scratchpad
+//! is charged separately through [`speck_simt::Scratchpad`]. A
+//! [`Workspace`] owns those buffers once and re-arms them per block
+//! ("clear-on-reuse"): the hash accumulator empties the slots it claimed
+//! and resets its statistics, the dense chunk its mask, and the staging
+//! vectors just clear while keeping capacity.
 //!
 //! [`WorkspacePool`] hands workspaces out to the host chunks of a launch
 //! (one checkout per chunk of blocks, through
@@ -68,14 +68,12 @@ impl<T> Slots<T> {
 /// Reusable buffers for the blocks of one host chunk, re-armed per block.
 #[derive(Debug)]
 pub struct Workspace<V> {
-    /// Hash accumulator (key/value arrays); re-arm with
-    /// [`Accumulator::reset`] before use.
+    /// Hash accumulator (key/value arrays and the list of claimed
+    /// slots); re-arm with [`Accumulator::reset`] before use.
     pub acc: Accumulator<V>,
     /// Dense accumulator window (mask/value arrays); re-arm with
     /// [`DenseChunk::reuse_numeric`] / [`DenseChunk::reuse_symbolic`].
     pub dense: DenseChunk<V>,
-    /// Per-NZ iteration counts of the current block (clear before use).
-    pub iters: Vec<u64>,
     /// Per-A-column cursors into B's rows (clear before use).
     pub cursors: Vec<usize>,
     /// Sorted (key, value) staging for accumulator drains.
@@ -89,7 +87,6 @@ impl<V: Scalar> Workspace<V> {
         Self {
             acc: Accumulator::new(1),
             dense: DenseChunk::symbolic(0, 1),
-            iters: Vec::new(),
             cursors: Vec::new(),
             entries: Vec::new(),
         }
@@ -263,8 +260,8 @@ mod tests {
         {
             let mut a = pool.acquire();
             let mut b = pool.acquire();
-            a.iters.push(1);
-            b.iters.push(2);
+            a.cursors.push(1);
+            b.cursors.push(2);
             assert_eq!(pool.idle_count(), 0);
             assert_eq!(pool.in_use_count(), 2);
         }
@@ -274,7 +271,7 @@ mod tests {
         let c = pool.acquire();
         assert_eq!(pool.idle_count(), 1);
         // The recycled buffer keeps its capacity; kernels clear it.
-        assert!(c.iters.capacity() >= 1);
+        assert!(c.cursors.capacity() >= 1);
     }
 
     #[test]
@@ -296,6 +293,21 @@ mod tests {
         for i in 0..64u32 {
             ws.acc.insert(compound_key(1, i), 2.0);
         }
+        ws.acc.reset(16);
+        let (reused_stats, reused_out) = insert_and_snapshot(&mut ws.acc);
+        assert_eq!(fresh_stats, reused_stats);
+        assert_eq!(fresh_out, reused_out);
+
+        // At the same capacity a reset clears only the claimed slots: run
+        // a block that spills, then one that fills part of the map and is
+        // never drained, and the next block must still see a fresh map.
+        let cols: Vec<u32> = (0..40).collect();
+        ws.acc.reset(16);
+        ws.acc.insert_row_keys(2, &cols, 4);
+        assert!(ws.acc.spilled_to_global());
+        ws.acc.reset(16);
+        ws.acc.insert_row_scaled(3, &cols[..6], &[1.0; 6], 2.0, 4);
+        assert!(!ws.acc.spilled_to_global());
         ws.acc.reset(16);
         let (reused_stats, reused_out) = insert_and_snapshot(&mut ws.acc);
         assert_eq!(fresh_stats, reused_stats);

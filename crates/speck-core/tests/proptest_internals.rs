@@ -1,5 +1,6 @@
 //! Property-based tests of spECK's internal data structures and
-//! heuristics: the hash accumulator against a BTreeMap oracle, the dense
+//! heuristics: the hash accumulator against a BTreeMap oracle, its
+//! whole-row inserts against per-key group inserts, the dense
 //! chunk against direct accumulation, Algorithm 2's invariants, and the
 //! local load balancer's contracts.
 
@@ -69,6 +70,72 @@ proptest! {
     }
 
     #[test]
+    fn whole_row_key_inserts_match_per_key_group_inserts(
+        capacity in 1usize..64,
+        g_log in 0u32..6,
+        rows in proptest::collection::vec(
+            (0u32..32, proptest::collection::vec(0u32..96, 0..40)),
+            0..12,
+        ),
+    ) {
+        let g = 1usize << g_log;
+        let mut whole: Accumulator<f64> = Accumulator::new(capacity);
+        let mut per_key: Accumulator<f64> = Accumulator::new(capacity);
+        for (li, cols) in &rows {
+            let new_whole = whole.insert_row_keys(*li, cols, g);
+            let mut new_per_key = 0u32;
+            for group in cols.chunks(g) {
+                per_key.reserve_or_spill(group.len());
+                for &c in group {
+                    new_per_key += u32::from(per_key.insert_key(compound_key(*li, c)));
+                }
+            }
+            prop_assert_eq!(new_whole, new_per_key);
+            prop_assert_eq!(whole.stats, per_key.stats);
+            prop_assert_eq!(whole.spilled_to_global(), per_key.spilled_to_global());
+        }
+        prop_assert_eq!(whole.len(), per_key.len());
+        let keys = |acc: &mut Accumulator<f64>| -> Vec<u64> {
+            acc.drain_sorted().into_iter().map(|(k, _)| k).collect()
+        };
+        prop_assert_eq!(keys(&mut whole), keys(&mut per_key));
+    }
+
+    #[test]
+    fn whole_row_scaled_inserts_match_per_key_group_inserts(
+        capacity in 1usize..64,
+        g_log in 0u32..6,
+        rows in proptest::collection::vec(
+            (0u32..32, proptest::collection::vec((0u32..96, -50i32..50), 0..40), -8i32..8),
+            0..12,
+        ),
+    ) {
+        let g = 1usize << g_log;
+        let mut whole: Accumulator<f64> = Accumulator::new(capacity);
+        let mut per_key: Accumulator<f64> = Accumulator::new(capacity);
+        for (li, entries, a) in &rows {
+            let a_val = *a as f64 / 4.0;
+            let cols: Vec<u32> = entries.iter().map(|&(c, _)| c).collect();
+            let vals: Vec<f64> = entries.iter().map(|&(_, v)| v as f64 / 8.0).collect();
+            let new_whole = whole.insert_row_scaled(*li, &cols, &vals, a_val, g);
+            let mut new_per_key = 0u32;
+            for (group, group_vals) in cols.chunks(g).zip(vals.chunks(g)) {
+                per_key.reserve_or_spill(group.len());
+                for (&c, &v) in group.iter().zip(group_vals) {
+                    new_per_key += u32::from(per_key.insert(compound_key(*li, c), a_val * v));
+                }
+            }
+            prop_assert_eq!(new_whole, new_per_key);
+            prop_assert_eq!(whole.stats, per_key.stats);
+            prop_assert_eq!(whole.spilled_to_global(), per_key.spilled_to_global());
+        }
+        let bits = |acc: &mut Accumulator<f64>| -> Vec<(u64, u64)> {
+            acc.drain_sorted().into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&mut whole), bits(&mut per_key));
+    }
+
+    #[test]
     fn block_merge_invariants(
         demands in proptest::collection::vec(0u64..1000, 0..300),
         capacity in 1u64..2000,
@@ -129,8 +196,8 @@ proptest! {
         let max = *lens.iter().max().unwrap();
         let threads = 256;
         let g = select_group_size(LocalLbMode::Dynamic, threads, lens.len() as u64, total, max);
-        let dynamic = rounds_for_g(g, threads, &lens);
-        let best = (0..=8).map(|l| rounds_for_g(1 << l, threads, &lens)).min().unwrap();
+        let dynamic = rounds_for_g(g, threads, lens.iter().copied());
+        let best = (0..=8).map(|l| rounds_for_g(1 << l, threads, lens.iter().copied())).min().unwrap();
         // Paper: dynamic g averages 1.02x of the optimum; allow 3x on any
         // single adversarial instance.
         prop_assert!(dynamic <= 3 * best.max(1), "dynamic {} vs best {}", dynamic, best);
