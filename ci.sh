@@ -3,8 +3,9 @@
 # one-second smoke run of the repo benchmark (perfbench/, its own
 # workspace) so an engine-API change that breaks the benchmark fails here.
 #
-#   ./ci.sh             # fmt + clippy + rustdoc + tests + perfbench build
-#                       #     and smoke run
+#   ./ci.sh             # fmt + clippy + rustdoc + tests (release, plus the
+#                       #     engine's debug tests) + perfbench build and
+#                       #     smoke run
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -82,6 +83,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test (workspace, release)"
 cargo test --workspace --release
+
+# The release suite compiles `debug_assert!`s out. Run the engine's own
+# tests once more in the debug profile so those invariant checks (hash
+# slot bounds, dense-chunk ranges, compound-key row bounds) run too.
+echo "==> cargo test (speck-core + speck-simt, debug, debug assertions on)"
+cargo test -q -p speck-core -p speck-simt
 
 echo "==> perfbench build (repo benchmark against the engine API)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

@@ -128,7 +128,7 @@ impl BlockCost {
 ///   the premise of the paper's "stay in scratchpad" design.
 /// * `c_spill` — moving one element into a global hash map: read + atomic +
 ///   write, the 40x cliff the paper reports for rows exceeding scratchpad.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Cycles per group issue round.
     pub c_round: f64,

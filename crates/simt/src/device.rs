@@ -5,7 +5,7 @@
 /// The defaults mirror the paper's test device (NVIDIA Titan V, §4.2/§6):
 /// 48 KiB default scratchpad per block, up to 96 KiB opt-in dynamic
 /// scratchpad (which halves occupancy), 1024-thread blocks, warp size 32.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceConfig {
     /// Marketing name, used only in reports.
     pub name: &'static str,

@@ -89,7 +89,7 @@ impl GlobalLbThresholds {
 }
 
 /// Full spECK configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpeckConfig {
     /// Global load-balancer gating.
     pub global_lb: GlobalLbMode,

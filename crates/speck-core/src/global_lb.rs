@@ -187,23 +187,19 @@ impl PassPlan {
     /// the decision consulted, and a rows-per-block histogram. All values
     /// derive from the deterministic plan, so they belong to the canonical
     /// snapshot section.
-    pub(crate) fn record_metrics(&self, m: &MetricsRegistry, pass: &str) {
-        let add = |name: &str, v: u64| m.counter(&format!("sim/lb/{pass}/{name}")).add(v);
-        add("decisions", 1);
-        if self.used_global_lb {
-            add("global_lb_used", 1);
-        }
-        add("decision_rows", self.decision_rows as u64);
+    pub(crate) fn record_metrics(&self, m: &MetricsRegistry, pass: &'static str) {
         let (h, d, r) = self.method_counts();
-        add("blocks_hash", h as u64);
-        add("blocks_dense", d as u64);
-        add("blocks_direct", r as u64);
         let mut rows = LocalHistogram::new();
         for b in &self.blocks {
             rows.record(b.len as u64);
         }
-        m.histogram(&format!("sim/lb/{pass}/rows_per_block"))
-            .merge_local(&rows);
+        m.record_pass(
+            pass,
+            self.used_global_lb,
+            self.decision_rows as u64,
+            [h, d, r].map(|n| n as u64),
+            &rows,
+        );
     }
 }
 

@@ -374,6 +374,11 @@ impl<V: Scalar> Accumulator<V> {
         self.insert_row(li, cols, g, |i| Some(a_val * vals[i]))
     }
 
+    // Out of line on purpose: one call per NZ of A is cheap against the
+    // row's probe loop, and when the compiler inlined this into numeric
+    // `hash_block` (a choice that flipped with unrelated code elsewhere
+    // in the crate), perfbench `table4` ran about 3% slower.
+    #[inline(never)]
     fn insert_row(
         &mut self,
         li: u32,

@@ -98,13 +98,10 @@ pub use audit::{
 pub use cascade::KernelCascade;
 pub use config::{GlobalLbMode, GlobalLbThresholds, LocalLbMode, SpeckConfig};
 pub use json::{parse_json_value, JsonValue};
-pub use metrics::{compare_snapshots, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Span};
+pub use metrics::{compare_snapshots, MetricsRegistry, MetricsSnapshot};
 pub use partial::{multiply_multi_gpu, multiply_partitioned};
 pub use pipeline::{multiply, MultiplyReport, SpeckSpgemm, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use plan::{pattern_fingerprint, PatternKey, PlanCache, SpgemmPlan};
+pub use plan::{pattern_fingerprint, SpgemmPlan};
 pub use profile::{diff_traces, profile_trace, ProfileReport, TraceDiff};
-pub use trace::{
-    BlockAnnotation, ExecutionTrace, KernelTraceRecord, Recorder, TraceRecord, TraceRecordKind,
-    TRACE_FORMAT,
-};
-pub use workspace::{SharedWorkspaces, Workspace, WorkspacePool};
+pub use trace::{ExecutionTrace, KernelTraceRecord, Recorder, TraceRecord, TRACE_FORMAT};
+pub use workspace::{Workspace, WorkspacePool};

@@ -10,10 +10,14 @@
 //!   [`Gauge`]s, and [`Histogram`]s. Registration takes a brief per-shard
 //!   lock; every update afterwards is a plain atomic, so concurrently
 //!   executing blocks and concurrent multiplies record without contention.
+//!   The registry also caches the handles the pipeline records through on
+//!   every multiply, so a metric's name is formatted and looked up once,
+//!   when it registers; every later record is an atomic add.
 //! * [`Span`] — hierarchical wall-clock timing (`plan/analysis`,
 //!   `execute/numeric`, …). Each span records a deterministic entry
 //!   counter (`span/<path>/count`) and a volatile wall-time gauge
-//!   (`wall/span/<path>/seconds`).
+//!   (`wall/span/<path>/seconds`). The registry resolves each path once,
+//!   so starting and ending spans allocates nothing after the first.
 //! * Recording — every multiply records into its engine's registry, and
 //!   the pipeline's stages take `&MetricsRegistry` directly. The per-launch
 //!   `sim/stage/*` and `sim/kernel/*` counters are not recorded launch by
@@ -61,11 +65,11 @@
 use crate::json::{parse_json_value, push_json_string, JsonValue};
 use crate::plan::fnv1a_bytes;
 use crate::trace::{TraceRecord, TraceRecordKind};
-use speck_simt::BlockCost;
+use speck_simt::{BlockCost, COST_COUNTER_NAMES};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Snapshot-format identifier embedded in every serialised snapshot.
@@ -263,6 +267,55 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
+/// A metric kind the registry can hold.
+trait Kind: Default {
+    fn wrap(handle: Arc<Self>) -> Metric;
+    fn cast(metric: &Metric) -> Option<&Arc<Self>>;
+
+    /// The handle in `metric`, which must be of this kind.
+    fn handle(metric: &Metric, name: &str) -> Arc<Self> {
+        Self::cast(metric)
+            .cloned()
+            .unwrap_or_else(|| panic!("metric '{name}' registered with another kind"))
+    }
+}
+
+impl Kind for Counter {
+    fn wrap(handle: Arc<Self>) -> Metric {
+        Metric::Counter(handle)
+    }
+    fn cast(metric: &Metric) -> Option<&Arc<Self>> {
+        match metric {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        }
+    }
+}
+
+impl Kind for Gauge {
+    fn wrap(handle: Arc<Self>) -> Metric {
+        Metric::Gauge(handle)
+    }
+    fn cast(metric: &Metric) -> Option<&Arc<Self>> {
+        match metric {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        }
+    }
+}
+
+impl Kind for Histogram {
+    fn wrap(handle: Arc<Self>) -> Metric {
+        Metric::Histogram(handle)
+    }
+    fn cast(metric: &Metric) -> Option<&Arc<Self>> {
+        match metric {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
+}
+
 const SHARD_COUNT: usize = 16;
 
 fn shard_of(name: &str) -> usize {
@@ -273,11 +326,19 @@ fn shard_of(name: &str) -> usize {
 /// Sharded registry of named metrics.
 ///
 /// Lookup/registration locks one of 16 shards briefly; the returned
-/// handles are `Arc`s whose updates are lock-free atomics. Handles stay
-/// valid for the registry's lifetime, so hot paths may cache them.
+/// handles are `Arc`s whose updates are lock-free atomics, valid for the
+/// registry's lifetime. The metrics the pipeline records on every
+/// multiply — launch folds, load-balancer outcomes, pass outputs, engine
+/// counters and span paths — go through the registry's own handle cache:
+/// each name is formatted and looked up once per registry, when the
+/// metric registers, and every later record is an atomic add. The cache
+/// belongs to the registry, not to an engine, so engines sharing a
+/// registry share it, and an engine given another registry records only
+/// there.
 #[derive(Default)]
 pub struct MetricsRegistry {
     shards: [Mutex<HashMap<String, Metric>>; SHARD_COUNT],
+    cache: Mutex<HandleCache>,
 }
 
 impl MetricsRegistry {
@@ -286,67 +347,64 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn entry<T, F: FnOnce() -> Metric, G: Fn(&Metric) -> Option<T>>(
-        &self,
-        name: &str,
-        make: F,
-        cast: G,
-    ) -> T {
+    fn entry<T: Kind>(&self, name: &str) -> Arc<T> {
         let mut shard = self.shards[shard_of(name)].lock().unwrap();
         // Look up by `&str` first: only a registration allocates the key.
-        let metric = match shard.get(name) {
-            Some(m) => m.clone(),
-            None => {
-                let m = make();
-                shard.insert(name.to_string(), m.clone());
-                m
-            }
-        };
-        drop(shard);
-        cast(&metric).unwrap_or_else(|| panic!("metric '{name}' registered with another kind"))
+        if let Some(metric) = shard.get(name) {
+            return T::handle(metric, name);
+        }
+        let handle = Arc::<T>::default();
+        shard.insert(name.to_string(), T::wrap(Arc::clone(&handle)));
+        handle
     }
 
     /// The counter named `name`, registered on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.entry(
-            name,
-            || Metric::Counter(Arc::new(Counter::default())),
-            |m| match m {
-                Metric::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )
+        self.entry(name)
     }
 
     /// The gauge named `name`, registered on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.entry(
-            name,
-            || Metric::Gauge(Arc::new(Gauge::default())),
-            |m| match m {
-                Metric::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )
+        self.entry(name)
     }
 
     /// The histogram named `name`, registered on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.entry(
-            name,
-            || Metric::Histogram(Arc::new(Histogram::default())),
-            |m| match m {
-                Metric::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
+        self.entry(name)
+    }
+
+    /// The metric named `name` through the handle cache: after the first
+    /// call, no shard lock and no hash.
+    fn named<T: Kind>(&self, name: &'static str) -> Arc<T> {
+        let mut cache = self.cache.lock().unwrap();
+        let (_, metric) = find_or_push(
+            &mut cache.named,
+            |(n, _)| *n == name,
+            || (name, T::wrap(self.entry(name))),
+        );
+        T::handle(metric, name)
+    }
+
+    /// [`Self::counter`] for a compile-time name, through the handle cache.
+    pub(crate) fn named_counter(&self, name: &'static str) -> Arc<Counter> {
+        self.named(name)
+    }
+
+    /// [`Self::histogram`] for a compile-time name, through the handle
+    /// cache.
+    pub(crate) fn named_histogram(&self, name: &'static str) -> Arc<Histogram> {
+        self.named(name)
     }
 
     /// Starts a root wall-clock span named `name` (see [`Span`]).
     pub fn span(&self, name: &str) -> Span<'_> {
+        self.start_span(None, name)
+    }
+
+    fn start_span(&self, parent: Option<&SpanPath>, name: &str) -> Span<'_> {
         Span {
             reg: self,
-            path: name.to_string(),
+            path: self.cache.lock().unwrap().span_path(parent, name),
             start: Instant::now(),
         }
     }
@@ -357,88 +415,82 @@ impl MetricsRegistry {
     /// non-zero cost-model counter, and grid-size / cycle histograms.
     /// Fixed-cost records carry no counters.
     ///
-    /// The stream is folded per stage and per kernel name first, so the
-    /// registry sees each metric once per call, not once per launch; the
-    /// sums and histograms are the same either way.
+    /// The stream is folded per stage and per kernel name first, so each
+    /// metric sees one atomic add per call, not one per launch; the sums
+    /// and histograms are the same either way. The call takes the handle
+    /// cache's lock once.
     pub fn record_launches(&self, records: &[TraceRecord]) {
-        /// One stage's launches, folded.
-        struct StageFold {
-            stage: &'static str,
-            launches: u64,
-            cycles_milli: u64,
-            cost: BlockCost,
-            grid: LocalHistogram,
-        }
-        let mut stages: Vec<StageFold> = Vec::new();
-        let mut kernels: Vec<(&str, u64, u64)> = Vec::new();
+        let mut cache = self.cache.lock().unwrap();
         let mut launch_cycles = LocalHistogram::new();
         for r in records {
             let TraceRecordKind::Kernel(k) = &r.kind else {
                 continue;
             };
             let cycles_milli = (k.sim_cycles * 1e3).round() as u64;
-            let si = match stages.iter().position(|f| f.stage == r.stage) {
-                Some(i) => i,
-                None => {
-                    stages.push(StageFold {
-                        stage: r.stage,
-                        launches: 0,
-                        cycles_milli: 0,
-                        cost: BlockCost::default(),
-                        grid: LocalHistogram::new(),
-                    });
-                    stages.len() - 1
-                }
-            };
-            let f = &mut stages[si];
+            let f = &mut cache.stage(self, r.stage).fold;
             f.launches += 1;
             f.cycles_milli += cycles_milli;
             f.cost = f.cost.merge(&k.cost);
             f.grid.record(k.grid as u64);
-            match kernels.iter_mut().find(|(name, ..)| *name == k.name) {
-                Some((_, n, c)) => {
-                    *n += 1;
-                    *c += cycles_milli;
-                }
-                None => kernels.push((&k.name, 1, cycles_milli)),
-            }
+            let (n, c) = &mut cache.kernel(self, &k.name).fold;
+            *n += 1;
+            *c += cycles_milli;
             launch_cycles.record(cycles_milli);
         }
         // No launch registers no metric, not even an empty histogram.
-        if stages.is_empty() {
+        if launch_cycles.count == 0 {
             return;
         }
-        // One reused buffer for the metric names.
-        fn named<'k>(key: &'k mut String, args: std::fmt::Arguments) -> &'k str {
-            key.clear();
-            key.write_fmt(args)
-                .expect("writing to a String cannot fail");
-            key
-        }
-        let key = &mut String::new();
-        for f in &stages {
-            let stage = f.stage;
-            self.counter(named(key, format_args!("sim/stage/{stage}/launches")))
-                .add(f.launches);
-            self.counter(named(key, format_args!("sim/stage/{stage}/cycles_milli")))
-                .add(f.cycles_milli);
-            for (cname, v) in f.cost.counters() {
+        for s in cache.stages.iter_mut().filter(|s| s.fold.launches > 0) {
+            let f = std::mem::take(&mut s.fold);
+            s.launches.add(f.launches);
+            s.cycles_milli.add(f.cycles_milli);
+            for (slot, (cname, v)) in s.cost.iter_mut().zip(f.cost.counters()) {
                 if v > 0 {
-                    self.counter(named(key, format_args!("sim/stage/{stage}/{cname}")))
-                        .add(v);
+                    slot.get_or_insert_with(|| {
+                        self.counter(&format!("sim/stage/{}/{cname}", s.stage))
+                    })
+                    .add(v);
                 }
             }
-            self.histogram(named(key, format_args!("sim/stage/{stage}/grid")))
-                .merge_local(&f.grid);
+            s.grid.merge_local(&f.grid);
         }
-        for &(kname, launches, cycles_milli) in &kernels {
-            self.counter(named(key, format_args!("sim/kernel/{kname}/launches")))
-                .add(launches);
-            self.counter(named(key, format_args!("sim/kernel/{kname}/cycles_milli")))
-                .add(cycles_milli);
+        for k in cache.kernels.iter_mut().filter(|k| k.fold.0 > 0) {
+            let (launches, cycles_milli) = std::mem::take(&mut k.fold);
+            k.launches.add(launches);
+            k.cycles_milli.add(cycles_milli);
         }
-        self.histogram("sim/launch/cycles_milli")
+        cache
+            .launch_cycles
+            .get_or_insert_with(|| self.histogram("sim/launch/cycles_milli"))
             .merge_local(&launch_cycles);
+    }
+
+    /// Records a pass's load-balancing outcome under `sim/lb/<pass>/`:
+    /// one decision, whether binning engaged (registered only once it
+    /// does), the rows the decision consulted, blocks per accumulation
+    /// method (hash, dense, direct) and the rows-per-block histogram.
+    pub(crate) fn record_pass(
+        &self,
+        pass: &'static str,
+        global_lb_used: bool,
+        decision_rows: u64,
+        blocks: [u64; 3],
+        rows_per_block: &LocalHistogram,
+    ) {
+        let mut cache = self.cache.lock().unwrap();
+        let h = cache.pass(self, pass);
+        h.decisions.add(1);
+        if global_lb_used {
+            h.global_lb_used
+                .get_or_insert_with(|| self.counter(&format!("sim/lb/{pass}/global_lb_used")))
+                .add(1);
+        }
+        h.decision_rows.add(decision_rows);
+        for (c, n) in h.blocks.iter().zip(blocks) {
+            c.add(n);
+        }
+        h.rows_per_block.merge_local(rows_per_block);
     }
 
     /// Point-in-time copy of every metric, sorted by name.
@@ -472,39 +524,195 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
+/// The registry's resolved handles (see [`MetricsRegistry`]). Each
+/// handle registers its metric exactly when an uncached lookup would
+/// have, so the snapshot's key set does not depend on the cache.
+#[derive(Default)]
+struct HandleCache {
+    /// Counters and histograms with compile-time names.
+    named: Vec<(&'static str, Metric)>,
+    stages: Vec<StageHandles>,
+    kernels: Vec<KernelHandles>,
+    /// `sim/launch/cycles_milli`.
+    launch_cycles: Option<Arc<Histogram>>,
+    passes: Vec<PassHandles>,
+    spans: Vec<Arc<SpanPath>>,
+}
+
+/// `sim/stage/<stage>/*`, and the stage's launches folded so far by the
+/// running [`MetricsRegistry::record_launches`] call.
+struct StageHandles {
+    stage: &'static str,
+    launches: Arc<Counter>,
+    cycles_milli: Arc<Counter>,
+    grid: Arc<Histogram>,
+    /// One per [`COST_COUNTER_NAMES`] entry, registered on its first
+    /// non-zero add.
+    cost: [Option<Arc<Counter>>; COST_COUNTER_NAMES.len()],
+    fold: StageFold,
+}
+
+/// One stage's launches, folded.
+#[derive(Default)]
+struct StageFold {
+    launches: u64,
+    cycles_milli: u64,
+    cost: BlockCost,
+    grid: LocalHistogram,
+}
+
+/// `sim/kernel/<name>/*`, and the `(launches, cycles_milli)` folded so
+/// far by the running [`MetricsRegistry::record_launches`] call.
+struct KernelHandles {
+    name: String,
+    launches: Arc<Counter>,
+    cycles_milli: Arc<Counter>,
+    fold: (u64, u64),
+}
+
+/// `sim/lb/<pass>/*`.
+struct PassHandles {
+    pass: &'static str,
+    decisions: Arc<Counter>,
+    /// Registered the first time the pass bins.
+    global_lb_used: Option<Arc<Counter>>,
+    decision_rows: Arc<Counter>,
+    /// `blocks_hash`, `blocks_dense`, `blocks_direct`.
+    blocks: [Arc<Counter>; 3],
+    rows_per_block: Arc<Histogram>,
+}
+
+/// The entry of `entries` that `is` picks, pushed from `make` if none
+/// does.
+fn find_or_push<T>(
+    entries: &mut Vec<T>,
+    is: impl Fn(&T) -> bool,
+    make: impl FnOnce() -> T,
+) -> &mut T {
+    let i = match entries.iter().position(is) {
+        Some(i) => i,
+        None => {
+            entries.push(make());
+            entries.len() - 1
+        }
+    };
+    &mut entries[i]
+}
+
+impl HandleCache {
+    fn stage(&mut self, reg: &MetricsRegistry, stage: &'static str) -> &mut StageHandles {
+        find_or_push(
+            &mut self.stages,
+            |s| s.stage == stage,
+            || StageHandles {
+                stage,
+                launches: reg.counter(&format!("sim/stage/{stage}/launches")),
+                cycles_milli: reg.counter(&format!("sim/stage/{stage}/cycles_milli")),
+                grid: reg.histogram(&format!("sim/stage/{stage}/grid")),
+                cost: Default::default(),
+                fold: StageFold::default(),
+            },
+        )
+    }
+
+    fn kernel(&mut self, reg: &MetricsRegistry, name: &str) -> &mut KernelHandles {
+        find_or_push(
+            &mut self.kernels,
+            |k| k.name == name,
+            || KernelHandles {
+                name: name.to_string(),
+                launches: reg.counter(&format!("sim/kernel/{name}/launches")),
+                cycles_milli: reg.counter(&format!("sim/kernel/{name}/cycles_milli")),
+                fold: (0, 0),
+            },
+        )
+    }
+
+    fn pass(&mut self, reg: &MetricsRegistry, pass: &'static str) -> &mut PassHandles {
+        let counter = |name: &str| reg.counter(&format!("sim/lb/{pass}/{name}"));
+        find_or_push(
+            &mut self.passes,
+            |p| p.pass == pass,
+            || PassHandles {
+                pass,
+                decisions: counter("decisions"),
+                global_lb_used: None,
+                decision_rows: counter("decision_rows"),
+                blocks: ["blocks_hash", "blocks_dense", "blocks_direct"].map(counter),
+                rows_per_block: reg.histogram(&format!("sim/lb/{pass}/rows_per_block")),
+            },
+        )
+    }
+
+    /// The cached path of the span `name` under `parent` (a root span
+    /// when `None`); only a path's first span formats and allocates.
+    fn span_path(&mut self, parent: Option<&SpanPath>, name: &str) -> Arc<SpanPath> {
+        let (id, parent_id) = (self.spans.len(), parent.map(|p| p.id));
+        let path = find_or_push(
+            &mut self.spans,
+            |p| p.parent == parent_id && p.name == name,
+            || {
+                Arc::new(SpanPath {
+                    id,
+                    parent: parent_id,
+                    name: name.to_string(),
+                    path: match parent {
+                        Some(parent) => format!("{}/{name}", parent.path),
+                        None => name.to_string(),
+                    },
+                    handles: OnceLock::new(),
+                })
+            },
+        );
+        Arc::clone(path)
+    }
+}
+
+/// One span path of a registry, and its `span/<path>/count` counter and
+/// `wall/span/<path>/seconds` gauge once a span on the path has ended.
+struct SpanPath {
+    /// Index in the registry's span list.
+    id: usize,
+    parent: Option<usize>,
+    name: String,
+    path: String,
+    handles: OnceLock<(Arc<Counter>, Arc<Gauge>)>,
+}
+
 /// A hierarchical wall-clock span. Dropping the span records
 /// `span/<path>/count` (+1, deterministic) and adds the elapsed seconds
-/// to the `wall/span/<path>/seconds` gauge (volatile).
+/// to the `wall/span/<path>/seconds` gauge (volatile). The registry
+/// resolves each path and its two metrics once: starting or ending a
+/// later span on the same path formats and allocates nothing.
 pub struct Span<'a> {
     reg: &'a MetricsRegistry,
-    path: String,
+    path: Arc<SpanPath>,
     start: Instant,
 }
 
 impl<'a> Span<'a> {
     /// Starts a child span `"<parent path>/<name>"`.
     pub fn child(&self, name: &str) -> Span<'a> {
-        Span {
-            reg: self.reg,
-            path: format!("{}/{name}", self.path),
-            start: Instant::now(),
-        }
+        self.reg.start_span(Some(&self.path), name)
     }
 
     /// The span's full path.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.path.path
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.reg
-            .counter(&format!("span/{}/count", self.path))
-            .add(1);
-        self.reg
-            .gauge(&format!("wall/span/{}/seconds", self.path))
-            .add(self.start.elapsed().as_secs_f64());
+        let (count, seconds) = self.path.handles.get_or_init(|| {
+            let path = &self.path.path;
+            (
+                self.reg.counter(&format!("span/{path}/count")),
+                self.reg.gauge(&format!("wall/span/{path}/seconds")),
+            )
+        });
+        count.add(1);
+        seconds.add(self.start.elapsed().as_secs_f64());
     }
 }
 

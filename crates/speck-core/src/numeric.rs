@@ -89,9 +89,9 @@ impl<V> NumericOutput<V> {
     /// spilled-block count and elements routed through the global radix
     /// sort.
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
-        m.counter("sim/numeric/spilled_blocks")
+        m.named_counter("sim/numeric/spilled_blocks")
             .add(self.spilled_blocks as u64);
-        m.counter("sim/numeric/radix_elems")
+        m.named_counter("sim/numeric/radix_elems")
             .add(self.radix_elems as u64);
     }
 }

@@ -144,6 +144,19 @@ pub struct SpeckSpgemm {
     metrics: Arc<MetricsRegistry>,
     tracing: bool,
     auditing: bool,
+    env_memo: EnvMemo,
+}
+
+/// The environment [`SpeckSpgemm::env_digest`] last hashed, and its
+/// digest. Each engine keeps its own (a clone copies it), because a clone
+/// may mutate its public fields independently.
+#[derive(Debug, Default)]
+struct EnvMemo(Mutex<Option<(DeviceConfig, CostModel, SpeckConfig, u64)>>);
+
+impl Clone for EnvMemo {
+    fn clone(&self) -> Self {
+        EnvMemo(Mutex::new(self.0.lock().unwrap().clone()))
+    }
 }
 
 impl Default for SpeckSpgemm {
@@ -157,6 +170,7 @@ impl Default for SpeckSpgemm {
             metrics: Arc::new(MetricsRegistry::new()),
             tracing: false,
             auditing: false,
+            env_memo: EnvMemo::default(),
         }
     }
 }
@@ -269,9 +283,26 @@ impl SpeckSpgemm {
     /// Tracing and auditing are not part of it: a cache hit runs warm and
     /// never reads the plan's setup records, so observing and plain
     /// engines share plans.
+    ///
+    /// The digest is memoized: it is recomputed only when the device, cost
+    /// model or configuration differs (by `==`) from the environment it
+    /// was last computed for.
     fn env_digest(&self) -> u64 {
+        let mut memo = self.env_memo.0.lock().unwrap();
+        if let Some((device, cost, config, digest)) = &*memo {
+            if *device == self.device && *cost == self.cost && *config == self.config {
+                return *digest;
+            }
+        }
         let env = format!("{:?}|{:?}|{:?}", self.device, self.cost, self.config);
-        fnv1a_bytes(env.as_bytes())
+        let digest = fnv1a_bytes(env.as_bytes());
+        *memo = Some((
+            self.device.clone(),
+            self.cost.clone(),
+            self.config.clone(),
+            digest,
+        ));
+        digest
     }
 
     /// Whether kernel records carry per-block schedules and annotations
@@ -290,7 +321,7 @@ impl SpeckSpgemm {
     /// Panics when `a.cols() != b.rows()` (matching the reference
     /// implementations in `speck-sparse`).
     pub fn multiply<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> (Csr<V>, MultiplyReport) {
-        self.metrics.counter("engine/multiply_calls").add(1);
+        self.metrics.named_counter("engine/multiply_calls").add(1);
         // A disabled cache is never consulted, so it counts no misses.
         let key = (self.plans.lock().unwrap().capacity() > 0)
             .then(|| PatternKey::new(a, b, self.env_digest()));
@@ -464,7 +495,7 @@ impl SpeckSpgemm {
         let pool = self.workspaces.pool::<V>();
         let span = m.span("execute");
         if reused {
-            m.counter("engine/plan_reuses").add(1);
+            m.named_counter("engine/plan_reuses").add(1);
         }
         let cascade = KernelCascade::for_device(dev);
         let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
@@ -771,6 +802,36 @@ mod tests {
             !r2.reused_plan,
             "stale plan must not survive a config change"
         );
+    }
+
+    #[test]
+    fn device_and_cost_changes_miss_and_reverting_them_hits_again() {
+        // The environment digest is memoized: every mutation of a public
+        // field must still reach the plan-cache key, and undoing it must
+        // find the original plan again.
+        let a = uniform_random(200, 200, 2, 6, 43);
+        let mut e = SpeckSpgemm::default();
+        let _ = e.multiply(&a, &a);
+        let (_, warm) = e.multiply(&a, &a);
+        assert!(warm.reused_plan);
+        type Mutation = fn(&mut SpeckSpgemm, f64);
+        let mutations: [(&str, Mutation); 2] = [
+            ("device", |e, k| e.device.launch_overhead_cycles *= k),
+            ("cost", |e, k| e.cost.c_smem_op *= k),
+        ];
+        for (field, mutate) in mutations {
+            mutate(&mut e, 2.0);
+            let (_, r) = e.multiply(&a, &a);
+            assert!(!r.reused_plan, "stale plan survived a {field} change");
+            let (_, r) = e.multiply(&a, &a);
+            assert!(r.reused_plan, "the changed {field} got no plan of its own");
+            mutate(&mut e, 0.5);
+            let (_, back) = e.multiply(&a, &a);
+            assert!(back.reused_plan, "reverting the {field} change missed");
+            assert_eq!(back.sim_time_s.to_bits(), warm.sim_time_s.to_bits());
+        }
+        assert_eq!(e.cached_plans(), 3);
+        assert_eq!(e.plan_cache_stats().1, 3);
     }
 
     #[test]

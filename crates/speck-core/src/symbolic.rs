@@ -37,13 +37,13 @@ impl SymbolicOutput {
     /// Records the pass's deterministic outputs under `sim/symbolic/`:
     /// spilled-block count and the exact C row-size distribution.
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
-        m.counter("sim/symbolic/spilled_blocks")
+        m.named_counter("sim/symbolic/spilled_blocks")
             .add(self.spilled_blocks as u64);
         let mut h = LocalHistogram::new();
         for &n in &self.row_nnz {
             h.record(n as u64);
         }
-        m.histogram("sim/symbolic/row_nnz").merge_local(&h);
+        m.named_histogram("sim/symbolic/row_nnz").merge_local(&h);
     }
 }
 

@@ -1,8 +1,10 @@
 //! Locks the allocation behaviour of the hot path: once an engine's
 //! workspace pools are warm, repeated multiplications must allocate
 //! substantially less than a fresh engine does, the steady-state
-//! allocation count must stay stable from call to call, and a cold
-//! multiply (no cached plan) must not allocate per block or per row.
+//! allocation count must stay stable from call to call, a cold multiply
+//! (no cached plan) must not allocate per block or per row, and recording
+//! a multiply's metrics must not format or allocate names once they are
+//! registered.
 //!
 //! This file holds exactly one test so the process-wide counting
 //! allocator only ever sees the work under measurement.
@@ -11,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use speck_repro::sparse::gen::{banded, uniform_random};
+use speck_repro::sparse::Csr;
 use speck_repro::speck::SpeckSpgemm;
 
 struct CountingAlloc;
@@ -73,13 +76,14 @@ fn warm_engine_allocates_less_and_stays_steady() {
         "steady-state multiply allocated {steady1} times vs {fresh} cold"
     );
     // Absolute lock on the hot path: this warm 600-row multiply sits at
-    // about 50 allocations with 2 pool threads (41 with 1, 144 with 32;
+    // about 31 allocations with 2 pool threads (20 with 1, 123 with 32;
     // the pool's per-chunk result vectors grow with its width), because
     // numeric blocks write C in place, each host chunk of blocks checks
-    // out one workspace, and the launch metrics are folded before they
-    // reach the registry. Reintroducing per-block output vectors (about
-    // 720), per-row staging or per-block accumulator construction would
-    // exceed the 200 ceiling, which leaves headroom for allocator noise.
+    // out one workspace, and metrics record through handles the registry
+    // resolved on an earlier call. Reintroducing per-block output vectors
+    // (about 720), per-row staging or per-block accumulator construction
+    // would exceed the 200 ceiling, which leaves headroom for allocator
+    // noise.
     assert!(
         steady1 < 200,
         "steady-state multiply allocated {steady1} times — per-block/per-row allocations are back"
@@ -115,4 +119,32 @@ fn warm_engine_allocates_less_and_stays_steady() {
         "cold multiply of {} rows allocated {cold} times (ceiling {ceiling}) — per-block/per-row allocations are back",
         b.rows()
     );
+
+    // A tiny cold multiply is mostly fixed per-call cost: the plan, the
+    // launches, the record stream and the metrics. With every metric
+    // name and span path already registered, recording formats and
+    // allocates nothing, so this identity(50) multiply sits at about 84
+    // allocations with 2 pool threads (73 with 1, 101 with 8, 126 from 16
+    // up, where its 50 rows stop filling more host chunks). Formatting a
+    // metric name per record, as the registry once did, costs about 60
+    // more (147 with 2 threads).
+    let id: Csr<f64> = Csr::identity(50);
+    for _ in 0..2 {
+        let _ = cold_engine.multiply(&id, &id);
+    }
+    let tiny = count_allocs(|| {
+        let _ = cold_engine.multiply(&id, &id);
+    });
+    let ceiling = 100 + 4 * threads;
+    assert!(
+        tiny < ceiling,
+        "cold identity(50) multiply allocated {tiny} times (ceiling {ceiling}) — per-call recording allocations are back"
+    );
+    // Starting and ending spans on registered paths allocates nothing.
+    let metrics = cold_engine.metrics();
+    let spans = count_allocs(|| {
+        let root = metrics.span("plan");
+        let _child = root.child("analysis");
+    });
+    assert_eq!(spans, 0, "a span on a registered path allocated");
 }

@@ -5,8 +5,12 @@
 //! warm (plan-reuse) path, regardless of host thread scheduling.
 
 use proptest::prelude::*;
+use speck_repro::sparse::gen::{banded, rmat, uniform_random};
 use speck_repro::sparse::{Coo, Csr};
-use speck_repro::speck::SpeckSpgemm;
+use speck_repro::speck::metrics::{MetricsRegistry, MetricsSnapshot};
+use speck_repro::speck::{GlobalLbMode, SpeckConfig, SpeckSpgemm};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn arb_csr(rows: usize, cols: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>> {
     proptest::collection::vec(
@@ -66,8 +70,7 @@ proptest! {
 fn snapshot_roundtrips_and_matches_itself() {
     // End-to-end through the real pipeline: full JSON parses back to an
     // equal snapshot and the comparator reports zero drift against itself.
-    use speck_repro::sparse::gen::uniform_random;
-    use speck_repro::speck::metrics::{compare_snapshots, MetricsSnapshot};
+    use speck_repro::speck::metrics::compare_snapshots;
 
     let a = uniform_random(300, 300, 2, 8, 5);
     let engine = SpeckSpgemm::default();
@@ -85,8 +88,6 @@ fn batch_multiply_snapshot_is_deterministic() {
     // Engine clones multiply concurrently on scoped threads — the shared
     // registry's atomics must still produce an order-independent, stable
     // canonical snapshot.
-    use speck_repro::sparse::gen::{banded, uniform_random};
-
     let run = || {
         let ms = [
             uniform_random(200, 200, 2, 6, 11),
@@ -107,4 +108,142 @@ fn batch_multiply_snapshot_is_deterministic() {
         engine.metrics_snapshot().canonical_json()
     };
     assert_eq!(run(), run());
+}
+
+/// An engine whose passes always bin, so `sim/lb/*/global_lb_used`
+/// registers too.
+fn binning_engine() -> SpeckSpgemm {
+    SpeckSpgemm::with_config(SpeckConfig {
+        global_lb: GlobalLbMode::AlwaysOn,
+        ..SpeckConfig::default()
+    })
+}
+
+/// The deterministic sections of two snapshots added together, with the
+/// union of their gauge names (values zeroed).
+fn sum(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
+    let mut out = a.clone();
+    for (name, v) in &b.counters {
+        *out.counters.entry(name.clone()).or_default() += v;
+    }
+    for (name, h) in &b.histograms {
+        let o = out.histograms.entry(name.clone()).or_default();
+        o.count += h.count;
+        o.sum = o.sum.wrapping_add(h.sum);
+        let mut buckets: BTreeMap<u32, u64> = o.buckets.iter().copied().collect();
+        for &(i, n) in &h.buckets {
+            *buckets.entry(i).or_default() += n;
+        }
+        o.buckets = buckets.into_iter().collect();
+    }
+    out.gauges.extend(b.gauges.keys().map(|k| (k.clone(), 0.0)));
+    out.gauges.values_mut().for_each(|v| *v = 0.0);
+    out
+}
+
+fn gauge_names(s: &MetricsSnapshot) -> Vec<&String> {
+    s.gauges.keys().collect()
+}
+
+#[test]
+fn engines_sharing_a_registry_record_the_sum_of_their_multiplies() {
+    // The registry caches its metric handles itself, so two engines
+    // feeding one registry, with different kernels and passes, must
+    // record exactly what each records alone.
+    let x = uniform_random(200, 200, 2, 6, 21);
+    let y = rmat(7, 6, 0.57, 0.19, 0.19, 22);
+    let (solo_x, solo_y) = (SpeckSpgemm::default(), binning_engine());
+    for _ in 0..2 {
+        let _ = solo_x.multiply(&x, &x);
+        let _ = solo_y.multiply(&y, &y);
+    }
+    let expect = sum(&solo_x.metrics().snapshot(), &solo_y.metrics().snapshot());
+
+    let shared = Arc::new(MetricsRegistry::new());
+    let ex = SpeckSpgemm::default().with_metrics(Arc::clone(&shared));
+    let ey = binning_engine().with_metrics(Arc::clone(&shared));
+    for _ in 0..2 {
+        let _ = ex.multiply(&x, &x);
+        let _ = ey.multiply(&y, &y);
+    }
+    let got = shared.snapshot();
+    assert_eq!(got.canonical_json(), expect.canonical_json());
+    assert_eq!(gauge_names(&got), gauge_names(&expect));
+}
+
+#[test]
+fn a_clone_given_a_fresh_registry_records_only_there() {
+    // The old registry has resolved its handles; a clone pointed at a
+    // fresh registry must not keep recording through them.
+    let x = uniform_random(200, 200, 2, 6, 31);
+    let y = banded(150, 3, 1.0, 32);
+    let engine = binning_engine();
+    let _ = engine.multiply(&x, &x);
+    let old = engine.metrics().snapshot();
+
+    let fresh = Arc::new(MetricsRegistry::new());
+    let clone = engine.clone().with_metrics(Arc::clone(&fresh));
+    let (_, warm) = clone.multiply(&x, &x);
+    assert!(warm.reused_plan, "clones share the plan cache");
+    let _ = clone.multiply(&y, &y);
+    assert_eq!(engine.metrics().snapshot(), old, "the old registry moved");
+
+    let new = fresh.snapshot();
+    assert_eq!(new.counters["engine/multiply_calls"], 2);
+    assert_eq!(new.counters["engine/plan_reuses"], 1);
+    assert_eq!(new.counters["span/plan/count"], 1);
+    assert_eq!(new.counters["span/execute/count"], 2);
+    // Together the two registries hold what one registry holds after the
+    // same three multiplies.
+    let one = binning_engine();
+    for m in [&x, &x, &y] {
+        let _ = one.multiply(m, m);
+    }
+    let expect = sum(&one.metrics().snapshot(), &MetricsSnapshot::default());
+    let got = sum(&old, &new);
+    assert_eq!(got.canonical_json(), expect.canonical_json());
+    assert_eq!(gauge_names(&got), gauge_names(&expect));
+}
+
+#[test]
+fn k_cold_multiplies_record_k_times_one() {
+    // Cached handles add to the same metrics every call and register
+    // nothing new after the first: k identical cold multiplies record k
+    // times what one records, under the same names.
+    const K: u64 = 4;
+    let m = rmat(8, 6, 0.57, 0.19, 0.19, 41);
+    let engine = binning_engine().with_plan_cache_capacity(0);
+    let _ = engine.multiply(&m, &m);
+    let one = engine.metrics().snapshot();
+    for _ in 1..K {
+        let _ = engine.multiply(&m, &m);
+    }
+    let k = engine.metrics().snapshot();
+
+    assert!(one.counters.contains_key("sim/lb/symbolic/global_lb_used"));
+    // Stage counters register on their first non-zero add only.
+    for (name, v) in &one.counters {
+        if name.starts_with("sim/stage/") {
+            assert!(*v > 0, "{name} registered at zero");
+        }
+    }
+    assert_eq!(
+        k.counters.keys().collect::<Vec<_>>(),
+        one.counters.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        k.histograms.keys().collect::<Vec<_>>(),
+        one.histograms.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(gauge_names(&k), gauge_names(&one));
+    for (name, v) in &one.counters {
+        assert_eq!(k.counters[name], K * v, "counter {name}");
+    }
+    for (name, h) in &one.histograms {
+        let hk = &k.histograms[name];
+        assert_eq!(hk.count, K * h.count, "histogram {name} count");
+        assert_eq!(hk.sum, K * h.sum, "histogram {name} sum");
+        let scaled: Vec<(u32, u64)> = h.buckets.iter().map(|&(i, n)| (i, K * n)).collect();
+        assert_eq!(hk.buckets, scaled, "histogram {name} buckets");
+    }
 }
