@@ -16,8 +16,9 @@
 #                       #     baseline's declared tolerance)
 #   ./ci.sh --trace     # ... plus a tracing smoke gate: exports a Chrome
 #                       #     trace twice (must be byte-identical), round-
-#                       #     trips it through --profile-from, and diffs a
-#                       #     trace against itself (all deltas zero)
+#                       #     trips it through --profile-from (must equal
+#                       #     the live profile), and diffs a trace against
+#                       #     itself (all deltas zero)
 #   ./ci.sh --audit     # ... plus a decision-audit gate: exports an audit
 #                       #     report twice (must be byte-identical), diffs
 #                       #     it against itself (zero regret delta), and
@@ -160,9 +161,13 @@ if [ "$run_trace" -eq 1 ]; then
         --trace-out /tmp/trace_repeat.json >/dev/null
     cmp target/ci/trace.json /tmp/trace_repeat.json \
         || { echo "FAIL: trace export is not deterministic" >&2; exit 1; }
-    # Parse -> profile round trip on the exported file.
+    # Parse -> profile round trip on the exported file: the profile of
+    # the parsed trace must equal the live run's profile section.
     "${runspeck[@]}" --profile-from target/ci/trace.json \
         >target/ci/trace_profile_from.txt
+    sed '1,/^profile (one cold multiply):$/d' target/ci/trace_profile.txt \
+        | cmp - target/ci/trace_profile_from.txt \
+        || { echo "FAIL: --profile-from differs from the live profile" >&2; exit 1; }
     # A trace diffed against itself must show a zero total delta.
     "${runspeck[@]}" --trace-diff target/ci/trace.json target/ci/trace.json \
         | tee /tmp/trace_selfdiff.txt

@@ -81,6 +81,19 @@ impl AnalysisInfo {
             self.max_products as f64 / avg
         }
     }
+
+    /// Features of a block of `rows` that the local load balancer reads
+    /// (paper §3.2): `(nnz_a, products, max_b_row)` — NZ of A and
+    /// products summed over the rows, and the longest referenced row of
+    /// B.
+    #[inline]
+    pub fn block_features(&self, rows: &[u32]) -> (u64, u64, u64) {
+        let info = &self.rows;
+        let nnz_a = rows.iter().map(|&r| info[r as usize].nnz_a as u64).sum();
+        let products = rows.iter().map(|&r| info[r as usize].products).sum();
+        let max_b_row = rows.iter().map(|&r| info[r as usize].max_b_row as u64);
+        (nnz_a, products, max_b_row.max().unwrap_or(0))
+    }
 }
 
 /// Runs the row analysis as a simulated kernel; returns the analysis and

@@ -22,8 +22,11 @@
 //! internal consistency check (property-tested in
 //! `tests/audit_reconcile.rs`). Alternative estimates are counterfactual
 //! perturbations of the same measured block (scaled rounds, scaled
-//! compute, or a re-planned pass costed by row attribution), so they are
-//! deterministic but *optimistic bounds*, not replays.
+//! compute, or a re-planned pass costed by the profiler's per-row
+//! attribution, [`ExecutionTrace::row_cycles`]), so they are
+//! deterministic but *optimistic bounds*, not replays. Blocks are read
+//! through the trace's block view and their features through
+//! [`AnalysisInfo::block_features`], the fold the kernels use.
 //!
 //! Everything here is read-only post-processing: auditing never changes
 //! simulated results, and [`DecisionReport::canonical_json`] is
@@ -39,6 +42,7 @@ use crate::global_lb::{
 use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::{alternative_group_sizes, estimated_rounds};
 use crate::pipeline::stage;
+use crate::profile::{cell_labels, pair_by_key, BinKey};
 use crate::symbolic::group_blocks;
 use crate::trace::ExecutionTrace;
 use speck_simt::{CostModel, DeviceConfig};
@@ -152,10 +156,6 @@ impl AuditGroupStats {
     }
 }
 
-/// Summary cell key: `(stage/kind, accumulator, bin)` — the same shape
-/// as the profiler's kernel grouping.
-pub type AuditKey = (String, Option<AccMethod>, Option<usize>);
-
 /// The decision-provenance report of one multiplication.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecisionReport {
@@ -166,9 +166,10 @@ pub struct DecisionReport {
 }
 
 impl DecisionReport {
-    /// Aggregates the records into `(stage/kind, acc, bin)` cells.
-    pub fn summary(&self) -> BTreeMap<AuditKey, AuditGroupStats> {
-        let mut cells: BTreeMap<AuditKey, AuditGroupStats> = BTreeMap::new();
+    /// Aggregates the records into `(stage/kind, acc, bin)` cells, keyed
+    /// like the profiler's attribution cells.
+    pub fn summary(&self) -> BTreeMap<BinKey, AuditGroupStats> {
+        let mut cells: BTreeMap<BinKey, AuditGroupStats> = BTreeMap::new();
         for r in &self.records {
             let key = (format!("{}/{}", r.stage, r.kind), r.acc, r.bin);
             cells.entry(key).or_default().add(r);
@@ -281,36 +282,16 @@ impl DecisionReport {
     /// output. The derived `summary` block is ignored and recomputed.
     pub fn from_json(text: &str) -> Result<DecisionReport, String> {
         let root = parse_json_value(text)?;
-        let format = root
-            .get("format")
-            .and_then(JsonValue::as_str)
-            .ok_or("audit JSON: missing format tag")?;
+        let format = root.req("format", JsonValue::as_str)?;
         if format != AUDIT_FORMAT {
             return Err(format!("audit JSON: unsupported format {format:?}"));
         }
-        let device_name = root
-            .get("device")
-            .and_then(JsonValue::as_str)
-            .ok_or("audit JSON: missing device")?
-            .to_string();
+        let device_name = root.req("device", JsonValue::as_str)?.to_string();
         let mut records = Vec::new();
-        for rec in root
-            .get("records")
-            .and_then(JsonValue::as_arr)
-            .ok_or("audit JSON: missing records")?
-        {
-            let str_field = |key: &str| -> Result<String, String> {
-                rec.get(key)
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or(format!("audit JSON: record missing {key}"))
-            };
-            let num_field = |key: &str| -> Result<f64, String> {
-                rec.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or(format!("audit JSON: record missing {key}"))
-            };
-            let kind = match str_field("kind")?.as_str() {
+        for rec in root.req("records", JsonValue::as_arr)? {
+            let text = |key: &str| rec.req(key, JsonValue::as_str).map(str::to_string);
+            let num = |key: &str| rec.req(key, JsonValue::as_f64);
+            let kind = match rec.req("kind", JsonValue::as_str)? {
                 "gate" => "gate",
                 "merge" => "merge",
                 "bin" => "bin",
@@ -318,46 +299,34 @@ impl DecisionReport {
                 "group_size" => "group_size",
                 k => return Err(format!("audit JSON: unknown kind {k:?}")),
             };
-            let mut features = Vec::new();
-            if let Some(JsonValue::Obj(fields)) = rec.get("features") {
-                for (k, v) in fields {
-                    let v = v.as_f64().ok_or("audit JSON: non-numeric feature")?;
-                    features.push((k.clone(), v));
-                }
-            }
-            let mut alternatives = Vec::new();
-            if let Some(alts) = rec.get("alternatives").and_then(JsonValue::as_arr) {
-                for a in alts {
-                    alternatives.push(Alternative {
-                        label: a
-                            .get("label")
-                            .and_then(JsonValue::as_str)
-                            .ok_or("audit JSON: alternative missing label")?
-                            .to_string(),
-                        est_cycles: a
-                            .get("est_cycles")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or("audit JSON: alternative missing est_cycles")?,
-                    });
-                }
-            }
+            let features = rec.req("features", JsonValue::as_obj)?;
+            let features = features
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), v.typed(k, JsonValue::as_f64)?)))
+                .collect::<Result<_, String>>()?;
+            let alternatives = rec.req("alternatives", JsonValue::as_arr)?;
+            let alternatives = alternatives
+                .iter()
+                .map(|a| {
+                    Ok(Alternative {
+                        label: a.req("label", JsonValue::as_str)?.to_string(),
+                        est_cycles: a.req("est_cycles", JsonValue::as_f64)?,
+                    })
+                })
+                .collect::<Result<_, String>>()?;
             records.push(DecisionRecord {
-                stage: str_field("stage")?,
+                stage: text("stage")?,
                 kind,
-                subject: str_field("subject")?,
-                bin: rec.get("bin").and_then(JsonValue::as_usize),
-                acc: rec
-                    .get("acc")
-                    .and_then(JsonValue::as_str)
-                    .and_then(AccMethod::from_name),
+                subject: text("subject")?,
+                bin: rec.opt("bin", JsonValue::as_usize)?,
+                acc: rec.opt("acc", |v| v.as_str().and_then(AccMethod::from_name))?,
                 features,
-                chosen: str_field("chosen")?,
-                chosen_est_cycles: num_field("chosen_est_cycles")?,
-                measured_cycles: num_field("measured_cycles")?,
+                chosen: text("chosen")?,
+                chosen_est_cycles: num("chosen_est_cycles")?,
+                measured_cycles: num("measured_cycles")?,
                 alternatives,
-                verdict: Verdict::from_name(&str_field("verdict")?)
-                    .ok_or("audit JSON: unknown verdict")?,
-                regret_cycles: num_field("regret_cycles")?,
+                verdict: rec.req("verdict", |v| v.as_str().and_then(Verdict::from_name))?,
+                regret_cycles: num("regret_cycles")?,
             });
         }
         Ok(DecisionReport {
@@ -402,8 +371,7 @@ impl DecisionReport {
             "decision", "acc", "bin", "decisions", "mispred", "ties", "regret cycles"
         );
         for ((cell, acc, bin), st) in &cells {
-            let acc = acc.map_or("-", AccMethod::name);
-            let bin = bin.map_or("-".to_string(), |b| b.to_string());
+            let (acc, bin) = cell_labels(*acc, *bin);
             let _ = writeln!(
                 out,
                 "  {:width$}  {:>6}  {:>4}  {:>9}  {:>9}  {:>5}  {:>14.3}",
@@ -422,7 +390,7 @@ pub struct AuditDiff {
     /// Summary cells whose statistics differ, keyed like
     /// [`DecisionReport::summary`], with `(old, new)` stats (a missing
     /// side contributes zeroed stats). Empty for identical reports.
-    pub cells: BTreeMap<AuditKey, (AuditGroupStats, AuditGroupStats)>,
+    pub cells: BTreeMap<BinKey, (AuditGroupStats, AuditGroupStats)>,
 }
 
 impl AuditDiff {
@@ -448,8 +416,7 @@ impl AuditDiff {
             "decision", "acc", "bin", "decisions", "mispred", "regret delta"
         );
         for ((cell, acc, bin), (old, new)) in &self.cells {
-            let acc = acc.map_or("-", AccMethod::name);
-            let bin = bin.map_or("-".to_string(), |b| b.to_string());
+            let (acc, bin) = cell_labels(*acc, *bin);
             let _ = writeln!(
                 out,
                 "  {:width$}  {:>6}  {:>4}  {:>6} -> {:>4}  {:>6} -> {:>4}  {:>+14.3}",
@@ -470,20 +437,8 @@ impl AuditDiff {
 /// Diffs two reports cell by cell; `diff_reports(r, r)` has no cells and
 /// a zero regret delta.
 pub fn diff_reports(old: &DecisionReport, new: &DecisionReport) -> AuditDiff {
-    let old_cells = old.summary();
-    let new_cells = new.summary();
-    let mut cells = BTreeMap::new();
-    for (key, o) in &old_cells {
-        let n = new_cells.get(key).copied().unwrap_or_default();
-        if *o != n {
-            cells.insert(key.clone(), (*o, n));
-        }
-    }
-    for (key, n) in &new_cells {
-        if !old_cells.contains_key(key) {
-            cells.insert(key.clone(), (AuditGroupStats::default(), *n));
-        }
-    }
+    let mut cells = pair_by_key(&old.summary(), &new.summary(), |s| *s);
+    cells.retain(|_, (o, n)| o != n);
     AuditDiff {
         regret_delta_cycles: new.total_regret_cycles() - old.total_regret_cycles(),
         cells,
@@ -547,13 +502,13 @@ pub(crate) fn build_report(
         // A warm (plan-reusing) run carries only the stages that actually
         // executed — its trace has no symbolic kernels, so only the
         // numeric decisions are audited.
-        if !trace.kernels().any(|(r, _)| r.stage == p.spgemm_stage) {
+        if !trace.kernels().any(|(_, r, _)| r.stage == p.spgemm_stage) {
             continue;
         }
         records.push(gate_record(
             dev, model, &cascade, cfg, info, row_nnz, b_cols, val_bytes, p, trace,
         ));
-        if let Some(r) = merge_record(p, model, trace) {
+        if let Some(r) = merge_record(p, trace) {
             records.push(r);
         }
         block_records(p, model, &cascade, info, trace, &mut records);
@@ -582,34 +537,6 @@ fn verdict_for(measured: f64, alternatives: &[Alternative]) -> (Verdict, f64) {
     } else {
         (Verdict::Confirmed, 0.0)
     }
-}
-
-/// Measured cycles attributed to each row of the pass: every per-block
-/// event's serial cycles split evenly over the block's rows (the
-/// profiler's attribution convention).
-fn row_attribution(p: &PassCtx<'_>, trace: &ExecutionTrace) -> BTreeMap<u32, f64> {
-    let mut attr = BTreeMap::new();
-    for (r, k) in trace.kernels() {
-        if r.stage != p.spgemm_stage {
-            continue;
-        }
-        let (Some(bt), Some(anns)) = (&k.blocks, &k.annotations) else {
-            continue;
-        };
-        for e in &bt.events {
-            let Some(ann) = anns.get(e.grid_idx as usize) else {
-                continue;
-            };
-            if ann.rows.is_empty() {
-                continue;
-            }
-            let share = e.serial_cycles() / ann.rows.len() as f64;
-            for &row in &ann.rows {
-                *attr.entry(row).or_insert(0.0) += share;
-            }
-        }
-    }
-    attr
 }
 
 /// Optimistic work/span schedule bound for one launch over per-block
@@ -641,12 +568,10 @@ fn gate_record(
 ) -> DecisionRecord {
     let mut measured = 0.0;
     let mut has_load = false;
-    for (r, k) in trace.kernels() {
-        if r.stage == p.spgemm_stage {
+    for (_, r, k) in trace.kernels() {
+        if r.stage == p.spgemm_stage || r.stage == p.load_stage {
             measured += k.body_cycles + trace.launch_overhead_cycles;
-        } else if r.stage == p.load_stage {
-            measured += k.body_cycles + trace.launch_overhead_cycles;
-            has_load = true;
+            has_load |= r.stage == p.load_stage;
         }
     }
 
@@ -668,7 +593,8 @@ fn gate_record(
             dev, model, cascade, &alt_cfg, info, row_nnz, b_cols, val_bytes,
         )
     };
-    let attr = row_attribution(p, trace);
+    // Measured per-row cycles of the pass, the profiler's attribution.
+    let attr = trace.row_cycles(Some(p.spgemm_stage));
     let mut alt_est = 0.0;
     if has_load {
         // The alternative's own binning/merge kernels — comparable only
@@ -684,7 +610,7 @@ fn gate_record(
                 alt_plan
                     .block_rows(bi)
                     .iter()
-                    .map(|row| attr.get(row).copied().unwrap_or(0.0))
+                    .map(|row| attr.get(row).map_or(0.0, |&(cycles, _)| cycles))
                     .sum()
             })
             .collect();
@@ -732,36 +658,19 @@ fn gate_record(
 /// the merged rows one block each (dropping the merge kernel) — an
 /// optimistic bound, since the per-row shares keep the merged blocks'
 /// amortisation of fixed per-block costs.
-fn merge_record(
-    p: &PassCtx<'_>,
-    model: &CostModel,
-    trace: &ExecutionTrace,
-) -> Option<DecisionRecord> {
-    let (_, mk) = trace
+fn merge_record(p: &PassCtx<'_>, trace: &ExecutionTrace) -> Option<DecisionRecord> {
+    let (_, _, mk) = trace
         .kernels()
-        .find(|(r, k)| r.stage == p.load_stage && k.name == "block_merge")?;
+        .find(|(_, r, k)| r.stage == p.load_stage && k.name == "block_merge")?;
     // The merged launch is the smallest-bin hash launch of the pass.
-    let (_, sk) = trace
+    let (_, _, sk) = trace
         .kernels()
-        .filter(|(r, k)| {
+        .filter(|(_, r, k)| {
             r.stage == p.spgemm_stage && k.acc == Some(AccMethod::Hash) && k.bin.is_some()
         })
-        .min_by_key(|(_, k)| k.bin)?;
+        .min_by_key(|(_, _, k)| k.bin)?;
     let measured = mk.body_cycles + sk.body_cycles + 2.0 * trace.launch_overhead_cycles;
-    let mut row_cycles = Vec::new();
-    if let (Some(bt), Some(anns)) = (&sk.blocks, &sk.annotations) {
-        for e in &bt.events {
-            let Some(ann) = anns.get(e.grid_idx as usize) else {
-                continue;
-            };
-            if ann.rows.is_empty() {
-                continue;
-            }
-            let share = e.serial_cycles() / ann.rows.len() as f64;
-            row_cycles.extend(std::iter::repeat_n(share, ann.rows.len()));
-        }
-    }
-    let _ = model; // chosen estimate is the identity (measured) cost
+    let row_cycles: Vec<f64> = sk.row_shares().map(|(_, share)| share).collect();
     let alternatives = vec![Alternative {
         label: "no_merge".to_string(),
         est_cycles: launch_bound(&row_cycles, trace),
@@ -801,36 +710,20 @@ fn block_records(
     out: &mut Vec<DecisionRecord>,
 ) {
     let units = model.acc_unit_costs();
-    for (r, k) in trace.kernels() {
+    for (_, r, k) in trace.kernels() {
         if r.stage != p.spgemm_stage {
             continue;
         }
         let Some(acc) = k.acc else { continue };
-        let (Some(bt), Some(anns)) = (&k.blocks, &k.annotations) else {
-            continue;
-        };
-        for e in &bt.events {
-            let Some(ann) = anns.get(e.grid_idx as usize) else {
+        for (e, rows, group_size) in k.traced_blocks() {
+            // Only annotated blocks (every block of an audited SpGEMM
+            // launch) carry decisions.
+            if rows.is_empty() {
                 continue;
-            };
+            }
             let measured = model.shadow_cycles(&e.cost);
             let subject = format!("{}#{}", k.name, e.grid_idx);
-            let nnz_a: u64 = ann
-                .rows
-                .iter()
-                .map(|&row| info.rows[row as usize].nnz_a as u64)
-                .sum();
-            let products: u64 = ann
-                .rows
-                .iter()
-                .map(|&row| info.rows[row as usize].products)
-                .sum();
-            let max_b_row: u64 = ann
-                .rows
-                .iter()
-                .map(|&row| info.rows[row as usize].max_b_row as u64)
-                .max()
-                .unwrap_or(0);
+            let (nnz_a, products, max_b_row) = info.block_features(rows);
 
             // Accumulator decision: scale the measured compute side by
             // the per-entry unit-cost ratio of the alternative method.
@@ -839,16 +732,11 @@ fn block_records(
                 AccMethod::Hash => {
                     // Dense needs exclusive ownership of the scratchpad
                     // columns — only single-row blocks qualify.
-                    if ann.rows.len() == 1 {
+                    if rows.len() == 1 {
                         acc_alts.push(("dense", units.dense / units.hash));
                     }
                     // Direct applies only to rows with at most one NZ of A.
-                    if !ann.rows.is_empty()
-                        && ann
-                            .rows
-                            .iter()
-                            .all(|&row| info.rows[row as usize].nnz_a <= 1)
-                    {
+                    if rows.iter().all(|&row| info.rows[row as usize].nnz_a <= 1) {
                         acc_alts.push(("direct", units.direct / units.hash));
                     }
                 }
@@ -870,7 +758,7 @@ fn block_records(
                 bin: k.bin,
                 acc: Some(acc),
                 features: vec![
-                    ("rows".to_string(), ann.rows.len() as f64),
+                    ("rows".to_string(), rows.len() as f64),
                     ("nnz_a".to_string(), nnz_a as f64),
                     ("products".to_string(), products as f64),
                 ],
@@ -892,8 +780,7 @@ fn block_records(
             // (rows were binned smallest-fit, so it rarely does — merged
             // blocks are the exception).
             if let Some(bin) = k.bin {
-                let demand = ann
-                    .rows
+                let demand = rows
                     .iter()
                     .map(|&row| p.entries[row as usize])
                     .max()
@@ -938,7 +825,7 @@ fn block_records(
             // Group-size decision: scale the block's measured issue
             // rounds by the work/span estimate ratio of the rejected
             // neighbouring g (paper §3.2 / Fig. 13).
-            if let Some(g) = ann.group_size {
+            if let Some(g) = group_size {
                 let est_g = estimated_rounds(g as usize, k.threads, nnz_a, products, max_b_row);
                 let alternatives: Vec<Alternative> = alternative_group_sizes(g as usize, k.threads)
                     .into_iter()
@@ -1132,5 +1019,44 @@ mod tests {
         assert!(DecisionReport::from_json("{}").is_err());
         assert!(DecisionReport::from_json("not json").is_err());
         assert!(DecisionReport::from_json("{\"format\": \"other\", \"device\": \"d\"}").is_err());
+        // A record field the exporter always writes that is missing or
+        // mistyped fails with an error naming it.
+        let one = DecisionReport {
+            device_name: "d".to_string(),
+            records: vec![DecisionRecord {
+                stage: "numeric".to_string(),
+                kind: "acc",
+                subject: "numeric_hash_c1#0".to_string(),
+                bin: Some(1),
+                acc: Some(AccMethod::Hash),
+                features: vec![("rows".to_string(), 2.0)],
+                chosen: "hash".to_string(),
+                chosen_est_cycles: 5.0,
+                measured_cycles: 5.0,
+                alternatives: vec![Alternative {
+                    label: "dense".to_string(),
+                    est_cycles: 4.0,
+                }],
+                verdict: Verdict::Misprediction,
+                regret_cycles: 1.0,
+            }],
+        };
+        let j = one.canonical_json();
+        assert_eq!(DecisionReport::from_json(&j).unwrap(), one);
+        for (from, to, key) in [
+            (
+                "\"features\": {\"rows\": 2}",
+                "\"features\": [2]",
+                "features",
+            ),
+            ("\"rows\": 2", "\"rows\": \"2\"", "rows"),
+            ("\"acc\": \"hash\"", "\"acc\": \"hsah\"", "acc"),
+            ("\"bin\": 1", "\"bin\": \"1\"", "bin"),
+            ("\"alternatives\"", "\"alts\"", "alternatives"),
+        ] {
+            assert!(j.contains(from), "{from}");
+            let err = DecisionReport::from_json(&j.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{from}: {err}");
+        }
     }
 }

@@ -7,6 +7,11 @@
 //! text, so a `u64` counter above 2^53 reads back exactly through
 //! [`JsonValue::as_u64`] while [`JsonValue::as_f64`] recovers any `f64`
 //! written with shortest-roundtrip `Display`.
+//!
+//! Every parse-back path reads fields through the typed accessors
+//! [`JsonValue::req`] and [`JsonValue::opt`] (and [`JsonValue::typed`]
+//! for array items and object values), so a malformed document fails
+//! with an error naming the missing or mistyped key.
 
 use std::fmt::Write as _;
 
@@ -86,9 +91,14 @@ impl JsonValue {
         }
     }
 
-    /// The value as usize, if a non-negative integer.
+    /// The value as usize, if a non-negative integer that fits.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
+        self.as_u64().and_then(|v| v.try_into().ok())
+    }
+
+    /// The value as u32, if a non-negative integer that fits.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|v| v.try_into().ok())
     }
 
     /// The value as a string slice.
@@ -112,6 +122,44 @@ impl JsonValue {
         match self {
             JsonValue::Obj(fields) => Some(fields),
             _ => None,
+        }
+    }
+
+    /// The value read through `as_t` (one of the `as_*` readers, or a
+    /// closure over one), or an error naming it `what` when it has
+    /// another type.
+    pub fn typed<'a, T>(
+        &'a self,
+        what: &str,
+        as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        as_t(self).ok_or_else(|| format!("json: {what:?} has the wrong type"))
+    }
+
+    /// Required field `key` read through `as_t`: an error names the key
+    /// when it is missing or has another type.
+    pub fn req<'a, T>(
+        &'a self,
+        key: &str,
+        as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| format!("json: missing key {key:?}"))?;
+        v.typed(key, as_t)
+    }
+
+    /// Optional field `key` read through `as_t`: `None` when it is
+    /// missing or `null`, an error naming the key when it has another
+    /// type.
+    pub fn opt<'a, T>(
+        &'a self,
+        key: &str,
+        as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(v) => v.typed(key, as_t).map(Some),
         }
     }
 }
@@ -300,6 +348,7 @@ mod tests {
         let v = parse_json_value(&format!("[{big}, 0.1]")).unwrap();
         let items = v.as_arr().unwrap();
         assert_eq!(items[0].as_u64(), Some(big));
+        assert_eq!(items[0].as_u32(), None);
         assert_eq!(items[1].as_f64(), Some(0.1));
     }
 

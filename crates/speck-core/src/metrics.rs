@@ -868,49 +868,43 @@ impl MetricsSnapshot {
     /// histogram sums read back exactly, above 2^53 too.
     pub fn parse_json(text: &str) -> Result<MetricsSnapshot, String> {
         let root = parse_json_value(text)?;
-        match root.get("format").and_then(JsonValue::as_str) {
-            Some(SNAPSHOT_FORMAT) => {}
-            Some(other) => return Err(format!("unknown metrics format '{other}'")),
-            None => return Err("missing \"format\" field".into()),
+        match root.req("format", JsonValue::as_str)? {
+            SNAPSHOT_FORMAT => {}
+            other => return Err(format!("unknown metrics format '{other}'")),
         }
+        // A section the document leaves out (the canonical form has no
+        // gauges) reads empty.
         let section = |key: &str| {
-            root.get(key)
-                .and_then(JsonValue::as_obj)
-                .unwrap_or_default()
-        };
-        let int = |v: &JsonValue, what: &str| {
-            v.as_u64()
-                .ok_or_else(|| format!("metrics json: {what} is not an unsigned integer"))
+            root.opt(key, JsonValue::as_obj)
+                .map(Option::unwrap_or_default)
         };
         let mut snap = MetricsSnapshot {
-            wall_tolerance: root.get("wall_tolerance").and_then(JsonValue::as_f64),
+            wall_tolerance: root.opt("wall_tolerance", JsonValue::as_f64)?,
             ..MetricsSnapshot::default()
         };
-        for (name, v) in section("counters") {
-            snap.counters.insert(name.clone(), int(v, name)?);
+        for (name, v) in section("counters")? {
+            snap.counters
+                .insert(name.clone(), v.typed(name, JsonValue::as_u64)?);
         }
-        for (name, v) in section("gauges") {
-            let g = v
-                .as_f64()
-                .ok_or_else(|| format!("metrics json: gauge {name} is not a number"))?;
-            snap.gauges.insert(name.clone(), g);
+        for (name, v) in section("gauges")? {
+            snap.gauges
+                .insert(name.clone(), v.typed(name, JsonValue::as_f64)?);
         }
-        for (name, v) in section("histograms") {
-            let field = |key: &str| {
-                v.get(key)
-                    .ok_or(format!("metrics json: {name}.{key} missing"))
+        for (name, v) in section("histograms")? {
+            let histogram = || -> Result<HistogramSnapshot, String> {
+                let buckets = v.req("buckets", JsonValue::as_arr)?.iter().map(|pair| {
+                    pair.typed("buckets", |p| match p.as_arr()? {
+                        [b, n] => Some((b.as_u32()?, n.as_u64()?)),
+                        _ => None,
+                    })
+                });
+                Ok(HistogramSnapshot {
+                    count: v.req("count", JsonValue::as_u64)?,
+                    sum: v.req("sum", JsonValue::as_u64)?,
+                    buckets: buckets.collect::<Result<_, _>>()?,
+                })
             };
-            let mut h = HistogramSnapshot {
-                count: int(field("count")?, name)?,
-                sum: int(field("sum")?, name)?,
-                buckets: Vec::new(),
-            };
-            for pair in field("buckets")?.as_arr().unwrap_or_default() {
-                match pair.as_arr() {
-                    Some([b, n]) => h.buckets.push((int(b, name)? as u32, int(n, name)?)),
-                    _ => return Err(format!("metrics json: {name} has a malformed bucket")),
-                }
-            }
+            let h = histogram().map_err(|e| format!("metrics json: histogram {name:?}: {e}"))?;
             snap.histograms.insert(name.clone(), h);
         }
         Ok(snap)
@@ -1104,9 +1098,23 @@ mod tests {
         let parsed = MetricsSnapshot::parse_json(&snap.full_json()).unwrap();
         assert_eq!(parsed.counters["big"], u64::MAX - 1);
         assert_eq!(parsed, snap);
-        // A malformed section fails instead of truncating.
+        // A malformed section fails instead of truncating, naming the
+        // offending key: a negative counter, or a histogram bucket index
+        // beyond u32 (which must not wrap to bucket 1).
         let bad = snap.full_json().replace("18446744073709551614", "-1");
-        assert!(MetricsSnapshot::parse_json(&bad).is_err());
+        let err = MetricsSnapshot::parse_json(&bad).unwrap_err();
+        assert!(err.contains("\"big\""), "{err}");
+        let (b, n) = snap.histograms["h"].buckets[0];
+        let bucket = format!("[{b}, {n}]");
+        assert!(snap.full_json().contains(&bucket));
+        let bad = snap
+            .full_json()
+            .replace(&bucket, &format!("[4294967297, {n}]"));
+        let err = MetricsSnapshot::parse_json(&bad).unwrap_err();
+        assert!(
+            err.contains("\"h\"") && err.contains("\"buckets\""),
+            "{err}"
+        );
     }
 
     #[test]

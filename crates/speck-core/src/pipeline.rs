@@ -891,7 +891,7 @@ mod tests {
             assert_eq!(ts.to_bits(), st.seconds.to_bits(), "stage {name}");
         }
         // Every kernel record carries its per-block schedule.
-        for (_, k) in tr.kernels() {
+        for (_, _, k) in tr.kernels() {
             let bt = k.blocks.as_ref().expect("tracing attaches block schedules");
             assert_eq!(bt.events.len(), k.grid);
         }
@@ -953,7 +953,7 @@ mod tests {
             }
         }
         for tr in &traces {
-            for (_, k) in tr.kernels() {
+            for (_, _, k) in tr.kernels() {
                 let bt = k.blocks.as_ref().expect("traced record without blocks");
                 assert_eq!(bt.events.len(), k.grid);
             }

@@ -4,9 +4,15 @@
 //! rows cost the most cycles, how each cascade bin/accumulator contributes
 //! per stage, how evenly work spread over SMs, and which block is on each
 //! kernel's critical path.
+//!
+//! The folds read the trace's block view
+//! ([`crate::trace::KernelTraceRecord::traced_blocks`]) and its per-row
+//! attribution ([`ExecutionTrace::row_cycles`]). The `(stage, accumulator,
+//! bin)` cell key, its table labels and the `(old, new)` pairing of two
+//! reports are shared with the decision audit's summary and diff.
 
 use crate::global_lb::AccMethod;
-use crate::trace::{ExecutionTrace, KernelTraceRecord, TraceRecord};
+use crate::trace::ExecutionTrace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -79,8 +85,32 @@ pub struct BinCycles {
 }
 
 /// Attribution-cell key: `(stage, accumulator, bin)`; helper kernels use
-/// `(stage, None, None)`.
+/// `(stage, None, None)`. The decision audit keys its summary cells the
+/// same way, with `stage/kind` in the first slot.
 pub type BinKey = (String, Option<AccMethod>, Option<usize>);
+
+/// The accumulator and bin of a cell key as table text, `-` when absent.
+pub(crate) fn cell_labels(acc: Option<AccMethod>, bin: Option<usize>) -> (&'static str, String) {
+    let bin = bin.map_or_else(|| "-".to_string(), |b| b.to_string());
+    (acc.map_or("-", AccMethod::name), bin)
+}
+
+/// Joins two maps on their keys into `(old, new)` pairs of `f(value)`; a
+/// key missing on one side reads `T::default()` there.
+pub(crate) fn pair_by_key<K: Ord + Clone, V, T: Default>(
+    old: &BTreeMap<K, V>,
+    new: &BTreeMap<K, V>,
+    f: impl Fn(&V) -> T,
+) -> BTreeMap<K, (T, T)> {
+    let mut pairs: BTreeMap<K, (T, T)> = BTreeMap::new();
+    for (k, v) in old {
+        pairs.entry(k.clone()).or_default().0 = f(v);
+    }
+    for (k, v) in new {
+        pairs.entry(k.clone()).or_default().1 = f(v);
+    }
+    pairs
+}
 
 /// Everything [`profile_trace`] computes.
 #[derive(Clone, Debug)]
@@ -108,17 +138,6 @@ pub struct ProfileReport {
     pub util_histogram: [usize; UTIL_BUCKETS],
 }
 
-fn traced_kernels(tr: &ExecutionTrace) -> Vec<(usize, &TraceRecord, &KernelTraceRecord)> {
-    tr.records
-        .iter()
-        .enumerate()
-        .filter_map(|(seq, r)| match &r.kind {
-            crate::trace::TraceRecordKind::Kernel(k) => Some((seq, r, k)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Folds a trace into a [`ProfileReport`]. `top_k` caps the hot-row and
 /// hot-block rankings.
 pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
@@ -126,14 +145,13 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
     let total_s = tr.total_seconds();
 
     let mut bins: BTreeMap<BinKey, BinCycles> = BTreeMap::new();
-    let mut row_cycles: BTreeMap<u32, (f64, usize)> = BTreeMap::new();
     let mut blocks: Vec<HotBlock> = Vec::new();
     let mut kernels: Vec<KernelImbalance> = Vec::new();
     // Per-SM: busy/bpsm summed over kernels; weight = body cycles.
     let mut sm_busy = vec![0.0f64; tr.num_sms.max(1)];
     let mut body_total = 0.0f64;
 
-    for (seq, rec, k) in traced_kernels(tr) {
+    for (seq, rec, k) in tr.kernels() {
         let cell = bins
             .entry((rec.stage.to_string(), k.acc, k.bin))
             .or_default();
@@ -146,24 +164,11 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
         let bpsm = k.blocks_per_sm.max(1) as f64;
         let mut busy = vec![0.0f64; tr.num_sms.max(1)];
         let mut tail: Option<(f64, u32, f64)> = None; // (end, grid_idx, serial)
-        for e in &bt.events {
+        for (e, rows, _) in k.traced_blocks() {
             let serial = e.serial_cycles();
             cell.block_cycles += serial;
             if let Some(sm) = busy.get_mut(e.sm as usize) {
                 *sm += serial;
-            }
-            let ann = k
-                .annotations
-                .as_ref()
-                .and_then(|a| a.get(e.grid_idx as usize));
-            let rows: &[u32] = ann.map(|a| a.rows.as_slice()).unwrap_or(&[]);
-            if !rows.is_empty() {
-                let share = serial / rows.len() as f64;
-                for &r in rows {
-                    let ent = row_cycles.entry(r).or_insert((0.0, 0));
-                    ent.0 += share;
-                    ent.1 += 1;
-                }
             }
             blocks.push(HotBlock {
                 kernel: k.name.clone(),
@@ -224,7 +229,8 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
         util_histogram[b] += 1;
     }
 
-    let mut top_rows: Vec<HotRow> = row_cycles
+    let mut top_rows: Vec<HotRow> = tr
+        .row_cycles(None)
         .into_iter()
         .map(|(row, (cycles, events))| HotRow {
             row,
@@ -287,16 +293,11 @@ impl ProfileReport {
             "stage", "acc", "bin", "launches", "blocks", "block cycles"
         );
         for ((stage, acc, bin), c) in &self.bins {
-            let bin_s = bin.map(|b| b.to_string()).unwrap_or_else(|| "-".into());
+            let (acc, bin) = cell_labels(*acc, *bin);
             let _ = writeln!(
                 out,
                 "  {:<14} {:<7} {:>4} {:>9} {:>8} {:>14.0}",
-                stage,
-                acc.map_or("-", AccMethod::name),
-                bin_s,
-                c.launches,
-                c.blocks,
-                c.block_cycles
+                stage, acc, bin, c.launches, c.blocks, c.block_cycles
             );
         }
 
@@ -384,24 +385,10 @@ pub struct TraceDiff {
 pub fn diff_traces(old: &ExecutionTrace, new: &ExecutionTrace) -> TraceDiff {
     let po = profile_trace(old, 0);
     let pn = profile_trace(new, 0);
-    let mut stages: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for (s, v) in &po.stages {
-        stages.entry(s.clone()).or_insert((0.0, 0.0)).0 = *v;
-    }
-    for (s, v) in &pn.stages {
-        stages.entry(s.clone()).or_insert((0.0, 0.0)).1 = *v;
-    }
-    let mut bins: BTreeMap<BinKey, (f64, f64)> = BTreeMap::new();
-    for (k, c) in &po.bins {
-        bins.entry(k.clone()).or_insert((0.0, 0.0)).0 = c.block_cycles;
-    }
-    for (k, c) in &pn.bins {
-        bins.entry(k.clone()).or_insert((0.0, 0.0)).1 = c.block_cycles;
-    }
     TraceDiff {
         total_delta_s: pn.total_s - po.total_s,
-        stages,
-        bins,
+        stages: pair_by_key(&po.stages, &pn.stages, |s| *s),
+        bins: pair_by_key(&po.bins, &pn.bins, |c| c.block_cycles),
     }
 }
 
@@ -433,13 +420,13 @@ impl TraceDiff {
                 "stage", "acc", "bin", "old cycles", "new cycles", "delta"
             );
             for ((stage, acc, bin), (o, n)) in &self.bins {
-                let bin_s = bin.map(|b| b.to_string()).unwrap_or_else(|| "-".into());
+                let (acc, bin) = cell_labels(*acc, *bin);
                 let _ = writeln!(
                     out,
                     "  {:<14} {:<7} {:>4} {:>14.0} {:>14.0} {:>+14.0}",
                     stage,
-                    acc.map_or("-", AccMethod::name),
-                    bin_s,
+                    acc,
+                    bin,
                     o,
                     n,
                     n - o

@@ -88,16 +88,7 @@ fn hash_block<V: Scalar>(
         rows.len()
     );
     let threads = ctx.threads();
-    let nnz_a: u64 = rows
-        .iter()
-        .map(|&r| info.rows[r as usize].nnz_a as u64)
-        .sum();
-    let products: u64 = rows.iter().map(|&r| info.rows[r as usize].products).sum();
-    let max_b: u64 = rows
-        .iter()
-        .map(|&r| info.rows[r as usize].max_b_row as u64)
-        .max()
-        .unwrap_or(0);
+    let (nnz_a, products, max_b) = info.block_features(rows);
     let g = select_group_size(cfg.local_lb, threads, nnz_a, products, max_b);
 
     ctx.scratch

@@ -34,6 +34,17 @@
 //! annotations clone every block's row list, so the pipeline computes
 //! them only when tracing or auditing.
 //!
+//! # One view of a traced block
+//!
+//! [`KernelTraceRecord::traced_blocks`] joins each block event with its
+//! annotation (rows and `g`), [`KernelTraceRecord::row_shares`] splits a
+//! block's serial cycles evenly over its rows, and
+//! [`ExecutionTrace::row_cycles`] sums those shares per row. The Chrome
+//! export, the profiler ([`crate::profile`]) and the decision audit
+//! ([`crate::audit`]) read these instead of re-joining the records
+//! themselves. [`ExecutionTrace::from_chrome_trace`] reads the export back
+//! through the typed accessors of [`crate::json`].
+//!
 //! # Determinism classes
 //!
 //! Everything recorded here derives from the deterministic simulation:
@@ -317,11 +328,58 @@ impl ExecutionTrace {
         timeline_of(&self.records).total_seconds()
     }
 
-    /// Iterates the kernel records in clock order.
-    pub fn kernels(&self) -> impl Iterator<Item = (&TraceRecord, &KernelTraceRecord)> {
-        self.records.iter().filter_map(|r| match &r.kind {
-            TraceRecordKind::Kernel(k) => Some((r, k)),
+    /// Iterates the kernel records in clock order, each with its record
+    /// sequence index `seq` (its position in `records`).
+    pub fn kernels(&self) -> impl Iterator<Item = (usize, &TraceRecord, &KernelTraceRecord)> {
+        let kernels = self.records.iter().enumerate();
+        kernels.filter_map(|(seq, r)| match &r.kind {
+            TraceRecordKind::Kernel(k) => Some((seq, r, k)),
             TraceRecordKind::Fixed { .. } => None,
+        })
+    }
+
+    /// Serial block cycles attributed to each output row, with the number
+    /// of block events that touched it: [`KernelTraceRecord::row_shares`]
+    /// summed in record order over the kernels of `stage` (every stage
+    /// when `None`).
+    pub fn row_cycles(&self, stage: Option<&str>) -> BTreeMap<u32, (f64, usize)> {
+        let mut rows: BTreeMap<u32, (f64, usize)> = BTreeMap::new();
+        for (_, r, k) in self.kernels() {
+            if stage.is_some_and(|s| s != r.stage) {
+                continue;
+            }
+            for (row, share) in k.row_shares() {
+                let cell = rows.entry(row).or_insert((0.0, 0));
+                cell.0 += share;
+                cell.1 += 1;
+            }
+        }
+        rows
+    }
+}
+
+impl KernelTraceRecord {
+    /// The launch's traced blocks in grid order, each joined with its
+    /// annotation: the block's event, the output rows it computed (empty
+    /// for helper kernels) and its group size `g` (hash blocks only).
+    /// Empty when the record carries no block schedule.
+    pub fn traced_blocks(&self) -> impl Iterator<Item = (&BlockEvent, &[u32], Option<u32>)> {
+        let events = self.blocks.as_ref().map_or(&[][..], |bt| &bt.events[..]);
+        events.iter().map(|e| {
+            let ann = self.annotations.as_ref();
+            let ann = ann.and_then(|a| a.get(e.grid_idx as usize));
+            let rows = ann.map_or(&[][..], |a| &a.rows[..]);
+            (e, rows, ann.and_then(|a| a.group_size))
+        })
+    }
+
+    /// Each traced block's serial cycles split evenly over the rows it
+    /// computed, as `(row, share)` in grid then row order — the one
+    /// per-row attribution the profiler and the audit read.
+    pub fn row_shares(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.traced_blocks().flat_map(|(e, rows, _)| {
+            let share = e.serial_cycles() / rows.len() as f64;
+            rows.iter().map(move |&row| (row, share))
         })
     }
 }
@@ -349,17 +407,7 @@ pub(crate) fn pass_annotations(
                 .map(|&bi| {
                     let rows = plan.block_rows(bi).to_vec();
                     let group_size = (acc == AccMethod::Hash).then(|| {
-                        let nnz_a: u64 = rows
-                            .iter()
-                            .map(|&r| info.rows[r as usize].nnz_a as u64)
-                            .sum();
-                        let products: u64 =
-                            rows.iter().map(|&r| info.rows[r as usize].products).sum();
-                        let max_b: u64 = rows
-                            .iter()
-                            .map(|&r| info.rows[r as usize].max_b_row as u64)
-                            .max()
-                            .unwrap_or(0);
+                        let (nnz_a, products, max_b) = info.block_features(&rows);
                         select_group_size(cfg.local_lb, threads, nnz_a, products, max_b) as u32
                     });
                     BlockAnnotation { rows, group_size }
@@ -451,11 +499,9 @@ impl ExecutionTrace {
 
         // Thread names for every used (SM, slot) track, sorted.
         let mut used: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
-        for (_, k) in self.kernels() {
-            if let Some(bt) = &k.blocks {
-                for e in &bt.events {
-                    used.insert((e.sm, e.slot));
-                }
+        for (_, _, k) in self.kernels() {
+            for (e, _, _) in k.traced_blocks() {
+                used.insert((e.sm, e.slot));
             }
         }
         for &(sm, slot) in &used {
@@ -539,14 +585,8 @@ impl ExecutionTrace {
             k.push_str("}}");
             event(&mut out, &k);
 
-            let Some(bt) = &kr.blocks else { continue };
             let base_us = self.us(r.start_s) + self.cycles_us(self.launch_overhead_cycles);
-            for e in &bt.events {
-                let ann = kr
-                    .annotations
-                    .as_ref()
-                    .and_then(|a| a.get(e.grid_idx as usize));
-                let rows = ann.map_or(&[][..], |a| a.rows.as_slice());
+            for (e, rows, g) in kr.traced_blocks() {
                 let label = match rows {
                     [] => format!("b{}", e.grid_idx),
                     [row] => format!("row {row}"),
@@ -576,7 +616,7 @@ impl ExecutionTrace {
                     b.push_str(", \"rows\": ");
                     push_json_string(&mut b, &list.join(","));
                 }
-                if let Some(g) = ann.and_then(|a| a.group_size) {
+                if let Some(g) = g {
                     let _ = write!(b, ", \"g\": {g}");
                 }
                 for (cname, v) in e.cost.counters() {
@@ -603,69 +643,62 @@ impl ExecutionTrace {
     /// annotations all round-trip.
     pub fn from_chrome_trace(text: &str) -> Result<ExecutionTrace, String> {
         let root = parse_json_value(text)?;
-        let other = field(&root, "otherData", Some)?;
-        if field(other, "format", JsonValue::as_str)? != TRACE_FORMAT {
+        let other = root.req("otherData", Some)?;
+        if other.req("format", JsonValue::as_str)? != TRACE_FORMAT {
             return Err(format!(
                 "trace json: not a {TRACE_FORMAT} trace (otherData.format mismatch)"
             ));
         }
-        let num = |key: &str| field(other, key, JsonValue::as_f64);
+        let num = |key: &str| other.req(key, JsonValue::as_f64);
         let launch_overhead_cycles = num("launch_overhead_cycles")?;
-        // Complete ("X") events of one process track, with args and seq.
-        let events = field(&root, "traceEvents", JsonValue::as_arr)?;
-        let slices = |pid: usize| {
-            events
-                .iter()
-                .filter(move |ev| {
-                    ev.get("ph").and_then(JsonValue::as_str) == Some("X")
-                        && ev.get("pid").and_then(JsonValue::as_usize) == Some(pid)
-                })
-                .map(|ev| {
-                    let args = field(ev, "args", Some)?;
-                    Ok::<_, String>((ev, args, field(args, "seq", JsonValue::as_usize)?))
-                })
-        };
+        // Complete ("X") events of the block (pid 0) and record (pid 1)
+        // tracks, with their args and seq.
+        let mut tracks: [Vec<(&JsonValue, &JsonValue, usize)>; 2] = Default::default();
+        for ev in root.req("traceEvents", JsonValue::as_arr)? {
+            let pid = ev.req("pid", JsonValue::as_usize)?;
+            if ev.req("ph", JsonValue::as_str)? != "X" || pid >= tracks.len() {
+                continue;
+            }
+            let args = ev.req("args", Some)?;
+            tracks[pid].push((ev, args, args.req("seq", JsonValue::as_usize)?));
+        }
+        let [block_events, record_events] = tracks;
 
         // Pass 1: records by seq.
         let mut by_seq: BTreeMap<usize, TraceRecord> = BTreeMap::new();
-        for slice in slices(1) {
-            let (ev, args, seq) = slice?;
-            let cat = field(ev, "cat", JsonValue::as_str)?;
+        for (ev, args, seq) in record_events {
+            let cat = ev.req("cat", JsonValue::as_str)?;
             let stage = stage::ALL
                 .into_iter()
                 .find(|s| *s == cat)
                 .ok_or_else(|| format!("trace json: unknown stage {cat:?}"))?;
-            let name = field(ev, "name", JsonValue::as_str)?.to_string();
-            let int = |key: &str| args.get(key).and_then(JsonValue::as_usize);
-            let kind = match args.get("kind").and_then(JsonValue::as_str) {
-                Some("fixed") => TraceRecordKind::Fixed { label: name },
-                Some("kernel") => {
-                    let body_cycles = args.get("body_cycles").and_then(JsonValue::as_f64);
-                    let body_cycles = body_cycles.unwrap_or(0.0);
+            let name = ev.req("name", JsonValue::as_str)?.to_string();
+            let int = |key: &str| args.req(key, JsonValue::as_usize);
+            let kind = match args.req("kind", JsonValue::as_str)? {
+                "fixed" => TraceRecordKind::Fixed { label: name },
+                "kernel" => {
+                    let body_cycles = args.req("body_cycles", JsonValue::as_f64)?;
                     TraceRecordKind::Kernel(KernelTraceRecord {
                         name,
-                        grid: int("grid").unwrap_or(0),
-                        threads: int("threads").unwrap_or(0),
-                        scratch_bytes: int("scratch_bytes").unwrap_or(0),
-                        blocks_per_sm: int("blocks_per_sm").unwrap_or(1),
+                        grid: int("grid")?,
+                        threads: int("threads")?,
+                        scratch_bytes: int("scratch_bytes")?,
+                        blocks_per_sm: int("blocks_per_sm")?,
                         body_cycles,
                         sim_cycles: body_cycles + launch_overhead_cycles,
                         cost: BlockCost::default(),
-                        bin: int("bin"),
-                        acc: args
-                            .get("acc")
-                            .and_then(JsonValue::as_str)
-                            .and_then(AccMethod::from_name),
+                        bin: args.opt("bin", JsonValue::as_usize)?,
+                        acc: args.opt("acc", |v| v.as_str().and_then(AccMethod::from_name))?,
                         blocks: None,
                         annotations: None,
                     })
                 }
-                _ => return Err("trace json: record with unknown kind".into()),
+                kind => return Err(format!("trace json: record with unknown kind {kind:?}")),
             };
             let record = TraceRecord {
                 stage,
-                start_s: field(args, "start_s", JsonValue::as_f64)?,
-                dur_s: field(args, "dur_s", JsonValue::as_f64)?,
+                start_s: args.req("start_s", JsonValue::as_f64)?,
+                dur_s: args.req("dur_s", JsonValue::as_f64)?,
                 kind,
             };
             by_seq.insert(seq, record);
@@ -674,30 +707,35 @@ impl ExecutionTrace {
         // Pass 2: per-block events, attached to their kernel by seq.
         let mut blocks_by_seq: BTreeMap<usize, Vec<(BlockEvent, Option<BlockAnnotation>)>> =
             BTreeMap::new();
-        for slice in slices(0) {
-            let (_, args, seq) = slice?;
-            let getf = |key: &str| args.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-            let int = |key: &str| args.get(key).and_then(JsonValue::as_u64);
+        for (_, args, seq) in block_events {
+            let cycles = |key: &str| args.req(key, JsonValue::as_f64);
+            let int = |key: &str| args.req(key, JsonValue::as_u32);
             let (start_cycles, compute_cycles, memory_cycles) = (
-                getf("start_cycles"),
-                getf("compute_cycles"),
-                getf("memory_cycles"),
+                cycles("start_cycles")?,
+                cycles("compute_cycles")?,
+                cycles("memory_cycles")?,
             );
             let mut cost = BlockCost::default();
             for (k, v) in args.as_obj().unwrap_or_default() {
-                if let (Some(cname), Some(n)) = (k.strip_prefix("cost/"), v.as_u64()) {
-                    cost.set_counter(cname, n);
+                if let Some(cname) = k.strip_prefix("cost/") {
+                    cost.set_counter(cname, v.typed(k, JsonValue::as_u64)?);
                 }
             }
-            let ann = args.get("rows").and_then(JsonValue::as_str).map(|list| {
-                let rows = list.split(',').filter_map(|s| s.parse().ok()).collect();
-                let group_size = int("g").map(|g| g as u32);
-                BlockAnnotation { rows, group_size }
-            });
+            let rows = args.opt("rows", |v| {
+                let ids = v.as_str()?.split(',');
+                ids.map(|id| id.parse().ok()).collect::<Option<Vec<u32>>>()
+            })?;
+            let ann = match rows {
+                Some(rows) => Some(BlockAnnotation {
+                    rows,
+                    group_size: args.opt("g", JsonValue::as_u32)?,
+                }),
+                None => None,
+            };
             let e = BlockEvent {
-                grid_idx: int("grid").unwrap_or(0) as u32,
-                sm: int("sm").unwrap_or(0) as u32,
-                slot: int("slot").unwrap_or(0) as u32,
+                grid_idx: int("grid")?,
+                sm: int("sm")?,
+                slot: int("slot")?,
                 start_cycles,
                 end_cycles: start_cycles + compute_cycles.max(memory_cycles),
                 compute_cycles,
@@ -733,30 +771,15 @@ impl ExecutionTrace {
         }
 
         Ok(ExecutionTrace {
-            device_name: other
-                .get("device")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            num_sms: num("num_sms")? as usize,
-            max_blocks_per_sm: num("max_blocks_per_sm")? as usize,
+            device_name: other.req("device", JsonValue::as_str)?.to_string(),
+            num_sms: other.req("num_sms", JsonValue::as_usize)?,
+            max_blocks_per_sm: other.req("max_blocks_per_sm", JsonValue::as_usize)?,
             clock_ghz: num("clock_ghz")?,
             launch_overhead_cycles,
             end_s: end_of(&records).max(num("end_s")?),
             records,
         })
     }
-}
-
-/// `v[key]` read through `get`, or an error naming the missing key.
-fn field<'a, T>(
-    v: &'a JsonValue,
-    key: &str,
-    get: impl FnOnce(&'a JsonValue) -> Option<T>,
-) -> Result<T, String> {
-    v.get(key)
-        .and_then(get)
-        .ok_or_else(|| format!("trace json: missing {key}"))
 }
 
 #[cfg(test)]
@@ -863,17 +886,30 @@ mod tests {
         assert!(ExecutionTrace::from_chrome_trace("{").is_err());
         assert!(ExecutionTrace::from_chrome_trace("{\"traceEvents\": []}").is_err());
         // Stage names outside the pipeline's fixed set are rejected.
-        let json = sample_trace()
-            .chrome_trace_json()
-            .replace("sorting", "bogus");
-        assert!(ExecutionTrace::from_chrome_trace(&json).is_err());
+        let json = sample_trace().chrome_trace_json();
+        let bogus = json.replace("sorting", "bogus");
+        assert!(ExecutionTrace::from_chrome_trace(&bogus).is_err());
+        // A field the exporter always writes that is missing or mistyped
+        // fails with an error naming it: a misspelt accumulator, a
+        // non-numeric row id, a kernel record or block event without
+        // its grid field.
+        for (from, to, key) in [
+            ("\"acc\": \"hash\"", "\"acc\": \"hsah\"", "acc"),
+            ("\"rows\": \"0,10\"", "\"rows\": \"x,10\"", "rows"),
+            ("\"grid\": 6, ", "", "grid"),
+            ("\"seq\": 0, \"grid\": 0, ", "\"seq\": 0, ", "grid"),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let err = ExecutionTrace::from_chrome_trace(&json.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{from}: {err}");
+        }
     }
 
     #[test]
     fn timeline_folds_the_records() {
         let tr = sample_trace();
         let t = timeline_of(&tr.records);
-        let (_, k) = tr.kernels().next().unwrap();
+        let (_, _, k) = tr.kernels().next().unwrap();
         assert_eq!(t.total_seconds().to_bits(), tr.total_seconds().to_bits());
         let (name, st) = t.stages().next().unwrap();
         assert_eq!(name, "symb. SpGEMM");
@@ -881,7 +917,7 @@ mod tests {
         assert_eq!(st.cost, k.cost);
         // A parsed trace rebuilds the launch's merged counters exactly.
         let back = ExecutionTrace::from_chrome_trace(&tr.chrome_trace_json()).unwrap();
-        let (_, kb) = back.kernels().next().unwrap();
+        let (_, _, kb) = back.kernels().next().unwrap();
         assert_eq!(kb.cost, k.cost);
     }
 }

@@ -77,7 +77,7 @@ proptest! {
         let (_, rep) = traced.multiply(&a, &a);
         let tr = rep.trace.as_ref().expect("trace");
         let mut kernels = 0usize;
-        for (_, k) in tr.kernels() {
+        for (_, _, k) in tr.kernels() {
             kernels += 1;
             let blocks = k.blocks.as_ref().expect("per-block capture enabled");
             prop_assert_eq!(blocks.events.len(), k.grid);
