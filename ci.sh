@@ -28,7 +28,8 @@
 # The flags compose into ONE bench_throughput invocation (a full run takes
 # minutes), so `--smoke --metrics` checks both gates against the same run.
 # The metrics table is always written to target/ci/metrics_table.txt for
-# CI job summaries.
+# CI job summaries. Every gate asked for runs even when an earlier one
+# fails; the script then lists the failed gates and exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -55,104 +56,119 @@ for arg in "$@"; do
     esac
 done
 
-# Toolchain versions first: when a CI run fails, the log alone must answer
-# "which compiler was this?".
-echo "==> toolchain"
-rustc -V
-cargo -V
+# Each gate runs in a subshell with `set -e`: a failing gate is recorded
+# and the gates after it still run, so one failure does not hide another.
+# The script exits non-zero after listing every gate that failed.
+failed=()
+gate() {
+    local name=$1 status
+    echo "==> $name"
+    set +e
+    (
+        set -e
+        "$2"
+    )
+    status=$?
+    set -e
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: $name (exit $status)" >&2
+        failed+=("$name")
+    fi
+}
 
-echo "==> cargo fmt --check"
-if ! cargo fmt --version >/dev/null 2>&1; then
-    echo "ERROR: 'cargo fmt' is unavailable — install the rustfmt component" >&2
-    echo "       (rustup component add rustfmt)" >&2
-    exit 3
-fi
-cargo fmt --all --check
+fmt_check() {
+    if ! cargo fmt --version >/dev/null 2>&1; then
+        echo "ERROR: 'cargo fmt' is unavailable — install the rustfmt component" >&2
+        echo "       (rustup component add rustfmt)" >&2
+        exit 3
+    fi
+    cargo fmt --all --check
+}
 
-echo "==> cargo clippy (deny warnings)"
-if ! cargo clippy --version >/dev/null 2>&1; then
-    echo "ERROR: 'cargo clippy' is unavailable — install the clippy component" >&2
-    echo "       (rustup component add clippy)" >&2
-    exit 3
-fi
-cargo clippy --workspace --all-targets -- -D warnings
+clippy_check() {
+    if ! cargo clippy --version >/dev/null 2>&1; then
+        echo "ERROR: 'cargo clippy' is unavailable — install the clippy component" >&2
+        echo "       (rustup component add clippy)" >&2
+        exit 3
+    fi
+    cargo clippy --workspace --all-targets -- -D warnings
+}
 
 # Rustdoc with warnings denied catches stale intra-doc links to renamed
 # or deleted items.
-echo "==> cargo doc (deny warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+doc_check() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+}
 
-echo "==> cargo test (workspace, release)"
-cargo test --workspace --release
+release_tests() {
+    cargo test --workspace --release
+}
 
 # The release suite compiles `debug_assert!`s out. Run the engine's own
 # tests once more in the debug profile so those invariant checks (hash
 # slot bounds, dense-chunk ranges, compound-key row bounds) run too.
-echo "==> cargo test (speck-core + speck-simt, debug, debug assertions on)"
-cargo test -q -p speck-core -p speck-simt
+debug_tests() {
+    cargo test -q -p speck-core -p speck-simt
+}
 
-echo "==> perfbench build (repo benchmark against the engine API)"
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perfbench_build() {
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+}
 
 # A one-second run of the benchmark's `small` workload: every product it
 # computes must verify, and none may fail.
-echo "==> perfbench smoke run (small workload, 1 s)"
-perfbench_last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload small --seed 1 --seconds 1 --trace 0 | tail -n 1)
-echo "$perfbench_last"
-if ! grep -q '"correct": *true' <<<"$perfbench_last" \
-    || ! grep -q '"failed": *0[,}]' <<<"$perfbench_last"; then
-    echo "FAIL: perfbench smoke run is not correct or has failed operations" >&2
-    exit 1
+perfbench_smoke() {
+    local last
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload small --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$last"
+    if ! grep -q '"correct": *true' <<<"$last" \
+        || ! grep -q '"failed": *0[,}]' <<<"$last"; then
+        echo "FAIL: perfbench smoke run is not correct or has failed operations" >&2
+        exit 1
+    fi
+}
+
+# One bench run serves every enabled bench gate.
+if [ "$run_bench" -eq 1 ]; then
+    bench_out=BENCH_throughput.json
+    # --bench regenerates the committed audit baseline alongside the
+    # throughput numbers; otherwise the fresh export is checked below.
+    audit_new=BENCH_audit.json
+else
+    bench_out=/tmp/BENCH_ci.json
+    audit_new=/tmp/BENCH_audit_new.json
 fi
 
-if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
-    || [ "$run_audit" -eq 1 ]; then
-    # One bench run serves every enabled gate.
-    if [ "$run_bench" -eq 1 ]; then
-        out=BENCH_throughput.json
-    else
-        out=/tmp/BENCH_ci.json
-    fi
+bench_run() {
     mkdir -p target/ci
-    bench_args=("$BENCH_ROUNDS" "$out"
+    local args=("$BENCH_ROUNDS" "$bench_out"
         --metrics-table target/ci/metrics_table.txt)
-    desc="throughput benchmark -> $out"
     if [ "$run_smoke" -eq 1 ]; then
-        bench_args+=(--expect-digest "$EXPECTED_SIM_DIGEST")
-        desc="$desc + sim digest $EXPECTED_SIM_DIGEST"
+        args+=(--expect-digest "$EXPECTED_SIM_DIGEST")
     fi
     if [ "$run_metrics" -eq 1 ]; then
-        bench_args+=(--metrics-out /tmp/BENCH_metrics_new.json
+        args+=(--metrics-out /tmp/BENCH_metrics_new.json
             --check-metrics BENCH_metrics.json)
-        desc="$desc + metrics vs BENCH_metrics.json"
     fi
     if [ "$run_audit" -eq 1 ]; then
-        # --bench regenerates the committed audit baseline alongside the
-        # throughput numbers; otherwise the fresh export is checked below.
-        if [ "$run_bench" -eq 1 ]; then
-            audit_new=BENCH_audit.json
-        else
-            audit_new=/tmp/BENCH_audit_new.json
-        fi
-        bench_args+=(--audit-out "$audit_new")
-        desc="$desc + audit -> $audit_new"
+        args+=(--audit-out "$audit_new")
     fi
-    echo "==> $desc"
-    cargo run --release -p speck-bench --bin bench_throughput -- "${bench_args[@]}"
+    cargo run --release -p speck-bench --bin bench_throughput -- "${args[@]}"
     echo "metrics table: target/ci/metrics_table.txt"
-    if [ "$run_audit" -eq 1 ] && [ "$run_bench" -eq 0 ]; then
-        cmp "$audit_new" BENCH_audit.json \
-            || { echo "FAIL: corpus decision statistics drifted from BENCH_audit.json" \
-                 "(regenerate with ./ci.sh --bench --audit if intended)" >&2; exit 1; }
-        echo "audit gate: corpus decision statistics match BENCH_audit.json"
-    fi
-fi
+}
 
-if [ "$run_trace" -eq 1 ]; then
-    echo "==> tracing smoke gate (export determinism + profile round trip)"
+audit_baseline_check() {
+    cmp "$audit_new" BENCH_audit.json \
+        || { echo "FAIL: corpus decision statistics drifted from BENCH_audit.json" \
+             "(regenerate with ./ci.sh --bench --audit if intended)" >&2; exit 1; }
+    echo "audit gate: corpus decision statistics match BENCH_audit.json"
+}
+
+runspeck=(cargo run --release -p speck-bench --bin runspeck --)
+
+trace_gate() {
     mkdir -p target/ci
-    runspeck=(cargo run --release -p speck-bench --bin runspeck --)
     # Two exports of the same workload must be byte-identical.
     "${runspeck[@]}" --synthetic mesh3d 2 --iterations 1 --warmup 0 \
         --trace-out target/ci/trace.json --profile \
@@ -174,12 +190,10 @@ if [ "$run_trace" -eq 1 ]; then
     grep -q "total delta: +0.000 us" /tmp/trace_selfdiff.txt \
         || { echo "FAIL: self-diff total delta is not zero" >&2; exit 1; }
     echo "trace artifacts: target/ci/trace.json, target/ci/trace_profile.txt"
-fi
+}
 
-if [ "$run_audit" -eq 1 ]; then
-    echo "==> decision-audit smoke gate (export determinism + self-diff)"
+audit_gate() {
     mkdir -p target/ci
-    runspeck=(cargo run --release -p speck-bench --bin runspeck --)
     # Two exports of the same workload must be byte-identical.
     "${runspeck[@]}" --synthetic mesh3d 2 --iterations 1 --warmup 0 \
         --audit-out target/ci/audit.json \
@@ -194,6 +208,45 @@ if [ "$run_audit" -eq 1 ]; then
     grep -q "regret delta: +0.000 cycles" /tmp/audit_selfdiff.txt \
         || { echo "FAIL: self-diff regret delta is not zero" >&2; exit 1; }
     echo "audit artifacts: target/ci/audit.json, target/ci/audit_table.txt"
+}
+
+# Toolchain versions first: when a CI run fails, the log alone must answer
+# "which compiler was this?".
+echo "==> toolchain"
+rustc -V
+cargo -V
+
+gate "cargo fmt --check" fmt_check
+gate "cargo clippy (deny warnings)" clippy_check
+gate "cargo doc (deny warnings)" doc_check
+gate "cargo test (workspace, release)" release_tests
+gate "cargo test (speck-core + speck-simt, debug, debug assertions on)" debug_tests
+gate "perfbench build (repo benchmark against the engine API)" perfbench_build
+gate "perfbench smoke run (small workload, 1 s)" perfbench_smoke
+
+if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
+    || [ "$run_audit" -eq 1 ]; then
+    desc="throughput benchmark -> $bench_out"
+    [ "$run_smoke" -eq 1 ] && desc="$desc + sim digest $EXPECTED_SIM_DIGEST"
+    [ "$run_metrics" -eq 1 ] && desc="$desc + metrics vs BENCH_metrics.json"
+    [ "$run_audit" -eq 1 ] && desc="$desc + audit -> $audit_new"
+    gate "$desc" bench_run
+    if [ "$run_audit" -eq 1 ] && [ "$run_bench" -eq 0 ]; then
+        gate "corpus decision statistics vs BENCH_audit.json" audit_baseline_check
+    fi
 fi
 
+if [ "$run_trace" -eq 1 ]; then
+    gate "tracing smoke gate (export determinism + profile round trip)" trace_gate
+fi
+
+if [ "$run_audit" -eq 1 ]; then
+    gate "decision-audit smoke gate (export determinism + self-diff)" audit_gate
+fi
+
+if [ "${#failed[@]}" -gt 0 ]; then
+    echo "CI FAILED: ${#failed[@]} gate(s):" >&2
+    printf '  - %s\n' "${failed[@]}" >&2
+    exit 1
+fi
 echo "CI OK"

@@ -52,12 +52,8 @@ fn plan(cascade: &KernelCascade, entries: &[u64], entry_bytes: usize) -> PassPla
     let mut plan = PassPlan {
         blocks: Vec::new(),
         rows: Vec::with_capacity(entries.len()),
-        used_global_lb: true,
-        threshold_set: ThresholdSet::Base,
         lb_reports: Vec::new(),
         lb_alloc_bytes: entries.len() * 4 + cascade.len() * 8,
-        decision_ratio: 0.0,
-        decision_rows: entries.len(),
         // nsparse bins unconditionally — there is no gate decision, so
         // the provenance records an always-on gate with no thresholds.
         gate: GateProvenance {

@@ -30,15 +30,13 @@
 //!   baseline (`BENCH_metrics.json`): sim counters and histograms must
 //!   match exactly, `wall/` gauges within the baseline's declared
 //!   tolerance. Non-zero exit on drift.
-//! * `--wall-tolerance F` — relative tolerance declared in the emitted
-//!   snapshot for its `wall/` gauges (default 0.35).
 //!
-//! Trace options (run on a separate engine with its own registry, so the
+//! The emitted snapshot declares a relative tolerance of 0.35 for its
+//! `wall/` gauges. Traces and profiles come from
+//! `runspeck --trace-out/--profile`.
+//!
+//! Audit option (run on a separate engine with its own registry, so the
 //! digest and metrics gates above are untouched):
-//! * `--trace-out PATH` — run one cold traced multiply of the largest
-//!   corpus entry and write its Chrome Trace Event JSON to `PATH`.
-//! * `--profile-table PATH` — also write the folded profile report
-//!   (hot rows, per-bin cycles, SM utilization) to `PATH`.
 //! * `--audit-out PATH` — audit one cold multiply of every corpus entry
 //!   on a dedicated engine and write the aggregate decision statistics
 //!   (per matrix + total misprediction rate + Table-2 gate accuracy) as
@@ -56,6 +54,11 @@ use speck_sparse::Csr;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Relative tolerance the emitted metrics snapshot declares for its
+/// `wall/` gauges: on a loaded 2-core machine the machine alone moves
+/// them 20–40% between runs.
+const WALL_TOLERANCE: f64 = 0.35;
 
 /// Peak resident set size in bytes, from `/proc/self/status` (VmHWM).
 fn peak_rss_bytes() -> u64 {
@@ -99,9 +102,6 @@ fn main() {
             ("--metrics-out", 1),
             ("--metrics-table", 1),
             ("--check-metrics", 1),
-            ("--wall-tolerance", 1),
-            ("--trace-out", 1),
-            ("--profile-table", 1),
             ("--audit-out", 1),
         ],
         &[],
@@ -113,9 +113,6 @@ fn main() {
     let metrics_out = parsed.value("--metrics-out").map(String::from);
     let metrics_table = parsed.value("--metrics-table").map(String::from);
     let check_metrics = parsed.value("--check-metrics").map(String::from);
-    let wall_tolerance: f64 = parsed.parsed_or("--wall-tolerance", 0.35);
-    let trace_out = parsed.value("--trace-out").map(String::from);
-    let profile_table = parsed.value("--profile-table").map(String::from);
     let audit_out = parsed.value("--audit-out").map(String::from);
     let mut positional = parsed.positional.iter();
     let rounds: usize = positional.next().and_then(|s| s.parse().ok()).unwrap_or(3);
@@ -265,41 +262,13 @@ fn main() {
     // counters reflect the reuse rounds; sim counters cover both engines
     // through the shared registry.
     let mut snap = caching.metrics_snapshot();
-    snap.wall_tolerance = Some(wall_tolerance);
+    snap.wall_tolerance = Some(WALL_TOLERANCE);
     if let Some(path) = &metrics_out {
         std::fs::write(path, snap.full_json()).expect("write metrics snapshot");
         println!("metrics snapshot written to {path}");
     }
     if let Some(path) = &metrics_table {
         std::fs::write(path, snap.render_table()).expect("write metrics table");
-    }
-
-    if trace_out.is_some() || profile_table.is_some() {
-        // Traced multiply of the largest corpus entry on a dedicated
-        // engine (own registry, cache disabled): the trace covers a full
-        // cold pipeline and nothing above — digest, metrics snapshot,
-        // wall timings — observes it.
-        let (name, a, b) = pairs
-            .iter()
-            .max_by_key(|(_, a, _)| a.nnz())
-            .expect("corpus is not empty");
-        let traced = SpeckSpgemm::default()
-            .with_plan_cache_capacity(0)
-            .with_tracing(true);
-        let (_, r) = traced.multiply(a, b);
-        let trace = r.trace.expect("tracing engine attaches a trace");
-        if let Some(path) = &trace_out {
-            std::fs::write(path, trace.chrome_trace_json()).expect("write trace");
-            println!(
-                "trace of '{name}' ({} records) written to {path}",
-                trace.records.len()
-            );
-        }
-        if let Some(path) = &profile_table {
-            let profile = speck_core::profile::profile_trace(&trace, 15);
-            std::fs::write(path, profile.render_table()).expect("write profile table");
-            println!("profile table of '{name}' written to {path}");
-        }
     }
 
     if let Some(path) = &audit_out {
@@ -312,7 +281,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("--check-metrics: cannot read {path}: {e}"));
         let baseline = MetricsSnapshot::parse_json(&text)
             .unwrap_or_else(|e| panic!("--check-metrics: {path}: {e}"));
-        let drift = compare_snapshots(&snap, &baseline, 0.10);
+        let drift = compare_snapshots(&snap, &baseline);
         if drift.is_empty() {
             println!(
                 "metrics gate: snapshot matches {path} ({} counters, {} histograms exact)",

@@ -15,7 +15,7 @@ use crate::cascade::{numeric_entry_bytes, symbolic_entry_bytes, KernelCascade};
 use crate::config::{GlobalLbMode, SpeckConfig};
 use crate::denseacc::dense_iterations;
 use crate::hashacc::MAX_HASH_BLOCK_ROWS;
-use crate::metrics::{LocalHistogram, MetricsRegistry};
+use crate::metrics::{Histogram, MetricsRegistry};
 use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport};
 
 /// Accumulation method chosen for a block (paper Fig. 2: Hash / Dense /
@@ -106,20 +106,12 @@ pub struct PassPlan {
     pub blocks: Vec<BlockPlan>,
     /// The rows of every block, back to back in block order.
     pub rows: Vec<u32>,
-    /// Whether the global load balancer (binning) ran.
-    pub used_global_lb: bool,
-    /// Which threshold set the Auto decision consulted.
-    pub threshold_set: ThresholdSet,
     /// Simulated cost of binning / merging kernels (empty when skipped).
     pub lb_reports: Vec<KernelReport>,
     /// Device bytes allocated for load-balancing bookkeeping.
     pub lb_alloc_bytes: usize,
-    /// The `m_max / m_avg` demand-variance ratio the decision consulted.
-    pub decision_ratio: f64,
-    /// The row count the decision consulted.
-    pub decision_rows: usize,
-    /// Full decision-time provenance of the gate (features + fired
-    /// thresholds), for the audit layer.
+    /// The global-LB gate: the features it consulted, the thresholds
+    /// that fired, and whether binning ran.
     pub gate: GateProvenance,
 }
 
@@ -129,12 +121,8 @@ pub struct PassPlan {
 /// ([`crate::SpgemmPlan`]) retain one per pass.
 #[derive(Clone, Copy, Debug)]
 pub struct PassSummary {
-    /// Whether the global load balancer (binning) ran.
-    pub used_global_lb: bool,
-    /// Which threshold set the Auto decision consulted.
-    pub threshold_set: ThresholdSet,
-    /// The `m_max / m_avg` demand-variance ratio the decision consulted.
-    pub decision_ratio: f64,
+    /// The pass's global-LB gate.
+    pub gate: GateProvenance,
     /// Blocks per method: (hash, dense, direct).
     pub method_counts: (usize, usize, usize),
 }
@@ -160,9 +148,7 @@ impl PassPlan {
     /// The pass's copyable decision summary (for reports).
     pub fn summary(&self) -> PassSummary {
         PassSummary {
-            used_global_lb: self.used_global_lb,
-            threshold_set: self.threshold_set,
-            decision_ratio: self.decision_ratio,
+            gate: self.gate,
             method_counts: self.method_counts(),
         }
     }
@@ -189,14 +175,14 @@ impl PassPlan {
     /// snapshot section.
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry, pass: &'static str) {
         let (h, d, r) = self.method_counts();
-        let mut rows = LocalHistogram::new();
+        let mut rows = Histogram::default();
         for b in &self.blocks {
             rows.record(b.len as u64);
         }
         m.record_pass(
             pass,
-            self.used_global_lb,
-            self.decision_rows as u64,
+            self.gate.used_global_lb,
+            self.gate.rows as u64,
             [h, d, r].map(|n| n as u64),
             &rows,
         );
@@ -370,12 +356,8 @@ fn plan_pass(
     let mut plan = PassPlan {
         blocks: Vec::new(),
         rows: Vec::with_capacity(n),
-        used_global_lb: use_lb,
-        threshold_set: gate.threshold_set,
         lb_reports: Vec::new(),
         lb_alloc_bytes: 0,
-        decision_ratio: ratio,
-        decision_rows: n,
         gate,
     };
 
@@ -636,7 +618,7 @@ mod tests {
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
         let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
-        assert!(!plan.used_global_lb, "uniform rows must not be binned");
+        assert!(!plan.gate.used_global_lb, "uniform rows must not be binned");
         assert!(plan.lb_reports.is_empty());
     }
 
@@ -647,7 +629,10 @@ mod tests {
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
         let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
-        assert!(plan.used_global_lb, "skewed demands should trigger binning");
+        assert!(
+            plan.gate.used_global_lb,
+            "skewed demands should trigger binning"
+        );
         assert!(!plan.lb_reports.is_empty());
         // Binned blocks use more than one configuration.
         let cfgs: std::collections::BTreeSet<usize> = plan
@@ -667,9 +652,17 @@ mod tests {
             global_lb: GlobalLbMode::AlwaysOn,
             ..SpeckConfig::default()
         };
-        assert!(plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500).used_global_lb);
+        assert!(
+            plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500)
+                .gate
+                .used_global_lb
+        );
         cfg.global_lb = GlobalLbMode::AlwaysOff;
-        assert!(!plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500).used_global_lb);
+        assert!(
+            !plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500)
+                .gate
+                .used_global_lb
+        );
     }
 
     #[test]

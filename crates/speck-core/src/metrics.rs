@@ -1,23 +1,21 @@
-//! Structured observability: a lock-free metrics registry, hierarchical
-//! wall-clock spans, and deterministic snapshots with CI-gateable diffs.
+//! Structured observability: one metrics store, hierarchical wall-clock
+//! spans, and deterministic snapshots with CI-gateable diffs.
 //!
 //! spECK is a *decision system* — analysis, binning, accumulator
 //! selection — and an end-to-end time cannot tell which decision a
 //! regression came from. This module gives every layer of the stack a
 //! place to report what it did:
 //!
-//! * [`MetricsRegistry`] — a sharded map of named [`Counter`]s,
-//!   [`Gauge`]s, and [`Histogram`]s. Registration takes a brief per-shard
-//!   lock; every update afterwards is a plain atomic, so concurrently
-//!   executing blocks and concurrent multiplies record without contention.
-//!   The registry also caches the handles the pipeline records through on
-//!   every multiply, so a metric's name is formatted and looked up once,
-//!   when it registers; every later record is an atomic add.
+//! * [`MetricsRegistry`] — one store of plain integers behind one lock:
+//!   per pipeline stage, per kernel name and per load-balancing pass the
+//!   folds the pipeline records, counters and histograms with fixed
+//!   names, and span paths. Every recording call takes the lock once and
+//!   adds integers; only [`MetricsRegistry::snapshot`] formats metric
+//!   names, so recording into a registered metric allocates nothing.
 //! * [`Span`] — hierarchical wall-clock timing (`plan/analysis`,
-//!   `execute/numeric`, …). Each span records a deterministic entry
+//!   `execute/numeric`, …). Each ended span records a deterministic entry
 //!   counter (`span/<path>/count`) and a volatile wall-time gauge
-//!   (`wall/span/<path>/seconds`). The registry resolves each path once,
-//!   so starting and ending spans allocates nothing after the first.
+//!   (`wall/span/<path>/seconds`).
 //! * Recording — every multiply records into its engine's registry, and
 //!   the pipeline's stages take `&MetricsRegistry` directly. The per-launch
 //!   `sim/stage/*` and `sim/kernel/*` counters are not recorded launch by
@@ -63,20 +61,18 @@
 //! | `pool/*`       | occupancy gauges — informational, never gated      |
 
 use crate::json::{parse_json_value, push_json_string, JsonValue};
-use crate::plan::fnv1a_bytes;
 use crate::trace::{TraceRecord, TraceRecordKind};
-use speck_simt::{BlockCost, COST_COUNTER_NAMES};
-use std::collections::{BTreeMap, HashMap};
+use speck_simt::BlockCost;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Snapshot-format identifier embedded in every serialised snapshot.
 pub const SNAPSHOT_FORMAT: &str = "speck-metrics-v1";
 
-/// Default relative tolerance for `wall/` gauges when the baseline does
-/// not declare one (see [`compare_snapshots`]).
+/// Relative tolerance for `wall/` gauges when the baseline does not
+/// declare one (see [`compare_snapshots`]).
 pub const DEFAULT_WALL_TOLERANCE: f64 = 0.10;
 
 /// Absolute floor under which `wall/` gauge differences always pass —
@@ -84,160 +80,28 @@ pub const DEFAULT_WALL_TOLERANCE: f64 = 0.10;
 /// relative gate flaky.
 pub const WALL_ABS_FLOOR_S: f64 = 0.01;
 
-/// A monotonically increasing integer metric (lock-free).
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `v` to the counter.
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A floating-point level metric (lock-free; last-write/accumulate
-/// semantics). Gauges are *volatile*: they never participate in the
-/// canonical snapshot.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds `v` to the gauge (atomic read-modify-write loop).
-    pub fn add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Raises the gauge to `v` if `v` is larger.
-    pub fn max(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            if f64::from_bits(cur) >= v {
-                return;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// Number of histogram buckets: bucket 0 holds the value 0; bucket `i`
 /// (1..=64) holds values of bit-width `i`, i.e. `[2^(i-1), 2^i)`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Power-of-two histogram over `u64` values (lock-free).
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
 
 /// Bucket index of a value: 0 for 0, else its bit width.
 pub fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation of `v`.
-    pub fn record(&self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` observations of `v` at once.
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
-    }
-
-    /// Merges a [`LocalHistogram`] accumulated without atomics — the
-    /// cheap way for a hot loop to histogram per-row quantities with one
-    /// registry interaction.
-    pub fn merge_local(&self, local: &LocalHistogram) {
-        for (i, &n) in local.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(local.count, Ordering::Relaxed);
-        self.sum.fetch_add(local.sum, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u32, n))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Plain (non-atomic) histogram scratch for single-threaded accumulation;
-/// flush with [`Histogram::merge_local`].
+/// Power-of-two histogram over `u64` values. A caller fills one locally
+/// and hands it to the registry in one call; the registry keeps its own
+/// histograms the same way.
 #[derive(Clone, Debug)]
-pub struct LocalHistogram {
+pub(crate) struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,
 }
 
-impl Default for LocalHistogram {
+impl Default for Histogram {
     fn default() -> Self {
-        LocalHistogram {
+        Histogram {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
             sum: 0,
@@ -245,100 +109,119 @@ impl Default for LocalHistogram {
     }
 }
 
-impl LocalHistogram {
-    /// An empty scratch histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Histogram {
     /// Records one observation of `v`.
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
     }
-}
 
-/// One registered metric (type-tagged).
-#[derive(Clone, Debug)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// A metric kind the registry can hold.
-trait Kind: Default {
-    fn wrap(handle: Arc<Self>) -> Metric;
-    fn cast(metric: &Metric) -> Option<&Arc<Self>>;
-
-    /// The handle in `metric`, which must be of this kind.
-    fn handle(metric: &Metric, name: &str) -> Arc<Self> {
-        Self::cast(metric)
-            .cloned()
-            .unwrap_or_else(|| panic!("metric '{name}' registered with another kind"))
+    /// Adds every observation of `other`.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (b, n) in self.buckets.iter_mut().zip(other.buckets) {
+            *b += n;
+        }
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
     }
-}
 
-impl Kind for Counter {
-    fn wrap(handle: Arc<Self>) -> Metric {
-        Metric::Counter(handle)
-    }
-    fn cast(metric: &Metric) -> Option<&Arc<Self>> {
-        match metric {
-            Metric::Counter(c) => Some(c),
-            _ => None,
+    /// Point-in-time copy.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            buckets: (0u32..).zip(self.buckets).filter(|&(_, n)| n > 0).collect(),
         }
     }
 }
 
-impl Kind for Gauge {
-    fn wrap(handle: Arc<Self>) -> Metric {
-        Metric::Gauge(handle)
-    }
-    fn cast(metric: &Metric) -> Option<&Arc<Self>> {
-        match metric {
-            Metric::Gauge(g) => Some(g),
-            _ => None,
-        }
-    }
-}
-
-impl Kind for Histogram {
-    fn wrap(handle: Arc<Self>) -> Metric {
-        Metric::Histogram(handle)
-    }
-    fn cast(metric: &Metric) -> Option<&Arc<Self>> {
-        match metric {
-            Metric::Histogram(h) => Some(h),
-            _ => None,
-        }
-    }
-}
-
-const SHARD_COUNT: usize = 16;
-
-fn shard_of(name: &str) -> usize {
-    // Shards only need a rough spread.
-    (fnv1a_bytes(name.as_bytes()) as usize) % SHARD_COUNT
-}
-
-/// Sharded registry of named metrics.
+/// The metrics store: plain integers behind one lock.
 ///
-/// Lookup/registration locks one of 16 shards briefly; the returned
-/// handles are `Arc`s whose updates are lock-free atomics, valid for the
-/// registry's lifetime. The metrics the pipeline records on every
-/// multiply — launch folds, load-balancer outcomes, pass outputs, engine
-/// counters and span paths — go through the registry's own handle cache:
-/// each name is formatted and looked up once per registry, when the
-/// metric registers, and every later record is an atomic add. The cache
-/// belongs to the registry, not to an engine, so engines sharing a
-/// registry share it, and an engine given another registry records only
-/// there.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    shards: [Mutex<HashMap<String, Metric>>; SHARD_COUNT],
-    cache: Mutex<HandleCache>,
+/// Each recording call — [`Self::record_launches`], a pass's
+/// load-balancing outcome, a fixed-name counter or histogram, a span's
+/// start and end — takes the lock once and adds integers; only
+/// [`Self::snapshot`] formats metric names. A metric appears in the
+/// snapshot once it has registered: a fixed-name counter or histogram on
+/// its first record (even of 0, or of an empty histogram), a stage's
+/// cost counters once they are non-zero, `sim/lb/<pass>/global_lb_used`
+/// once the pass has binned, and a span path once a span on it has
+/// ended. The store belongs to the registry, not to an engine, so
+/// engines sharing a registry record into one store, and an engine given
+/// another registry records only there.
+#[derive(Debug, Default)]
+pub struct MetricsRegistry(Mutex<State>);
+
+/// Everything a [`MetricsRegistry`] has recorded.
+#[derive(Debug, Default)]
+struct State {
+    /// `sim/stage/<stage>/*`.
+    stages: Vec<StageFold>,
+    /// `sim/kernel/<name>/*`.
+    kernels: Vec<KernelFold>,
+    /// `sim/launch/cycles_milli`, once it holds a launch.
+    launch_cycles: Histogram,
+    /// `sim/lb/<pass>/*`.
+    passes: Vec<PassFold>,
+    counters: BTreeMap<&'static str, u64>,
+    histograms: BTreeMap<&'static str, Histogram>,
+    /// Span paths, each after its parent.
+    spans: Vec<SpanFold>,
+}
+
+/// One stage's launches.
+#[derive(Debug, Default)]
+struct StageFold {
+    stage: &'static str,
+    launches: u64,
+    cycles_milli: u64,
+    cost: BlockCost,
+    grid: Histogram,
+}
+
+/// One kernel name's launches.
+#[derive(Debug, Default)]
+struct KernelFold {
+    name: String,
+    launches: u64,
+    cycles_milli: u64,
+}
+
+/// One load-balancing pass's outcomes.
+#[derive(Debug, Default)]
+struct PassFold {
+    pass: &'static str,
+    decisions: u64,
+    global_lb_used: u64,
+    decision_rows: u64,
+    /// Blocks per accumulation method, in [`PASS_BLOCK_NAMES`] order.
+    blocks: [u64; 3],
+    rows_per_block: Histogram,
+}
+
+const PASS_BLOCK_NAMES: [&str; 3] = ["blocks_hash", "blocks_dense", "blocks_direct"];
+
+/// One span path: its last segment, its parent's index, and the spans
+/// on it that have ended.
+#[derive(Debug)]
+struct SpanFold {
+    parent: Option<usize>,
+    name: String,
+    count: u64,
+    seconds: f64,
+}
+
+/// Index of the entry of `entries` that `is` picks, pushed from `make`
+/// if none does.
+fn find_or_push<T>(
+    entries: &mut Vec<T>,
+    is: impl Fn(&T) -> bool,
+    make: impl FnOnce() -> T,
+) -> usize {
+    entries.iter().position(is).unwrap_or_else(|| {
+        entries.push(make());
+        entries.len() - 1
+    })
 }
 
 impl MetricsRegistry {
@@ -347,53 +230,21 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn entry<T: Kind>(&self, name: &str) -> Arc<T> {
-        let mut shard = self.shards[shard_of(name)].lock().unwrap();
-        // Look up by `&str` first: only a registration allocates the key.
-        if let Some(metric) = shard.get(name) {
-            return T::handle(metric, name);
-        }
-        let handle = Arc::<T>::default();
-        shard.insert(name.to_string(), T::wrap(Arc::clone(&handle)));
-        handle
+    /// The locked store. A panic while recording leaves it valid (every
+    /// update is a push or an integer add), so a poisoned lock is taken
+    /// as is, and recording — including a [`Span`]'s drop — never panics.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The counter named `name`, registered on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.entry(name)
+    /// Adds `v` to the counter `name`.
+    pub(crate) fn add(&self, name: &'static str, v: u64) {
+        *self.state().counters.entry(name).or_default() += v;
     }
 
-    /// The gauge named `name`, registered on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.entry(name)
-    }
-
-    /// The histogram named `name`, registered on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.entry(name)
-    }
-
-    /// The metric named `name` through the handle cache: after the first
-    /// call, no shard lock and no hash.
-    fn named<T: Kind>(&self, name: &'static str) -> Arc<T> {
-        let mut cache = self.cache.lock().unwrap();
-        let (_, metric) = find_or_push(
-            &mut cache.named,
-            |(n, _)| *n == name,
-            || (name, T::wrap(self.entry(name))),
-        );
-        T::handle(metric, name)
-    }
-
-    /// [`Self::counter`] for a compile-time name, through the handle cache.
-    pub(crate) fn named_counter(&self, name: &'static str) -> Arc<Counter> {
-        self.named(name)
-    }
-
-    /// [`Self::histogram`] for a compile-time name, through the handle
-    /// cache.
-    pub(crate) fn named_histogram(&self, name: &'static str) -> Arc<Histogram> {
-        self.named(name)
+    /// Adds every observation of `h` to the histogram `name`.
+    pub(crate) fn merge_histogram(&self, name: &'static str, h: &Histogram) {
+        self.state().histograms.entry(name).or_default().merge(h);
     }
 
     /// Starts a root wall-clock span named `name` (see [`Span`]).
@@ -401,318 +252,183 @@ impl MetricsRegistry {
         self.start_span(None, name)
     }
 
-    fn start_span(&self, parent: Option<&SpanPath>, name: &str) -> Span<'_> {
+    fn start_span(&self, parent: Option<usize>, name: &str) -> Span<'_> {
+        let id = find_or_push(
+            &mut self.state().spans,
+            |s| s.parent == parent && s.name == name,
+            || SpanFold {
+                parent,
+                name: name.to_string(),
+                count: 0,
+                seconds: 0.0,
+            },
+        );
         Span {
             reg: self,
-            path: self.cache.lock().unwrap().span_path(parent, name),
+            id,
             start: Instant::now(),
         }
     }
 
     /// Folds the kernel launches of a record stream into the `sim/*`
-    /// counters: per launch, under its stage and its kernel name, the
-    /// launch count, simulated cycles (millicycle resolution), every
-    /// non-zero cost-model counter, and grid-size / cycle histograms.
-    /// Fixed-cost records carry no counters.
-    ///
-    /// The stream is folded per stage and per kernel name first, so each
-    /// metric sees one atomic add per call, not one per launch; the sums
-    /// and histograms are the same either way. The call takes the handle
-    /// cache's lock once.
+    /// metrics: per launch, under its stage and its kernel name, the
+    /// launch count and simulated cycles (millicycle resolution), and per
+    /// stage every cost-model counter and the grid-size histogram, plus
+    /// the launch-cycle histogram. Fixed-cost records carry no counters.
     pub fn record_launches(&self, records: &[TraceRecord]) {
-        let mut cache = self.cache.lock().unwrap();
-        let mut launch_cycles = LocalHistogram::new();
+        let mut guard = self.state();
+        let st = &mut *guard;
         for r in records {
             let TraceRecordKind::Kernel(k) = &r.kind else {
                 continue;
             };
             let cycles_milli = (k.sim_cycles * 1e3).round() as u64;
-            let f = &mut cache.stage(self, r.stage).fold;
-            f.launches += 1;
-            f.cycles_milli += cycles_milli;
-            f.cost = f.cost.merge(&k.cost);
-            f.grid.record(k.grid as u64);
-            let (n, c) = &mut cache.kernel(self, &k.name).fold;
-            *n += 1;
-            *c += cycles_milli;
-            launch_cycles.record(cycles_milli);
+            let i = find_or_push(
+                &mut st.stages,
+                |s| s.stage == r.stage,
+                || StageFold {
+                    stage: r.stage,
+                    ..StageFold::default()
+                },
+            );
+            let s = &mut st.stages[i];
+            s.launches += 1;
+            s.cycles_milli += cycles_milli;
+            s.cost = s.cost.merge(&k.cost);
+            s.grid.record(k.grid as u64);
+            let i = find_or_push(
+                &mut st.kernels,
+                |f| f.name == k.name,
+                || KernelFold {
+                    name: k.name.clone(),
+                    ..KernelFold::default()
+                },
+            );
+            st.kernels[i].launches += 1;
+            st.kernels[i].cycles_milli += cycles_milli;
+            st.launch_cycles.record(cycles_milli);
         }
-        // No launch registers no metric, not even an empty histogram.
-        if launch_cycles.count == 0 {
-            return;
-        }
-        for s in cache.stages.iter_mut().filter(|s| s.fold.launches > 0) {
-            let f = std::mem::take(&mut s.fold);
-            s.launches.add(f.launches);
-            s.cycles_milli.add(f.cycles_milli);
-            for (slot, (cname, v)) in s.cost.iter_mut().zip(f.cost.counters()) {
-                if v > 0 {
-                    slot.get_or_insert_with(|| {
-                        self.counter(&format!("sim/stage/{}/{cname}", s.stage))
-                    })
-                    .add(v);
-                }
-            }
-            s.grid.merge_local(&f.grid);
-        }
-        for k in cache.kernels.iter_mut().filter(|k| k.fold.0 > 0) {
-            let (launches, cycles_milli) = std::mem::take(&mut k.fold);
-            k.launches.add(launches);
-            k.cycles_milli.add(cycles_milli);
-        }
-        cache
-            .launch_cycles
-            .get_or_insert_with(|| self.histogram("sim/launch/cycles_milli"))
-            .merge_local(&launch_cycles);
     }
 
     /// Records a pass's load-balancing outcome under `sim/lb/<pass>/`:
-    /// one decision, whether binning engaged (registered only once it
-    /// does), the rows the decision consulted, blocks per accumulation
-    /// method (hash, dense, direct) and the rows-per-block histogram.
+    /// one decision, whether binning engaged, the rows the decision
+    /// consulted, blocks per accumulation method (hash, dense, direct)
+    /// and the rows-per-block histogram.
     pub(crate) fn record_pass(
         &self,
         pass: &'static str,
         global_lb_used: bool,
         decision_rows: u64,
         blocks: [u64; 3],
-        rows_per_block: &LocalHistogram,
+        rows_per_block: &Histogram,
     ) {
-        let mut cache = self.cache.lock().unwrap();
-        let h = cache.pass(self, pass);
-        h.decisions.add(1);
-        if global_lb_used {
-            h.global_lb_used
-                .get_or_insert_with(|| self.counter(&format!("sim/lb/{pass}/global_lb_used")))
-                .add(1);
+        let mut st = self.state();
+        let i = find_or_push(
+            &mut st.passes,
+            |p| p.pass == pass,
+            || PassFold {
+                pass,
+                ..PassFold::default()
+            },
+        );
+        let p = &mut st.passes[i];
+        p.decisions += 1;
+        p.global_lb_used += global_lb_used as u64;
+        p.decision_rows += decision_rows;
+        for (c, n) in p.blocks.iter_mut().zip(blocks) {
+            *c += n;
         }
-        h.decision_rows.add(decision_rows);
-        for (c, n) in h.blocks.iter().zip(blocks) {
-            c.add(n);
-        }
-        h.rows_per_block.merge_local(rows_per_block);
+        p.rows_per_block.merge(rows_per_block);
     }
 
-    /// Point-in-time copy of every metric, sorted by name.
+    /// Point-in-time copy of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let st = self.state();
         let mut snap = MetricsSnapshot::default();
-        for shard in &self.shards {
-            for (name, metric) in shard.lock().unwrap().iter() {
-                match metric {
-                    Metric::Counter(c) => {
-                        snap.counters.insert(name.clone(), c.get());
-                    }
-                    Metric::Gauge(g) => {
-                        snap.gauges.insert(name.clone(), g.get());
-                    }
-                    Metric::Histogram(h) => {
-                        snap.histograms.insert(name.clone(), h.snapshot());
-                    }
-                }
+        let (c, h) = (&mut snap.counters, &mut snap.histograms);
+        for s in &st.stages {
+            let stage = format!("sim/stage/{}", s.stage);
+            c.insert(format!("{stage}/launches"), s.launches);
+            c.insert(format!("{stage}/cycles_milli"), s.cycles_milli);
+            for (name, v) in s.cost.counters().into_iter().filter(|&(_, v)| v > 0) {
+                c.insert(format!("{stage}/{name}"), v);
             }
+            h.insert(format!("{stage}/grid"), s.grid.snapshot());
+        }
+        for k in &st.kernels {
+            c.insert(format!("sim/kernel/{}/launches", k.name), k.launches);
+            c.insert(
+                format!("sim/kernel/{}/cycles_milli", k.name),
+                k.cycles_milli,
+            );
+        }
+        if st.launch_cycles.count > 0 {
+            h.insert(
+                "sim/launch/cycles_milli".into(),
+                st.launch_cycles.snapshot(),
+            );
+        }
+        for p in &st.passes {
+            let lb = format!("sim/lb/{}", p.pass);
+            c.insert(format!("{lb}/decisions"), p.decisions);
+            if p.global_lb_used > 0 {
+                c.insert(format!("{lb}/global_lb_used"), p.global_lb_used);
+            }
+            c.insert(format!("{lb}/decision_rows"), p.decision_rows);
+            for (name, n) in PASS_BLOCK_NAMES.iter().zip(p.blocks) {
+                c.insert(format!("{lb}/{name}"), n);
+            }
+            h.insert(format!("{lb}/rows_per_block"), p.rows_per_block.snapshot());
+        }
+        c.extend(st.counters.iter().map(|(&name, &v)| (name.into(), v)));
+        h.extend(
+            st.histograms
+                .iter()
+                .map(|(&name, x)| (name.into(), x.snapshot())),
+        );
+        let mut paths: Vec<String> = Vec::with_capacity(st.spans.len());
+        for s in &st.spans {
+            let path = match s.parent {
+                Some(p) => format!("{}/{}", paths[p], s.name),
+                None => s.name.clone(),
+            };
+            if s.count > 0 {
+                c.insert(format!("span/{path}/count"), s.count);
+                snap.gauges
+                    .insert(format!("wall/span/{path}/seconds"), s.seconds);
+            }
+            paths.push(path);
         }
         snap
     }
 }
 
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n: usize = self.shards.iter().map(|s| s.lock().unwrap().len()).sum();
-        f.debug_struct("MetricsRegistry")
-            .field("metrics", &n)
-            .finish()
-    }
-}
-
-/// The registry's resolved handles (see [`MetricsRegistry`]). Each
-/// handle registers its metric exactly when an uncached lookup would
-/// have, so the snapshot's key set does not depend on the cache.
-#[derive(Default)]
-struct HandleCache {
-    /// Counters and histograms with compile-time names.
-    named: Vec<(&'static str, Metric)>,
-    stages: Vec<StageHandles>,
-    kernels: Vec<KernelHandles>,
-    /// `sim/launch/cycles_milli`.
-    launch_cycles: Option<Arc<Histogram>>,
-    passes: Vec<PassHandles>,
-    spans: Vec<Arc<SpanPath>>,
-}
-
-/// `sim/stage/<stage>/*`, and the stage's launches folded so far by the
-/// running [`MetricsRegistry::record_launches`] call.
-struct StageHandles {
-    stage: &'static str,
-    launches: Arc<Counter>,
-    cycles_milli: Arc<Counter>,
-    grid: Arc<Histogram>,
-    /// One per [`COST_COUNTER_NAMES`] entry, registered on its first
-    /// non-zero add.
-    cost: [Option<Arc<Counter>>; COST_COUNTER_NAMES.len()],
-    fold: StageFold,
-}
-
-/// One stage's launches, folded.
-#[derive(Default)]
-struct StageFold {
-    launches: u64,
-    cycles_milli: u64,
-    cost: BlockCost,
-    grid: LocalHistogram,
-}
-
-/// `sim/kernel/<name>/*`, and the `(launches, cycles_milli)` folded so
-/// far by the running [`MetricsRegistry::record_launches`] call.
-struct KernelHandles {
-    name: String,
-    launches: Arc<Counter>,
-    cycles_milli: Arc<Counter>,
-    fold: (u64, u64),
-}
-
-/// `sim/lb/<pass>/*`.
-struct PassHandles {
-    pass: &'static str,
-    decisions: Arc<Counter>,
-    /// Registered the first time the pass bins.
-    global_lb_used: Option<Arc<Counter>>,
-    decision_rows: Arc<Counter>,
-    /// `blocks_hash`, `blocks_dense`, `blocks_direct`.
-    blocks: [Arc<Counter>; 3],
-    rows_per_block: Arc<Histogram>,
-}
-
-/// The entry of `entries` that `is` picks, pushed from `make` if none
-/// does.
-fn find_or_push<T>(
-    entries: &mut Vec<T>,
-    is: impl Fn(&T) -> bool,
-    make: impl FnOnce() -> T,
-) -> &mut T {
-    let i = match entries.iter().position(is) {
-        Some(i) => i,
-        None => {
-            entries.push(make());
-            entries.len() - 1
-        }
-    };
-    &mut entries[i]
-}
-
-impl HandleCache {
-    fn stage(&mut self, reg: &MetricsRegistry, stage: &'static str) -> &mut StageHandles {
-        find_or_push(
-            &mut self.stages,
-            |s| s.stage == stage,
-            || StageHandles {
-                stage,
-                launches: reg.counter(&format!("sim/stage/{stage}/launches")),
-                cycles_milli: reg.counter(&format!("sim/stage/{stage}/cycles_milli")),
-                grid: reg.histogram(&format!("sim/stage/{stage}/grid")),
-                cost: Default::default(),
-                fold: StageFold::default(),
-            },
-        )
-    }
-
-    fn kernel(&mut self, reg: &MetricsRegistry, name: &str) -> &mut KernelHandles {
-        find_or_push(
-            &mut self.kernels,
-            |k| k.name == name,
-            || KernelHandles {
-                name: name.to_string(),
-                launches: reg.counter(&format!("sim/kernel/{name}/launches")),
-                cycles_milli: reg.counter(&format!("sim/kernel/{name}/cycles_milli")),
-                fold: (0, 0),
-            },
-        )
-    }
-
-    fn pass(&mut self, reg: &MetricsRegistry, pass: &'static str) -> &mut PassHandles {
-        let counter = |name: &str| reg.counter(&format!("sim/lb/{pass}/{name}"));
-        find_or_push(
-            &mut self.passes,
-            |p| p.pass == pass,
-            || PassHandles {
-                pass,
-                decisions: counter("decisions"),
-                global_lb_used: None,
-                decision_rows: counter("decision_rows"),
-                blocks: ["blocks_hash", "blocks_dense", "blocks_direct"].map(counter),
-                rows_per_block: reg.histogram(&format!("sim/lb/{pass}/rows_per_block")),
-            },
-        )
-    }
-
-    /// The cached path of the span `name` under `parent` (a root span
-    /// when `None`); only a path's first span formats and allocates.
-    fn span_path(&mut self, parent: Option<&SpanPath>, name: &str) -> Arc<SpanPath> {
-        let (id, parent_id) = (self.spans.len(), parent.map(|p| p.id));
-        let path = find_or_push(
-            &mut self.spans,
-            |p| p.parent == parent_id && p.name == name,
-            || {
-                Arc::new(SpanPath {
-                    id,
-                    parent: parent_id,
-                    name: name.to_string(),
-                    path: match parent {
-                        Some(parent) => format!("{}/{name}", parent.path),
-                        None => name.to_string(),
-                    },
-                    handles: OnceLock::new(),
-                })
-            },
-        );
-        Arc::clone(path)
-    }
-}
-
-/// One span path of a registry, and its `span/<path>/count` counter and
-/// `wall/span/<path>/seconds` gauge once a span on the path has ended.
-struct SpanPath {
-    /// Index in the registry's span list.
-    id: usize,
-    parent: Option<usize>,
-    name: String,
-    path: String,
-    handles: OnceLock<(Arc<Counter>, Arc<Gauge>)>,
-}
-
-/// A hierarchical wall-clock span. Dropping the span records
-/// `span/<path>/count` (+1, deterministic) and adds the elapsed seconds
-/// to the `wall/span/<path>/seconds` gauge (volatile). The registry
-/// resolves each path and its two metrics once: starting or ending a
-/// later span on the same path formats and allocates nothing.
+/// A hierarchical wall-clock span. Dropping the span adds 1 to
+/// `span/<path>/count` (deterministic) and the elapsed seconds to the
+/// `wall/span/<path>/seconds` gauge (volatile). The registry keeps each
+/// path once: starting or ending a later span on the same path formats
+/// and allocates nothing.
 pub struct Span<'a> {
     reg: &'a MetricsRegistry,
-    path: Arc<SpanPath>,
+    /// Index of the span's path in the registry.
+    id: usize,
     start: Instant,
 }
 
 impl<'a> Span<'a> {
     /// Starts a child span `"<parent path>/<name>"`.
     pub fn child(&self, name: &str) -> Span<'a> {
-        self.reg.start_span(Some(&self.path), name)
-    }
-
-    /// The span's full path.
-    pub fn path(&self) -> &str {
-        &self.path.path
+        self.reg.start_span(Some(self.id), name)
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let (count, seconds) = self.path.handles.get_or_init(|| {
-            let path = &self.path.path;
-            (
-                self.reg.counter(&format!("span/{path}/count")),
-                self.reg.gauge(&format!("wall/span/{path}/seconds")),
-            )
-        });
-        count.add(1);
-        seconds.add(self.start.elapsed().as_secs_f64());
+        let seconds = self.start.elapsed().as_secs_f64();
+        let mut st = self.reg.state();
+        let s = &mut st.spans[self.id];
+        s.count += 1;
+        s.seconds += seconds;
     }
 }
 
@@ -916,19 +632,15 @@ impl MetricsSnapshot {
 /// * counters and histograms (the deterministic section) must match
 ///   **exactly** — missing, extra, or drifted entries are all reported;
 /// * gauges with the `wall/` prefix must agree within the tolerance the
-///   baseline declares (falling back to `default_wall_tol`), with an
-///   absolute floor of [`WALL_ABS_FLOOR_S`] so sub-10ms noise never
-///   gates;
+///   baseline declares (falling back to [`DEFAULT_WALL_TOLERANCE`]),
+///   with an absolute floor of [`WALL_ABS_FLOOR_S`] so sub-10ms noise
+///   never gates;
 /// * all other gauges (`pool/` occupancy etc.) are informational and
 ///   never compared.
 ///
 /// Returns human-readable drift descriptions; empty means the gate
 /// passes.
-pub fn compare_snapshots(
-    current: &MetricsSnapshot,
-    baseline: &MetricsSnapshot,
-    default_wall_tol: f64,
-) -> Vec<String> {
+pub fn compare_snapshots(current: &MetricsSnapshot, baseline: &MetricsSnapshot) -> Vec<String> {
     let mut drift = Vec::new();
     for (name, base) in &baseline.counters {
         match current.counters.get(name) {
@@ -963,7 +675,7 @@ pub fn compare_snapshots(
             ));
         }
     }
-    let tol = baseline.wall_tolerance.unwrap_or(default_wall_tol);
+    let tol = baseline.wall_tolerance.unwrap_or(DEFAULT_WALL_TOLERANCE);
     for (name, base) in &baseline.gauges {
         if !name.starts_with("wall/") {
             continue;
@@ -992,18 +704,46 @@ mod tests {
     use super::*;
     use rayon::prelude::*;
 
+    /// A snapshot holding `counters`, `gauges`, and one histogram of the
+    /// given observations per `histograms` entry.
+    fn snap(
+        counters: &[(&str, u64)],
+        gauges: &[(&str, f64)],
+        histograms: &[(&str, &[u64])],
+    ) -> MetricsSnapshot {
+        let hist = |vs: &[u64]| {
+            let mut h = Histogram::default();
+            vs.iter().for_each(|&v| h.record(v));
+            h.snapshot()
+        };
+        MetricsSnapshot {
+            counters: counters.iter().map(|&(n, v)| (n.into(), v)).collect(),
+            histograms: histograms
+                .iter()
+                .map(|&(n, vs)| (n.into(), hist(vs)))
+                .collect(),
+            gauges: gauges.iter().map(|&(n, v)| (n.into(), v)).collect(),
+            wall_tolerance: None,
+        }
+    }
+
     #[test]
     fn counters_aggregate_under_parallel_updates() {
         // Rayon-parallel block execution is the hot recording context:
         // many workers adding to the same named counters concurrently must
         // lose nothing.
+        const MODS: [&str; 7] = [
+            "par/mod0", "par/mod1", "par/mod2", "par/mod3", "par/mod4", "par/mod5", "par/mod6",
+        ];
         let reg = MetricsRegistry::new();
         let _: Vec<()> = (0..10_000usize)
             .into_par_iter()
             .map(|i| {
-                reg.counter("par/total").add(1);
-                reg.counter(&format!("par/mod{}", i % 7)).add(i as u64);
-                reg.histogram("par/hist").record(i as u64 % 97);
+                reg.add("par/total", 1);
+                reg.add(MODS[i % 7], i as u64);
+                let mut h = Histogram::default();
+                h.record(i as u64 % 97);
+                reg.merge_histogram("par/hist", &h);
             })
             .collect();
         let snap = reg.snapshot();
@@ -1016,18 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_ops() {
-        let g = Gauge::default();
-        g.set(1.5);
-        g.add(2.5);
-        assert_eq!(g.get(), 4.0);
-        g.max(3.0);
-        assert_eq!(g.get(), 4.0);
-        g.max(5.0);
-        assert_eq!(g.get(), 5.0);
-    }
-
-    #[test]
     fn histogram_buckets_are_powers_of_two() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
@@ -1035,11 +763,7 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), 64);
-        let h = Histogram::default();
-        h.record(0);
-        h.record_n(3, 2);
-        h.record(1024);
-        let s = h.snapshot();
+        let s = snap(&[], &[], &[("h", &[0, 3, 3, 1024])]).histograms["h"].clone();
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 1030);
         assert_eq!(s.buckets, vec![(0, 1), (2, 2), (11, 1)]);
@@ -1047,34 +771,12 @@ mod tests {
     }
 
     #[test]
-    fn local_histogram_merges_like_direct_records() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        let mut local = LocalHistogram::new();
-        for v in [0u64, 5, 5, 9, 1 << 40] {
-            a.record(v);
-            local.record(v);
-        }
-        b.merge_local(&local);
-        assert_eq!(a.snapshot(), b.snapshot());
-    }
-
-    #[test]
-    #[should_panic(expected = "another kind")]
-    fn kind_mismatch_panics() {
-        let reg = MetricsRegistry::new();
-        reg.counter("x");
-        reg.gauge("x");
-    }
-
-    #[test]
     fn snapshot_roundtrips_through_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a/b").add(42);
-        reg.counter("weird \"name\"\\with escapes").add(7);
-        reg.gauge("wall/x").set(0.125);
-        reg.histogram("h").record(100);
-        let mut snap = reg.snapshot();
+        let mut snap = snap(
+            &[("a/b", 42), ("weird \"name\"\\with escapes", 7)],
+            &[("wall/x", 0.125)],
+            &[("h", &[100])],
+        );
         snap.wall_tolerance = Some(0.25);
         let parsed = MetricsSnapshot::parse_json(&snap.full_json()).unwrap();
         assert_eq!(parsed, snap);
@@ -1090,10 +792,7 @@ mod tests {
         // f64 holds integers exactly only up to 2^53; counters and
         // histogram sums must survive the JSON text without passing
         // through it.
-        let reg = MetricsRegistry::new();
-        reg.counter("big").add(u64::MAX - 1);
-        reg.histogram("h").record_n((1 << 53) + 1, 3);
-        let snap = reg.snapshot();
+        let snap = snap(&[("big", u64::MAX - 1)], &[], &[("h", &[(1 << 53) + 1; 3])]);
         assert!(snap.histograms["h"].sum > 1 << 53);
         let parsed = MetricsSnapshot::parse_json(&snap.full_json()).unwrap();
         assert_eq!(parsed.counters["big"], u64::MAX - 1);
@@ -1119,58 +818,45 @@ mod tests {
 
     #[test]
     fn canonical_json_is_stable_across_insertion_order() {
-        let r1 = MetricsRegistry::new();
-        r1.counter("b").add(2);
-        r1.counter("a").add(1);
-        r1.gauge("wall/noise").set(123.456);
-        let r2 = MetricsRegistry::new();
-        r2.counter("a").add(1);
-        r2.counter("b").add(2);
-        r2.gauge("wall/noise").set(654.321);
-        assert_eq!(
-            r1.snapshot().canonical_json(),
-            r2.snapshot().canonical_json()
-        );
+        let s1 = snap(&[("b", 2), ("a", 1)], &[("wall/noise", 123.456)], &[]);
+        let s2 = snap(&[("a", 1), ("b", 2)], &[("wall/noise", 654.321)], &[]);
+        assert_eq!(s1.canonical_json(), s2.canonical_json());
     }
 
     #[test]
     fn compare_flags_exact_counter_drift_and_tolerates_wall() {
         let mk = |c: u64, wall: f64| {
-            let reg = MetricsRegistry::new();
-            reg.counter("sim/x").add(c);
-            reg.gauge("wall/t").set(wall);
-            reg.gauge("pool/idle").set(999.0);
-            reg.snapshot()
+            snap(
+                &[("sim/x", c)],
+                &[("wall/t", wall), ("pool/idle", 999.0)],
+                &[],
+            )
         };
         let base = mk(10, 1.0);
         // Identical: passes.
-        assert!(compare_snapshots(&mk(10, 1.0), &base, 0.10).is_empty());
-        // Wall within 10%: passes; pool/ gauge never compared.
-        assert!(compare_snapshots(&mk(10, 1.05), &base, 0.10).is_empty());
+        assert!(compare_snapshots(&mk(10, 1.0), &base).is_empty());
+        // Wall within the default 10%: passes; pool/ gauge never compared.
+        assert!(compare_snapshots(&mk(10, 1.05), &base).is_empty());
         // Wall beyond tolerance: flagged.
-        assert_eq!(compare_snapshots(&mk(10, 2.0), &base, 0.10).len(), 1);
+        assert_eq!(compare_snapshots(&mk(10, 2.0), &base).len(), 1);
         // Baseline-declared tolerance wins over the default.
         let mut loose = base.clone();
         loose.wall_tolerance = Some(0.75);
-        assert!(compare_snapshots(&mk(10, 1.6), &loose, 0.10).is_empty());
+        assert!(compare_snapshots(&mk(10, 1.6), &loose).is_empty());
         // Counter drift is always flagged.
-        let drift = compare_snapshots(&mk(11, 1.0), &base, 0.10);
+        let drift = compare_snapshots(&mk(11, 1.0), &base);
         assert_eq!(drift.len(), 1);
         assert!(drift[0].contains("sim/x"));
         // Sub-floor absolute wall differences never gate.
         let tiny_base = mk(1, 0.001);
-        assert!(compare_snapshots(&mk(1, 0.004), &tiny_base, 0.10).is_empty());
+        assert!(compare_snapshots(&mk(1, 0.004), &tiny_base).is_empty());
     }
 
     #[test]
     fn compare_flags_missing_and_extra_entries() {
-        let reg = MetricsRegistry::new();
-        reg.counter("only/current").add(1);
-        let cur = reg.snapshot();
-        let reg2 = MetricsRegistry::new();
-        reg2.counter("only/baseline").add(1);
-        let base = reg2.snapshot();
-        let drift = compare_snapshots(&cur, &base, 0.10);
+        let cur = snap(&[("only/current", 1)], &[], &[]);
+        let base = snap(&[("only/baseline", 1)], &[], &[]);
+        let drift = compare_snapshots(&cur, &base);
         assert_eq!(drift.len(), 2, "{drift:?}");
     }
 
@@ -1180,7 +866,16 @@ mod tests {
         {
             let root = reg.span("multiply");
             let _child = root.child("analysis");
-            assert_eq!(root.path(), "multiply");
+            // Spans still open at snapshot time have recorded nothing.
+            let open = reg.snapshot();
+            let names = open.counters.keys().chain(open.gauges.keys());
+            assert!(
+                names
+                    .clone()
+                    .all(|n| !n.starts_with("span/") && !n.starts_with("wall/")),
+                "{:?}",
+                names.collect::<Vec<_>>()
+            );
         }
         let snap = reg.snapshot();
         assert_eq!(snap.counters["span/multiply/count"], 1);
@@ -1197,11 +892,8 @@ mod tests {
 
     #[test]
     fn render_table_mentions_every_metric() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c/one").add(1);
-        reg.histogram("h/two").record(5);
-        reg.gauge("wall/three").set(0.5);
-        let table = reg.snapshot().render_table();
+        let table =
+            snap(&[("c/one", 1)], &[("wall/three", 0.5)], &[("h/two", &[5])]).render_table();
         for name in ["c/one", "h/two", "wall/three"] {
             assert!(table.contains(name), "missing {name} in\n{table}");
         }

@@ -89,10 +89,8 @@ impl<V> NumericOutput<V> {
     /// spilled-block count and elements routed through the global radix
     /// sort.
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
-        m.named_counter("sim/numeric/spilled_blocks")
-            .add(self.spilled_blocks as u64);
-        m.named_counter("sim/numeric/radix_elems")
-            .add(self.radix_elems as u64);
+        m.add("sim/numeric/spilled_blocks", self.spilled_blocks as u64);
+        m.add("sim/numeric/radix_elems", self.radix_elems as u64);
     }
 }
 

@@ -321,7 +321,7 @@ impl SpeckSpgemm {
     /// Panics when `a.cols() != b.rows()` (matching the reference
     /// implementations in `speck-sparse`).
     pub fn multiply<V: Scalar>(&self, a: &Csr<V>, b: &Csr<V>) -> (Csr<V>, MultiplyReport) {
-        self.metrics.named_counter("engine/multiply_calls").add(1);
+        self.metrics.add("engine/multiply_calls", 1);
         // A disabled cache is never consulted, so it counts no misses.
         let key = (self.plans.lock().unwrap().capacity() > 0)
             .then(|| PatternKey::new(a, b, self.env_digest()));
@@ -463,7 +463,6 @@ impl SpeckSpgemm {
         SpgemmPlan {
             pattern: pattern.unwrap_or_else(|| PatternId::of(a, b)),
             symbolic: splan.summary(),
-            sym_gate: splan.gate,
             numeric: nplan.summary(),
             info,
             nplan,
@@ -495,7 +494,7 @@ impl SpeckSpgemm {
         let pool = self.workspaces.pool::<V>();
         let span = m.span("execute");
         if reused {
-            m.named_counter("engine/plan_reuses").add(1);
+            m.add("engine/plan_reuses", 1);
         }
         let cascade = KernelCascade::for_device(dev);
         let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
@@ -548,8 +547,8 @@ impl SpeckSpgemm {
                 cfg,
                 &plan.info,
                 &plan.row_nnz,
-                &plan.sym_gate,
-                &plan.nplan.gate,
+                &plan.symbolic.gate,
+                &plan.numeric.gate,
                 plan.pattern.b_cols,
                 std::mem::size_of::<V>(),
                 tr,
@@ -559,12 +558,12 @@ impl SpeckSpgemm {
         let report = MultiplyReport {
             sim_time_s: timeline.total_seconds(),
             peak_mem_bytes: mem.peak(),
-            symbolic_used_lb: plan.symbolic.used_global_lb,
-            numeric_used_lb: plan.numeric.used_global_lb,
-            symbolic_threshold_set: plan.symbolic.threshold_set,
-            numeric_threshold_set: plan.numeric.threshold_set,
-            symbolic_ratio: plan.symbolic.decision_ratio,
-            numeric_ratio: plan.numeric.decision_ratio,
+            symbolic_used_lb: plan.symbolic.gate.used_global_lb,
+            numeric_used_lb: plan.numeric.gate.used_global_lb,
+            symbolic_threshold_set: plan.symbolic.gate.threshold_set,
+            numeric_threshold_set: plan.numeric.gate.threshold_set,
+            symbolic_ratio: plan.symbolic.gate.ratio,
+            numeric_ratio: plan.numeric.gate.ratio,
             numeric_methods: plan.numeric.method_counts,
             spilled_blocks: plan.sym_spilled_blocks + num.spilled_blocks,
             radix_elems: num.radix_elems,

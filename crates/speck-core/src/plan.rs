@@ -29,7 +29,7 @@
 //! kernels at all, so its simulated time drops along with the wall clock.
 
 use crate::analysis::AnalysisInfo;
-use crate::global_lb::{GateProvenance, PassPlan, PassSummary};
+use crate::global_lb::{PassPlan, PassSummary};
 use crate::symbolic::LaunchGroups;
 use crate::trace::{timeline_of, TraceRecord};
 use speck_sparse::{Csr, Scalar};
@@ -174,13 +174,10 @@ pub struct SpgemmPlan<V> {
     pub(crate) pattern: PatternId,
     /// Per-row analysis records (paper Alg. 1) the numeric kernels read.
     pub(crate) info: AnalysisInfo,
-    /// Decision summary of the symbolic pass (for reporting).
+    /// Decision summary of the symbolic pass; reports and the decision
+    /// audit read its gate.
     pub(crate) symbolic: PassSummary,
-    /// Gate provenance of the symbolic pass (the numeric pass's lives in
-    /// `nplan.gate`) — the decision audit reconstructs the global-LB
-    /// counterfactual from it.
-    pub(crate) sym_gate: GateProvenance,
-    /// Decision summary of the numeric pass (for reporting).
+    /// Decision summary of the numeric pass, read like `symbolic`.
     pub(crate) numeric: PassSummary,
     /// The numeric block plan (bins, methods, kernel configurations).
     pub(crate) nplan: PassPlan,

@@ -12,7 +12,7 @@ use crate::config::SpeckConfig;
 use crate::global_lb::{AccMethod, PassPlan, DIRECT_ROWS_PER_BLOCK};
 use crate::hashacc::MAX_HASH_BLOCK_ROWS;
 use crate::local_lb::{rounds_for_g, select_group_size};
-use crate::metrics::{LocalHistogram, MetricsRegistry};
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport,
@@ -37,13 +37,12 @@ impl SymbolicOutput {
     /// Records the pass's deterministic outputs under `sim/symbolic/`:
     /// spilled-block count and the exact C row-size distribution.
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
-        m.named_counter("sim/symbolic/spilled_blocks")
-            .add(self.spilled_blocks as u64);
-        let mut h = LocalHistogram::new();
+        m.add("sim/symbolic/spilled_blocks", self.spilled_blocks as u64);
+        let mut h = Histogram::default();
         for &n in &self.row_nnz {
             h.record(n as u64);
         }
-        m.named_histogram("sim/symbolic/row_nnz").merge_local(&h);
+        m.merge_histogram("sim/symbolic/row_nnz", &h);
     }
 }
 

@@ -79,8 +79,8 @@ fn warm_engine_allocates_less_and_stays_steady() {
     // about 31 allocations with 2 pool threads (20 with 1, 123 with 32;
     // the pool's per-chunk result vectors grow with its width), because
     // numeric blocks write C in place, each host chunk of blocks checks
-    // out one workspace, and metrics record through handles the registry
-    // resolved on an earlier call. Reintroducing per-block output vectors
+    // out one workspace, and metrics record into entries the registry
+    // created on an earlier call. Reintroducing per-block output vectors
     // (about 720), per-row staging or per-block accumulator construction
     // would exceed the 200 ceiling, which leaves headroom for allocator
     // noise.
