@@ -5,7 +5,7 @@
 #
 #   ./ci.sh             # fmt + clippy + rustdoc + tests (release, plus the
 #                       #     engine's debug tests) + perfbench build and
-#                       #     smoke run
+#                       #     smoke run + three experiments run by name
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -105,8 +105,10 @@ release_tests() {
 }
 
 # The release suite compiles `debug_assert!`s out. Run the engine's own
-# tests once more in the debug profile so those invariant checks (hash
-# slot bounds, dense-chunk ranges, compound-key row bounds) run too.
+# tests once more in the test profile so those invariant checks (hash
+# slot bounds, dense-chunk ranges, compound-key row bounds) run too. The
+# test profile inherits `dev` (debug assertions and overflow checks on)
+# but builds at opt-level 1 (Cargo.toml `[profile.test]`).
 debug_tests() {
     cargo test -q -p speck-core -p speck-simt
 }
@@ -127,6 +129,14 @@ perfbench_smoke() {
         echo "FAIL: perfbench smoke run is not correct or has failed operations" >&2
         exit 1
     fi
+}
+
+# The experiment driver's by-name selection path, on three experiments
+# that need no corpus sweep (under a second in release).
+experiments_smoke() {
+    mkdir -p target/ci
+    cargo run --release -p speck-bench --bin run_all_experiments -- table4 fig8 fig11 \
+        >target/ci/experiments.txt
 }
 
 # One bench run serves every enabled bench gate.
@@ -223,6 +233,7 @@ gate "cargo test (workspace, release)" release_tests
 gate "cargo test (speck-core + speck-simt, debug, debug assertions on)" debug_tests
 gate "perfbench build (repo benchmark against the engine API)" perfbench_build
 gate "perfbench smoke run (small workload, 1 s)" perfbench_smoke
+gate "experiment driver (run_all_experiments table4 fig8 fig11)" experiments_smoke
 
 if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
     || [ "$run_audit" -eq 1 ]; then

@@ -10,7 +10,7 @@
 //! estimates to future work"; allocation *time* is excluded from the
 //! paper's measurements and from ours, the bytes are counted).
 
-use crate::common::{csr_bytes, RunAccounting};
+use crate::common::{csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
@@ -44,11 +44,6 @@ struct Chunk {
 
 /// A chunk's emitted partial rows: (row id, columns, values).
 type PartialRows = Vec<(u32, Vec<u32>, Vec<f64>)>;
-
-/// Total elements emitted across all chunks (pre-merge output size).
-fn per_row_nnz_estimate(partials: &[PartialRows]) -> usize {
-    partials.iter().flatten().map(|(_, c, _)| c.len()).sum()
-}
 
 impl SpgemmMethod for AcSpgemm {
     fn name(&self) -> &'static str {
@@ -161,7 +156,7 @@ impl SpgemmMethod for AcSpgemm {
         // chunk setup, the chunk-pointer prefix scan, and the copy of chunk
         // storage into the final CSR (every output element moves once more
         // through global memory).
-        let nnz_out: usize = per_row_nnz_estimate(&partials);
+        let nnz_out: usize = partials.iter().flatten().map(|(_, c, _)| c.len()).sum();
         acct.fixed(3.0 * dev.cycles_to_seconds(dev.launch_overhead_cycles));
         {
             let threads = 256;
@@ -212,54 +207,33 @@ impl SpgemmMethod for AcSpgemm {
             acct.kernel(&merge);
         }
 
-        // Assemble.
-        let mut row_ptr = Vec::with_capacity(n_rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        for parts in per_row {
-            match parts.len() {
-                0 => {}
-                1 => {
-                    col_idx.extend_from_slice(&parts[0].0);
-                    vals.extend_from_slice(&parts[0].1);
-                }
-                _ => {
-                    // k-way merge by sorted column index with duplicate sum.
-                    let mut merged: Vec<(u32, f64)> = Vec::new();
-                    for (c, v) in &parts {
-                        merged.extend(c.iter().copied().zip(v.iter().copied()));
-                    }
-                    merged.sort_unstable_by_key(|&(c, _)| c);
-                    let mut i = 0;
-                    while i < merged.len() {
-                        let (c, mut v) = merged[i];
-                        let mut j = i + 1;
-                        while j < merged.len() && merged[j].0 == c {
-                            v += merged[j].1;
-                            j += 1;
-                        }
-                        col_idx.push(c);
-                        vals.push(v);
-                        i = j;
-                    }
-                }
+        // Assemble: a row split across chunks is a k-way merge of its
+        // partials by sorted column index with duplicate sum.
+        let rows = per_row.into_iter().map(|mut parts| {
+            if parts.len() <= 1 {
+                return parts.pop().unwrap_or_default();
             }
-            row_ptr.push(col_idx.len());
-        }
-        let c = Csr::from_parts_unchecked(n_rows, b.cols(), row_ptr, col_idx, vals);
-        acct.alloc_output(csr_bytes(n_rows, c.nnz()));
-
-        if let Err(e) = acct.check_memory() {
-            return MethodResult::failure(e);
-        }
-        MethodResult {
-            c: Some(c),
-            sim_time_s: acct.seconds(),
-            peak_mem_bytes: acct.mem.peak(),
-            sorted_output: true,
-            failed: None,
-        }
+            let mut merged: Vec<(u32, f64)> = Vec::new();
+            for (c, v) in &parts {
+                merged.extend(c.iter().copied().zip(v.iter().copied()));
+            }
+            merged.sort_unstable_by_key(|&(c, _)| c);
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            let mut i = 0;
+            while i < merged.len() {
+                let (c, mut v) = merged[i];
+                let mut j = i + 1;
+                while j < merged.len() && merged[j].0 == c {
+                    v += merged[j].1;
+                    j += 1;
+                }
+                cols.push(c);
+                vals.push(v);
+                i = j;
+            }
+            (cols, vals)
+        });
+        acct.finish(csr_from_rows(rows, b.cols(), true), true)
     }
 }
 

@@ -7,7 +7,7 @@
 //! matrices drown in fixed overheads — the paper measures bhSPARSE at
 //! ~13x spECK on average with ~4.4x its memory.
 
-use crate::common::{charge_count_kernel, charge_scatter_binning, csr_bytes, RunAccounting};
+use crate::common::{charge_count_kernel, charge_scatter_binning, csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
@@ -165,30 +165,8 @@ impl SpgemmMethod for BhSparse {
             }
         }
 
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        for slot in rows_out {
-            if let Some((c, v)) = slot {
-                col_idx.extend_from_slice(&c);
-                vals.extend_from_slice(&v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let c = Csr::from_parts_unchecked(n, b.cols(), row_ptr, col_idx, vals);
-        acct.alloc_output(csr_bytes(n, c.nnz()));
-
-        if let Err(e) = acct.check_memory() {
-            return MethodResult::failure(e);
-        }
-        MethodResult {
-            c: Some(c),
-            sim_time_s: acct.seconds(),
-            peak_mem_bytes: acct.mem.peak(),
-            sorted_output: true,
-            failed: None,
-        }
+        let rows = rows_out.into_iter().map(Option::unwrap_or_default);
+        acct.finish(csr_from_rows(rows, b.cols(), true), true)
     }
 }
 

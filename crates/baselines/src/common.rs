@@ -1,5 +1,6 @@
 //! Shared helpers for the baseline implementations.
 
+use crate::MethodResult;
 use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport, MemTracker};
 use speck_sparse::Csr;
 
@@ -74,12 +75,12 @@ pub fn charge_scatter_binning(
 }
 
 /// Simple accumulator of kernel reports + fixed costs into a total time,
-/// with a memory tracker and the device-memory failure check.
+/// with a memory tracker and the device-memory failure check. Nothing is
+/// ever freed, so the peak is the sum of all allocations.
 pub struct RunAccounting {
     dev: DeviceConfig,
     seconds: f64,
-    /// Device-memory tracker (peak is reported to the harness).
-    pub mem: MemTracker,
+    mem: MemTracker,
 }
 
 impl RunAccounting {
@@ -114,11 +115,6 @@ impl RunAccounting {
         self.seconds += seconds;
     }
 
-    /// Total simulated seconds so far.
-    pub fn seconds(&self) -> f64 {
-        self.seconds
-    }
-
     /// Err(reason) when the peak allocation exceeded device memory.
     pub fn check_memory(&self) -> Result<(), String> {
         if self.mem.peak() > self.dev.memory_bytes {
@@ -130,6 +126,47 @@ impl RunAccounting {
         } else {
             Ok(())
         }
+    }
+
+    /// Ends a run that produced `c`: tracks the output matrix's bytes
+    /// (see [`RunAccounting::alloc_output`]), then runs the device-memory
+    /// check and returns the failure or the measured result.
+    pub(crate) fn finish(mut self, c: Csr<f64>, sorted_output: bool) -> MethodResult {
+        self.alloc_output(csr_bytes(c.rows(), c.nnz()));
+        if let Err(e) = self.check_memory() {
+            return MethodResult::failure(e);
+        }
+        MethodResult {
+            c: Some(c),
+            sim_time_s: self.seconds,
+            peak_mem_bytes: self.mem.peak(),
+            sorted_output,
+            failed: None,
+        }
+    }
+}
+
+/// Assembles C from its rows, each a `(columns, values)` pair, in row
+/// order. `sorted` says whether every row's columns ascend; when false
+/// the matrix is built unsorted (see [`Csr::from_parts_unsorted`]).
+pub(crate) fn csr_from_rows(
+    rows: impl IntoIterator<Item = (Vec<u32>, Vec<f64>)>,
+    cols: usize,
+    sorted: bool,
+) -> Csr<f64> {
+    let mut row_ptr = vec![0usize];
+    let mut col_idx = Vec::new();
+    let mut vals = Vec::new();
+    for (c, v) in rows {
+        col_idx.extend_from_slice(&c);
+        vals.extend_from_slice(&v);
+        row_ptr.push(col_idx.len());
+    }
+    let n = row_ptr.len() - 1;
+    if sorted {
+        Csr::from_parts_unchecked(n, cols, row_ptr, col_idx, vals)
+    } else {
+        Csr::from_parts_unsorted(n, cols, row_ptr, col_idx, vals)
     }
 }
 
@@ -156,10 +193,26 @@ mod tests {
         let mut acc = RunAccounting::new(&dev);
         acc.fixed(1e-3);
         acc.alloc(1024);
-        assert!(acc.seconds() > 1e-3);
         assert!(acc.check_memory().is_ok());
+
+        // An unsorted result keeps its flag, and its output bytes join
+        // the peak.
+        let c = csr_from_rows(vec![(vec![2, 0], vec![1.0, 2.0])], 3, false);
+        let r = acc.finish(c, false);
+        assert!(r.ok() && !r.sorted_output);
+        assert!(r.sim_time_s > 1e-3);
+        assert!(!r.c.unwrap().is_sorted());
+        assert_eq!(r.peak_mem_bytes, 1024 + csr_bytes(1, 2));
+
+        // An over-memory run ends in a failure, whatever it computed.
+        let mut acc = RunAccounting::new(&dev);
         acc.alloc(dev.memory_bytes);
+        assert!(acc.check_memory().is_ok());
+        acc.alloc(1);
         assert!(acc.check_memory().is_err());
+        let r = acc.finish(Csr::empty(2, 2), true);
+        assert!(!r.ok() && r.c.is_none());
+        assert!(r.failed.unwrap().contains("out of device memory"));
     }
 
     #[test]
@@ -176,5 +229,19 @@ mod tests {
     #[test]
     fn csr_bytes_formula() {
         assert_eq!(csr_bytes(10, 100), 11 * 8 + 1200);
+
+        // Rows assembled from (cols, vals) lists, empty rows included.
+        let rows = vec![
+            (vec![], vec![]),
+            (vec![0, 3], vec![1.0, 2.0]),
+            (vec![], vec![]),
+            (vec![1], vec![4.0]),
+        ];
+        let c = csr_from_rows(rows, 4, true);
+        assert_eq!((c.rows(), c.cols(), c.nnz()), (4, 4, 3));
+        assert_eq!(c.row_ptr(), &[0, 0, 2, 2, 3]);
+        assert_eq!(c.row(1), (&[0u32, 3][..], &[1.0, 2.0][..]));
+        assert_eq!(c.row_nnz(2), 0);
+        assert_eq!(csr_bytes(c.rows(), c.nnz()), 5 * 8 + 36);
     }
 }

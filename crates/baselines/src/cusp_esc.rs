@@ -6,17 +6,13 @@
 //! sorting work proportional to the *intermediate* count, which is why ESC
 //! loses badly on high-compaction matrices (paper Table 1).
 
-use crate::common::{csr_bytes, RunAccounting};
+use crate::common::RunAccounting;
 use crate::{MethodResult, SpgemmMethod};
 use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 
 /// The CUSP-style ESC method.
-pub struct CusparseEsc;
-
-/// Public alias used by the registry (the paper abbreviates it `cu`... for
-/// cuSPARSE; CUSP itself is the ESC representative).
-pub use CusparseEsc as CuspEsc;
+pub struct CuspEsc;
 
 impl SpgemmMethod for CuspEsc {
     fn name(&self) -> &'static str {
@@ -128,18 +124,7 @@ impl SpgemmMethod for CuspEsc {
             row_ptr[r + 1] += row_ptr[r];
         }
         let c = Csr::from_parts_unchecked(a.rows(), b.cols(), row_ptr, col_idx, vals);
-        acct.alloc_output(csr_bytes(a.rows(), c.nnz()));
-
-        if let Err(e) = acct.check_memory() {
-            return MethodResult::failure(e);
-        }
-        MethodResult {
-            c: Some(c),
-            sim_time_s: acct.seconds(),
-            peak_mem_bytes: acct.mem.peak(),
-            sorted_output: true,
-            failed: None,
-        }
+        acct.finish(c, true)
     }
 }
 

@@ -7,7 +7,7 @@
 //! outright (815 of 2672 matrices in the paper) — modelled here as rows
 //! whose product count exceeds the portable accumulator's bound.
 
-use crate::common::{charge_count_kernel, csr_bytes, RunAccounting};
+use crate::common::{charge_count_kernel, csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_core::hashacc::Accumulator;
 use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
@@ -113,31 +113,11 @@ impl SpgemmMethod for KokkosLike {
         acct.kernel(&report);
         acct.alloc((n + 1) * 8);
 
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        for block in rows {
-            for (c, v) in block {
-                col_idx.extend_from_slice(&c);
-                vals.extend_from_slice(&v);
-                row_ptr.push(col_idx.len());
-            }
-        }
         // NOT sorted CSR — flagged to the harness.
-        let c = Csr::from_parts_unsorted(n, b.cols(), row_ptr, col_idx, vals);
-        acct.alloc_output(csr_bytes(n, c.nnz()));
-
-        if let Err(e) = acct.check_memory() {
-            return MethodResult::failure(e);
-        }
-        MethodResult {
-            c: Some(c),
-            sim_time_s: acct.seconds(),
-            peak_mem_bytes: acct.mem.peak(),
-            sorted_output: false,
-            failed: None,
-        }
+        acct.finish(
+            csr_from_rows(rows.into_iter().flatten(), b.cols(), false),
+            false,
+        )
     }
 }
 

@@ -9,7 +9,7 @@
 //! load balancing (idle threads on short rows), no dense accumulator
 //! (expensive sorting and global hashing for long rows).
 
-use crate::common::{charge_count_kernel, charge_scatter_binning, csr_bytes, RunAccounting};
+use crate::common::{charge_count_kernel, charge_scatter_binning, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_core::analysis::analyze;
 use speck_core::cascade::{numeric_entry_bytes, symbolic_entry_bytes, KernelCascade};
@@ -37,11 +37,6 @@ fn nsparse_config() -> SpeckConfig {
 }
 
 /// Builds nsparse's unconditional product-count binning plan.
-#[doc(hidden)]
-pub fn debug_plan(cascade: &KernelCascade, entries: &[u64], entry_bytes: usize) -> PassPlan {
-    plan(cascade, entries, entry_bytes)
-}
-
 fn plan(cascade: &KernelCascade, entries: &[u64], entry_bytes: usize) -> PassPlan {
     let largest = cascade.largest();
     let mut bins: Vec<Vec<u32>> = vec![Vec::new(); cascade.len()];
@@ -156,9 +151,6 @@ impl SpgemmMethod for NsparseLike {
         }
         acct.alloc((a.rows() + 1) * 8);
 
-        let nnz_c: usize = sym.row_nnz.iter().map(|&x| x as usize).sum();
-        acct.alloc_output(csr_bytes(a.rows(), nnz_c));
-
         // Step 4: numeric binning (scatter again) on exact sizes; hash maps
         // are the next power of two of the row size (fill up to ~1.0).
         acct.kernel(&charge_scatter_binning(
@@ -193,17 +185,10 @@ impl SpgemmMethod for NsparseLike {
             acct.kernel(r);
             acct.alloc(num.radix_elems * 12);
         }
-
-        if let Err(e) = acct.check_memory() {
-            return MethodResult::failure(e);
-        }
-        MethodResult {
-            c: Some(num.c),
-            sim_time_s: acct.seconds(),
-            peak_mem_bytes: acct.mem.peak(),
-            sorted_output: true,
-            failed: None,
-        }
+        // `finish` tracks the output matrix, whose bytes the symbolic
+        // counts already fix; nothing is freed, so the peak does not
+        // depend on when they are tracked.
+        acct.finish(num.c, true)
     }
 }
 

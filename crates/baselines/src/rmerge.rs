@@ -9,7 +9,7 @@
 //! Table 1 "fixed" load balancing), and memory is two ping-pong buffers of
 //! intermediate size.
 
-use crate::common::{csr_bytes, RunAccounting};
+use crate::common::{csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
@@ -167,30 +167,10 @@ impl SpgemmMethod for RMergeLike {
             levels.saturating_sub(1) as f64 * dev.cycles_to_seconds(dev.launch_overhead_cycles),
         );
 
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        for block in rows_out {
-            for (c, v) in block {
-                col_idx.extend_from_slice(&c);
-                vals.extend_from_slice(&v);
-                row_ptr.push(col_idx.len());
-            }
-        }
-        let c = Csr::from_parts_unchecked(n, b.cols(), row_ptr, col_idx, vals);
-        acct.alloc_output(csr_bytes(n, c.nnz()));
-
-        if let Err(e) = acct.check_memory() {
-            return MethodResult::failure(e);
-        }
-        MethodResult {
-            c: Some(c),
-            sim_time_s: acct.seconds(),
-            peak_mem_bytes: acct.mem.peak(),
-            sorted_output: true,
-            failed: None,
-        }
+        acct.finish(
+            csr_from_rows(rows_out.into_iter().flatten(), b.cols(), true),
+            true,
+        )
     }
 }
 

@@ -1,7 +1,8 @@
 //! One module per table/figure of the paper's evaluation. Every module
-//! exposes a `run(...) -> String` that prints and returns the rendered
-//! result; the `exp_*` binaries and `run_all_experiments` are thin
-//! wrappers. See DESIGN.md §4 for the experiment index.
+//! exposes a `run(...)` that returns the rendered result (a text table,
+//! a CSV, or both); the `run_all_experiments` binary prints the tables
+//! and writes every result under `bench/out/`. See DESIGN.md §4 for the
+//! experiment index.
 
 pub mod ablations;
 pub mod fig10_memory;
@@ -9,6 +10,7 @@ pub mod fig11_stages;
 pub mod fig12_accumulators;
 pub mod fig13_local_lb;
 pub mod fig14_global_lb;
+pub mod fig15_per_matrix;
 pub mod fig6_trend;
 pub mod fig7_slowdown;
 pub mod fig8_patterns;
@@ -17,13 +19,3 @@ pub mod table1_characteristics;
 pub mod table2_tuning;
 pub mod table3_overall;
 pub mod table4_common_stats;
-
-use crate::out::write_out;
-
-/// Prints a section header, the body, writes it to `bench/out/<file>` and
-/// returns the body.
-pub fn emit(title: &str, file: &str, body: String) -> String {
-    println!("\n=== {title} ===\n{body}");
-    write_out(file, &body);
-    body
-}

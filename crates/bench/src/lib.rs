@@ -1,6 +1,7 @@
 //! Experiment harness for the spECK reproduction.
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), built on:
+//! `run_all_experiments` regenerates every table and figure of the paper
+//! (one [`experiments`] module each), built on:
 //!
 //! * [`corpus`] — the synthetic benchmark corpus standing in for the
 //!   SuiteSparse collection.

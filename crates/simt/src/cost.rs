@@ -194,56 +194,6 @@ impl CostModel {
         compute.max(memory)
     }
 
-    /// Shadow cost of a measured block under this model — the identity
-    /// counterfactual. Decision-audit layers cost the *chosen* alternative
-    /// of every decision through this entry point so that it is
-    /// bit-for-bit the cycles the scheduler actually charged for the
-    /// block (it is exactly [`CostModel::block_cycles`]).
-    pub fn shadow_cycles(&self, c: &BlockCost) -> f64 {
-        self.block_cycles(c)
-    }
-
-    /// Counterfactual cycles for a measured block whose `issue_rounds`
-    /// are replaced by `rounds` — "what if the group size had packed the
-    /// same work into a different number of issue rounds?". Every other
-    /// counter (memory traffic, scratchpad ops, probes) is kept at its
-    /// measured value. With `rounds == c.issue_rounds` this is the
-    /// identity shadow cost.
-    pub fn shadow_cycles_with_rounds(&self, c: &BlockCost, rounds: u64) -> f64 {
-        let alt = BlockCost {
-            issue_rounds: rounds,
-            ..*c
-        };
-        self.block_cycles(&alt)
-    }
-
-    /// Counterfactual cycles for a measured block whose *compute* side is
-    /// scaled by `factor` while the memory side keeps its measured cost —
-    /// "what if the block had run with a different thread width?". A
-    /// wider configuration spreads the same per-element work over more
-    /// lanes (`factor < 1`), a narrower one serialises it (`factor > 1`);
-    /// memory traffic is width-invariant. `factor == 1.0` is the identity
-    /// shadow cost.
-    pub fn shadow_cycles_compute_scaled(&self, c: &BlockCost, factor: f64) -> f64 {
-        let (compute, memory) = self.split_cycles(c);
-        (compute * factor).max(memory)
-    }
-
-    /// First-order per-product *compute* cost of each accumulation
-    /// strategy under this model, for counterfactual method costing:
-    /// a hash insert pays a probe plus a scratchpad CAS, a dense
-    /// accumulation a plain scratchpad access, and direct referencing
-    /// only the issue slot of its streaming copy. Decision audits scale a
-    /// measured block's compute side by the ratio of these units to
-    /// estimate a rejected accumulator's cost.
-    pub fn acc_unit_costs(&self) -> AccUnitCosts {
-        AccUnitCosts {
-            hash: self.c_probe + self.c_smem_atomic,
-            dense: self.c_smem_op,
-            direct: 1.0,
-        }
-    }
-
     /// A copy of the model with every constant multiplied by the matching
     /// factor — used by the cost-model-sensitivity ablation bench.
     pub fn scaled(&self, compute_factor: f64, memory_factor: f64) -> CostModel {
@@ -260,18 +210,6 @@ impl CostModel {
             c_spill: self.c_spill * memory_factor,
         }
     }
-}
-
-/// Per-product compute-cost units of the three accumulation strategies
-/// (see [`CostModel::acc_unit_costs`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AccUnitCosts {
-    /// Scratchpad hash-map insert: probe + scratchpad atomic.
-    pub hash: f64,
-    /// Chunked dense accumulation: one scratchpad access.
-    pub dense: f64,
-    /// Direct referencing: bare issue slot of the streaming copy.
-    pub direct: f64,
 }
 
 #[cfg(test)]
@@ -352,52 +290,5 @@ mod tests {
         let s = m.scaled(2.0, 3.0);
         assert_eq!(s.c_round, 2.0 * m.c_round);
         assert_eq!(s.c_gmem_tx, 3.0 * m.c_gmem_tx);
-    }
-
-    #[test]
-    fn identity_shadow_cost_is_block_cycles_bitwise() {
-        let m = CostModel::default();
-        let c = BlockCost {
-            issue_rounds: 37,
-            gmem_tx: 101,
-            smem_ops: 5,
-            hash_probes: 3,
-            syncs: 2,
-            ..Default::default()
-        };
-        assert_eq!(m.shadow_cycles(&c).to_bits(), m.block_cycles(&c).to_bits());
-        assert_eq!(
-            m.shadow_cycles_with_rounds(&c, c.issue_rounds).to_bits(),
-            m.block_cycles(&c).to_bits()
-        );
-        assert_eq!(
-            m.shadow_cycles_compute_scaled(&c, 1.0).to_bits(),
-            m.block_cycles(&c).to_bits()
-        );
-    }
-
-    #[test]
-    fn counterfactual_rounds_move_only_the_compute_side() {
-        let m = CostModel::default();
-        let c = BlockCost {
-            issue_rounds: 10,
-            gmem_tx: 4,
-            ..Default::default()
-        };
-        assert_eq!(m.shadow_cycles_with_rounds(&c, 20), 20.0 * m.c_round);
-        // A memory-bound block stays memory-bound when rounds shrink.
-        let mem = BlockCost {
-            issue_rounds: 1,
-            gmem_tx: 1000,
-            ..Default::default()
-        };
-        assert_eq!(m.shadow_cycles_with_rounds(&mem, 0), 1000.0 * m.c_gmem_tx);
-    }
-
-    #[test]
-    fn acc_units_rank_hash_dearest_and_stay_positive() {
-        let u = CostModel::default().acc_unit_costs();
-        assert!(u.hash > u.dense && u.hash > u.direct);
-        assert!(u.hash > 0.0 && u.dense > 0.0 && u.direct > 0.0);
     }
 }

@@ -38,7 +38,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use block::{simulate_group_rounds, BlockCtx};
-pub use cost::{AccUnitCosts, BlockCost, CostModel, COST_COUNTER_NAMES};
+pub use cost::{BlockCost, CostModel, COST_COUNTER_NAMES};
 pub use device::DeviceConfig;
 pub use exec::{
     launch, launch_map, launch_map_init, schedule_blocks, schedule_blocks_placed, KernelReport,

@@ -17,7 +17,7 @@
 //! * **Tie** — measured and best alternative agree to relative 1e-9.
 //!
 //! The estimate of the *chosen* option is always the identity shadow
-//! cost of the measured block ([`CostModel::shadow_cycles`]), so
+//! cost of the measured block ([`CostModel::block_cycles`]), so
 //! `chosen_est_cycles == measured_cycles` bit-for-bit — the audit's
 //! internal consistency check (property-tested in
 //! `tests/audit_reconcile.rs`). Alternative estimates are counterfactual
@@ -45,7 +45,7 @@ use crate::pipeline::stage;
 use crate::profile::{cell_labels, pair_by_key, BinKey};
 use crate::symbolic::group_blocks;
 use crate::trace::ExecutionTrace;
-use speck_simt::{CostModel, DeviceConfig};
+use speck_simt::{BlockCost, CostModel, DeviceConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -539,6 +539,45 @@ fn verdict_for(measured: f64, alternatives: &[Alternative]) -> (Verdict, f64) {
     }
 }
 
+/// Counterfactual cycles for a measured block whose `issue_rounds` are
+/// replaced by `rounds` — "what if the group size had packed the same
+/// work into a different number of issue rounds?". Every other counter
+/// (memory traffic, scratchpad ops, probes) keeps its measured value.
+/// With `rounds == c.issue_rounds` this is the identity shadow cost.
+fn cycles_with_rounds(model: &CostModel, c: &BlockCost, rounds: u64) -> f64 {
+    let alt = BlockCost {
+        issue_rounds: rounds,
+        ..*c
+    };
+    model.block_cycles(&alt)
+}
+
+/// Counterfactual cycles for a measured block whose *compute* side is
+/// scaled by `factor` while the memory side keeps its measured cost —
+/// "what if the block had run with a different thread width?". A wider
+/// configuration spreads the same per-element work over more lanes
+/// (`factor < 1`), a narrower one serialises it (`factor > 1`); memory
+/// traffic is width-invariant. `factor == 1.0` is the identity shadow
+/// cost.
+fn cycles_compute_scaled(model: &CostModel, c: &BlockCost, factor: f64) -> f64 {
+    let (compute, memory) = model.split_cycles(c);
+    (compute * factor).max(memory)
+}
+
+/// First-order per-product *compute* cost of an accumulation strategy:
+/// a hash insert pays a probe plus a scratchpad CAS, a dense
+/// accumulation a plain scratchpad access, and direct referencing only
+/// the issue slot of its streaming copy. The accumulator decision scales
+/// a measured block's compute side by the ratio of these units to
+/// estimate a rejected accumulator's cost.
+fn acc_unit_cost(model: &CostModel, acc: AccMethod) -> f64 {
+    match acc {
+        AccMethod::Hash => model.c_probe + model.c_smem_atomic,
+        AccMethod::Dense => model.c_smem_op,
+        AccMethod::Direct => 1.0,
+    }
+}
+
 /// Optimistic work/span schedule bound for one launch over per-block
 /// cycle attributions: blocks spread over the SMs, bounded below by the
 /// heaviest block, plus the launch overhead.
@@ -709,7 +748,7 @@ fn block_records(
     trace: &ExecutionTrace,
     out: &mut Vec<DecisionRecord>,
 ) {
-    let units = model.acc_unit_costs();
+    let unit = |acc| acc_unit_cost(model, acc);
     for (_, r, k) in trace.kernels() {
         if r.stage != p.spgemm_stage {
             continue;
@@ -721,7 +760,7 @@ fn block_records(
             if rows.is_empty() {
                 continue;
             }
-            let measured = model.shadow_cycles(&e.cost);
+            let measured = model.block_cycles(&e.cost);
             let subject = format!("{}#{}", k.name, e.grid_idx);
             let (nnz_a, products, max_b_row) = info.block_features(rows);
 
@@ -733,21 +772,22 @@ fn block_records(
                     // Dense needs exclusive ownership of the scratchpad
                     // columns — only single-row blocks qualify.
                     if rows.len() == 1 {
-                        acc_alts.push(("dense", units.dense / units.hash));
+                        acc_alts.push(("dense", unit(AccMethod::Dense) / unit(AccMethod::Hash)));
                     }
                     // Direct applies only to rows with at most one NZ of A.
                     if rows.iter().all(|&row| info.rows[row as usize].nnz_a <= 1) {
-                        acc_alts.push(("direct", units.direct / units.hash));
+                        acc_alts.push(("direct", unit(AccMethod::Direct) / unit(AccMethod::Hash)));
                     }
                 }
-                AccMethod::Dense => acc_alts.push(("hash", units.hash / units.dense)),
-                AccMethod::Direct => acc_alts.push(("hash", units.hash / units.direct)),
+                AccMethod::Dense | AccMethod::Direct => {
+                    acc_alts.push(("hash", unit(AccMethod::Hash) / unit(acc)))
+                }
             }
             let alternatives: Vec<Alternative> = acc_alts
                 .iter()
                 .map(|(label, factor)| Alternative {
                     label: label.to_string(),
-                    est_cycles: model.shadow_cycles_compute_scaled(&e.cost, *factor),
+                    est_cycles: cycles_compute_scaled(model, &e.cost, *factor),
                 })
                 .collect();
             let (verdict, regret_cycles) = verdict_for(measured, &alternatives);
@@ -791,14 +831,14 @@ fn block_records(
                     let t = cascade.config(bin - 1).threads as f64;
                     alternatives.push(Alternative {
                         label: format!("bin {}", bin - 1),
-                        est_cycles: model.shadow_cycles_compute_scaled(&e.cost, t_chosen / t),
+                        est_cycles: cycles_compute_scaled(model, &e.cost, t_chosen / t),
                     });
                 }
                 if bin + 1 < cascade.len() {
                     let t = cascade.config(bin + 1).threads as f64;
                     alternatives.push(Alternative {
                         label: format!("bin {}", bin + 1),
-                        est_cycles: model.shadow_cycles_compute_scaled(&e.cost, t_chosen / t),
+                        est_cycles: cycles_compute_scaled(model, &e.cost, t_chosen / t),
                     });
                 }
                 let (verdict, regret_cycles) = verdict_for(measured, &alternatives);
@@ -837,7 +877,7 @@ fn block_records(
                             .max(1) as u64;
                         Alternative {
                             label: format!("g={alt_g}"),
-                            est_cycles: model.shadow_cycles_with_rounds(&e.cost, rounds),
+                            est_cycles: cycles_with_rounds(model, &e.cost, rounds),
                         }
                     })
                     .collect();
@@ -877,6 +917,54 @@ mod tests {
         SpeckSpgemm::default()
             .with_plan_cache_capacity(cache)
             .with_auditing(true)
+    }
+
+    #[test]
+    fn identity_shadow_cost_is_block_cycles_bitwise() {
+        let m = CostModel::default();
+        let c = BlockCost {
+            issue_rounds: 37,
+            gmem_tx: 101,
+            smem_ops: 5,
+            hash_probes: 3,
+            syncs: 2,
+            ..Default::default()
+        };
+        assert_eq!(
+            cycles_with_rounds(&m, &c, c.issue_rounds).to_bits(),
+            m.block_cycles(&c).to_bits()
+        );
+        assert_eq!(
+            cycles_compute_scaled(&m, &c, 1.0).to_bits(),
+            m.block_cycles(&c).to_bits()
+        );
+    }
+
+    #[test]
+    fn counterfactual_rounds_move_only_the_compute_side() {
+        let m = CostModel::default();
+        let c = BlockCost {
+            issue_rounds: 10,
+            gmem_tx: 4,
+            ..Default::default()
+        };
+        assert_eq!(cycles_with_rounds(&m, &c, 20), 20.0 * m.c_round);
+        // A memory-bound block stays memory-bound when rounds shrink.
+        let mem = BlockCost {
+            issue_rounds: 1,
+            gmem_tx: 1000,
+            ..Default::default()
+        };
+        assert_eq!(cycles_with_rounds(&m, &mem, 0), 1000.0 * m.c_gmem_tx);
+    }
+
+    #[test]
+    fn acc_units_rank_hash_dearest_and_stay_positive() {
+        let m = CostModel::default();
+        let [hash, dense, direct] =
+            [AccMethod::Hash, AccMethod::Dense, AccMethod::Direct].map(|a| acc_unit_cost(&m, a));
+        assert!(hash > dense && hash > direct);
+        assert!(hash > 0.0 && dense > 0.0 && direct > 0.0);
     }
 
     #[test]

@@ -64,16 +64,18 @@ impl GlobalLbThresholds {
         }
     }
 
-    /// Defaults for this reproduction's corpus, from the `exp_table2`
-    /// line search on this simulator (paper §5 procedure).
+    /// Defaults for this reproduction's corpus, from the Table 2 line
+    /// search (`run_all_experiments table2`) on this simulator (paper §5
+    /// procedure).
     ///
     /// The base ratio thresholds carry over from the paper (scale-free);
     /// the row-count minima tune ~10x lower because our corpus is ~10–30x
     /// smaller than the SuiteSparse originals; the starred ratios tune
     /// higher (21.7 / 3.8 vs the paper's 6.0 / 1.3) because launch and
     /// binning overheads weigh relatively more at this scale, so binning
-    /// must promise more before it pays. Re-run `exp_table2` to re-derive
-    /// all eight values from scratch.
+    /// must promise more before it pays. Re-run
+    /// `run_all_experiments table2` to re-derive all eight values from
+    /// scratch.
     pub fn scaled_default() -> Self {
         GlobalLbThresholds {
             symbolic_ratio: 39.2,

@@ -194,6 +194,12 @@ impl PassPlan {
 /// (hub rows can carry most of the matrix's data through this path).
 pub const DIRECT_ROWS_PER_BLOCK: usize = 128;
 
+/// Launch shape of the bulk direct-referencing kernel: 256 threads (or
+/// the device's block limit, if lower) and no scratchpad.
+pub(crate) fn direct_kernel_config(dev: &DeviceConfig) -> KernelConfig {
+    KernelConfig::new(256.min(dev.max_threads_per_block), 0)
+}
+
 /// The Table 2 threshold rule for one pass: global load balancing fires
 /// when the demand-variance ratio `m_max / m_avg` reaches `thr_ratio`
 /// *and* the matrix has at least `thr_rows` rows to amortise the binning

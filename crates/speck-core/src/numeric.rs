@@ -14,7 +14,7 @@
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
-use crate::global_lb::{AccMethod, PassPlan};
+use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan};
 use crate::hashacc::split_key;
 use crate::local_lb::{rounds_for_g, select_group_size};
 use crate::metrics::MetricsRegistry;
@@ -23,9 +23,7 @@ use crate::sort::{
 };
 use crate::symbolic::LaunchGroups;
 use crate::workspace::{Slots, Workspace, WorkspacePool};
-use speck_simt::{
-    launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport,
-};
+use speck_simt::{launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelReport};
 use speck_sparse::{Csr, Scalar};
 
 /// What one numeric block reports back besides the rows it wrote: whether
@@ -401,7 +399,7 @@ pub fn run_numeric<V: Scalar>(
                 )
             }
             AccMethod::Direct => {
-                let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
+                let dk = direct_kernel_config(dev);
                 launch_map(dev, cost, "numeric_direct", group.len(), dk, |ctx| {
                     let rows = rows(ctx);
                     direct_block(ctx, &out, a, b, rows)

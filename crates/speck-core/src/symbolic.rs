@@ -9,14 +9,12 @@
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
 use crate::config::SpeckConfig;
-use crate::global_lb::{AccMethod, PassPlan, DIRECT_ROWS_PER_BLOCK};
+use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan, DIRECT_ROWS_PER_BLOCK};
 use crate::hashacc::MAX_HASH_BLOCK_ROWS;
 use crate::local_lb::{rounds_for_g, select_group_size};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
-use speck_simt::{
-    launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport,
-};
+use speck_simt::{launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelReport};
 use speck_sparse::{Csr, Scalar};
 use std::collections::BTreeMap;
 
@@ -292,7 +290,7 @@ pub fn run_symbolic<V: Scalar>(
                 reports.push(report);
             }
             AccMethod::Direct => {
-                let dk = KernelConfig::new(256.min(dev.max_threads_per_block), 0);
+                let dk = direct_kernel_config(dev);
                 let (report, outs) =
                     launch_map(dev, cost, "symbolic_direct", group.len(), dk, |ctx| {
                         let rows = rows(ctx);

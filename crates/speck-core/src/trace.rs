@@ -55,7 +55,7 @@
 use crate::analysis::AnalysisInfo;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
-use crate::global_lb::{AccMethod, PassPlan};
+use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan};
 use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::select_group_size;
 use crate::pipeline::stage;
@@ -399,7 +399,7 @@ pub(crate) fn pass_annotations(
         .iter()
         .map(|(&(acc, cfg_idx), group)| {
             let threads = match acc {
-                AccMethod::Direct => 256.min(dev.max_threads_per_block),
+                AccMethod::Direct => direct_kernel_config(dev).threads,
                 _ => cascade.config(cfg_idx).threads,
             };
             group

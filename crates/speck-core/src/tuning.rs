@@ -6,8 +6,8 @@
 //! slowdown* against the per-matrix best combination, validated with an
 //! inverse 3-fold cross validation (tune on one third, evaluate on two).
 //!
-//! We reproduce that procedure exactly; `exp_table2` in the bench crate
-//! drives it over the synthetic corpus.
+//! We reproduce that procedure exactly; `run_all_experiments table2` in
+//! the bench crate drives it over the synthetic corpus.
 
 use crate::config::{GlobalLbMode, GlobalLbThresholds, SpeckConfig};
 use crate::global_lb::ThresholdSet;
