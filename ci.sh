@@ -9,7 +9,8 @@
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
-#                       #     the cold-path sim digest moved
+#                       #     the cold-path sim digest moved, at the default
+#                       #     pool width and at RAYON_NUM_THREADS=1 and 3
 #   ./ci.sh --metrics   # ... plus a metrics gate: fails if the emitted
 #                       #     MetricsSnapshot drifts from BENCH_metrics.json
 #                       #     (sim counters exact, wall gauges within the
@@ -168,6 +169,19 @@ bench_run() {
     echo "metrics table: target/ci/metrics_table.txt"
 }
 
+# The simulated clock must not depend on the host's thread count: the
+# same rounds run again with one and with three pool threads, and each
+# run must reproduce the pinned digest.
+digest_threads_check() {
+    local t
+    for t in 1 3; do
+        echo "RAYON_NUM_THREADS=$t:"
+        RAYON_NUM_THREADS=$t cargo run --release -p speck-bench --bin bench_throughput -- \
+            "$BENCH_ROUNDS" "/tmp/BENCH_ci_threads$t.json" \
+            --expect-digest "$EXPECTED_SIM_DIGEST" | tail -n 1
+    done
+}
+
 audit_baseline_check() {
     cmp "$audit_new" BENCH_audit.json \
         || { echo "FAIL: corpus decision statistics drifted from BENCH_audit.json" \
@@ -242,6 +256,9 @@ if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] 
     [ "$run_metrics" -eq 1 ] && desc="$desc + metrics vs BENCH_metrics.json"
     [ "$run_audit" -eq 1 ] && desc="$desc + audit -> $audit_new"
     gate "$desc" bench_run
+    if [ "$run_smoke" -eq 1 ]; then
+        gate "sim digest $EXPECTED_SIM_DIGEST at RAYON_NUM_THREADS=1 and 3" digest_threads_check
+    fi
     if [ "$run_audit" -eq 1 ] && [ "$run_bench" -eq 0 ]; then
         gate "corpus decision statistics vs BENCH_audit.json" audit_baseline_check
     fi

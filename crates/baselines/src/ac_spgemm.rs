@@ -12,7 +12,7 @@
 
 use crate::common::{csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
-use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
+use speck_simt::{launch_map, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 
 /// AC-SpGEMM-style method.
@@ -93,8 +93,14 @@ impl SpgemmMethod for AcSpgemm {
         // ESC each chunk in scratchpad.
         let threads = 256;
         let kc = KernelConfig::new(threads, 48 * 1024);
-        let (report, partials): (_, Vec<PartialRows>) =
-            launch_map(dev, cost, "ac_chunk_esc", chunks.len(), kc, |ctx| {
+        let (report, partials): (_, Vec<PartialRows>) = launch_map(
+            dev,
+            cost,
+            "ac_chunk_esc",
+            chunks.len(),
+            kc,
+            BlockRecords::Skip,
+            |ctx| {
                 let chunk = &chunks[ctx.block_id()];
                 let mut pairs: Vec<(u64, f64)> = Vec::new();
                 let mut tx = 0u64;
@@ -149,7 +155,8 @@ impl SpgemmMethod for AcSpgemm {
                 ctx.charge_gmem_store(emitted, 12);
                 ctx.charge_gmem_atomic(3);
                 out
-            });
+            },
+        );
         acct.kernel(&report);
 
         // The real AC pipeline is several kernels beyond the ESC itself:
@@ -167,6 +174,7 @@ impl SpgemmMethod for AcSpgemm {
                 "ac_chunks_to_csr",
                 grid,
                 KernelConfig::new(threads, 0),
+                BlockRecords::Skip,
                 |ctx| {
                     let n = (threads * 8).min(nnz_out.saturating_sub(ctx.block_id() * threads * 8));
                     ctx.charge_gmem_stream(threads, n, 12);
@@ -197,6 +205,7 @@ impl SpgemmMethod for AcSpgemm {
                 "ac_merge",
                 grid,
                 KernelConfig::new(threads, 16 * 1024),
+                BlockRecords::Skip,
                 |ctx| {
                     let n = (threads * 8).min(split_elems);
                     ctx.charge_gmem_stream(threads, n, 12);

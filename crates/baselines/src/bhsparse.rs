@@ -9,7 +9,7 @@
 
 use crate::common::{charge_count_kernel, charge_scatter_binning, csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
-use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
+use speck_simt::{launch_map, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 use std::collections::BTreeMap;
 
@@ -104,6 +104,7 @@ impl SpgemmMethod for BhSparse {
                 format!("bh_bin{bin_idx}"),
                 grid,
                 KernelConfig::new(threads, scratch),
+                BlockRecords::Skip,
                 |ctx| {
                     let start = ctx.block_id() * rows_per_block;
                     let end = (start + rows_per_block).min(bin.len());

@@ -1,7 +1,9 @@
 //! Shared helpers for the baseline implementations.
 
 use crate::MethodResult;
-use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport, MemTracker};
+use speck_simt::{
+    launch, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport, MemTracker,
+};
 use speck_sparse::Csr;
 
 /// Per-row product counts (`sum of referenced B row lengths`) — the upper
@@ -39,6 +41,7 @@ pub fn charge_count_kernel(
         name,
         grid,
         KernelConfig::new(threads, 0),
+        BlockRecords::Skip,
         |ctx| {
             ctx.charge_gmem_stream(threads, rows_per_block, 8);
             ctx.charge_gmem_stream(threads, per_block_nnz, 4);
@@ -65,6 +68,7 @@ pub fn charge_scatter_binning(
         name,
         grid,
         KernelConfig::new(threads, 0),
+        BlockRecords::Skip,
         |ctx| {
             let n = per_block.min(rows.saturating_sub(ctx.block_id() * per_block));
             ctx.charge_gmem_stream(threads, n, 4);

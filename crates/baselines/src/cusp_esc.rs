@@ -8,7 +8,7 @@
 
 use crate::common::RunAccounting;
 use crate::{MethodResult, SpgemmMethod};
-use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig};
+use speck_simt::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 
 /// The CUSP-style ESC method.
@@ -45,6 +45,7 @@ impl SpgemmMethod for CuspEsc {
             "esc_expand",
             grid,
             KernelConfig::new(threads, 0),
+            BlockRecords::Skip,
             |ctx| {
                 let n = per_block.min(products.saturating_sub(ctx.block_id() * per_block));
                 ctx.charge_gmem_stream(threads, n, 12); // read A/B elements
@@ -74,6 +75,7 @@ impl SpgemmMethod for CuspEsc {
             "esc_sort",
             grid,
             KernelConfig::new(threads, 8 * 1024),
+            BlockRecords::Skip,
             |ctx| {
                 let n = per_block.min(products.saturating_sub(ctx.block_id() * per_block));
                 for _ in 0..8 {
@@ -94,6 +96,7 @@ impl SpgemmMethod for CuspEsc {
             "esc_compress",
             grid,
             KernelConfig::new(threads, 4 * 1024),
+            BlockRecords::Skip,
             |ctx| {
                 let n = per_block.min(products.saturating_sub(ctx.block_id() * per_block));
                 ctx.charge_gmem_stream(threads, n, 16);

@@ -10,7 +10,7 @@
 use crate::common::{csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_core::hashacc::Accumulator;
-use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
+use speck_simt::{launch_map, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 
 /// cuSPARSE-style method.
@@ -48,7 +48,7 @@ impl SpgemmMethod for CusparseLike {
 
         // Phase 1: symbolic, every product one global atomic insert.
         let run_phase = |name: &'static str, numeric: bool| {
-            launch_map(dev, cost, name, grid, kc, |ctx| {
+            launch_map(dev, cost, name, grid, kc, BlockRecords::Skip, |ctx| {
                 let start = ctx.block_id() * ROWS_PER_BLOCK;
                 let end = (start + ROWS_PER_BLOCK).min(n);
                 let mut out: Vec<(Vec<u32>, Vec<f64>)> = Vec::with_capacity(end - start);
@@ -104,7 +104,8 @@ impl SpgemmMethod for CusparseLike {
 
         // Per-row sort pass (cuSPARSE returns sorted CSR).
         let nnz_c: usize = rows.iter().flatten().map(|(c, _)| c.len()).sum();
-        if let Some(r) = speck_core::sort::radix_sort_pass(dev, cost, nnz_c, 12) {
+        if let Some(r) = speck_core::sort::radix_sort_pass(dev, cost, nnz_c, 12, BlockRecords::Skip)
+        {
             acct.kernel(&r);
         }
 

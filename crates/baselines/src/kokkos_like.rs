@@ -10,7 +10,7 @@
 use crate::common::{charge_count_kernel, csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
 use speck_core::hashacc::Accumulator;
-use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
+use speck_simt::{launch_map, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 
 /// KokkosKernels-style method.
@@ -62,49 +62,50 @@ impl SpgemmMethod for KokkosLike {
         let grid = n.div_ceil(ROWS_PER_BLOCK).max(1);
         let kc = KernelConfig::new(THREADS, SCRATCH);
         let scratch_cap = SCRATCH / 12;
-        let (report, rows): (_, Vec<RowList>) = launch_map(dev, cost, "kk_hash", grid, kc, |ctx| {
-            let start = ctx.block_id() * ROWS_PER_BLOCK;
-            let end = (start + ROWS_PER_BLOCK).min(n);
-            let mut out = Vec::with_capacity(end - start);
-            for r in start..end {
-                let (a_cols, a_vals) = a.row(r);
-                let mut acc: Accumulator<f64> = Accumulator::new(scratch_cap.max(4));
-                let mut tx = 0u64;
-                let mut p = 0u64;
-                for (&k, &av) in a_cols.iter().zip(a_vals) {
-                    let (bc, bv) = b.row(k as usize);
-                    tx += ctx.stream_tx(16, bc.len(), 12);
-                    for (&c, &v) in bc.iter().zip(bv) {
-                        acc.insert(c as u64, av * v);
-                        p += 1;
+        let (report, rows): (_, Vec<RowList>) =
+            launch_map(dev, cost, "kk_hash", grid, kc, BlockRecords::Skip, |ctx| {
+                let start = ctx.block_id() * ROWS_PER_BLOCK;
+                let end = (start + ROWS_PER_BLOCK).min(n);
+                let mut out = Vec::with_capacity(end - start);
+                for r in start..end {
+                    let (a_cols, a_vals) = a.row(r);
+                    let mut acc: Accumulator<f64> = Accumulator::new(scratch_cap.max(4));
+                    let mut tx = 0u64;
+                    let mut p = 0u64;
+                    for (&k, &av) in a_cols.iter().zip(a_vals) {
+                        let (bc, bv) = b.row(k as usize);
+                        tx += ctx.stream_tx(16, bc.len(), 12);
+                        for (&c, &v) in bc.iter().zip(bv) {
+                            acc.insert(c as u64, av * v);
+                            p += 1;
+                        }
                     }
+                    ctx.charge_gmem_tx(tx);
+                    ctx.charge_gmem_scatter(2 * a_cols.len() as u64);
+                    ctx.charge_probes(acc.stats.probes);
+                    ctx.charge_gmem_atomic(acc.stats.gmem_inserts);
+                    ctx.charge_spill(acc.stats.spilled);
+                    // Portable team overhead: extra bookkeeping rounds per
+                    // row regardless of size.
+                    ctx.charge_rounds(p.div_ceil(16) + 8);
+                    let entries = acc.drain_sorted();
+                    ctx.charge_gmem_store(entries.len(), 12);
+                    // Emit UNSORTED (insertion-order-ish): deterministically
+                    // rotate the sorted list so downstream consumers notice.
+                    let m = entries.len();
+                    let rot = if m > 1 { (r % (m - 1)) + 1 } else { 0 };
+                    let mut cols: Vec<u32> = Vec::with_capacity(m);
+                    let mut vals: Vec<f64> = Vec::with_capacity(m);
+                    for i in 0..m {
+                        let (k, v) = entries[(i + rot) % m];
+                        cols.push(k as u32);
+                        vals.push(v);
+                    }
+                    out.push((cols, vals));
                 }
-                ctx.charge_gmem_tx(tx);
-                ctx.charge_gmem_scatter(2 * a_cols.len() as u64);
-                ctx.charge_probes(acc.stats.probes);
-                ctx.charge_gmem_atomic(acc.stats.gmem_inserts);
-                ctx.charge_spill(acc.stats.spilled);
-                // Portable team overhead: extra bookkeeping rounds per
-                // row regardless of size.
-                ctx.charge_rounds(p.div_ceil(16) + 8);
-                let entries = acc.drain_sorted();
-                ctx.charge_gmem_store(entries.len(), 12);
-                // Emit UNSORTED (insertion-order-ish): deterministically
-                // rotate the sorted list so downstream consumers notice.
-                let m = entries.len();
-                let rot = if m > 1 { (r % (m - 1)) + 1 } else { 0 };
-                let mut cols: Vec<u32> = Vec::with_capacity(m);
-                let mut vals: Vec<f64> = Vec::with_capacity(m);
-                for i in 0..m {
-                    let (k, v) = entries[(i + rot) % m];
-                    cols.push(k as u32);
-                    vals.push(v);
-                }
-                out.push((cols, vals));
-            }
-            ctx.charge_sync();
-            out
-        });
+                ctx.charge_sync();
+                out
+            });
         acct.kernel(&report);
         // KokkosKernels is two-phase like every hash method: a symbolic
         // count pass precedes the numeric pass, with essentially the same

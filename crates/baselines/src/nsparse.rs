@@ -18,7 +18,7 @@ use speck_core::global_lb::{AccMethod, GateProvenance, PassPlan, ThresholdSet};
 use speck_core::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
 use speck_core::symbolic::{group_blocks, run_symbolic};
 use speck_core::WorkspacePool;
-use speck_simt::{CostModel, DeviceConfig};
+use speck_simt::{BlockRecords, CostModel, DeviceConfig};
 use speck_sparse::Csr;
 
 /// The nsparse-style method.
@@ -145,7 +145,18 @@ impl SpgemmMethod for NsparseLike {
 
         // Step 3: symbolic pass.
         let pool = WorkspacePool::new();
-        let sym = run_symbolic(dev, cost, &cascade, &cfg, a, b, &info, &splan, &pool);
+        let sym = run_symbolic(
+            dev,
+            cost,
+            &cascade,
+            &cfg,
+            a,
+            b,
+            &info,
+            &splan,
+            &pool,
+            BlockRecords::Skip,
+        );
         for r in &sym.reports {
             acct.kernel(r);
         }
@@ -177,7 +188,18 @@ impl SpgemmMethod for NsparseLike {
             groups: &ngroups,
             row_ptr: &row_ptr,
         };
-        let num = run_numeric(dev, cost, &cascade, &cfg, a, b, &info, &job, &pool);
+        let num = run_numeric(
+            dev,
+            cost,
+            &cascade,
+            &cfg,
+            a,
+            b,
+            &info,
+            &job,
+            &pool,
+            BlockRecords::Skip,
+        );
         for r in &num.reports {
             acct.kernel(r);
         }

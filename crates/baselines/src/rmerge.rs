@@ -11,7 +11,7 @@
 
 use crate::common::{csr_from_rows, RunAccounting};
 use crate::{MethodResult, SpgemmMethod};
-use speck_simt::{launch_map, CostModel, DeviceConfig, KernelConfig};
+use speck_simt::{launch_map, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 use speck_sparse::Csr;
 
 /// RMerge-style method.
@@ -81,6 +81,7 @@ impl SpgemmMethod for RMergeLike {
             "rmerge_levels",
             grid,
             KernelConfig::new(threads, 32 * 1024),
+            BlockRecords::Skip,
             |ctx| {
                 let start = ctx.block_id() * ROWS_PER_BLOCK;
                 let end = (start + ROWS_PER_BLOCK).min(n);

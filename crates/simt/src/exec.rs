@@ -1,11 +1,19 @@
 //! Kernel launch: runs every block functionally (rayon across host cores)
-//! and schedules the recorded block costs onto SM slots to produce a
-//! deterministic simulated kernel time.
+//! and deals the blocks' cycles onto SM slots to produce a deterministic
+//! simulated kernel time.
 //!
-//! A launch costs the host one pool dispatch: the blocks run in one
-//! parallel map, whose results (cost counters, split cycles, block
-//! outputs) are unzipped serially while the launch's aggregate counters
-//! are summed in the same loop.
+//! A launch costs the host one pool dispatch and one serial pass over its
+//! blocks. The blocks run in one parallel map that returns each block's
+//! `(compute, memory)` cycles beside its output, and every host chunk of
+//! blocks folds its blocks' counters into the launch total when it ends.
+//! The scheduler then reads the cycles straight from the map's output, in
+//! grid order, while the outputs move into the result vector.
+//!
+//! Per-block records — each block's [`BlockCost`] and cycles, which
+//! [`KernelReport::block_trace`] replays — cost the host a store per
+//! block that only an observer reads, so a launch keeps them only when
+//! its caller asks with [`BlockRecords::Keep`] (a tracing or auditing
+//! engine). Whether they are kept never changes the report's figures.
 
 use crate::block::BlockCtx;
 use crate::cost::{BlockCost, CostModel};
@@ -14,6 +22,26 @@ use crate::kernel::KernelConfig;
 use crate::trace::{BlockEvent, BlockPlacement, KernelBlockTrace};
 use rayon::prelude::*;
 use std::borrow::Cow;
+use std::sync::Mutex;
+
+/// Whether a launch keeps per-block records ([`LaunchRecords`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BlockRecords {
+    /// Keep only the aggregate report: the plain path.
+    Skip,
+    /// Also keep every block's counters and cycles, so
+    /// [`KernelReport::block_trace`] can replay the launch's schedule.
+    Keep,
+}
+
+/// Per-block records of one launch, in grid order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LaunchRecords {
+    /// Per-block event counters.
+    pub costs: Vec<BlockCost>,
+    /// Per-block `(compute, memory)` cycles: the scheduler's input.
+    pub cycles: Vec<(f64, f64)>,
+}
 
 /// Outcome of one simulated kernel launch.
 #[derive(Clone, Debug)]
@@ -33,12 +61,9 @@ pub struct KernelReport {
     pub sim_cycles: f64,
     /// Simulated execution time in seconds.
     pub sim_time_s: f64,
-    /// Per-block event counters, in grid order.
-    pub block_costs: Vec<BlockCost>,
-    /// Per-block `(compute, memory)` cycles, in grid order: the
-    /// scheduler's input, from which [`KernelReport::block_trace`]
-    /// replays the launch's schedule.
-    pub block_cycles: Vec<(f64, f64)>,
+    /// Per-block records, present only when the launch was asked to keep
+    /// them ([`BlockRecords::Keep`]).
+    pub records: Option<LaunchRecords>,
 }
 
 /// Schedules per-block `(compute, memory)` cycle costs onto the device and
@@ -58,14 +83,11 @@ pub struct KernelReport {
 /// kernel time = max over SMs.
 ///
 /// Block i goes to the SM with the smallest serial load so far, lowest
-/// SM index on ties — implemented as a binary-heap selection, O(grid ·
-/// log num_SMs) instead of the naive O(grid · num_SMs) scan, with the
-/// identical (bit-exact) assignment: each SM appears in the heap exactly
-/// once, so popping the minimum `(load, index)` reproduces the scan's
-/// strict `<` lowest-index tie-break, and per-SM sums accumulate in the
-/// same block order.
+/// SM index on ties — the naive O(grid · num_SMs) scan's assignment, bit
+/// for bit, found in O(log num_SMs) per block by a winner tree (see
+/// `deal`).
 pub fn schedule_blocks(dev: &DeviceConfig, cfg: KernelConfig, blocks: &[(f64, f64)]) -> f64 {
-    schedule_blocks_placed(dev, cfg, blocks, None)
+    deal(dev, cfg, blocks.iter().copied(), None)
 }
 
 /// [`schedule_blocks`] with optional per-block placement capture.
@@ -82,56 +104,88 @@ pub fn schedule_blocks_placed(
     dev: &DeviceConfig,
     cfg: KernelConfig,
     blocks: &[(f64, f64)],
+    placements: Option<&mut Vec<BlockPlacement>>,
+) -> f64 {
+    deal(dev, cfg, blocks.iter().copied(), placements)
+}
+
+/// One node of the deal's winner tree. Every node holds the least
+/// [`deal_key`] below it; a leaf is one SM and also holds its sums.
+#[derive(Clone, Copy, Default)]
+struct Node {
+    key: u128,
+    compute: f64,
+    memory: f64,
+    serial: f64,
+    longest: f64,
+}
+
+/// Orders SMs as the deal picks them: by serial load under
+/// `f64::total_cmp`, then by index. The load's bits are mapped so that
+/// unsigned order is `total_cmp` order (for the non-negative loads of a
+/// real deal, the bits with the sign bit set), and the index fills the
+/// low half, so the least key is the SM the deal picks.
+fn deal_key(load: f64, sm: usize) -> u128 {
+    let bits = load.to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63);
+    (ordered as u128) << 64 | sm as u128
+}
+
+/// The greedy deal behind [`schedule_blocks`], over `blocks` in grid
+/// order.
+///
+/// An idle SM has load 0, so among idle SMs the lowest index is always
+/// picked first: the SMs a deal reaches form a prefix, at most
+/// `min(grid, num_SMs)` long, and no other SM needs state. Those `n` SMs
+/// are the leaves `n..2n` of a winner tree whose internal node `i` (for
+/// `1 <= i < n`) holds the lesser key of nodes `2i` and `2i + 1`, so the
+/// root (node 1) names the next SM. Charging a block changes one leaf,
+/// and only the `log2 n` nodes above it are recomputed. Per-SM sums
+/// accumulate in grid order, as in the scan, so every sum is bit-equal.
+pub(crate) fn deal(
+    dev: &DeviceConfig,
+    cfg: KernelConfig,
+    blocks: impl ExactSizeIterator<Item = (f64, f64)>,
     mut placements: Option<&mut Vec<BlockPlacement>>,
 ) -> f64 {
-    use std::cmp::{Ordering, Reverse};
-    use std::collections::BinaryHeap;
-
-    if blocks.is_empty() {
+    if blocks.len() == 0 {
         return 0.0;
     }
-
-    /// Heap key: serial load first (total order — loads are non-negative
-    /// sums, so `total_cmp` agrees with `<`), SM index to break ties.
-    #[derive(PartialEq)]
-    struct SmLoad {
-        load: f64,
-        sm: usize,
-    }
-    impl Eq for SmLoad {}
-    impl Ord for SmLoad {
-        fn cmp(&self, o: &Self) -> Ordering {
-            self.load.total_cmp(&o.load).then(self.sm.cmp(&o.sm))
-        }
-    }
-    impl PartialOrd for SmLoad {
-        fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-
+    let n = blocks.len().min(dev.num_sms);
+    assert!(n > 0, "a device without SMs cannot run blocks");
     let bpsm_slots = dev.blocks_per_sm(cfg.threads, cfg.scratch_bytes);
-    let bpsm = bpsm_slots as f64;
-    let mut sm_compute = vec![0.0f64; dev.num_sms];
-    let mut sm_memory = vec![0.0f64; dev.num_sms];
-    let mut sm_serial = vec![0.0f64; dev.num_sms];
-    let mut sm_max = vec![0.0f64; dev.num_sms];
+    let mut tree = vec![Node::default(); 2 * n];
+    for sm in 0..n {
+        tree[n + sm].key = deal_key(0.0, sm);
+    }
+    for i in (1..n).rev() {
+        tree[i].key = tree[2 * i].key.min(tree[2 * i + 1].key);
+    }
     // Slot-clock end times, only allocated when placements are captured.
     let mut slot_end: Vec<f64> = if placements.is_some() {
-        vec![0.0f64; dev.num_sms * bpsm_slots]
+        vec![0.0f64; n * bpsm_slots]
     } else {
         Vec::new()
     };
-    let mut heap: BinaryHeap<Reverse<SmLoad>> = (0..dev.num_sms)
-        .map(|sm| Reverse(SmLoad { load: 0.0, sm }))
-        .collect();
-    for &(c, m) in blocks {
-        let Reverse(SmLoad { load, sm }) = heap.pop().expect("one entry per SM");
+    for (c, m) in blocks {
+        // The low half of the root's key is the chosen SM.
+        let sm = tree[1].key as u64 as usize;
         let serial = c.max(m);
-        sm_compute[sm] += c;
-        sm_memory[sm] += m;
-        sm_serial[sm] += serial;
-        sm_max[sm] = sm_max[sm].max(serial);
+        let leaf = &mut tree[n + sm];
+        leaf.compute += c;
+        leaf.memory += m;
+        leaf.serial += serial;
+        leaf.longest = leaf.longest.max(serial);
+        leaf.key = deal_key(leaf.serial, sm);
+        // Replay the leaf's path: each parent takes the lesser of the key
+        // coming up and the sibling's (node `i ^ 1`), so no level waits
+        // on a value stored by the level below.
+        let (mut i, mut key) = (n + sm, leaf.key);
+        while i > 1 {
+            key = key.min(tree[i ^ 1].key);
+            i /= 2;
+            tree[i].key = key;
+        }
         if let Some(out) = placements.as_deref_mut() {
             let base = sm * bpsm_slots;
             let mut best = 0usize;
@@ -150,18 +204,12 @@ pub fn schedule_blocks_placed(
                 end_cycles: end,
             });
         }
-        heap.push(Reverse(SmLoad {
-            load: load + serial,
-            sm,
-        }));
     }
-    (0..dev.num_sms)
-        .map(|i| {
-            sm_compute[i]
-                .max(sm_memory[i])
-                .max(sm_max[i])
-                .max(sm_serial[i] / bpsm)
-        })
+    // SMs the deal never reached would add only zeros to the fold.
+    let bpsm = bpsm_slots as f64;
+    tree[n..]
+        .iter()
+        .map(|s| s.compute.max(s.memory).max(s.longest).max(s.serial / bpsm))
         .fold(0.0f64, f64::max)
 }
 
@@ -173,13 +221,14 @@ pub fn launch_map<R, F>(
     name: impl Into<Cow<'static, str>>,
     grid: usize,
     cfg: KernelConfig,
+    records: BlockRecords,
     f: F,
 ) -> (KernelReport, Vec<R>)
 where
     R: Send,
     F: Fn(&mut BlockCtx) -> R + Sync,
 {
-    launch_map_init(dev, cost, name, grid, cfg, || (), |_, ctx| f(ctx))
+    launch_map_init(dev, cost, name, grid, cfg, records, || (), |_, ctx| f(ctx))
 }
 
 /// [`launch_map`] with host-side state shared by the blocks of one host
@@ -188,12 +237,14 @@ where
 /// result. The state is host scratch only — simulated cost comes from what
 /// each block charges through its [`BlockCtx`], so it must not depend on
 /// which chunk ran the block.
+#[allow(clippy::too_many_arguments)]
 pub fn launch_map_init<T, R, I, F>(
     dev: &DeviceConfig,
     cost: &CostModel,
     name: impl Into<Cow<'static, str>>,
     grid: usize,
     cfg: KernelConfig,
+    records: BlockRecords,
     init: I,
     f: F,
 ) -> (KernelReport, Vec<R>)
@@ -216,33 +267,40 @@ where
         dev.scratch_max_per_block
     );
 
-    // Per-block cycle splitting happens inside the parallel map; the
-    // remaining serial work is a plain unzip of already-computed values.
-    let results: Vec<(BlockCost, (f64, f64), R)> = (0..grid)
-        .into_par_iter()
-        .map_init(init, |state, block_id| {
-            let mut ctx = BlockCtx::new(block_id, cfg, dev.transaction_bytes, dev.warp_size);
-            let r = f(state, &mut ctx);
-            let c = ctx.into_cost();
-            let cycles = cost.split_cycles(&c);
-            (c, cycles, r)
-        })
-        .collect();
-
-    // The unzip also folds the aggregate counters: every field is an
-    // integer sum, so the total does not depend on the order.
-    let mut costs = Vec::with_capacity(grid);
-    let mut block_cycles = Vec::with_capacity(grid);
+    // One pass over the map's output: the scheduler reads each block's
+    // cycles as its output (and, when kept, its records) moves out.
     let mut outputs = Vec::with_capacity(grid);
-    let mut total_cost = BlockCost::default();
-    for (c, cy, r) in results {
-        total_cost = total_cost.merge(&c);
-        costs.push(c);
-        block_cycles.push(cy);
-        outputs.push(r);
-    }
+    let (total_cost, body, records) = match records {
+        BlockRecords::Skip => {
+            let (total, blocks) = run_blocks(dev, cost, grid, cfg, init, f);
+            let cycles = blocks.into_iter().map(|(cycles, r)| {
+                outputs.push(r);
+                cycles
+            });
+            (total, deal(dev, cfg, cycles, None), None)
+        }
+        BlockRecords::Keep => {
+            // The counters a block charged are final once its closure
+            // returns, so the map can hand them out beside its output.
+            let (total, blocks) = run_blocks(dev, cost, grid, cfg, init, |state, ctx| {
+                let r = f(state, ctx);
+                (*ctx.cost(), r)
+            });
+            let mut kept = LaunchRecords {
+                costs: Vec::with_capacity(grid),
+                cycles: Vec::with_capacity(grid),
+            };
+            let cycles = blocks.into_iter().map(|(cycles, (c, r))| {
+                kept.costs.push(c);
+                kept.cycles.push(cycles);
+                outputs.push(r);
+                cycles
+            });
+            let body = deal(dev, cfg, cycles, None);
+            (total, body, Some(kept))
+        }
+    };
 
-    let body = schedule_blocks(dev, cfg, &block_cycles);
     let sim_cycles = body + dev.launch_overhead_cycles;
     let report = KernelReport {
         name,
@@ -252,25 +310,89 @@ where
         total_cost,
         sim_cycles,
         sim_time_s: dev.cycles_to_seconds(sim_cycles),
-        block_costs: costs,
-        block_cycles,
+        records,
     };
     (report, outputs)
 }
 
+/// The host state of one chunk of blocks: the caller's `init` state and
+/// the chunk's summed counters, added to the launch total when the chunk
+/// ends and its state is dropped. Every counter is an integer sum, so the
+/// total does not depend on how the grid was chunked.
+struct HostChunk<'a, T> {
+    state: T,
+    total: BlockCost,
+    launch_total: &'a Mutex<BlockCost>,
+}
+
+impl<T> Drop for HostChunk<'_, T> {
+    fn drop(&mut self) {
+        let mut launch_total = self
+            .launch_total
+            .lock()
+            .expect("the launch total is never held across a panic");
+        *launch_total = launch_total.merge(&self.total);
+    }
+}
+
+/// Each block's `(compute, memory)` cycles beside its output, in grid
+/// order: the launch's parallel map output.
+type BlockOutputs<R> = Vec<((f64, f64), R)>;
+
+/// Runs every block of the grid in one parallel map. Returns the summed
+/// counters and the blocks' outputs.
+fn run_blocks<T, R, I, F>(
+    dev: &DeviceConfig,
+    cost: &CostModel,
+    grid: usize,
+    cfg: KernelConfig,
+    init: I,
+    f: F,
+) -> (BlockCost, BlockOutputs<R>)
+where
+    R: Send,
+    I: Fn() -> T + Sync,
+    F: Fn(&mut T, &mut BlockCtx) -> R + Sync,
+{
+    let total = Mutex::new(BlockCost::default());
+    let blocks = (0..grid)
+        .into_par_iter()
+        .map_init(
+            || HostChunk {
+                state: init(),
+                total: BlockCost::default(),
+                launch_total: &total,
+            },
+            |chunk, block_id| {
+                let mut ctx = BlockCtx::new(block_id, cfg, dev.transaction_bytes, dev.warp_size);
+                let r = f(&mut chunk.state, &mut ctx);
+                let c = ctx.into_cost();
+                chunk.total = chunk.total.merge(&c);
+                (cost.split_cycles(&c), r)
+            },
+        )
+        .collect();
+    let total = total
+        .into_inner()
+        .expect("the launch total is never held across a panic");
+    (total, blocks)
+}
+
 impl KernelReport {
     /// Per-block schedule of this launch on `dev` (the device it ran on),
-    /// rebuilt by replaying [`schedule_blocks_placed`] over the stored
+    /// rebuilt by replaying [`schedule_blocks_placed`] over the kept
     /// per-block cycles. The replay is the loop the launch ran, so its
     /// events and `body_cycles` are bit-identical to the launch's.
-    pub fn block_trace(&self, dev: &DeviceConfig) -> KernelBlockTrace {
+    /// `None` when the launch kept no records ([`BlockRecords::Skip`]).
+    pub fn block_trace(&self, dev: &DeviceConfig) -> Option<KernelBlockTrace> {
+        let records = self.records.as_ref()?;
         let mut placements = Vec::with_capacity(self.grid);
         let body_cycles =
-            schedule_blocks_placed(dev, self.cfg, &self.block_cycles, Some(&mut placements));
+            schedule_blocks_placed(dev, self.cfg, &records.cycles, Some(&mut placements));
         let events = placements
             .iter()
-            .zip(&self.block_costs)
-            .zip(&self.block_cycles)
+            .zip(&records.costs)
+            .zip(&records.cycles)
             .enumerate()
             .map(|(i, ((p, c), &(cc, mc)))| BlockEvent {
                 grid_idx: i as u32,
@@ -283,10 +405,10 @@ impl KernelReport {
                 cost: *c,
             })
             .collect();
-        KernelBlockTrace {
+        Some(KernelBlockTrace {
             events,
             body_cycles,
-        }
+        })
     }
 
     /// Kernel body cycles, excluding the launch overhead.
@@ -337,12 +459,13 @@ pub fn launch<F>(
     name: impl Into<Cow<'static, str>>,
     grid: usize,
     cfg: KernelConfig,
+    records: BlockRecords,
     f: F,
 ) -> KernelReport
 where
     F: Fn(&mut BlockCtx) + Sync,
 {
-    launch_map(dev, cost, name, grid, cfg, |ctx| f(ctx)).0
+    launch_map(dev, cost, name, grid, cfg, records, |ctx| f(ctx)).0
 }
 
 #[cfg(test)]
@@ -362,6 +485,7 @@ mod tests {
             "k",
             0,
             KernelConfig::new(32, 0),
+            BlockRecords::Skip,
             |_| {},
         );
         assert_eq!(r.sim_cycles, d.launch_overhead_cycles);
@@ -376,6 +500,7 @@ mod tests {
             "k",
             100,
             KernelConfig::new(32, 0),
+            BlockRecords::Skip,
             |ctx| ctx.block_id() * 2,
         );
         assert_eq!(out.len(), 100);
@@ -400,6 +525,7 @@ mod tests {
             "k",
             grid,
             KernelConfig::new(32, 0),
+            BlockRecords::Keep,
             kernel,
         );
         let (shared, shared_out) = launch_map_init(
@@ -408,12 +534,13 @@ mod tests {
             "k",
             grid,
             KernelConfig::new(32, 0),
+            BlockRecords::Keep,
             || inits.fetch_add(1, Ordering::Relaxed),
             |_, ctx| kernel(ctx),
         );
         assert_eq!(plain_out, shared_out);
         assert_eq!(plain.sim_cycles, shared.sim_cycles);
-        assert_eq!(plain.block_cycles, shared.block_cycles);
+        assert_eq!(plain.records, shared.records);
         // One state per host chunk, far fewer than one per block.
         let inits = inits.into_inner();
         assert!(
@@ -432,6 +559,7 @@ mod tests {
                 "k",
                 64,
                 KernelConfig::new(64, 0),
+                BlockRecords::Skip,
                 |ctx| {
                     ctx.charge_rounds((ctx.block_id() as u64 % 7) * 10);
                     ctx.charge_gmem_tx(ctx.block_id() as u64);
@@ -506,6 +634,7 @@ mod tests {
             "k",
             1,
             KernelConfig::new(4096, 0),
+            BlockRecords::Skip,
             |_| {},
         );
     }
@@ -519,6 +648,7 @@ mod tests {
             "bw",
             512,
             KernelConfig::new(256, 0),
+            BlockRecords::Skip,
             |ctx| {
                 ctx.charge_gmem_stream(256, 100_000, 8);
             },
@@ -607,6 +737,7 @@ mod tests {
             "fmt",
             4,
             KernelConfig::new(64, 256),
+            BlockRecords::Skip,
             |ctx| ctx.charge_gmem_tx(100),
         );
         let s = r.summary(&d);
@@ -627,18 +758,24 @@ mod tests {
     #[test]
     fn block_trace_replays_one_event_per_block() {
         let d = dev();
-        let r = launch(
-            &d,
-            &CostModel::default(),
-            "traced",
-            37,
-            KernelConfig::new(64, 0),
-            |ctx| {
-                ctx.charge_rounds((ctx.block_id() as u64 % 5) * 3 + 1);
-                ctx.charge_gmem_tx(ctx.block_id() as u64 * 2);
-            },
-        );
-        let tr = r.block_trace(&d);
+        let run = |records| {
+            launch(
+                &d,
+                &CostModel::default(),
+                "traced",
+                37,
+                KernelConfig::new(64, 0),
+                records,
+                |ctx| {
+                    ctx.charge_rounds((ctx.block_id() as u64 % 5) * 3 + 1);
+                    ctx.charge_gmem_tx(ctx.block_id() as u64 * 2);
+                },
+            )
+        };
+        // A plain launch keeps nothing to replay.
+        assert!(run(BlockRecords::Skip).block_trace(&d).is_none());
+        let r = run(BlockRecords::Keep);
+        let tr = r.block_trace(&d).expect("the launch kept its records");
         assert_eq!(tr.events.len(), 37);
         // The replay reproduces the launch's makespan and counters.
         assert_eq!(tr.body_cycles.to_bits(), r.body_cycles(&d).to_bits());
@@ -669,24 +806,65 @@ mod tests {
         // rounds.
         let d = dev();
         for grid in [1u64, 4096] {
-            let r = launch(
-                &d,
-                &CostModel::default(),
-                "k",
-                grid as usize,
-                KernelConfig::new(32, 0),
-                |ctx| {
-                    ctx.charge_rounds(ctx.block_id() as u64 + 1);
-                    ctx.charge_smem(3);
-                },
-            );
+            let run = |records| {
+                launch(
+                    &d,
+                    &CostModel::default(),
+                    "k",
+                    grid as usize,
+                    KernelConfig::new(32, 0),
+                    records,
+                    |ctx| {
+                        ctx.charge_rounds(ctx.block_id() as u64 + 1);
+                        ctx.charge_smem(3);
+                    },
+                )
+            };
+            let r = run(BlockRecords::Keep);
             assert_eq!(r.total_cost.issue_rounds, grid * (grid + 1) / 2);
             assert_eq!(r.total_cost.smem_ops, 3 * grid);
-            let merged = r
-                .block_costs
+            let kept = r.records.as_ref().expect("the launch kept its records");
+            let merged = kept
+                .costs
                 .iter()
                 .fold(BlockCost::default(), |acc, c| acc.merge(c));
             assert_eq!(merged, r.total_cost);
+            // The per-chunk fold of a plain launch reaches the same total.
+            let plain = run(BlockRecords::Skip);
+            assert!(plain.records.is_none());
+            assert_eq!(plain.total_cost, r.total_cost);
+        }
+    }
+
+    #[test]
+    fn keeping_records_changes_no_figure() {
+        // Records are for observers: a launch that keeps them reports the
+        // same counters and bit-identical times as one that does not, and
+        // its kept cycles are the pricing of its kept counters.
+        let d = DeviceConfig::titan_v();
+        let cost = CostModel::default();
+        let cfg = KernelConfig::new(128, 2048);
+        for grid in [0usize, 1, 79, 80, 81, 2_000] {
+            let run = |records| {
+                launch_map(&d, &cost, "k", grid, cfg, records, |ctx| {
+                    let i = ctx.block_id() as u64;
+                    ctx.charge_rounds((i * 7919) % 23);
+                    ctx.charge_gmem_tx((i * 104_729) % 41);
+                    i
+                })
+            };
+            let (plain, plain_out) = run(BlockRecords::Skip);
+            let (kept, kept_out) = run(BlockRecords::Keep);
+            assert_eq!(plain_out, kept_out);
+            assert_eq!(plain.total_cost, kept.total_cost);
+            assert_eq!(plain.sim_cycles.to_bits(), kept.sim_cycles.to_bits());
+            let records = kept.records.expect("the launch kept its records");
+            assert_eq!(records.costs.len(), grid);
+            let priced: Vec<(f64, f64)> =
+                records.costs.iter().map(|c| cost.split_cycles(c)).collect();
+            assert_eq!(priced, records.cycles);
+            let body = schedule_blocks(&d, cfg, &records.cycles);
+            assert_eq!(body.to_bits(), plain.body_cycles(&d).to_bits());
         }
     }
 }

@@ -15,11 +15,12 @@
 //! always produce the same simulated time, regardless of host thread count.
 //!
 //! ```
-//! use speck_simt::{DeviceConfig, CostModel, KernelConfig, launch};
+//! use speck_simt::{BlockRecords, DeviceConfig, CostModel, KernelConfig, launch};
 //!
 //! let dev = DeviceConfig::titan_v();
 //! let cost = CostModel::default();
-//! let report = launch(&dev, &cost, "demo", 128, KernelConfig::new(256, 0), |ctx| {
+//! let cfg = KernelConfig::new(256, 0);
+//! let report = launch(&dev, &cost, "demo", 128, cfg, BlockRecords::Skip, |ctx| {
 //!     ctx.charge_gmem_stream(32, 1000, 8); // stream 1000 doubles, 32-wide
 //! });
 //! assert!(report.sim_time_s > 0.0);
@@ -41,7 +42,8 @@ pub use block::{simulate_group_rounds, BlockCtx};
 pub use cost::{BlockCost, CostModel, COST_COUNTER_NAMES};
 pub use device::DeviceConfig;
 pub use exec::{
-    launch, launch_map, launch_map_init, schedule_blocks, schedule_blocks_placed, KernelReport,
+    launch, launch_map, launch_map_init, schedule_blocks, schedule_blocks_placed, BlockRecords,
+    KernelReport, LaunchRecords,
 };
 pub use kernel::KernelConfig;
 pub use memtrack::MemTracker;

@@ -97,7 +97,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{launch, CostModel, DeviceConfig, KernelConfig};
+    use crate::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 
     #[test]
     fn stages_accumulate_and_share_sums_to_one() {
@@ -108,6 +108,7 @@ mod tests {
             "k",
             4,
             KernelConfig::new(32, 0),
+            BlockRecords::Skip,
             |ctx| {
                 ctx.charge_rounds(100);
             },
@@ -132,6 +133,7 @@ mod tests {
             "k",
             3,
             KernelConfig::new(32, 0),
+            BlockRecords::Skip,
             |ctx| {
                 ctx.charge_rounds(5);
                 ctx.charge_smem(2);

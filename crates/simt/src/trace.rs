@@ -1,21 +1,23 @@
 //! Per-block execution traces.
 //!
 //! The scheduler in [`crate::exec::schedule_blocks`] reduces the
-//! per-block schedule to a single makespan. Every
-//! [`crate::exec::KernelReport`] keeps the per-block cycles and
-//! [`BlockCost`]s its launch computed, so
+//! per-block schedule to a single makespan. A launch asked to keep its
+//! per-block records ([`crate::exec::BlockRecords::Keep`], which only
+//! observers ask for) stores every block's cycles and [`BlockCost`] in
+//! its [`crate::exec::KernelReport`], so
 //! [`crate::exec::KernelReport::block_trace`] can rebuild the schedule
 //! after the fact: one [`BlockEvent`] per block — which SM it was dealt
 //! to, which resident slot it occupied, its start/end cycles on the slot
 //! clock, and its full [`BlockCost`] breakdown — as a
-//! [`KernelBlockTrace`].
+//! [`KernelBlockTrace`]. A plain launch keeps no records, and its
+//! `block_trace` is `None`.
 //!
 //! # Replay
 //!
 //! The rebuild replays [`crate::exec::schedule_blocks_placed`] over the
 //! stored `(compute, memory)` pairs: the loop the launch itself ran, so
 //! events and `body_cycles` are bit-identical to the launch. Whether a
-//! trace exists is up to the caller holding the report, so one caller's
+//! trace can exist is decided by each launch's caller, so one caller's
 //! tracing never reaches another's launches.
 //!
 //! # Determinism classes
@@ -100,12 +102,11 @@ impl KernelBlockTrace {
         dev: &crate::device::DeviceConfig,
         cfg: crate::kernel::KernelConfig,
     ) -> f64 {
-        let pairs: Vec<(f64, f64)> = self
+        let pairs = self
             .events
             .iter()
-            .map(|e| (e.compute_cycles, e.memory_cycles))
-            .collect();
-        crate::exec::schedule_blocks(dev, cfg, &pairs)
+            .map(|e| (e.compute_cycles, e.memory_cycles));
+        crate::exec::deal(dev, cfg, pairs, None)
     }
 }
 

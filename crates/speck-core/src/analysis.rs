@@ -13,7 +13,9 @@
 
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
 use crate::workspace::Slots;
-use speck_simt::{launch, BlockCtx, CostModel, DeviceConfig, KernelConfig, KernelReport};
+use speck_simt::{
+    launch, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport,
+};
 use speck_sparse::{Csr, Scalar};
 
 /// Per-row analysis record.
@@ -97,12 +99,25 @@ impl AnalysisInfo {
 }
 
 /// Runs the row analysis as a simulated kernel; returns the analysis and
-/// the kernel report for stage accounting.
+/// the kernel report for stage accounting. The launch keeps no per-block
+/// records.
 pub fn analyze<V: Scalar>(
     dev: &DeviceConfig,
     cost: &CostModel,
     a: &Csr<V>,
     b: &Csr<V>,
+) -> (AnalysisInfo, KernelReport) {
+    analyze_with(dev, cost, a, b, BlockRecords::Skip)
+}
+
+/// [`analyze`], with the launch keeping per-block records as `records`
+/// asks (an observing engine keeps them).
+pub(crate) fn analyze_with<V: Scalar>(
+    dev: &DeviceConfig,
+    cost: &CostModel,
+    a: &Csr<V>,
+    b: &Csr<V>,
+    records: BlockRecords,
 ) -> (AnalysisInfo, KernelReport) {
     assert_eq!(a.cols(), b.rows(), "analyze: dimension mismatch");
     let n = a.rows();
@@ -125,6 +140,7 @@ pub fn analyze<V: Scalar>(
         "row_analysis",
         grid,
         cfg,
+        records,
         |ctx: &mut BlockCtx| {
             let out = chunks
                 .take(ctx.block_id())

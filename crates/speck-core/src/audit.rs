@@ -45,7 +45,7 @@ use crate::pipeline::stage;
 use crate::profile::{cell_labels, pair_by_key, BinKey};
 use crate::symbolic::group_blocks;
 use crate::trace::ExecutionTrace;
-use speck_simt::{BlockCost, CostModel, DeviceConfig};
+use speck_simt::{BlockCost, BlockRecords, CostModel, DeviceConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -626,10 +626,26 @@ fn gate_record(
         ..cfg.clone()
     };
     let alt_plan: PassPlan = if p.pass == "symbolic" {
-        plan_symbolic(dev, model, cascade, &alt_cfg, info, b_cols)
+        plan_symbolic(
+            dev,
+            model,
+            cascade,
+            &alt_cfg,
+            info,
+            b_cols,
+            BlockRecords::Skip,
+        )
     } else {
         plan_numeric(
-            dev, model, cascade, &alt_cfg, info, row_nnz, b_cols, val_bytes,
+            dev,
+            model,
+            cascade,
+            &alt_cfg,
+            info,
+            row_nnz,
+            b_cols,
+            val_bytes,
+            BlockRecords::Skip,
         )
     };
     // Measured per-row cycles of the pass, the profiler's attribution.

@@ -16,7 +16,7 @@ use crate::config::{GlobalLbMode, SpeckConfig};
 use crate::denseacc::dense_iterations;
 use crate::hashacc::MAX_HASH_BLOCK_ROWS;
 use crate::metrics::{Histogram, MetricsRegistry};
-use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport};
+use speck_simt::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport};
 
 /// Accumulation method chosen for a block (paper Fig. 2: Hash / Dense /
 /// Direct in both passes).
@@ -262,6 +262,7 @@ fn charge_binning(
     name: &'static str,
     rows: usize,
     bins: usize,
+    records: BlockRecords,
 ) -> KernelReport {
     let threads = dev.max_threads_per_block;
     let grid = rows.div_ceil(threads).max(1);
@@ -271,6 +272,7 @@ fn charge_binning(
         name,
         grid,
         KernelConfig::new(threads, 4096),
+        records,
         |ctx| {
             let start = ctx.block_id() * threads;
             let n = threads.min(rows.saturating_sub(start));
@@ -326,6 +328,7 @@ fn plan_pass(
     thr: (f64, usize, f64, usize),
     large_kernel_cut: usize,
     block_merge_enabled: bool,
+    records: BlockRecords,
 ) -> PassPlan {
     let n = entries.len();
     let largest = cascade.largest();
@@ -390,7 +393,7 @@ fn plan_pass(
             bins[idx].push(r);
         }
         plan.lb_reports
-            .push(charge_binning(dev, cost, pass_name, n, n_bins));
+            .push(charge_binning(dev, cost, pass_name, n, n_bins, records));
         plan.lb_alloc_bytes += n * 4 + n_bins * 8;
 
         // Smallest non-empty bin: merge neighbouring rows into blocks.
@@ -415,6 +418,7 @@ fn plan_pass(
                         "block_merge",
                         (bin.len().div_ceil(dev.max_threads_per_block)).max(1),
                         KernelConfig::new(dev.max_threads_per_block, 0),
+                        records,
                         |ctx| {
                             ctx.charge_rounds(work / dev.max_threads_per_block.max(1) as u64 + 5);
                             ctx.charge_smem(work);
@@ -445,7 +449,8 @@ fn plan_pass(
     plan
 }
 
-/// Plans the symbolic pass from the row analysis.
+/// Plans the symbolic pass from the row analysis. Its load-balancing
+/// launches keep per-block records as `records` asks.
 pub fn plan_symbolic(
     dev: &DeviceConfig,
     cost: &CostModel,
@@ -453,6 +458,7 @@ pub fn plan_symbolic(
     cfg: &SpeckConfig,
     info: &AnalysisInfo,
     cols_b: usize,
+    records: BlockRecords,
 ) -> PassPlan {
     let n = info.rows.len();
     let entry_bytes = symbolic_entry_bytes(cols_b);
@@ -495,11 +501,13 @@ pub fn plan_symbolic(
         ),
         cascade.len() - 3, // starred set: three largest of six (Table 2)
         cfg.block_merge,
+        records,
     )
 }
 
 /// Plans the numeric pass from the exact row sizes the symbolic pass
-/// produced.
+/// produced. Its load-balancing launches keep per-block records as
+/// `records` asks.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_numeric(
     dev: &DeviceConfig,
@@ -510,6 +518,7 @@ pub fn plan_numeric(
     row_nnz: &[u32],
     cols_b: usize,
     val_bytes: usize,
+    records: BlockRecords,
 ) -> PassPlan {
     let n = row_nnz.len();
     let entry_bytes = numeric_entry_bytes(cols_b, val_bytes);
@@ -580,6 +589,7 @@ pub fn plan_numeric(
         ),
         cascade.len() - 2, // starred set: two largest of six (Table 2)
         cfg.block_merge,
+        records,
     )
 }
 
@@ -611,7 +621,15 @@ mod tests {
         let a = rmat(10, 8, 0.57, 0.19, 0.19, 3);
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         assert_eq!(
             rows_covered(&plan),
             (0..a.rows() as u32).collect::<Vec<_>>()
@@ -623,7 +641,15 @@ mod tests {
         let a = uniform_random(1000, 1000, 4, 4, 1);
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         assert!(!plan.gate.used_global_lb, "uniform rows must not be binned");
         assert!(plan.lb_reports.is_empty());
     }
@@ -634,7 +660,15 @@ mod tests {
         let a = speck_sparse::gen::with_hub_rows(6_000, 1, 4, 3_000, 3);
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         assert!(
             plan.gate.used_global_lb,
             "skewed demands should trigger binning"
@@ -659,13 +693,13 @@ mod tests {
             ..SpeckConfig::default()
         };
         assert!(
-            plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500)
+            plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500, BlockRecords::Skip)
                 .gate
                 .used_global_lb
         );
         cfg.global_lb = GlobalLbMode::AlwaysOff;
         assert!(
-            !plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500)
+            !plan_symbolic(&dev, &cost, &cascade, &cfg, &info, 500, BlockRecords::Skip)
                 .gate
                 .used_global_lb
         );
@@ -676,7 +710,15 @@ mod tests {
         let a: Csr<f64> = Csr::identity(5000);
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         let (h, d, r) = plan.method_counts();
         assert_eq!(h, 0);
         assert_eq!(d, 0);
@@ -689,6 +731,7 @@ mod tests {
             &SpeckConfig::hash_only(),
             &info,
             a.cols(),
+            BlockRecords::Skip,
         );
         let (h2, d2, r2) = plan2.method_counts();
         assert!(h2 > 0);
@@ -702,14 +745,30 @@ mod tests {
         let a = block_diagonal(1, 200, 1.0, 5);
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         // products per row = 200 * 200 = 40000 < 2*24576 = 49152 -> hash!
         let (_, d, _) = plan.method_counts();
         assert_eq!(d, 0, "40k products still fit twice the largest hash");
 
         let b = block_diagonal(1, 300, 1.0, 5); // 90k products > 49152
         let info_b = analyze(&dev, &cost, &b, &b).0;
-        let plan_b = plan_symbolic(&dev, &cost, &cascade, &cfg, &info_b, b.cols());
+        let plan_b = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info_b,
+            b.cols(),
+            BlockRecords::Skip,
+        );
         let (_, d_b, _) = plan_b.method_counts();
         assert_eq!(d_b, 300, "every row must go dense");
     }
@@ -721,7 +780,17 @@ mod tests {
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
         let row_nnz = vec![64u32; 256];
-        let plan = plan_numeric(&dev, &cost, &cascade, &cfg, &info, &row_nnz, a.cols(), 8);
+        let plan = plan_numeric(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            &row_nnz,
+            a.cols(),
+            8,
+            BlockRecords::Skip,
+        );
         let (h, d, _) = plan.method_counts();
         assert_eq!(h, 0, "fully dense rows must use the dense accumulator");
         assert_eq!(d, 256);
@@ -735,6 +804,7 @@ mod tests {
             &row_nnz,
             a.cols(),
             8,
+            BlockRecords::Skip,
         );
         let (h2, d2, _) = plan2.method_counts();
         assert!(h2 > 0);
@@ -750,7 +820,15 @@ mod tests {
             enable_direct: false,
             ..SpeckConfig::default()
         };
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         let cfgs: std::collections::BTreeSet<usize> =
             plan.blocks.iter().map(|b| b.cfg_idx).collect();
         assert_eq!(cfgs.len(), 1);
@@ -769,7 +847,17 @@ mod tests {
         let cfg = SpeckConfig::default();
         let c = speck_sparse::reference::spgemm_seq(&a, &a);
         let row_nnz: Vec<u32> = (0..c.rows()).map(|i| c.row_nnz(i) as u32).collect();
-        let plan = plan_numeric(&dev, &cost, &cascade, &cfg, &info, &row_nnz, a.cols(), 8);
+        let plan = plan_numeric(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            &row_nnz,
+            a.cols(),
+            8,
+            BlockRecords::Skip,
+        );
         assert_eq!(
             rows_covered(&plan),
             (0..a.rows() as u32).collect::<Vec<_>>()
@@ -785,7 +873,15 @@ mod tests {
             enable_direct: false,
             ..SpeckConfig::default()
         };
-        let plan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         for (i, b) in plan.blocks.iter().enumerate() {
             if b.method == AccMethod::Hash {
                 assert!(plan.block_rows(i).len() <= 32);

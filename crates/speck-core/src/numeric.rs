@@ -23,7 +23,9 @@ use crate::sort::{
 };
 use crate::symbolic::LaunchGroups;
 use crate::workspace::{Slots, Workspace, WorkspacePool};
-use speck_simt::{launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelReport};
+use speck_simt::{
+    launch_map, launch_map_init, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelReport,
+};
 use speck_sparse::{Csr, Scalar};
 
 /// What one numeric block reports back besides the rows it wrote: whether
@@ -319,7 +321,8 @@ pub struct NumericJob<'a> {
     pub row_ptr: &'a [usize],
 }
 
-/// Runs the numeric pass and assembles C.
+/// Runs the numeric pass and assembles C. Its launches keep per-block
+/// records as `records` asks.
 ///
 /// Panics if a row's computed entry count disagrees with `job.row_ptr`,
 /// if the plan lists a row in two blocks, or if it leaves a row out.
@@ -334,6 +337,7 @@ pub fn run_numeric<V: Scalar>(
     info: &AnalysisInfo,
     job: &NumericJob<'_>,
     pool: &WorkspacePool<V>,
+    records: BlockRecords,
 ) -> NumericOutput<V> {
     let entry_bytes = numeric_entry_bytes(b.cols(), std::mem::size_of::<V>());
     let plan = job.plan;
@@ -364,6 +368,7 @@ pub fn run_numeric<V: Scalar>(
                     format!("numeric_hash_c{cfg_idx}"),
                     group.len(),
                     kc,
+                    records,
                     || pool.acquire(),
                     |ws, ctx| {
                         let rows = rows(ctx);
@@ -391,6 +396,7 @@ pub fn run_numeric<V: Scalar>(
                     format!("numeric_dense_c{cfg_idx}"),
                     group.len(),
                     kc,
+                    records,
                     || pool.acquire(),
                     |ws, ctx| {
                         let row = rows(ctx)[0];
@@ -400,10 +406,18 @@ pub fn run_numeric<V: Scalar>(
             }
             AccMethod::Direct => {
                 let dk = direct_kernel_config(dev);
-                launch_map(dev, cost, "numeric_direct", group.len(), dk, |ctx| {
-                    let rows = rows(ctx);
-                    direct_block(ctx, &out, a, b, rows)
-                })
+                launch_map(
+                    dev,
+                    cost,
+                    "numeric_direct",
+                    group.len(),
+                    dk,
+                    records,
+                    |ctx| {
+                        let rows = rows(ctx);
+                        direct_block(ctx, &out, a, b, rows)
+                    },
+                )
             }
         };
         for (spilled, needs_radix, elems) in results {
@@ -419,7 +433,7 @@ pub fn run_numeric<V: Scalar>(
     // Trailing radix sort pass for rows the hash kernels left unsorted.
     // (Functionally our accumulator already emits sorted entries; the pass
     // exists to charge its cost, like the real implementation's CUB pass.)
-    let sort_report = radix_sort_pass(dev, cost, radix_elems, entry_bytes);
+    let sort_report = radix_sort_pass(dev, cost, radix_elems, entry_bytes, records);
 
     let c = Csr::from_parts_unchecked(n, b.cols(), row_ptr.to_vec(), col_idx, vals);
 
@@ -457,9 +471,38 @@ mod tests {
         let cascade = KernelCascade::for_device(&dev);
         let pool = WorkspacePool::new();
         let (info, _) = analyze(&dev, &cost, a, a);
-        let splan = plan_symbolic(&dev, &cost, &cascade, cfg, &info, a.cols());
-        let sym = run_symbolic(&dev, &cost, &cascade, cfg, a, a, &info, &splan, &pool);
-        let mut nplan = plan_numeric(&dev, &cost, &cascade, cfg, &info, &sym.row_nnz, a.cols(), 8);
+        let splan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
+        let sym = run_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            cfg,
+            a,
+            a,
+            &info,
+            &splan,
+            &pool,
+            BlockRecords::Skip,
+        );
+        let mut nplan = plan_numeric(
+            &dev,
+            &cost,
+            &cascade,
+            cfg,
+            &info,
+            &sym.row_nnz,
+            a.cols(),
+            8,
+            BlockRecords::Skip,
+        );
         let mut row_ptr = row_ptr_from_nnz(&sym.row_nnz);
         tamper(&mut nplan, &mut row_ptr);
         let groups = group_blocks(&nplan);
@@ -477,6 +520,7 @@ mod tests {
                 row_ptr: &row_ptr,
             },
             &pool,
+            BlockRecords::Skip,
         )
     }
 
@@ -614,8 +658,27 @@ mod tests {
             a64.vals().iter().map(|&v| v as f32).collect(),
         );
         let (info, _) = analyze(&dev, &cost, &a, &a);
-        let splan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols());
-        let sym = run_symbolic(&dev, &cost, &cascade, &cfg, &a, &a, &info, &splan, &pool);
+        let splan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
+        let sym = run_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            &cfg,
+            &a,
+            &a,
+            &info,
+            &splan,
+            &pool,
+            BlockRecords::Skip,
+        );
         let nplan = plan_numeric(
             &dev,
             &cost,
@@ -625,6 +688,7 @@ mod tests {
             &sym.row_nnz,
             a.cols(),
             4,
+            BlockRecords::Skip,
         );
         let groups = group_blocks(&nplan);
         let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
@@ -642,6 +706,7 @@ mod tests {
                 row_ptr: &row_ptr,
             },
             &pool,
+            BlockRecords::Skip,
         );
         let expect64 = spgemm_seq(&a64, &a64);
         assert_eq!(out.c.nnz(), expect64.nnz());

@@ -17,7 +17,7 @@
 //! runs a one-off engine with plan caching off: the cold path, bit
 //! identical to the unfactored pipeline.
 
-use crate::analysis::analyze;
+use crate::analysis::analyze_with;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
 use crate::global_lb::{plan_numeric, plan_symbolic, ThresholdSet};
@@ -27,7 +27,7 @@ use crate::plan::{fnv1a_bytes, PatternId, PatternKey, PlanCache, SpgemmPlan};
 use crate::symbolic::{group_blocks, run_symbolic};
 use crate::trace::{pass_annotations, timeline_of, ExecutionTrace, Recorder, TraceRecord};
 use crate::workspace::SharedWorkspaces;
-use speck_simt::{CostModel, DeviceConfig, MemTracker, Timeline};
+use speck_simt::{BlockRecords, CostModel, DeviceConfig, MemTracker, Timeline};
 use speck_sparse::{Csr, Scalar};
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
@@ -311,6 +311,16 @@ impl SpeckSpgemm {
         self.tracing || self.auditing
     }
 
+    /// What the engine's launches keep: per-block records only when the
+    /// engine observes, because only the trace and the audit read them.
+    fn block_records(&self) -> BlockRecords {
+        if self.observing() {
+            BlockRecords::Keep
+        } else {
+            BlockRecords::Skip
+        }
+    }
+
     /// Computes `C = A · B`; returns the result and the full report.
     ///
     /// When the `(A, B)` sparsity pattern (and scalar type, device, cost
@@ -380,14 +390,15 @@ impl SpeckSpgemm {
         let pool = self.workspaces.pool::<V>();
         let span = m.span("plan");
         let cascade = KernelCascade::for_device(dev);
-        let mut rec = Recorder::new(dev, self.observing());
+        let records = self.block_records();
+        let mut rec = Recorder::new(dev);
         let mut setup_mem_bytes = 0usize;
         let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
 
         // Stage 1: row analysis.
         let (info, analysis_report) = {
             let _s = span.child("analysis");
-            analyze(dev, cost, a, b)
+            analyze_with(dev, cost, a, b, records)
         };
         rec.kernel(stage::ANALYSIS, &analysis_report, None, None, None);
         setup_mem_bytes += info.rows.len() * std::mem::size_of::<crate::analysis::RowInfo>();
@@ -396,7 +407,7 @@ impl SpeckSpgemm {
         // Stage 2: symbolic load balancing.
         let splan = {
             let _s = span.child("symbolic_lb");
-            plan_symbolic(dev, cost, &cascade, cfg, &info, b.cols())
+            plan_symbolic(dev, cost, &cascade, cfg, &info, b.cols(), records)
         };
         for r in &splan.lb_reports {
             rec.kernel(stage::SYMBOLIC_LOAD, r, None, None, None);
@@ -410,7 +421,9 @@ impl SpeckSpgemm {
         // Stage 3: symbolic SpGEMM.
         let sym = {
             let _s = span.child("symbolic");
-            run_symbolic(dev, cost, &cascade, cfg, a, b, &info, &splan, &pool)
+            run_symbolic(
+                dev, cost, &cascade, cfg, a, b, &info, &splan, &pool, records,
+            )
         };
         let anns = self
             .observing()
@@ -433,6 +446,7 @@ impl SpeckSpgemm {
                 &sym.row_nnz,
                 b.cols(),
                 std::mem::size_of::<V>(),
+                records,
             )
         };
         for r in &nplan.lb_reports {
@@ -499,7 +513,8 @@ impl SpeckSpgemm {
         let cascade = KernelCascade::for_device(dev);
         let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
         let setup: &[TraceRecord] = if reused { &[] } else { &plan.setup };
-        let mut rec = Recorder::resume(dev, setup, self.observing());
+        let records = self.block_records();
+        let mut rec = Recorder::resume(dev, setup);
         let mut mem = MemTracker::new();
         mem.alloc(plan.setup_mem_bytes);
         // Output matrix C: counted for memory, not for time (paper §6: "the
@@ -514,7 +529,9 @@ impl SpeckSpgemm {
         };
         let num = {
             let _s = span.child("numeric");
-            run_numeric(dev, cost, &cascade, cfg, a, b, &plan.info, &job, &pool)
+            run_numeric(
+                dev, cost, &cascade, cfg, a, b, &plan.info, &job, &pool, records,
+            )
         };
         let anns = self
             .observing()

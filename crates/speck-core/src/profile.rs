@@ -441,7 +441,7 @@ impl TraceDiff {
 mod tests {
     use super::*;
     use crate::trace::{BlockAnnotation, Recorder};
-    use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig};
+    use speck_simt::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig};
 
     fn traced_report(
         dev: &DeviceConfig,
@@ -449,7 +449,8 @@ mod tests {
         grid: usize,
     ) -> speck_simt::KernelReport {
         let cost = CostModel::default();
-        launch(dev, &cost, name, grid, KernelConfig::new(64, 0), |ctx| {
+        let cfg = KernelConfig::new(64, 0);
+        launch(dev, &cost, name, grid, cfg, BlockRecords::Keep, |ctx| {
             ctx.charge_rounds((ctx.block_id() as u64 % 4) * 11 + 2);
         })
     }
@@ -457,7 +458,7 @@ mod tests {
     fn sample() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_hash_c1", 8);
-        let mut rec = Recorder::new(&dev, true);
+        let mut rec = Recorder::new(&dev);
         rec.kernel(
             "num. SpGEMM",
             &rep,
@@ -518,11 +519,11 @@ mod tests {
     fn diff_reports_stage_deltas() {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_direct", 4);
-        let mut cold = Recorder::new(&dev, true);
+        let mut cold = Recorder::new(&dev);
         cold.fixed("analysis", "alloc", 2e-6);
         cold.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
         let cold = ExecutionTrace::new(&dev, cold.into_records());
-        let mut warm = Recorder::new(&dev, true);
+        let mut warm = Recorder::new(&dev);
         warm.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
         let warm = ExecutionTrace::new(&dev, warm.into_records());
 

@@ -6,7 +6,7 @@
 //! Larger hash kernels write unsorted output and a device-wide radix sort
 //! pass fixes the order afterwards. Dense and direct rows need no sorting.
 
-use speck_simt::{launch, CostModel, DeviceConfig, KernelConfig, KernelReport};
+use speck_simt::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport};
 
 /// Largest cascade index (inclusive) that sorts in scratchpad.
 pub const MAX_SCRATCH_SORT_CFG: usize = 2;
@@ -32,12 +32,14 @@ pub fn scratch_sort_steps(n: usize, threads: usize) -> u64 {
 const RADIX_PASSES: u64 = 3;
 
 /// Simulated device-wide radix sort over `elems` key/value pairs of
-/// `elem_bytes` each; returns `None` when nothing needs sorting.
+/// `elem_bytes` each; returns `None` when nothing needs sorting. The
+/// launch keeps per-block records as `records` asks.
 pub fn radix_sort_pass(
     dev: &DeviceConfig,
     cost: &CostModel,
     elems: usize,
     elem_bytes: usize,
+    records: BlockRecords,
 ) -> Option<KernelReport> {
     if elems == 0 {
         return None;
@@ -51,6 +53,7 @@ pub fn radix_sort_pass(
         "radix_sort",
         grid,
         KernelConfig::new(threads, 8 * 1024),
+        records,
         |ctx| {
             let start = ctx.block_id() * per_block;
             let n = per_block.min(elems.saturating_sub(start));
@@ -93,8 +96,8 @@ mod tests {
         let cm = CostModel::default();
         // Sizes large enough to saturate the device's block slots, so the
         // makespan becomes throughput-bound and scales with the input.
-        let r1 = radix_sort_pass(&dev, &cm, 2_000_000, 12).unwrap();
-        let r2 = radix_sort_pass(&dev, &cm, 4_000_000, 12).unwrap();
+        let r1 = radix_sort_pass(&dev, &cm, 2_000_000, 12, BlockRecords::Skip).unwrap();
+        let r2 = radix_sort_pass(&dev, &cm, 4_000_000, 12, BlockRecords::Skip).unwrap();
         let body1 = r1.sim_cycles - dev.launch_overhead_cycles;
         let body2 = r2.sim_cycles - dev.launch_overhead_cycles;
         assert!(
@@ -106,7 +109,7 @@ mod tests {
     #[test]
     fn empty_sort_is_free() {
         let dev = DeviceConfig::titan_v();
-        assert!(radix_sort_pass(&dev, &CostModel::default(), 0, 12).is_none());
+        assert!(radix_sort_pass(&dev, &CostModel::default(), 0, 12, BlockRecords::Skip).is_none());
     }
 
     #[test]

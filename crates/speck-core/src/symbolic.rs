@@ -14,7 +14,9 @@ use crate::hashacc::MAX_HASH_BLOCK_ROWS;
 use crate::local_lb::{rounds_for_g, select_group_size};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::workspace::{Workspace, WorkspacePool};
-use speck_simt::{launch_map, launch_map_init, BlockCtx, CostModel, DeviceConfig, KernelReport};
+use speck_simt::{
+    launch_map, launch_map_init, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelReport,
+};
 use speck_sparse::{Csr, Scalar};
 use std::collections::BTreeMap;
 
@@ -225,7 +227,8 @@ fn direct_block<V: Scalar>(
     counts
 }
 
-/// Runs the symbolic pass over the plan.
+/// Runs the symbolic pass over the plan. Its launches keep per-block
+/// records as `records` asks.
 #[allow(clippy::too_many_arguments)]
 pub fn run_symbolic<V: Scalar>(
     dev: &DeviceConfig,
@@ -237,6 +240,7 @@ pub fn run_symbolic<V: Scalar>(
     info: &AnalysisInfo,
     plan: &PassPlan,
     pool: &WorkspacePool<V>,
+    records: BlockRecords,
 ) -> SymbolicOutput {
     let entry_bytes = symbolic_entry_bytes(b.cols());
     let mut row_nnz = vec![0u32; a.rows()];
@@ -256,6 +260,7 @@ pub fn run_symbolic<V: Scalar>(
                     format!("symbolic_hash_c{cfg_idx}"),
                     group.len(),
                     kc,
+                    records,
                     || pool.acquire(),
                     |ws, ctx| {
                         let rows = rows(ctx);
@@ -278,6 +283,7 @@ pub fn run_symbolic<V: Scalar>(
                     format!("symbolic_dense_c{cfg_idx}"),
                     group.len(),
                     kc,
+                    records,
                     || pool.acquire(),
                     |ws, ctx| {
                         let row = rows(ctx)[0];
@@ -291,11 +297,18 @@ pub fn run_symbolic<V: Scalar>(
             }
             AccMethod::Direct => {
                 let dk = direct_kernel_config(dev);
-                let (report, outs) =
-                    launch_map(dev, cost, "symbolic_direct", group.len(), dk, |ctx| {
+                let (report, outs) = launch_map(
+                    dev,
+                    cost,
+                    "symbolic_direct",
+                    group.len(),
+                    dk,
+                    records,
+                    |ctx| {
                         let rows = rows(ctx);
                         direct_block(ctx, a, b, rows)
-                    });
+                    },
+                );
                 for (&bi, counts) in group.iter().zip(outs) {
                     for (&r, c) in plan.block_rows(bi).iter().zip(counts) {
                         row_nnz[r as usize] = c;
@@ -327,9 +340,28 @@ mod tests {
         let cost = CostModel::default();
         let cascade = KernelCascade::for_device(&dev);
         let (info, _) = analyze(&dev, &cost, a, a);
-        let plan = plan_symbolic(&dev, &cost, &cascade, cfg, &info, a.cols());
+        let plan = plan_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            cfg,
+            &info,
+            a.cols(),
+            BlockRecords::Skip,
+        );
         let pool = WorkspacePool::new();
-        let out = run_symbolic(&dev, &cost, &cascade, cfg, a, a, &info, &plan, &pool);
+        let out = run_symbolic(
+            &dev,
+            &cost,
+            &cascade,
+            cfg,
+            a,
+            a,
+            &info,
+            &plan,
+            &pool,
+            BlockRecords::Skip,
+        );
         let expect = spgemm_row_nnz(a, a);
         for (i, (&got, &want)) in out.row_nnz.iter().zip(expect.iter()).enumerate() {
             assert_eq!(got as usize, want, "row {i}");

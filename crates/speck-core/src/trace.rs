@@ -26,8 +26,9 @@
 //!
 //! The simulator's [`speck_simt::trace`] module rebuilds *where each block
 //! ran* (SM, resident slot, start/end cycles, cost breakdown) from a
-//! launch's report; a recorder built with `blocks` attaches that schedule
-//! to every kernel record. This module adds the spECK semantics the
+//! launch's report when the launch kept its per-block records (an
+//! observing engine asks for them), and the recorder attaches that
+//! schedule to the kernel's record. This module adds the spECK semantics the
 //! profiler needs — which cascade bin and accumulator a launch used,
 //! which output rows each block computed, and the dynamic group size `g`
 //! it chose. Bin and accumulator are always recorded; per-block
@@ -163,26 +164,25 @@ pub fn timeline_of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Ti
 #[derive(Clone, Debug)]
 pub struct Recorder<'a> {
     dev: &'a DeviceConfig,
-    blocks: bool,
     start_s: f64,
     records: Vec<TraceRecord>,
 }
 
 impl<'a> Recorder<'a> {
-    /// An empty stream for `dev`, clock at zero. With `blocks`, every
-    /// kernel record carries its per-block schedule, replayed from the
-    /// launch's report ([`KernelReport::block_trace`]).
-    pub fn new(dev: &'a DeviceConfig, blocks: bool) -> Self {
-        Self::resume(dev, &[], blocks)
+    /// An empty stream for `dev`, clock at zero. A kernel record carries
+    /// its per-block schedule, replayed from the launch's report
+    /// ([`KernelReport::block_trace`]), exactly when the launch kept its
+    /// per-block records ([`speck_simt::BlockRecords::Keep`]).
+    pub fn new(dev: &'a DeviceConfig) -> Self {
+        Self::resume(dev, &[])
     }
 
     /// An empty stream continuing after `setup` (a plan's setup records):
     /// its clock starts where they end, so `setup` followed by this
     /// stream's records is the whole multiply.
-    pub fn resume(dev: &'a DeviceConfig, setup: &[TraceRecord], blocks: bool) -> Self {
+    pub fn resume(dev: &'a DeviceConfig, setup: &[TraceRecord]) -> Self {
         Recorder {
             dev,
-            blocks,
             start_s: end_of(setup),
             records: Vec::new(),
         }
@@ -224,7 +224,7 @@ impl<'a> Recorder<'a> {
             cost: report.total_cost,
             bin,
             acc,
-            blocks: self.blocks.then(|| Arc::new(report.block_trace(self.dev))),
+            blocks: report.block_trace(self.dev).map(Arc::new),
             annotations,
         };
         self.push(stage, report.sim_time_s, TraceRecordKind::Kernel(rec));
@@ -785,16 +785,17 @@ impl ExecutionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use speck_simt::{CostModel, KernelConfig};
+    use speck_simt::{BlockRecords, CostModel, KernelConfig};
 
     fn sample_trace() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let cost = CostModel::default();
-        let report = speck_simt::launch(&dev, &cost, "k0", 6, KernelConfig::new(64, 0), |ctx| {
+        let cfg = KernelConfig::new(64, 0);
+        let report = speck_simt::launch(&dev, &cost, "k0", 6, cfg, BlockRecords::Keep, |ctx| {
             ctx.charge_rounds((ctx.block_id() as u64 % 3) * 7 + 1);
             ctx.charge_gmem_tx(5 * ctx.block_id() as u64);
         });
-        let mut rec = Recorder::new(&dev, true);
+        let mut rec = Recorder::new(&dev);
         rec.kernel(
             "symb. SpGEMM",
             &report,
