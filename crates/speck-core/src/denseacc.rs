@@ -10,6 +10,14 @@
 //! In the symbolic pass only a bit mask is needed (1 bit per column —
 //! paper: >500k entries in 96 KiB vs ~24k for a hash map); the numeric
 //! pass stores one value per slot plus the mask.
+//!
+//! The kernels merge whole row segments of B into a chunk
+//! ([`DenseChunk::mark_all`], [`DenseChunk::add_scaled_row`]). Dense rows
+//! put consecutive columns into the same mask word, so the bulk calls
+//! gather a run's bits in a register and write the word once per run
+//! instead of once per column; values are still added one product at a
+//! time, in the same order. The `ops` counter the cost model prices counts
+//! every product either way.
 
 use speck_sparse::Scalar;
 
@@ -114,39 +122,42 @@ impl<V: Scalar> DenseChunk<V> {
         new
     }
 
-    /// Bulk [`DenseChunk::mark`] of a sorted column slice that lies fully
-    /// inside the window — the hot symbolic merge loop, without the
-    /// per-element call and window checks.
+    /// Bulk [`DenseChunk::mark`] of a column slice that lies fully inside
+    /// the window — the hot symbolic merge loop, without the per-element
+    /// call and window checks. The bits of consecutive columns in one mask
+    /// word gather in a register; the word is written once per run.
     pub fn mark_all(&mut self, cols: &[u32]) {
         self.ops += cols.len() as u64;
-        for &c in cols {
-            debug_assert!(self.contains(c));
-            let off = (c - self.base) as usize;
-            let (w, b) = (off / 64, off % 64);
-            let m = 1u64 << b;
-            let word = self.mask[w];
-            self.touched += usize::from(word & m == 0);
-            self.mask[w] = word | m;
-        }
         self.dirty |= !cols.is_empty();
+        let Self {
+            base,
+            width,
+            mask,
+            touched,
+            ..
+        } = self;
+        set_bits(mask, touched, *base, *width, cols, |_, _| {});
     }
 
     /// Bulk [`DenseChunk::add`] of `scale * vals[i]` at `cols[i]` for a
     /// column slice that lies fully inside the window — the hot numeric
-    /// merge loop.
+    /// merge loop. Values are added per element, in slice order; the mask
+    /// is set a word at a time as in [`DenseChunk::mark_all`].
     pub fn add_scaled_row(&mut self, cols: &[u32], vals: &[V], scale: V) {
+        let vals = &vals[..cols.len()];
         self.ops += cols.len() as u64;
-        for (&c, &v) in cols.iter().zip(vals) {
-            debug_assert!(self.contains(c));
-            let off = (c - self.base) as usize;
-            let (w, b) = (off / 64, off % 64);
-            let m = 1u64 << b;
-            let word = self.mask[w];
-            self.touched += usize::from(word & m == 0);
-            self.mask[w] = word | m;
-            self.vals[off] += scale * v;
-        }
         self.dirty |= !cols.is_empty();
+        let Self {
+            base,
+            width,
+            mask,
+            vals: slots,
+            touched,
+            ..
+        } = self;
+        set_bits(mask, touched, *base, *width, cols, |i, off| {
+            slots[off] += scale * vals[i];
+        });
     }
 
     /// Extracts the occupied slots in column order (the compaction +
@@ -264,6 +275,49 @@ impl<V: Scalar> DenseChunk<V> {
         if !self.vals.is_empty() {
             self.vals.truncate(width);
         }
+    }
+}
+
+/// Sets the bits of `cols` in the mask of a window of `width` columns from
+/// `base`, calling `each(i, offset)` for `cols[i]` in slice order. The bits
+/// of a run of columns in one mask word are ORed into a register; the word
+/// is written back, and `touched` raised by its newly set bits, when the
+/// run ends. Duplicate and unsorted columns need no care: a word that comes
+/// back is read again.
+#[inline]
+fn set_bits(
+    mask: &mut [u64],
+    touched: &mut usize,
+    base: u32,
+    width: usize,
+    cols: &[u32],
+    mut each: impl FnMut(usize, usize),
+) {
+    let mut flush = |w: usize, bits: u64| {
+        let word = mask[w];
+        *touched += (bits & !word).count_ones() as usize;
+        mask[w] = word | bits;
+    };
+    let mut w = usize::MAX;
+    let mut bits = 0u64;
+    for (i, &c) in cols.iter().enumerate() {
+        debug_assert!(
+            c >= base && ((c - base) as usize) < width,
+            "column {c} outside the window [{base}, {base} + {width})"
+        );
+        let off = (c - base) as usize;
+        if off / 64 != w {
+            if bits != 0 {
+                flush(w, bits);
+            }
+            w = off / 64;
+            bits = 0;
+        }
+        bits |= 1u64 << (off % 64);
+        each(i, off);
+    }
+    if bits != 0 {
+        flush(w, bits);
     }
 }
 

@@ -1,16 +1,117 @@
 //! Property-based tests of spECK's internal data structures and
 //! heuristics: the hash accumulator against a BTreeMap oracle, its
-//! whole-row inserts against per-key group inserts, the dense
-//! chunk against direct accumulation, Algorithm 2's invariants, and the
-//! local load balancer's contracts.
+//! whole-row inserts (and their hit memo) against per-key group inserts
+//! over several blocks, the dense chunk against direct accumulation and its
+//! bulk merges against per-element ones, Algorithm 2's invariants, and
+//! the local load balancer's contracts.
 
 use proptest::prelude::*;
 use speck_core::block_merge::{block_merge, MERGE_LEVELS};
 use speck_core::denseacc::{dense_iterations, DenseChunk};
-use speck_core::hashacc::{compound_key, split_key, Accumulator};
+use speck_core::hashacc::{compound_key, split_key, Accumulator, MEMO_ENTRIES};
 use speck_core::local_lb::{rounds_for_g, select_group_size};
 use speck_core::LocalLbMode;
 use std::collections::BTreeMap;
+
+/// One step of a multi-block accumulator script: `(kind, local row,
+/// (column, value) entries, scale)`. `kind` picks a whole-row insert (most
+/// steps), the same entries as per-key inserts, a drain or a re-arm.
+type Step = (u32, u32, Vec<(u32, i32)>, i32);
+
+/// Scripts of [`Step`]s over local rows 0..32 (often only 0..4, so rows
+/// repeat) and columns 0..160 with duplicates, in any order. A third of
+/// the steps spread the columns [`MEMO_ENTRIES`] apart, so they share
+/// memo entries.
+fn script() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (
+            0u32..24,
+            0u32..32,
+            proptest::collection::vec((0u32..160, -50i32..50), 0..40),
+            -8i32..8,
+        ),
+        0..40,
+    )
+}
+
+/// Drained `(key, value bits)` pairs; `with_values == false` zeroes the
+/// values, which a symbolic map never writes.
+fn drained(acc: &mut Accumulator<f64>, with_values: bool) -> Vec<(u64, u64)> {
+    acc.drain_sorted()
+        .into_iter()
+        .map(|(k, v)| (k, if with_values { v.to_bits() } else { 0 }))
+        .collect()
+}
+
+/// Runs `steps` on an accumulator fed whole rows (`insert_row_scaled`, or
+/// `insert_row_keys` when `numeric` is false) and on one fed the same keys
+/// one at a time after a `reserve_or_spill` per group of `g`, re-armed
+/// alternately at `capacities.0` and `.1`. Requires the same new-key
+/// counts, statistics, spill state and drained entries at every step.
+fn whole_rows_match_per_key(capacities: (usize, usize), g: usize, steps: &[Step], numeric: bool) {
+    let mut whole: Accumulator<f64> = Accumulator::new(capacities.0);
+    let mut per_key: Accumulator<f64> = Accumulator::new(capacities.0);
+    for (kind, li, entries, a) in steps {
+        let li = if kind % 2 == 0 { li % 4 } else { *li };
+        let a_val = *a as f64 / 4.0;
+        let spread = |c: u32| c % 40 + c / 40 * MEMO_ENTRIES as u32;
+        let cols: Vec<u32> = entries
+            .iter()
+            .map(|&(c, _)| if kind % 3 == 0 { spread(c) } else { c })
+            .collect();
+        let vals: Vec<f64> = entries.iter().map(|&(_, v)| v as f64 / 8.0).collect();
+        match kind {
+            0..=17 => {
+                let new_whole = if numeric {
+                    whole.insert_row_scaled(li, &cols, &vals, a_val, g)
+                } else {
+                    whole.insert_row_keys(li, &cols, g)
+                };
+                let mut new_per_key = 0u32;
+                for (group, group_vals) in cols.chunks(g).zip(vals.chunks(g)) {
+                    per_key.reserve_or_spill(group.len());
+                    for (&c, &v) in group.iter().zip(group_vals) {
+                        let key = compound_key(li, c);
+                        new_per_key += u32::from(if numeric {
+                            per_key.insert(key, a_val * v)
+                        } else {
+                            per_key.insert_key(key)
+                        });
+                    }
+                }
+                assert_eq!(new_whole, new_per_key);
+            }
+            18..=19 => {
+                // Per-key inserts into the memoized accumulator too.
+                for (&c, &v) in cols.iter().zip(&vals) {
+                    let key = compound_key(li, c);
+                    let (w, p) = if numeric {
+                        (whole.insert(key, v), per_key.insert(key, v))
+                    } else {
+                        (whole.insert_key(key), per_key.insert_key(key))
+                    };
+                    assert_eq!(w, p);
+                }
+            }
+            20..=21 => {
+                assert_eq!(drained(&mut whole, numeric), drained(&mut per_key, numeric));
+            }
+            _ => {
+                let capacity = if a % 2 == 0 {
+                    capacities.0
+                } else {
+                    capacities.1
+                };
+                whole.reset(capacity);
+                per_key.reset(capacity);
+            }
+        }
+        assert_eq!(whole.stats, per_key.stats);
+        assert_eq!(whole.spilled_to_global(), per_key.spilled_to_global());
+        assert_eq!(whole.len(), per_key.len());
+    }
+    assert_eq!(drained(&mut whole, numeric), drained(&mut per_key, numeric));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -71,68 +172,22 @@ proptest! {
 
     #[test]
     fn whole_row_key_inserts_match_per_key_group_inserts(
-        capacity in 1usize..64,
+        capacity in 1usize..96,
+        capacity2 in 1usize..96,
         g_log in 0u32..6,
-        rows in proptest::collection::vec(
-            (0u32..32, proptest::collection::vec(0u32..96, 0..40)),
-            0..12,
-        ),
+        steps in script(),
     ) {
-        let g = 1usize << g_log;
-        let mut whole: Accumulator<f64> = Accumulator::new(capacity);
-        let mut per_key: Accumulator<f64> = Accumulator::new(capacity);
-        for (li, cols) in &rows {
-            let new_whole = whole.insert_row_keys(*li, cols, g);
-            let mut new_per_key = 0u32;
-            for group in cols.chunks(g) {
-                per_key.reserve_or_spill(group.len());
-                for &c in group {
-                    new_per_key += u32::from(per_key.insert_key(compound_key(*li, c)));
-                }
-            }
-            prop_assert_eq!(new_whole, new_per_key);
-            prop_assert_eq!(whole.stats, per_key.stats);
-            prop_assert_eq!(whole.spilled_to_global(), per_key.spilled_to_global());
-        }
-        prop_assert_eq!(whole.len(), per_key.len());
-        let keys = |acc: &mut Accumulator<f64>| -> Vec<u64> {
-            acc.drain_sorted().into_iter().map(|(k, _)| k).collect()
-        };
-        prop_assert_eq!(keys(&mut whole), keys(&mut per_key));
+        whole_rows_match_per_key((capacity, capacity2), 1 << g_log, &steps, false);
     }
 
     #[test]
     fn whole_row_scaled_inserts_match_per_key_group_inserts(
-        capacity in 1usize..64,
+        capacity in 1usize..96,
+        capacity2 in 1usize..96,
         g_log in 0u32..6,
-        rows in proptest::collection::vec(
-            (0u32..32, proptest::collection::vec((0u32..96, -50i32..50), 0..40), -8i32..8),
-            0..12,
-        ),
+        steps in script(),
     ) {
-        let g = 1usize << g_log;
-        let mut whole: Accumulator<f64> = Accumulator::new(capacity);
-        let mut per_key: Accumulator<f64> = Accumulator::new(capacity);
-        for (li, entries, a) in &rows {
-            let a_val = *a as f64 / 4.0;
-            let cols: Vec<u32> = entries.iter().map(|&(c, _)| c).collect();
-            let vals: Vec<f64> = entries.iter().map(|&(_, v)| v as f64 / 8.0).collect();
-            let new_whole = whole.insert_row_scaled(*li, &cols, &vals, a_val, g);
-            let mut new_per_key = 0u32;
-            for (group, group_vals) in cols.chunks(g).zip(vals.chunks(g)) {
-                per_key.reserve_or_spill(group.len());
-                for (&c, &v) in group.iter().zip(group_vals) {
-                    new_per_key += u32::from(per_key.insert(compound_key(*li, c), a_val * v));
-                }
-            }
-            prop_assert_eq!(new_whole, new_per_key);
-            prop_assert_eq!(whole.stats, per_key.stats);
-            prop_assert_eq!(whole.spilled_to_global(), per_key.spilled_to_global());
-        }
-        let bits = |acc: &mut Accumulator<f64>| -> Vec<(u64, u64)> {
-            acc.drain_sorted().into_iter().map(|(k, v)| (k, v.to_bits())).collect()
-        };
-        prop_assert_eq!(bits(&mut whole), bits(&mut per_key));
+        whole_rows_match_per_key((capacity, capacity2), 1 << g_log, &steps, true);
     }
 
     #[test]
@@ -224,6 +279,50 @@ proptest! {
             prop_assert_eq!(c, oc);
             prop_assert!((v - ov).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn dense_bulk_merges_match_per_element_ones(
+        base in 0u32..1000,
+        width in 1usize..300,
+        slices in proptest::collection::vec(
+            (proptest::collection::vec((0usize..300, -50i32..50), 0..80), 0u32..2, -8i32..8),
+            0..8,
+        ),
+    ) {
+        let mut bulk: DenseChunk<f64> = DenseChunk::numeric(base, width);
+        let mut single: DenseChunk<f64> = DenseChunk::numeric(base, width);
+        let mut bulk_mask: DenseChunk<f64> = DenseChunk::symbolic(base, width);
+        let mut single_mask: DenseChunk<f64> = DenseChunk::symbolic(base, width);
+        for (entries, sorted, a) in &slices {
+            // Offsets wrap into the window; runs cross word boundaries.
+            let mut entries: Vec<(u32, f64)> = entries
+                .iter()
+                .map(|&(off, v)| (base + (off % width) as u32, v as f64 / 8.0))
+                .collect();
+            if *sorted == 1 {
+                entries.sort_by_key(|&(c, _)| c);
+            }
+            let cols: Vec<u32> = entries.iter().map(|&(c, _)| c).collect();
+            let vals: Vec<f64> = entries.iter().map(|&(_, v)| v).collect();
+            let scale = *a as f64 / 4.0;
+            bulk.add_scaled_row(&cols, &vals, scale);
+            bulk_mask.mark_all(&cols);
+            for (&c, &v) in cols.iter().zip(&vals) {
+                single.add(c, scale * v);
+                single_mask.mark(c);
+            }
+            prop_assert_eq!(bulk.touched(), single.touched());
+            prop_assert_eq!(bulk.ops, single.ops);
+            prop_assert_eq!(bulk_mask.touched(), single_mask.touched());
+            prop_assert_eq!(bulk_mask.ops, single_mask.ops);
+        }
+        let bits = |c: &DenseChunk<f64>| -> Vec<(u32, u64)> {
+            c.extract_sorted().into_iter().map(|(col, v)| (col, v.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&bulk), bits(&single));
+        prop_assert_eq!(bits(&bulk_mask), bits(&single_mask));
+        prop_assert_eq!(bulk_mask.touched(), bulk.touched());
     }
 
     #[test]
