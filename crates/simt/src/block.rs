@@ -2,16 +2,89 @@
 //! and to record its cost.
 
 use crate::cost::BlockCost;
+use crate::device::DeviceConfig;
 use crate::kernel::KernelConfig;
 use crate::scratchpad::Scratchpad;
+
+/// A divisor prepared for repeated division: a shift and a mask when it
+/// is a power of two, a hardware division otherwise. Every result equals
+/// the plain integer operation's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two, `u32::MAX` otherwise.
+    shift: u32,
+}
+
+impl Divisor {
+    /// Prepares `d`. Panics if `d` is zero.
+    #[inline]
+    pub fn new(d: u64) -> Self {
+        assert!(d > 0, "Divisor: division by zero");
+        let shift = if d.is_power_of_two() {
+            d.trailing_zeros()
+        } else {
+            u32::MAX
+        };
+        Self { d, shift }
+    }
+
+    /// The divisor.
+    #[inline]
+    pub fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `x.div_ceil(d)`.
+    #[inline]
+    pub fn quotient_ceil(self, x: u64) -> u64 {
+        if self.shift != u32::MAX {
+            (x >> self.shift) + u64::from(x & (self.d - 1) != 0)
+        } else {
+            x.div_ceil(self.d)
+        }
+    }
+
+    /// `(x / d, x % d)`.
+    #[inline]
+    pub fn quotient_rem(self, x: u64) -> (u64, u64) {
+        if self.shift != u32::MAX {
+            (x >> self.shift, x & (self.d - 1))
+        } else {
+            (x / self.d, x % self.d)
+        }
+    }
+}
+
+/// What every block of one launch prices with, prepared once per launch
+/// so a charge never divides by the block or transaction size.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LaunchPricing {
+    cfg: KernelConfig,
+    warp_size: usize,
+    /// Warps resident in a block (rounded up).
+    warps: u64,
+    threads: Divisor,
+    transaction_bytes: Divisor,
+}
+
+impl LaunchPricing {
+    pub(crate) fn new(dev: &DeviceConfig, cfg: KernelConfig) -> Self {
+        Self {
+            cfg,
+            warp_size: dev.warp_size,
+            warps: (cfg.threads as u64).div_ceil(dev.warp_size as u64),
+            threads: Divisor::new(cfg.threads as u64),
+            transaction_bytes: Divisor::new(dev.transaction_bytes as u64),
+        }
+    }
+}
 
 /// Context handed to a kernel closure, one per thread block.
 #[derive(Debug)]
 pub struct BlockCtx {
     block_id: usize,
-    cfg: KernelConfig,
-    transaction_bytes: usize,
-    warp_size: usize,
+    pricing: LaunchPricing,
     /// Scratchpad arena of this block.
     pub scratch: Scratchpad,
     cost: BlockCost,
@@ -19,18 +92,12 @@ pub struct BlockCtx {
 
 impl BlockCtx {
     /// Creates a context (called by the executor).
-    pub(crate) fn new(
-        block_id: usize,
-        cfg: KernelConfig,
-        transaction_bytes: usize,
-        warp_size: usize,
-    ) -> Self {
+    #[inline]
+    pub(crate) fn new(block_id: usize, pricing: LaunchPricing) -> Self {
         Self {
             block_id,
-            cfg,
-            transaction_bytes,
-            warp_size,
-            scratch: Scratchpad::new(cfg.scratch_bytes),
+            pricing,
+            scratch: Scratchpad::new(pricing.cfg.scratch_bytes),
             cost: BlockCost::default(),
         }
     }
@@ -44,13 +111,13 @@ impl BlockCtx {
     /// Threads in this block.
     #[inline]
     pub fn threads(&self) -> usize {
-        self.cfg.threads
+        self.pricing.cfg.threads
     }
 
     /// SIMT width of the device.
     #[inline]
     pub fn warp_size(&self) -> usize {
-        self.warp_size
+        self.pricing.warp_size
     }
 
     /// Events recorded so far.
@@ -65,7 +132,14 @@ impl BlockCtx {
     /// Warps resident in this block (rounded up).
     #[inline]
     pub fn warps(&self) -> u64 {
-        (self.cfg.threads as u64).div_ceil(self.warp_size as u64)
+        self.pricing.warps
+    }
+
+    /// Rounds the whole block needs to cover `n` items, one per thread:
+    /// `ceil(n / threads)`.
+    #[inline]
+    pub fn thread_rounds(&self, n: u64) -> u64 {
+        self.pricing.threads.quotient_ceil(n)
     }
 
     // ---- low-level charges -------------------------------------------------
@@ -140,45 +214,50 @@ impl BlockCtx {
     /// `ceil(g*elem_bytes/tx)` transactions (the coalescing model of paper
     /// Fig. 1). Returns the number of rounds.
     pub fn charge_gmem_stream(&mut self, g: usize, len: usize, elem_bytes: usize) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let g = g.max(1);
-        let rounds = len.div_ceil(g) as u64;
-        self.cost.issue_rounds += rounds * self.warps();
-        // Full rounds move g elements; the last moves the remainder.
-        let full = (len / g) as u64;
-        let tx_full = (g * elem_bytes).div_ceil(self.transaction_bytes) as u64;
-        self.cost.gmem_tx += full * tx_full;
-        let rem = len % g;
-        if rem > 0 {
-            self.cost.gmem_tx += (rem * elem_bytes).div_ceil(self.transaction_bytes) as u64;
-        }
-        rounds
+        self.charge_stream_by(Divisor::new(g.max(1) as u64), len, elem_bytes)
     }
 
     /// Cost of writing `len` consecutive elements back to global memory by
     /// the whole block (coalesced, `threads`-wide).
     pub fn charge_gmem_store(&mut self, len: usize, elem_bytes: usize) -> u64 {
-        self.charge_gmem_stream(self.cfg.threads, len, elem_bytes)
+        self.charge_stream_by(self.pricing.threads, len, elem_bytes)
+    }
+
+    /// [`BlockCtx::charge_gmem_stream`] for a prepared group size.
+    #[inline]
+    fn charge_stream_by(&mut self, g: Divisor, len: usize, elem_bytes: usize) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let rounds = g.quotient_ceil(len as u64);
+        self.cost.issue_rounds += rounds * self.pricing.warps;
+        self.cost.gmem_tx += self.stream_tx_by(g, len as u64, elem_bytes as u64);
+        rounds
     }
 
     /// Transaction count of a `g`-wide stream over `len` elements of
     /// `elem_bytes` each, *without* charging anything. Kernels that compute
     /// their issue rounds separately (via [`simulate_group_rounds`]) use
     /// this to charge memory traffic without double-counting rounds.
+    #[inline]
     pub fn stream_tx(&self, g: usize, len: usize, elem_bytes: usize) -> u64 {
         if len == 0 {
             return 0;
         }
-        let g = g.max(1);
-        let full = (len / g) as u64;
-        let mut tx = full * ((g * elem_bytes).div_ceil(self.transaction_bytes) as u64);
-        let rem = len % g;
+        self.stream_tx_by(Divisor::new(g.max(1) as u64), len as u64, elem_bytes as u64)
+    }
+
+    /// Full rounds move `g` elements, `ceil(g * elem_bytes / tx)`
+    /// transactions each; the last round moves the remainder.
+    #[inline]
+    fn stream_tx_by(&self, g: Divisor, len: u64, elem_bytes: u64) -> u64 {
+        let tx = self.pricing.transaction_bytes;
+        let (full, rem) = g.quotient_rem(len);
+        let mut total = full * tx.quotient_ceil(g.get() * elem_bytes);
         if rem > 0 {
-            tx += (rem * elem_bytes).div_ceil(self.transaction_bytes) as u64;
+            total += tx.quotient_ceil(rem * elem_bytes);
         }
-        tx
+        total
     }
 }
 
@@ -189,14 +268,14 @@ impl BlockCtx {
 /// never beat the single longest task. Returns
 /// `max(ceil(total_iters / k), max_task_iters)`.
 pub fn simulate_group_rounds(k: usize, iters_per_task: impl IntoIterator<Item = u64>) -> u64 {
-    let k = k.max(1) as u64;
+    let k = Divisor::new(k.max(1) as u64);
     let mut total = 0u64;
     let mut max_task = 0u64;
     for it in iters_per_task {
         total += it;
         max_task = max_task.max(it);
     }
-    max_task.max(total.div_ceil(k))
+    max_task.max(k.quotient_ceil(total))
 }
 
 #[cfg(test)]
@@ -204,7 +283,14 @@ mod tests {
     use super::*;
 
     fn ctx() -> BlockCtx {
-        BlockCtx::new(0, KernelConfig::new(256, 16 * 1024), 128, 32)
+        let dev = DeviceConfig {
+            transaction_bytes: 128,
+            ..DeviceConfig::titan_v()
+        };
+        BlockCtx::new(
+            0,
+            LaunchPricing::new(&dev, KernelConfig::new(256, 16 * 1024)),
+        )
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! its caller asks with [`BlockRecords::Keep`] (a tracing or auditing
 //! engine). Whether they are kept never changes the report's figures.
 
-use crate::block::BlockCtx;
+use crate::block::{BlockCtx, LaunchPricing};
 use crate::cost::{BlockCost, CostModel};
 use crate::device::DeviceConfig;
 use crate::kernel::KernelConfig;
@@ -355,6 +355,7 @@ where
     F: Fn(&mut T, &mut BlockCtx) -> R + Sync,
 {
     let total = Mutex::new(BlockCost::default());
+    let pricing = LaunchPricing::new(dev, cfg);
     let blocks = (0..grid)
         .into_par_iter()
         .map_init(
@@ -364,7 +365,7 @@ where
                 launch_total: &total,
             },
             |chunk, block_id| {
-                let mut ctx = BlockCtx::new(block_id, cfg, dev.transaction_bytes, dev.warp_size);
+                let mut ctx = BlockCtx::new(block_id, pricing);
                 let r = f(&mut chunk.state, &mut ctx);
                 let c = ctx.into_cost();
                 chunk.total = chunk.total.merge(&c);

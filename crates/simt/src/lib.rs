@@ -38,7 +38,7 @@ pub mod scratchpad;
 pub mod timeline;
 pub mod trace;
 
-pub use block::{simulate_group_rounds, BlockCtx};
+pub use block::{simulate_group_rounds, BlockCtx, Divisor};
 pub use cost::{BlockCost, CostModel, COST_COUNTER_NAMES};
 pub use device::DeviceConfig;
 pub use exec::{

@@ -8,6 +8,7 @@
 //! clamped so every thread has work, and is rounded to a power of two.
 
 use crate::config::LocalLbMode;
+use speck_simt::{simulate_group_rounds, Divisor};
 
 /// Rounds to the nearest power of two (ties go up), result >= 1.
 fn round_pow2(x: f64) -> usize {
@@ -70,7 +71,8 @@ pub fn select_group_size(
 pub fn rounds_for_g(g: usize, threads: usize, b_row_lens: impl IntoIterator<Item = u64>) -> u64 {
     let g = g.max(1);
     let k = (threads / g).max(1);
-    speck_simt::simulate_group_rounds(k, b_row_lens.into_iter().map(|l| l.div_ceil(g as u64)))
+    let per_task = Divisor::new(g as u64);
+    simulate_group_rounds(k, b_row_lens.into_iter().map(|l| per_task.quotient_ceil(l)))
 }
 
 /// Work/span lower bound on the issue rounds a block needs at group size

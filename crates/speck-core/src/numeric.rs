@@ -22,7 +22,7 @@ use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
 use crate::symbolic::LaunchGroups;
-use crate::workspace::{Slots, Workspace, WorkspacePool};
+use crate::workspace::{RowOut, RowSlices, Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, launch_map_init, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelReport,
 };
@@ -33,31 +33,9 @@ use speck_sparse::{Csr, Scalar};
 /// radix pass, and how many entries it wrote.
 type BlockResult = (bool, bool, usize);
 
-/// One row of C: its column and value slices in the final arrays.
-type RowOut<'c, V> = (&'c mut [u32], &'c mut [V]);
-
-/// C's column and value arrays split into one slice pair per row, each
-/// handed to the one block that computes the row.
-type RowSlots<'c, V> = Slots<RowOut<'c, V>>;
-
-/// Splits `cols`/`vals` at the offsets of `row_ptr`.
-fn row_slots<'c, V>(
-    row_ptr: &[usize],
-    mut cols: &'c mut [u32],
-    mut vals: &'c mut [V],
-) -> RowSlots<'c, V> {
-    Slots::new(row_ptr.windows(2).map(|w| {
-        let len = w[1] - w[0];
-        let (c, rest) = std::mem::take(&mut cols).split_at_mut(len);
-        cols = rest;
-        let (v, rest) = std::mem::take(&mut vals).split_at_mut(len);
-        vals = rest;
-        (c, v)
-    }))
-}
-
 /// Takes row `r`'s output slices; panics if the row was taken before.
-fn take_row<'c, V>(out: &RowSlots<'c, V>, r: u32) -> RowOut<'c, V> {
+#[inline]
+fn take_row<'c, V>(out: &RowSlices<'c, V>, r: u32) -> RowOut<'c, V> {
     out.take(r as usize)
         .unwrap_or_else(|| panic!("numeric row {r} computed twice"))
 }
@@ -99,7 +77,7 @@ impl<V> NumericOutput<V> {
 fn hash_block<V: Scalar>(
     ctx: &mut BlockCtx,
     ws: &mut Workspace<V>,
-    out: &RowSlots<'_, V>,
+    out: &RowSlices<'_, V>,
     a: &Csr<V>,
     b: &Csr<V>,
     info: &AnalysisInfo,
@@ -155,7 +133,7 @@ fn hash_block<V: Scalar>(
     }
     // Write n (col, val) pairs out, coalesced.
     ctx.charge_gmem_store(n, entry_bytes);
-    ctx.charge_rounds((capacity as u64).div_ceil(threads as u64));
+    ctx.charge_rounds(ctx.thread_rounds(capacity as u64));
 
     // Keys sort row-major, so each local row's entries are one run.
     let mut rest = &entries[..];
@@ -181,7 +159,7 @@ fn hash_block<V: Scalar>(
 fn dense_block<V: Scalar>(
     ctx: &mut BlockCtx,
     ws: &mut Workspace<V>,
-    out: &RowSlots<'_, V>,
+    out: &RowSlices<'_, V>,
     a: &Csr<V>,
     b: &Csr<V>,
     info: &AnalysisInfo,
@@ -242,7 +220,7 @@ fn dense_block<V: Scalar>(
         });
         let stored = written - start;
         ctx.charge_smem((dense.width() as u64) / 8);
-        ctx.charge_rounds((dense.width() as u64).div_ceil(threads as u64));
+        ctx.charge_rounds(ctx.thread_rounds(dense.width() as u64));
         ctx.charge_gmem_store(stored, 12);
         ctx.charge_smem(a_cols.len() as u64);
         ctx.charge_sync();
@@ -253,7 +231,7 @@ fn dense_block<V: Scalar>(
         tx += ctx.stream_tx(threads, b.row_nnz(k as usize), 12);
     }
     ctx.charge_gmem_tx(tx);
-    ctx.charge_rounds(ri.products.div_ceil(threads as u64));
+    ctx.charge_rounds(ctx.thread_rounds(ri.products));
     ctx.charge_gmem_scatter(a_cols.len() as u64 + 1);
     (false, false, written)
 }
@@ -262,7 +240,7 @@ fn dense_block<V: Scalar>(
 /// (paper §4.3 "Single entry rows of A").
 fn direct_block<V: Scalar>(
     ctx: &mut BlockCtx,
-    out: &RowSlots<'_, V>,
+    out: &RowSlices<'_, V>,
     a: &Csr<V>,
     b: &Csr<V>,
     rows: &[u32],
@@ -353,7 +331,7 @@ pub fn run_numeric<V: Scalar>(
     let total = *row_ptr.last().unwrap_or(&0);
     let mut col_idx = vec![0u32; total];
     let mut vals = vec![V::zero(); total];
-    let out = row_slots(row_ptr, &mut col_idx, &mut vals);
+    let out = RowSlices::new(row_ptr, &mut col_idx, &mut vals);
 
     for (&(method, cfg_idx), group) in job.groups {
         let kc = cascade.config(cfg_idx);
@@ -632,6 +610,74 @@ mod tests {
         tampered_multiply(&a, &SpeckConfig::default(), |plan, _| {
             plan.blocks.pop();
         });
+    }
+
+    /// Removes row `r` from whichever block computes it (and the block,
+    /// if that was its only row).
+    fn drop_row(plan: &mut PassPlan, r: u32) {
+        let blocks: Vec<(Vec<u32>, usize, AccMethod)> = (0..plan.blocks.len())
+            .map(|i| {
+                let rows = plan.block_rows(i).iter().copied().filter(|&x| x != r);
+                (
+                    rows.collect(),
+                    plan.blocks[i].cfg_idx,
+                    plan.blocks[i].method,
+                )
+            })
+            .collect();
+        plan.blocks.clear();
+        plan.rows.clear();
+        for (rows, cfg_idx, method) in blocks.iter().filter(|b| !b.0.is_empty()) {
+            plan.push_block(rows, *cfg_idx, *method);
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("the multiply must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn row_hand_out_checks_hold_around_the_bitmap_word_boundary() {
+        // C's rows are handed out through one take-once bit each, 64 to a
+        // word: the last row sits in a partial, a full and a one-bit word.
+        for n in [0usize, 63, 64, 65] {
+            let cfg = SpeckConfig::default();
+            if n == 0 {
+                let a: Csr<f64> = Csr::empty(0, 0);
+                assert_eq!(check(&a, &cfg).c.rows(), 0);
+                continue;
+            }
+            let a = uniform_random(n, n, 2, 8, 40 + n as u64);
+            check(&a, &cfg);
+            let last = n as u32 - 1;
+            let msg = panic_message(|| {
+                tampered_multiply(&a, &cfg, |plan, _| drop_row(plan, last));
+            });
+            assert!(
+                msg.contains("some rows were never computed"),
+                "{n} rows: {msg}"
+            );
+            let msg = panic_message(|| {
+                tampered_multiply(&a, &cfg, |plan, _| {
+                    let block = *plan.blocks.last().unwrap();
+                    plan.blocks.push(block);
+                });
+            });
+            assert!(msg.contains("computed twice"), "{n} rows: {msg}");
+        }
+    }
+
+    #[test]
+    fn many_row_multiply_matches_reference() {
+        // 300,000 rows: C's hand-out spans thousands of bitmap words.
+        let a = speck_sparse::gen::banded(300_000, 1, 1.0, 1);
+        check(&a, &SpeckConfig::default());
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn dense_block<V: Scalar>(
         count += chunk.touched() as u32;
         // Per-chunk cost: cursor bookkeeping and the bit-count reduction.
         ctx.charge_smem(a_cols.len() as u64);
-        ctx.charge_rounds((width as u64 / 64).div_ceil(threads as u64) + 1);
+        ctx.charge_rounds(ctx.thread_rounds(width as u64 / 64) + 1);
         ctx.charge_sync();
     }
     // Streaming cost: every element of every referenced row is visited
@@ -192,7 +192,7 @@ fn dense_block<V: Scalar>(
         tx += ctx.stream_tx(threads, b.row_nnz(k as usize), 4);
     }
     ctx.charge_gmem_tx(tx);
-    ctx.charge_rounds(ri.products.div_ceil(threads as u64));
+    ctx.charge_rounds(ctx.thread_rounds(ri.products));
     ctx.charge_gmem_scatter(a_cols.len() as u64 + 1);
     count
 }
@@ -211,7 +211,6 @@ fn direct_block<V: Scalar>(
         "a direct block holds at most {DIRECT_ROWS_PER_BLOCK} rows, got {}",
         rows.len()
     );
-    let threads = ctx.threads();
     let mut counts = [0u32; DIRECT_ROWS_PER_BLOCK];
     for (count, &r) in counts.iter_mut().zip(rows) {
         let (a_cols, _) = a.row(r as usize);
@@ -221,7 +220,7 @@ fn direct_block<V: Scalar>(
         }
     }
     // Two offset reads of A and two of B per row, one count written.
-    ctx.charge_rounds((rows.len() as u64).div_ceil(threads as u64) * 2);
+    ctx.charge_rounds(ctx.thread_rounds(rows.len() as u64) * 2);
     ctx.charge_gmem_scatter(4 * rows.len() as u64);
     ctx.charge_gmem_scatter(rows.len() as u64);
     counts

@@ -14,9 +14,10 @@
 //! [`SharedWorkspaces`] keeps one pool per scalar type so an engine can
 //! reuse them across `multiply` calls — including concurrent multiplies
 //! through engine clones, which all draw from the same registry. Kernels
-//! that write one output buffer in place (the row analysis, the numeric
-//! pass) hand its disjoint pieces to their blocks through the
-//! crate-private `Slots`.
+//! that write one output buffer in place hand its disjoint pieces to their
+//! blocks once each, through a take-once bitmap: the row analysis its
+//! per-block chunks (the crate-private `Slots`), the numeric pass C's rows
+//! (`RowSlices`).
 //!
 //! **Invariant — host-side reuse never changes simulated cost.** Whatever
 //! a kernel charges through [`speck_simt::BlockCtx`] must be identical
@@ -28,40 +29,146 @@ use crate::denseacc::DenseChunk;
 use crate::hashacc::Accumulator;
 use speck_sparse::Scalar;
 use std::any::{Any, TypeId};
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Disjoint pieces of one output buffer — per-row slices of C, per-block
-/// chunks of the row-analysis records — each handed out once to the block
-/// that writes it, so parallel blocks fill one buffer in place.
-pub(crate) struct Slots<T> {
-    slots: Vec<Mutex<Option<T>>>,
+/// One take-once flag per piece of an output buffer, 64 to a word: a
+/// piece is claimed by the one `fetch_or` that sets its bit.
+struct TakenBits {
+    words: Box<[AtomicU64]>,
+    len: usize,
 }
+
+impl TakenBits {
+    fn new(len: usize) -> Self {
+        Self {
+            words: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            len,
+        }
+    }
+
+    /// Claims piece `i` (`i < len`); false if it was claimed before. The
+    /// claim orders nothing else: the pieces' contents were written before
+    /// the launch and are read back after it, and the pool's dispatch
+    /// orders both.
+    #[inline]
+    fn claim(&self, i: usize) -> bool {
+        debug_assert!(i < self.len);
+        let bit = 1u64 << (i % 64);
+        self.words[i / 64].fetch_or(bit, Ordering::Relaxed) & bit == 0
+    }
+
+    /// Whether every piece has been claimed.
+    fn all_claimed(&self) -> bool {
+        let full = self.len / 64;
+        let tail = self.len % 64;
+        self.words[..full]
+            .iter()
+            .all(|w| w.load(Ordering::Relaxed) == u64::MAX)
+            && (tail == 0 || self.words[full].load(Ordering::Relaxed) == (1u64 << tail) - 1)
+    }
+}
+
+/// Disjoint pieces of one output buffer — per-block chunks of the
+/// row-analysis records — each handed out once to the block that writes
+/// it, so parallel blocks fill one buffer in place.
+pub(crate) struct Slots<T> {
+    pieces: Box<[UnsafeCell<Option<T>>]>,
+    taken: TakenBits,
+}
+
+// SAFETY: a piece moves out through `take` on one thread only, the one
+// whose claim of its bit succeeded, so sharing the slots moves each `T`
+// to at most one other thread; `taken` is atomics.
+unsafe impl<T: Send> Sync for Slots<T> {}
 
 impl<T> Slots<T> {
     /// One slot per piece, in order.
     pub(crate) fn new(pieces: impl IntoIterator<Item = T>) -> Self {
-        Self {
-            slots: pieces.into_iter().map(|p| Mutex::new(Some(p))).collect(),
-        }
+        let pieces: Box<[_]> = pieces
+            .into_iter()
+            .map(|p| UnsafeCell::new(Some(p)))
+            .collect();
+        let taken = TakenBits::new(pieces.len());
+        Self { pieces, taken }
     }
 
     /// Takes piece `i`; `None` if it was taken before.
     pub(crate) fn take(&self, i: usize) -> Option<T> {
-        self.slots[i]
-            .lock()
-            .expect("a slot is never held across a panic")
-            .take()
+        let piece = &self.pieces[i];
+        if !self.taken.claim(i) {
+            return None;
+        }
+        // SAFETY: the claim succeeds once per index, so this is the only
+        // access to the cell after construction.
+        unsafe { (*piece.get()).take() }
+    }
+}
+
+/// One row of C: its column and value slices in the final arrays.
+pub(crate) type RowOut<'c, V> = (&'c mut [u32], &'c mut [V]);
+
+/// C's column and value arrays, handed out a row at a time: row `r` is
+/// `row_ptr[r]..row_ptr[r + 1]` of both, taken once by the block that
+/// computes it. Nothing is built per row besides one bit, so handing out
+/// a 300,000-row C costs a 37 KB bitmap, not a table of slice pairs.
+pub(crate) struct RowSlices<'c, V> {
+    row_ptr: &'c [usize],
+    cols: *mut u32,
+    vals: *mut V,
+    taken: TakenBits,
+    _out: PhantomData<RowOut<'c, V>>,
+}
+
+// SAFETY: `take` hands each row's slices to one thread only (see there),
+// so sharing the hand-out moves each `&mut` row to at most one thread;
+// `row_ptr` is only read and `taken` is atomics.
+unsafe impl<V: Send> Sync for RowSlices<'_, V> {}
+
+impl<'c, V> RowSlices<'c, V> {
+    /// Splits `cols`/`vals` at the offsets of `row_ptr`. Panics unless the
+    /// offsets never decrease and the last one fits both arrays.
+    pub(crate) fn new(row_ptr: &'c [usize], cols: &'c mut [u32], vals: &'c mut [V]) -> Self {
+        let ordered = row_ptr.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
+        let end = row_ptr.last().copied().unwrap_or(0);
+        assert!(
+            ordered && end <= cols.len() && end <= vals.len(),
+            "row offsets must never decrease and must fit C's arrays"
+        );
+        Self {
+            row_ptr,
+            cols: cols.as_mut_ptr(),
+            vals: vals.as_mut_ptr(),
+            taken: TakenBits::new(row_ptr.len().saturating_sub(1)),
+            _out: PhantomData,
+        }
     }
 
-    /// Whether every piece has been taken.
-    pub(crate) fn all_taken(self) -> bool {
-        self.slots.into_iter().all(|m| {
-            m.into_inner()
-                .expect("a slot is never held across a panic")
-                .is_none()
-        })
+    /// Takes row `r`'s slices; `None` if it was taken before.
+    #[inline]
+    pub(crate) fn take(&self, r: usize) -> Option<RowOut<'c, V>> {
+        let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        if !self.taken.claim(r) {
+            return None;
+        }
+        // SAFETY: `new` checked that the offsets never decrease and end
+        // within both arrays, so rows are disjoint in-bounds ranges of
+        // buffers borrowed mutably for `'c`; the claim succeeds once per
+        // row, so no two live slices overlap.
+        unsafe {
+            Some((
+                std::slice::from_raw_parts_mut(self.cols.add(start), end - start),
+                std::slice::from_raw_parts_mut(self.vals.add(start), end - start),
+            ))
+        }
+    }
+
+    /// Whether every row has been taken.
+    pub(crate) fn all_taken(&self) -> bool {
+        self.taken.all_claimed()
     }
 }
 
