@@ -7,7 +7,8 @@
 #                       #     engine's debug tests and the pool's and
 #                       #     simulator's tests at 3 pool threads) +
 #                       #     perfbench build and smoke run + three
-#                       #     experiments run by name
+#                       #     experiments run by name + one round of
+#                       #     each host-cost probe
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -150,6 +151,14 @@ experiments_smoke() {
         >target/ci/experiments.txt
 }
 
+# The host-cost probes (examples) run once at one round each, so they
+# keep running and not just compiling.
+examples_smoke() {
+    cargo run --release --offline -p speck-simt --example launch_overhead -- 1
+    RAYON_NUM_THREADS=1 cargo run --release --offline -p speck-core --example accumulator_cost -- 1
+    RAYON_NUM_THREADS=1 cargo run --release --offline -p speck-core --example setup_cost -- 1
+}
+
 # One bench run serves every enabled bench gate.
 if [ "$run_bench" -eq 1 ]; then
     bench_out=BENCH_throughput.json
@@ -259,6 +268,7 @@ gate "cargo test (rayon + speck-simt, RAYON_NUM_THREADS=3)" oversubscribed_tests
 gate "perfbench build (repo benchmark against the engine API)" perfbench_build
 gate "perfbench smoke run (small workload, 1 s)" perfbench_smoke
 gate "experiment driver (run_all_experiments table4 fig8 fig11)" experiments_smoke
+gate "examples_smoke (launch_overhead, accumulator_cost, setup_cost at ROUNDS=1)" examples_smoke
 
 if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
     || [ "$run_audit" -eq 1 ]; then

@@ -18,8 +18,8 @@
 
 use speck_core::analysis::AnalysisInfo;
 use speck_core::global_lb::{plan_numeric, plan_symbolic, AccMethod, PassPlan};
-use speck_core::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
-use speck_core::symbolic::{group_blocks, run_symbolic};
+use speck_core::numeric::run_numeric;
+use speck_core::symbolic::run_symbolic;
 use speck_core::workspace::WorkspacePool;
 use speck_core::{analyze, KernelCascade, SpeckConfig};
 use speck_simt::{BlockRecords, CostModel, DeviceConfig};
@@ -48,8 +48,11 @@ fn share(plan: &PassPlan, info: &AnalysisInfo, method: AccMethod) -> f64 {
             .map(|&r| info.rows[r as usize].products)
             .sum()
     };
-    let mine: u64 = (0..plan.blocks.len())
-        .filter(|&i| plan.blocks[i].method == method)
+    let mine: u64 = plan
+        .launches
+        .iter()
+        .filter(|l| l.method == method)
+        .flat_map(|l| l.blocks.clone())
         .map(products)
         .sum();
     mine as f64 / info.total_products.max(1) as f64
@@ -87,13 +90,7 @@ fn passes(
         8,
         skip,
     );
-    let groups = group_blocks(&nplan);
-    let row_ptr = row_ptr_from_nnz(&row_nnz);
-    let job = NumericJob {
-        plan: &nplan,
-        groups: &groups,
-        row_ptr: &row_ptr,
-    };
+    let job = nplan.job();
     let num_s = best_of(rounds, || {
         black_box(run_numeric(
             &dev, &cost, &cascade, cfg, a, b, &info, &job, &pool, skip,
@@ -103,7 +100,7 @@ fn passes(
         info.total_products,
         [
             (sym_s, share(&splan, &info, method)),
-            (num_s, share(&nplan, &info, method)),
+            (num_s, share(&nplan.plan, &info, method)),
         ],
     )
 }

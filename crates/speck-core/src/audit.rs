@@ -36,14 +36,12 @@ use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, symbolic_entry_bytes, KernelCascade};
 use crate::config::{GlobalLbMode, SpeckConfig};
 use crate::global_lb::{
-    numeric_entries, plan_numeric, plan_symbolic, symbolic_entries, AccMethod, GateProvenance,
-    PassPlan,
+    numeric_entries, plan_numeric, plan_symbolic, AccMethod, GateProvenance, PassPlan,
 };
 use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::{alternative_group_sizes, estimated_rounds};
 use crate::pipeline::stage;
 use crate::profile::{cell_labels, pair_by_key, BinKey};
-use crate::symbolic::group_blocks;
 use crate::trace::ExecutionTrace;
 use speck_simt::{BlockCost, BlockRecords, CostModel, DeviceConfig};
 use std::collections::BTreeMap;
@@ -486,7 +484,7 @@ pub(crate) fn build_report(
             spgemm_stage: stage::SYMBOLIC,
             load_stage: stage::SYMBOLIC_LOAD,
             gate: sym_gate,
-            entries: symbolic_entries(info),
+            entries: info.rows.iter().map(|r| r.products).collect(),
             entry_bytes: symbolic_entry_bytes(b_cols),
         },
         PassCtx {
@@ -494,7 +492,10 @@ pub(crate) fn build_report(
             spgemm_stage: stage::NUMERIC,
             load_stage: stage::NUMERIC_LOAD,
             gate: num_gate,
-            entries: numeric_entries(row_nnz, cfg.numeric_max_fill),
+            entries: row_nnz
+                .iter()
+                .map(|&n| numeric_entries(n, cfg.numeric_max_fill))
+                .collect(),
             entry_bytes: numeric_entry_bytes(b_cols, val_bytes),
         },
     ];
@@ -647,6 +648,7 @@ fn gate_record(
             val_bytes,
             BlockRecords::Skip,
         )
+        .plan
     };
     // Measured per-row cycles of the pass, the profiler's attribution.
     let attr = trace.row_cycles(Some(p.spgemm_stage));
@@ -658,10 +660,11 @@ fn gate_record(
             alt_est += r.sim_cycles;
         }
     }
-    for group in group_blocks(&alt_plan).values() {
-        let block_cycles: Vec<f64> = group
-            .iter()
-            .map(|&bi| {
+    for l in &alt_plan.launches {
+        let block_cycles: Vec<f64> = l
+            .blocks
+            .clone()
+            .map(|bi| {
                 alt_plan
                     .block_rows(bi)
                     .iter()

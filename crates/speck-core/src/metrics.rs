@@ -117,6 +117,13 @@ impl Histogram {
         self.sum = self.sum.wrapping_add(v);
     }
 
+    /// Records `n` observations of `v` at once.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        self.buckets[bucket_of(v)] += n;
+        self.count += n;
+        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
+    }
+
     /// Adds every observation of `other`.
     pub fn merge(&mut self, other: &Histogram) {
         for (b, n) in self.buckets.iter_mut().zip(other.buckets) {

@@ -17,11 +17,10 @@ use crate::config::SpeckConfig;
 use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan};
 use crate::hashacc::split_key;
 use crate::local_lb::{rounds_for_g, select_group_size};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
-use crate::symbolic::LaunchGroups;
 use crate::workspace::{RowOut, RowSlices, Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, launch_map_init, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelReport,
@@ -283,17 +282,37 @@ pub fn row_ptr_from_nnz(row_nnz: &[u32]) -> Vec<usize> {
     row_ptr
 }
 
+/// The numeric pass plan and C's row structure, read off one sweep over
+/// the exact row sizes.
+#[derive(Clone, Debug)]
+pub struct NumericPlan {
+    /// The numeric pass plan.
+    pub plan: PassPlan,
+    /// Prefix-summed row offsets of C (`rows + 1` entries; the last one is
+    /// NNZ(C)), as [`row_ptr_from_nnz`] builds them.
+    pub row_ptr: Vec<usize>,
+    /// Distribution of the exact row sizes (`sim/symbolic/row_nnz`).
+    pub(crate) row_nnz_hist: Histogram,
+}
+
+impl NumericPlan {
+    /// The numeric pass's inputs, borrowed from this plan.
+    pub fn job(&self) -> NumericJob<'_> {
+        NumericJob {
+            plan: &self.plan,
+            row_ptr: &self.row_ptr,
+        }
+    }
+}
+
 /// Precomputed, pattern-only inputs of the numeric pass: the block plan
-/// with its launch groups and C's exact row structure.
+/// with its launches and C's exact row structure.
 ///
 /// Borrowed rather than owned so one [`crate::SpgemmPlan`] can drive any
 /// number of executions; the cold path builds these fresh per call.
 pub struct NumericJob<'a> {
     /// The numeric block plan.
     pub plan: &'a PassPlan,
-    /// `plan`'s blocks grouped by (method, config) for launching — the
-    /// output of [`crate::symbolic::group_blocks`].
-    pub groups: &'a LaunchGroups,
     /// Prefix-summed row offsets of C — [`row_ptr_from_nnz`] of the
     /// symbolic pass's exact row counts.
     pub row_ptr: &'a [usize],
@@ -333,10 +352,11 @@ pub fn run_numeric<V: Scalar>(
     let mut vals = vec![V::zero(); total];
     let out = RowSlices::new(row_ptr, &mut col_idx, &mut vals);
 
-    for (&(method, cfg_idx), group) in job.groups {
+    for l in &plan.launches {
+        let (cfg_idx, first, grid) = (l.cfg_idx, l.blocks.start, l.blocks.len());
         let kc = cascade.config(cfg_idx);
-        let rows = |ctx: &BlockCtx| plan.block_rows(group[ctx.block_id()]);
-        let (report, results) = match method {
+        let rows = |ctx: &BlockCtx| plan.block_rows(first + ctx.block_id());
+        let (report, results) = match l.method {
             AccMethod::Hash => {
                 let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
                 let scratch_sorted = cfg_idx <= MAX_SCRATCH_SORT_CFG;
@@ -344,7 +364,7 @@ pub fn run_numeric<V: Scalar>(
                     dev,
                     cost,
                     format!("numeric_hash_c{cfg_idx}"),
-                    group.len(),
+                    grid,
                     kc,
                     records,
                     || pool.acquire(),
@@ -372,7 +392,7 @@ pub fn run_numeric<V: Scalar>(
                     dev,
                     cost,
                     format!("numeric_dense_c{cfg_idx}"),
-                    group.len(),
+                    grid,
                     kc,
                     records,
                     || pool.acquire(),
@@ -384,18 +404,10 @@ pub fn run_numeric<V: Scalar>(
             }
             AccMethod::Direct => {
                 let dk = direct_kernel_config(dev);
-                launch_map(
-                    dev,
-                    cost,
-                    "numeric_direct",
-                    group.len(),
-                    dk,
-                    records,
-                    |ctx| {
-                        let rows = rows(ctx);
-                        direct_block(ctx, &out, a, b, rows)
-                    },
-                )
+                launch_map(dev, cost, "numeric_direct", grid, dk, records, |ctx| {
+                    let rows = rows(ctx);
+                    direct_block(ctx, &out, a, b, rows)
+                })
             }
         };
         for (spilled, needs_radix, elems) in results {
@@ -429,7 +441,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::global_lb::{plan_numeric, plan_symbolic};
-    use crate::symbolic::{group_blocks, run_symbolic};
+    use crate::symbolic::run_symbolic;
     use speck_sparse::gen::{block_diagonal, rmat, uniform_random};
     use speck_sparse::reference::spgemm_seq;
 
@@ -481,9 +493,8 @@ mod tests {
             8,
             BlockRecords::Skip,
         );
-        let mut row_ptr = row_ptr_from_nnz(&sym.row_nnz);
-        tamper(&mut nplan, &mut row_ptr);
-        let groups = group_blocks(&nplan);
+        assert_eq!(nplan.row_ptr, row_ptr_from_nnz(&sym.row_nnz));
+        tamper(&mut nplan.plan, &mut nplan.row_ptr);
         run_numeric(
             &dev,
             &cost,
@@ -492,11 +503,7 @@ mod tests {
             a,
             a,
             &info,
-            &NumericJob {
-                plan: &nplan,
-                groups: &groups,
-                row_ptr: &row_ptr,
-            },
+            &nplan.job(),
             &pool,
             BlockRecords::Skip,
         )
@@ -598,8 +605,7 @@ mod tests {
     fn row_listed_in_two_blocks_panics() {
         let a = uniform_random(300, 300, 2, 8, 21);
         tampered_multiply(&a, &SpeckConfig::default(), |plan, _| {
-            let last = *plan.blocks.last().unwrap();
-            plan.blocks.push(last);
+            duplicate_last_block(plan)
         });
     }
 
@@ -608,25 +614,34 @@ mod tests {
     fn row_left_out_of_the_plan_panics() {
         let a = uniform_random(300, 300, 2, 8, 21);
         tampered_multiply(&a, &SpeckConfig::default(), |plan, _| {
-            plan.blocks.pop();
+            for r in plan.block_rows(plan.blocks.len() - 1).to_vec() {
+                drop_row(plan, r);
+            }
         });
+    }
+
+    /// Pushes a copy of the plan's last block, so its rows are computed twice.
+    fn duplicate_last_block(plan: &mut PassPlan) {
+        let last = plan.launches.last().unwrap().clone();
+        let rows = plan.block_rows(last.blocks.end - 1).to_vec();
+        plan.push_block(&rows, last.cfg_idx, last.method);
     }
 
     /// Removes row `r` from whichever block computes it (and the block,
     /// if that was its only row).
     fn drop_row(plan: &mut PassPlan, r: u32) {
-        let blocks: Vec<(Vec<u32>, usize, AccMethod)> = (0..plan.blocks.len())
-            .map(|i| {
+        let blocks: Vec<(Vec<u32>, usize, AccMethod)> = plan
+            .launches
+            .iter()
+            .flat_map(|l| l.blocks.clone().map(move |i| (i, l.cfg_idx, l.method)))
+            .map(|(i, cfg_idx, method)| {
                 let rows = plan.block_rows(i).iter().copied().filter(|&x| x != r);
-                (
-                    rows.collect(),
-                    plan.blocks[i].cfg_idx,
-                    plan.blocks[i].method,
-                )
+                (rows.collect(), cfg_idx, method)
             })
             .collect();
         plan.blocks.clear();
         plan.rows.clear();
+        plan.launches.clear();
         for (rows, cfg_idx, method) in blocks.iter().filter(|b| !b.0.is_empty()) {
             plan.push_block(rows, *cfg_idx, *method);
         }
@@ -664,10 +679,7 @@ mod tests {
                 "{n} rows: {msg}"
             );
             let msg = panic_message(|| {
-                tampered_multiply(&a, &cfg, |plan, _| {
-                    let block = *plan.blocks.last().unwrap();
-                    plan.blocks.push(block);
-                });
+                tampered_multiply(&a, &cfg, |plan, _| duplicate_last_block(plan));
             });
             assert!(msg.contains("computed twice"), "{n} rows: {msg}");
         }
@@ -736,8 +748,6 @@ mod tests {
             4,
             BlockRecords::Skip,
         );
-        let groups = group_blocks(&nplan);
-        let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
         let out = run_numeric(
             &dev,
             &cost,
@@ -746,11 +756,7 @@ mod tests {
             &a,
             &a,
             &info,
-            &NumericJob {
-                plan: &nplan,
-                groups: &groups,
-                row_ptr: &row_ptr,
-            },
+            &nplan.job(),
             &pool,
             BlockRecords::Skip,
         );

@@ -22,9 +22,9 @@ use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
 use crate::global_lb::{plan_numeric, plan_symbolic, ThresholdSet};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
+use crate::numeric::{run_numeric, NumericJob, NumericPlan};
 use crate::plan::{fnv1a_bytes, PatternId, PatternKey, PlanCache, SpgemmPlan};
-use crate::symbolic::{group_blocks, run_symbolic};
+use crate::symbolic::run_symbolic;
 use crate::trace::{pass_annotations, timeline_of, ExecutionTrace, Recorder, TraceRecord};
 use crate::workspace::SharedWorkspaces;
 use speck_simt::{BlockRecords, CostModel, DeviceConfig, MemTracker, Timeline};
@@ -427,15 +427,20 @@ impl SpeckSpgemm {
         };
         let anns = self
             .observing()
-            .then(|| pass_annotations(dev, &cascade, cfg, &info, &splan, &sym.groups));
-        rec.pass(stage::SYMBOLIC, &sym.reports, &sym.groups, anns);
+            .then(|| pass_annotations(dev, &cascade, cfg, &info, &splan));
+        rec.pass(stage::SYMBOLIC, &sym.reports, &splan.launches, anns);
         sym.record_metrics(m);
         // Row-count array + prefix sum for C's offsets.
         setup_mem_bytes += (a.rows() + 1) * 8;
         rec.fixed(stage::SYMBOLIC, "alloc", alloc_s);
 
-        // Stage 4: numeric load balancing on exact sizes.
-        let nplan = {
+        // Stage 4: numeric load balancing on exact sizes, which also lays
+        // out C's rows.
+        let NumericPlan {
+            plan: nplan,
+            row_ptr,
+            row_nnz_hist,
+        } = {
             let _s = span.child("numeric_lb");
             plan_numeric(
                 dev,
@@ -453,6 +458,7 @@ impl SpeckSpgemm {
             rec.kernel(stage::NUMERIC_LOAD, r, None, None, None);
         }
         nplan.record_metrics(m, "numeric");
+        m.merge_histogram("sim/symbolic/row_nnz", &row_nnz_hist);
         if nplan.lb_alloc_bytes > 0 {
             setup_mem_bytes += nplan.lb_alloc_bytes;
             rec.fixed(stage::NUMERIC_LOAD, "alloc", alloc_s);
@@ -472,15 +478,12 @@ impl SpeckSpgemm {
         }
         m.record_launches(rec.records());
 
-        let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
-        let ngroups = group_blocks(&nplan);
         SpgemmPlan {
             pattern: pattern.unwrap_or_else(|| PatternId::of(a, b)),
             symbolic: splan.summary(),
             numeric: nplan.summary(),
             info,
             nplan,
-            ngroups,
             row_nnz: sym.row_nnz,
             row_ptr,
             setup: rec.into_records(),
@@ -524,7 +527,6 @@ impl SpeckSpgemm {
         // Stage 5: numeric SpGEMM.
         let job = NumericJob {
             plan: &plan.nplan,
-            groups: &plan.ngroups,
             row_ptr: &plan.row_ptr,
         };
         let num = {
@@ -535,8 +537,8 @@ impl SpeckSpgemm {
         };
         let anns = self
             .observing()
-            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan, &plan.ngroups));
-        rec.pass(stage::NUMERIC, &num.reports, &plan.ngroups, anns);
+            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan));
+        rec.pass(stage::NUMERIC, &num.reports, &plan.nplan.launches, anns);
         num.record_metrics(m);
 
         // Stage 6: sorting.

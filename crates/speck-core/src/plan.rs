@@ -30,7 +30,6 @@
 
 use crate::analysis::AnalysisInfo;
 use crate::global_lb::{PassPlan, PassSummary};
-use crate::symbolic::LaunchGroups;
 use crate::trace::{timeline_of, TraceRecord};
 use speck_sparse::{Csr, Scalar};
 use std::any::{Any, TypeId};
@@ -164,7 +163,7 @@ impl PatternKey {
 ///
 /// Executing a plan ([`crate::SpeckSpgemm::execute_plan`]) runs only the
 /// numeric pass and the trailing sort; the plan supplies the analysis
-/// records, the numeric block plan with its launch groups, C's exact row
+/// records, the numeric block plan with its launches, C's exact row
 /// structure, and the setup stages' records and memory so a cold
 /// plan-then-execute reproduces [`crate::multiply`] bit-for-bit.
 #[derive(Clone, Debug)]
@@ -179,11 +178,9 @@ pub struct SpgemmPlan<V> {
     pub(crate) symbolic: PassSummary,
     /// Decision summary of the numeric pass, read like `symbolic`.
     pub(crate) numeric: PassSummary,
-    /// The numeric block plan (bins, methods, kernel configurations).
+    /// The numeric block plan (bins, methods, kernel configurations),
+    /// with its launches.
     pub(crate) nplan: PassPlan,
-    /// `nplan`'s blocks grouped into launches of identical
-    /// (method, config), precomputed once.
-    pub(crate) ngroups: LaunchGroups,
     /// Exact NNZ of every row of C (symbolic pass output).
     pub(crate) row_nnz: Vec<u32>,
     /// Prefix-summed row offsets of C (`row_nnz` scanned; len `rows+1`).

@@ -12,57 +12,32 @@ use crate::config::SpeckConfig;
 use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan, DIRECT_ROWS_PER_BLOCK};
 use crate::hashacc::MAX_HASH_BLOCK_ROWS;
 use crate::local_lb::{rounds_for_g, select_group_size};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, launch_map_init, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
-use std::collections::BTreeMap;
 
 /// Result of the symbolic pass.
 #[derive(Clone, Debug)]
 pub struct SymbolicOutput {
     /// Exact NNZ of every row of C.
     pub row_nnz: Vec<u32>,
-    /// One report per kernel launch, in `groups` order.
+    /// One report per kernel launch, in the order of the plan's
+    /// [`PassPlan::launches`].
     pub reports: Vec<KernelReport>,
-    /// The launch groups the pass ran.
-    pub groups: LaunchGroups,
     /// Blocks that fell back to a global hash map.
     pub spilled_blocks: usize,
 }
 
 impl SymbolicOutput {
-    /// Records the pass's deterministic outputs under `sim/symbolic/`:
-    /// spilled-block count and the exact C row-size distribution.
+    /// Records the pass's spilled-block count under `sim/symbolic/`. The
+    /// numeric planning sweep reads every row count, so C's row-size
+    /// distribution comes from there ([`crate::numeric::NumericPlan`]).
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
         m.add("sim/symbolic/spilled_blocks", self.spilled_blocks as u64);
-        let mut h = Histogram::default();
-        for &n in &self.row_nnz {
-            h.record(n as u64);
-        }
-        m.merge_histogram("sim/symbolic/row_nnz", &h);
     }
-}
-
-/// Plan blocks grouped into launches of identical (accumulator, cascade
-/// config), as indices into `plan.blocks`. Iteration order is launch order.
-pub type LaunchGroups = BTreeMap<(AccMethod, usize), Vec<usize>>;
-
-/// Groups plan blocks into launches of identical (accumulator, config).
-/// The groups hold indices into `plan.blocks` — the blocks (and the plan's
-/// row list) stay where they are instead of being copied per launch.
-///
-/// Public so callers that drive [`crate::numeric::run_numeric`] directly
-/// (reusable plans, the nsparse-style baseline) can precompute the
-/// launch groups once and reuse them across executions.
-pub fn group_blocks(plan: &PassPlan) -> LaunchGroups {
-    let mut groups = LaunchGroups::new();
-    for (i, b) in plan.blocks.iter().enumerate() {
-        groups.entry((b.method, b.cfg_idx)).or_default().push(i);
-    }
-    groups
 }
 
 /// Per-block symbolic hash kernel: counts distinct output columns of up to
@@ -246,18 +221,18 @@ pub fn run_symbolic<V: Scalar>(
     let mut reports = Vec::new();
     let mut spilled_blocks = 0usize;
 
-    let groups = group_blocks(plan);
-    for (&(method, cfg_idx), group) in &groups {
+    for l in &plan.launches {
+        let (cfg_idx, first, grid) = (l.cfg_idx, l.blocks.start, l.blocks.len());
         let kc = cascade.config(cfg_idx);
-        let rows = |ctx: &BlockCtx| plan.block_rows(group[ctx.block_id()]);
-        match method {
+        let rows = |ctx: &BlockCtx| plan.block_rows(first + ctx.block_id());
+        match l.method {
             AccMethod::Hash => {
                 let capacity = cascade.hash_capacity(cfg_idx, entry_bytes);
                 let (report, outs) = launch_map_init(
                     dev,
                     cost,
                     format!("symbolic_hash_c{cfg_idx}"),
-                    group.len(),
+                    grid,
                     kc,
                     records,
                     || pool.acquire(),
@@ -266,7 +241,7 @@ pub fn run_symbolic<V: Scalar>(
                         hash_block(ctx, ws, a, b, info, rows, capacity, entry_bytes, cfg)
                     },
                 );
-                for (&bi, (counts, spilled)) in group.iter().zip(outs) {
+                for (bi, (counts, spilled)) in l.blocks.clone().zip(outs) {
                     spilled_blocks += usize::from(spilled);
                     for (&r, c) in plan.block_rows(bi).iter().zip(counts) {
                         row_nnz[r as usize] = c;
@@ -280,7 +255,7 @@ pub fn run_symbolic<V: Scalar>(
                     dev,
                     cost,
                     format!("symbolic_dense_c{cfg_idx}"),
-                    group.len(),
+                    grid,
                     kc,
                     records,
                     || pool.acquire(),
@@ -289,26 +264,19 @@ pub fn run_symbolic<V: Scalar>(
                         dense_block(ctx, ws, a, b, info, row, bits)
                     },
                 );
-                for (&bi, count) in group.iter().zip(outs) {
+                for (bi, count) in l.blocks.clone().zip(outs) {
                     row_nnz[plan.block_rows(bi)[0] as usize] = count;
                 }
                 reports.push(report);
             }
             AccMethod::Direct => {
                 let dk = direct_kernel_config(dev);
-                let (report, outs) = launch_map(
-                    dev,
-                    cost,
-                    "symbolic_direct",
-                    group.len(),
-                    dk,
-                    records,
-                    |ctx| {
+                let (report, outs) =
+                    launch_map(dev, cost, "symbolic_direct", grid, dk, records, |ctx| {
                         let rows = rows(ctx);
                         direct_block(ctx, a, b, rows)
-                    },
-                );
-                for (&bi, counts) in group.iter().zip(outs) {
+                    });
+                for (bi, counts) in l.blocks.clone().zip(outs) {
                     for (&r, c) in plan.block_rows(bi).iter().zip(counts) {
                         row_nnz[r as usize] = c;
                     }
@@ -321,7 +289,6 @@ pub fn run_symbolic<V: Scalar>(
     SymbolicOutput {
         row_nnz,
         reports,
-        groups,
         spilled_blocks,
     }
 }

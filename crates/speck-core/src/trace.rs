@@ -56,11 +56,10 @@
 use crate::analysis::AnalysisInfo;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
-use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan};
+use crate::global_lb::{direct_kernel_config, AccMethod, LaunchGroup, PassPlan};
 use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::select_group_size;
 use crate::pipeline::stage;
-use crate::symbolic::LaunchGroups;
 use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace, KernelReport, Timeline};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -230,21 +229,21 @@ impl<'a> Recorder<'a> {
         self.push(stage, report.sim_time_s, TraceRecordKind::Kernel(rec));
     }
 
-    /// Appends the launches of one SpGEMM pass: `reports[i]` is the launch
-    /// of the `i`-th `(accumulator, bin)` group of `groups`, the order
-    /// `run_symbolic`/`run_numeric` launch them. `annotations`, when
-    /// given, holds one per-block list per group.
+    /// Appends the launches of one SpGEMM pass: `reports[i]` is the
+    /// launch of `launches[i]`, the order `run_symbolic`/`run_numeric`
+    /// launch them. `annotations`, when given, holds one per-block list
+    /// per launch.
     pub fn pass(
         &mut self,
         stage: &'static str,
         reports: &[KernelReport],
-        groups: &LaunchGroups,
+        launches: &[LaunchGroup],
         annotations: Option<Vec<Vec<BlockAnnotation>>>,
     ) {
         let mut anns = annotations.map(Vec::into_iter);
-        for (r, &(acc, bin)) in reports.iter().zip(groups.keys()) {
+        for (r, l) in reports.iter().zip(launches) {
             let ann = anns.as_mut().and_then(Iterator::next);
-            self.kernel(stage, r, Some(bin), Some(acc), ann);
+            self.kernel(stage, r, Some(l.cfg_idx), Some(l.method), ann);
         }
     }
 
@@ -385,7 +384,7 @@ impl KernelTraceRecord {
 }
 
 /// Per-block spECK annotations of one SpGEMM pass: one list per launch
-/// group of `groups`, in group order. Copies every block's rows, so the
+/// of the plan, in launch order. Copies every block's rows, so the
 /// pipeline calls it only when tracing or auditing.
 pub(crate) fn pass_annotations(
     dev: &DeviceConfig,
@@ -393,18 +392,18 @@ pub(crate) fn pass_annotations(
     cfg: &SpeckConfig,
     info: &AnalysisInfo,
     plan: &PassPlan,
-    groups: &LaunchGroups,
 ) -> Vec<Vec<BlockAnnotation>> {
-    groups
+    plan.launches
         .iter()
-        .map(|(&(acc, cfg_idx), group)| {
+        .map(|l| {
+            let acc = l.method;
             let threads = match acc {
                 AccMethod::Direct => direct_kernel_config(dev).threads,
-                _ => cascade.config(cfg_idx).threads,
+                _ => cascade.config(l.cfg_idx).threads,
             };
-            group
-                .iter()
-                .map(|&bi| {
+            l.blocks
+                .clone()
+                .map(|bi| {
                     let rows = plan.block_rows(bi).to_vec();
                     let group_size = (acc == AccMethod::Hash).then(|| {
                         let (nnz_a, products, max_b) = info.block_features(&rows);

@@ -106,8 +106,10 @@ fn warm_engine_allocates_less_and_stays_steady() {
     // row (block row lists, per-block count or analysis vectors) scales
     // with the 12 000 rows — about 3 per row once cost 37 000
     // allocations. What remains is per launch and per host chunk of
-    // blocks, so the bound grows with the pool's width: about 141 with 2
-    // pool threads (108 with 1, 165 with 4, 213 with 8, 322 with 16).
+    // blocks, so the bound grows with the pool's width: about 80 with 2
+    // pool threads (47 with 1, 104 with 4, 152 with 8, 253 with 16). The
+    // planners' per-row arrays, per-key launch index vectors and growing
+    // row runs cost about 60 more (141 with 2 threads).
     let b = banded(12_000, 12, 0.65, 7);
     let cold_engine = SpeckSpgemm::default().with_plan_cache_capacity(0);
     for _ in 0..2 {
@@ -116,7 +118,7 @@ fn warm_engine_allocates_less_and_stays_steady() {
     let cold = count_allocs(|| {
         let _ = cold_engine.multiply(&b, &b);
     });
-    let ceiling = 150 + 16 * threads;
+    let ceiling = 75 + 12 * threads;
     assert!(
         cold < ceiling,
         "cold multiply of {} rows allocated {cold} times (ceiling {ceiling}) — per-block/per-row allocations are back",
@@ -126,12 +128,12 @@ fn warm_engine_allocates_less_and_stays_steady() {
     // A tiny cold multiply is mostly fixed per-call cost: the plan, the
     // launches, the record stream and the metrics. With every metric
     // name and span path already registered, recording formats and
-    // allocates nothing, so this identity(50) multiply sits at about 66
-    // allocations with 2 pool threads (55 with 1, 71 with 4, 83 with 8,
-    // 108 with 16). Formatting a metric name per record, as the registry
+    // allocates nothing, so this identity(50) multiply sits at about 56
+    // allocations with 2 pool threads (45 with 1, 61 with 4, 73 with 8,
+    // 98 with 16). Formatting a metric name per record, as the registry
     // once did, costs about 60 more; keeping per-block records in every
-    // launch, as launches once did, costs 6 more per launch (84 with 2
-    // threads).
+    // launch, as launches once did, costs 6 more per launch; growing each
+    // row run of a pass plan from empty costs about 10 more.
     let id: Csr<f64> = Csr::identity(50);
     for _ in 0..2 {
         let _ = cold_engine.multiply(&id, &id);
@@ -139,7 +141,7 @@ fn warm_engine_allocates_less_and_stays_steady() {
     let tiny = count_allocs(|| {
         let _ = cold_engine.multiply(&id, &id);
     });
-    let ceiling = 70 + 4 * threads;
+    let ceiling = 54 + 4 * threads;
     assert!(
         tiny < ceiling,
         "cold identity(50) multiply allocated {tiny} times (ceiling {ceiling}) — per-call recording allocations are back"
