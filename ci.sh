@@ -4,8 +4,9 @@
 # workspace) so an engine-API change that breaks the benchmark fails here.
 #
 #   ./ci.sh             # fmt + clippy + rustdoc + tests (release, plus the
-#                       #     engine's debug tests and the pool's and
-#                       #     simulator's tests at 3 pool threads) +
+#                       #     engine's debug tests and the pool's,
+#                       #     simulator's and engine's unit tests at 3
+#                       #     pool threads) +
 #                       #     perfbench build and smoke run + three
 #                       #     experiments run by name + one round of
 #                       #     each host-cost probe
@@ -119,10 +120,12 @@ debug_tests() {
 
 # Idle pool workers spin before they park. Three pool threads are more
 # than the cores of a two-core box, so the pool shim's and the
-# simulator's tests run once more with the spinning workers
-# oversubscribed.
+# simulator's tests, and the engine's unit tests (whose kernels write
+# their output pieces in place with no claim per block), run once more
+# with the spinning workers oversubscribed.
 oversubscribed_tests() {
     RAYON_NUM_THREADS=3 cargo test -q -p rayon -p speck-simt
+    RAYON_NUM_THREADS=3 cargo test -q -p speck-core --lib
 }
 
 perfbench_build() {
@@ -264,7 +267,7 @@ gate "cargo clippy (deny warnings)" clippy_check
 gate "cargo doc (deny warnings)" doc_check
 gate "cargo test (workspace, release)" release_tests
 gate "cargo test (speck-core + speck-simt, debug, debug assertions on)" debug_tests
-gate "cargo test (rayon + speck-simt, RAYON_NUM_THREADS=3)" oversubscribed_tests
+gate "cargo test (rayon + speck-simt + speck-core lib, RAYON_NUM_THREADS=3)" oversubscribed_tests
 gate "perfbench build (repo benchmark against the engine API)" perfbench_build
 gate "perfbench smoke run (small workload, 1 s)" perfbench_smoke
 gate "experiment driver (run_all_experiments table4 fig8 fig11)" experiments_smoke

@@ -182,10 +182,7 @@ impl SpgemmMethod for NsparseLike {
         // Step 5: numeric pass + sorting (run_numeric charges the trailing
         // radix pass for the larger bins).
         let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
-        let job = NumericJob {
-            plan: &nplan,
-            row_ptr: &row_ptr,
-        };
+        let job = NumericJob::new(&nplan, &row_ptr);
         let num = run_numeric(
             dev,
             cost,

@@ -3,6 +3,11 @@
 //! grid sizes and prints the best time per launch and per block, on one
 //! pool thread and at the default pool width side by side.
 //!
+//! The empty kernel's charges are constants, so once it is inlined the
+//! compiler folds its block's pricing away. The row `400*` times the same
+//! kernel with its charges passed through `black_box`, so its blocks pay
+//! the pricing a real kernel's blocks pay.
+//!
 //! ```sh
 //! cargo run --release -p speck-simt --example launch_overhead [ROUNDS]
 //! RAYON_NUM_THREADS=1 cargo run --release -p speck-simt --example launch_overhead
@@ -21,25 +26,45 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
 
-const GRIDS: [usize; 5] = [1, 50, 400, 4_000, 40_000];
+/// The rows timed: label, grid, and whether the kernel's charges pass
+/// through `black_box`.
+const ROWS: [(&str, usize, bool); 6] = [
+    ("1", 1, false),
+    ("50", 50, false),
+    ("400", 400, false),
+    ("4000", 4_000, false),
+    ("40000", 40_000, false),
+    ("400*", 400, true),
+];
 const BLOCKS_PER_ROUND: usize = 400_000;
 
 /// Best seconds per launch of `grid` blocks over `rounds` rounds, and the
-/// launches per round.
-fn time_grid(grid: usize, rounds: usize) -> (f64, usize) {
+/// launches per round; `opaque` passes the charges through `black_box`.
+fn time_grid(grid: usize, opaque: bool, rounds: usize) -> (f64, usize) {
     let dev = DeviceConfig::titan_v();
     let cost = CostModel::default();
     let cfg = KernelConfig::new(256, 0);
     let launches = (BLOCKS_PER_ROUND / grid).max(1);
+    let once = || {
+        let skip = BlockRecords::Skip;
+        let r = if opaque {
+            launch(&dev, &cost, "opaque", grid, cfg, skip, |ctx| {
+                ctx.charge_rounds(black_box(1));
+                ctx.charge_gmem_tx(black_box(2));
+            })
+        } else {
+            launch(&dev, &cost, "empty", grid, cfg, skip, |ctx| {
+                ctx.charge_rounds(1);
+                ctx.charge_gmem_tx(2);
+            })
+        };
+        black_box(r.sim_cycles);
+    };
     let best = (0..rounds)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..launches {
-                let r = launch(&dev, &cost, "empty", grid, cfg, BlockRecords::Skip, |ctx| {
-                    ctx.charge_rounds(1);
-                    ctx.charge_gmem_tx(2);
-                });
-                black_box(r.sim_cycles);
+                once();
             }
             start.elapsed().as_secs_f64() / launches as f64
         })
@@ -47,8 +72,8 @@ fn time_grid(grid: usize, rounds: usize) -> (f64, usize) {
     (best, launches)
 }
 
-/// `(grid, us per launch)` rows of a one-thread run of this program.
-fn one_thread_rows(rounds: usize) -> Vec<(usize, f64)> {
+/// `(label, us per launch)` rows of a one-thread run of this program.
+fn one_thread_rows(rounds: usize) -> Vec<(String, f64)> {
     let exe = std::env::current_exe().expect("the example knows its own path");
     let out = Command::new(exe)
         .arg(rounds.to_string())
@@ -60,9 +85,10 @@ fn one_thread_rows(rounds: usize) -> Vec<(usize, f64)> {
         .lines()
         .filter_map(|line| {
             let mut cols = line.split_whitespace();
-            let grid = cols.next()?.parse().ok()?;
+            let label = cols.next()?;
+            ROWS.iter().find(|row| row.0 == label)?;
             let us = cols.nth(1)?.parse().ok()?;
-            Some((grid, us))
+            Some((label.to_string(), us))
         })
         .collect()
 }
@@ -80,14 +106,15 @@ fn main() {
             "{:>8} {:>10} {:>14} {:>12}",
             "grid", "launches", "us/launch", "ns/block"
         );
-        for grid in GRIDS {
-            let (best, launches) = time_grid(grid, rounds);
+        for (label, grid, opaque) in ROWS {
+            let (best, launches) = time_grid(grid, opaque, rounds);
             println!(
-                "{grid:>8} {launches:>10} {:>14.3} {:>12.1}",
+                "{label:>8} {launches:>10} {:>14.3} {:>12.1}",
                 best * 1e6,
                 best * 1e9 / grid as f64
             );
         }
+        println!("* charges passed through black_box");
         return;
     }
     let one = one_thread_rows(rounds);
@@ -101,17 +128,18 @@ fn main() {
         format!("us/launch {threads}t"),
         format!("ns/block {threads}t")
     );
-    for grid in GRIDS {
+    for (label, grid, opaque) in ROWS {
         let one_us = one
             .iter()
-            .find(|&&(g, _)| g == grid)
+            .find(|(l, _)| l == label)
             .map_or(f64::NAN, |&(_, us)| us);
-        let (best, launches) = time_grid(grid, rounds);
+        let (best, launches) = time_grid(grid, opaque, rounds);
         println!(
-            "{grid:>8} {launches:>10} {one_us:>14.3} {:>12.1} {:>14.3} {:>12.1}",
+            "{label:>8} {launches:>10} {one_us:>14.3} {:>12.1} {:>14.3} {:>12.1}",
             one_us * 1e3 / grid as f64,
             best * 1e6,
             best * 1e9 / grid as f64
         );
     }
+    println!("* charges passed through black_box");
 }

@@ -22,6 +22,7 @@ use crate::kernel::KernelConfig;
 use crate::trace::{BlockEvent, BlockPlacement, KernelBlockTrace};
 use rayon::prelude::*;
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::Mutex;
 
 /// Whether a launch keeps per-block records ([`LaunchRecords`]).
@@ -469,6 +470,77 @@ where
     launch_map(dev, cost, name, grid, cfg, records, |ctx| f(ctx)).0
 }
 
+/// [`launch`] for kernels whose blocks each fill one piece of `out` in
+/// place: the grid has one block per `piece_len` elements of `out`, and
+/// block `i` gets `out[i * piece_len..]`, at most `piece_len` long (the
+/// last piece may be shorter). No block claims its piece: the executor
+/// runs each block id in `0..grid` once, so no two blocks get the same
+/// piece.
+///
+/// Panics if `piece_len` is 0.
+#[allow(clippy::too_many_arguments)]
+pub fn launch_pieces<P, F>(
+    dev: &DeviceConfig,
+    cost: &CostModel,
+    name: impl Into<Cow<'static, str>>,
+    out: &mut [P],
+    piece_len: usize,
+    cfg: KernelConfig,
+    records: BlockRecords,
+    f: F,
+) -> KernelReport
+where
+    P: Send,
+    F: Fn(&mut BlockCtx, &mut [P]) + Sync,
+{
+    assert!(piece_len > 0, "a launch's pieces must not be empty");
+    let grid = out.len().div_ceil(piece_len);
+    let pieces = Pieces {
+        ptr: out.as_mut_ptr(),
+        len: out.len(),
+        piece_len,
+        _out: PhantomData,
+    };
+    launch(dev, cost, name, grid, cfg, records, |ctx| {
+        // SAFETY: `launch` runs each block id in `0..grid` exactly once
+        // (`run_blocks` maps the range `0..grid`), so this is the only cut
+        // of piece `block_id` while `out` is borrowed.
+        let piece = unsafe { pieces.cut(ctx.block_id()) };
+        f(ctx, piece)
+    })
+}
+
+/// `out` of [`launch_pieces`], cut into pieces of `piece_len`.
+struct Pieces<'a, P> {
+    ptr: *mut P,
+    len: usize,
+    piece_len: usize,
+    _out: PhantomData<&'a mut [P]>,
+}
+
+// SAFETY: each piece is cut once (see `cut`), so sharing the pieces moves
+// each `&mut` piece to at most one other thread.
+unsafe impl<P: Send> Sync for Pieces<'_, P> {}
+
+impl<'a, P> Pieces<'a, P> {
+    /// Piece `i`: `piece_len` elements from `i * piece_len`, cut short at
+    /// the end of the buffer. Panics unless the piece starts in it.
+    ///
+    /// # Safety
+    ///
+    /// No piece may be cut twice while the buffer is borrowed.
+    #[inline]
+    unsafe fn cut(&self, i: usize) -> &'a mut [P] {
+        let start = i * self.piece_len;
+        assert!(start < self.len, "piece {i} starts past the buffer");
+        let len = self.piece_len.min(self.len - start);
+        // SAFETY: `start..start + len` lies in the buffer, which is
+        // borrowed mutably for `'a`, and pieces of distinct `i` are
+        // disjoint; the caller cuts each `i` once.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,5 +939,69 @@ mod tests {
             let body = schedule_blocks(&d, cfg, &records.cycles);
             assert_eq!(body.to_bits(), plain.body_cycles(&d).to_bits());
         }
+    }
+
+    #[test]
+    fn block_i_gets_exactly_piece_i() {
+        // A short last piece, no elements at all, a piece longer than the
+        // buffer, one-element pieces over several host chunks, and whole
+        // pieces; with and without per-block records.
+        let d = dev();
+        let cfg = KernelConfig::new(32, 0);
+        for (len, piece_len) in [(10usize, 3usize), (0, 4), (5, 8), (4096, 1), (12, 4)] {
+            for records in [BlockRecords::Skip, BlockRecords::Keep] {
+                let mut out = vec![(usize::MAX, 0usize, 0usize); len];
+                let r = launch_pieces(
+                    &d,
+                    &CostModel::default(),
+                    "pieces",
+                    &mut out,
+                    piece_len,
+                    cfg,
+                    records,
+                    |ctx, piece| {
+                        let n = piece.len();
+                        ctx.charge_rounds(n as u64);
+                        for (j, x) in piece.iter_mut().enumerate() {
+                            *x = (ctx.block_id(), j, n);
+                        }
+                    },
+                );
+                let grid = len.div_ceil(piece_len);
+                assert_eq!(r.grid, grid, "{len}/{piece_len}");
+                assert_eq!(r.total_cost.issue_rounds, len as u64);
+                for (k, &(block, j, piece)) in out.iter().enumerate() {
+                    assert_eq!((block, j), (k / piece_len, k % piece_len), "element {k}");
+                    assert_eq!(piece, piece_len.min(len - block * piece_len));
+                }
+                match records {
+                    BlockRecords::Skip => assert!(r.records.is_none()),
+                    BlockRecords::Keep => {
+                        let kept = r.records.expect("the launch kept its records");
+                        assert_eq!(kept.costs.len(), grid);
+                        let total = kept
+                            .costs
+                            .iter()
+                            .fold(BlockCost::default(), |acc, c| acc.merge(c));
+                        assert_eq!(total, r.total_cost);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pieces must not be empty")]
+    fn empty_pieces_are_rejected() {
+        launch_pieces(
+            &dev(),
+            &CostModel::default(),
+            "pieces",
+            &mut [0u8; 4],
+            0,
+            KernelConfig::new(32, 0),
+            BlockRecords::Skip,
+            |_, _| {},
+        );
     }
 }

@@ -42,8 +42,8 @@ pub use block::{simulate_group_rounds, BlockCtx, Divisor};
 pub use cost::{BlockCost, CostModel, COST_COUNTER_NAMES};
 pub use device::DeviceConfig;
 pub use exec::{
-    launch, launch_map, launch_map_init, schedule_blocks, schedule_blocks_placed, BlockRecords,
-    KernelReport, LaunchRecords,
+    launch, launch_map, launch_map_init, launch_pieces, schedule_blocks, schedule_blocks_placed,
+    BlockRecords, KernelReport, LaunchRecords,
 };
 pub use kernel::KernelConfig;
 pub use memtrack::MemTracker;

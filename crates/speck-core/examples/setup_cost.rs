@@ -17,8 +17,17 @@
 //! dense block each), the `hugebubbles` stand-in `banded(40000, 2, 0.55)`
 //! and `banded(400, 1, 1.0)` (a `small`-workload size). `set-up` sums the
 //! three planning steps.
+//!
+//! A second table prints the host ns per block of the two launches that
+//! write one output buffer in place, `analyze` and `run_numeric`, on
+//! `banded(400, 1, 1.0)`, where both run 400 one-row blocks: at one pool
+//! thread and at two, side by side, each the best of `ROUNDS` rounds of
+//! 500 calls. The pool's width is fixed when it starts, so the width this
+//! program was not started at comes from a child run of it (`ROUNDS
+//! --per-block`, which prints that table's figures alone).
 
 use speck_core::global_lb::{plan_numeric, plan_symbolic};
+use speck_core::numeric::run_numeric;
 use speck_core::symbolic::run_symbolic;
 use speck_core::workspace::WorkspacePool;
 use speck_core::{analyze, KernelCascade, MetricsRegistry, SpeckConfig};
@@ -27,7 +36,11 @@ use speck_sparse::gen::banded;
 use speck_sparse::reference::spgemm_seq;
 use speck_sparse::Csr;
 use std::hint::black_box;
+use std::process::Command;
 use std::time::Instant;
+
+/// Calls per round of the per-block table.
+const CALLS: usize = 500;
 
 /// Best wall seconds of `rounds` calls of `f`.
 fn best_of(rounds: usize, mut f: impl FnMut()) -> f64 {
@@ -89,12 +102,86 @@ const STEPS: [&str; 5] = [
     "spgemm_seq",
 ];
 
+/// Best host ns per block of `analyze` and of `run_numeric` on
+/// `banded(400, 1, 1.0)`, each over `rounds` rounds of [`CALLS`] calls.
+fn per_block(rounds: usize) -> [f64; 2] {
+    let a = banded(400, 1, 1.0, 1);
+    let dev = DeviceConfig::titan_v();
+    let cost = CostModel::default();
+    let cascade = KernelCascade::for_device(&dev);
+    let cfg = SpeckConfig::default();
+    let skip = BlockRecords::Skip;
+    let pool = WorkspacePool::new();
+    let (info, report) = analyze(&dev, &cost, &a, &a);
+    assert_eq!(report.grid, a.rows(), "one row per analysis block");
+    let analysis = best_of(rounds, || {
+        for _ in 0..CALLS {
+            black_box(analyze(&dev, &cost, &a, &a));
+        }
+    });
+    let splan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols(), skip);
+    let sym = run_symbolic(
+        &dev, &cost, &cascade, &cfg, &a, &a, &info, &splan, &pool, skip,
+    );
+    let nplan = plan_numeric(
+        &dev,
+        &cost,
+        &cascade,
+        &cfg,
+        &info,
+        &sym.row_nnz,
+        a.cols(),
+        8,
+        skip,
+    );
+    assert_eq!(
+        nplan.plan.blocks.len(),
+        a.rows(),
+        "one row per numeric block"
+    );
+    let job = nplan.job();
+    let numeric = best_of(rounds, || {
+        for _ in 0..CALLS {
+            black_box(run_numeric(
+                &dev, &cost, &cascade, &cfg, &a, &a, &info, &job, &pool, skip,
+            ));
+        }
+    });
+    [analysis, numeric].map(|t| t * 1e9 / (CALLS * a.rows()) as f64)
+}
+
+/// [`per_block`] at `threads` pool threads: measured here when the pool
+/// has that width, else read back from a child run of this program.
+fn per_block_at(threads: usize, rounds: usize) -> [f64; 2] {
+    if threads == rayon::current_num_threads() {
+        return per_block(rounds);
+    }
+    let exe = std::env::current_exe().expect("the example knows its own path");
+    let out = Command::new(exe)
+        .args([rounds.to_string().as_str(), "--per-block"])
+        .env("RAYON_NUM_THREADS", threads.to_string())
+        .output()
+        .expect("the child run starts");
+    assert!(out.status.success(), "the child run failed");
+    let figures: Vec<f64> = String::from_utf8_lossy(&out.stdout)
+        .split_whitespace()
+        .map(|f| f.parse().expect("the child prints two figures"))
+        .collect();
+    figures.try_into().expect("the child prints two figures")
+}
+
 fn main() {
-    let rounds: usize = std::env::args()
-        .nth(1)
+    let mut args = std::env::args().skip(1);
+    let rounds: usize = args
+        .next()
         .map(|s| s.parse().expect("ROUNDS must be a positive integer"))
         .unwrap_or(15)
         .max(1);
+    if args.next().as_deref() == Some("--per-block") {
+        let [analysis, numeric] = per_block(rounds);
+        println!("{analysis} {numeric}");
+        return;
+    }
     let operands = [
         ("banded_300k", banded(300_000, 1, 1.0, 1)),
         ("hugebubbles", banded(40_000, 2, 0.55, 1)),
@@ -128,5 +215,13 @@ fn main() {
         if i == 3 {
             row("set-up", &|f| f[1] + f[2] + f[3]);
         }
+    }
+
+    let widths = [1, 2].map(|threads| per_block_at(threads, rounds));
+    println!();
+    println!("host ns per one-row block on banded_400, best of {rounds} rounds of {CALLS} calls");
+    println!("{:<14} {:>12} {:>12}", "launch", "1 thread", "2 threads");
+    for (i, label) in ["analyze", "run_numeric"].iter().enumerate() {
+        println!("{label:<14} {:>12.1} {:>12.1}", widths[0][i], widths[1][i]);
     }
 }

@@ -8,13 +8,13 @@
 //! selection consume.
 //!
 //! Each block of the analysis kernel owns a contiguous run of rows and
-//! writes their [`RowInfo`] records in place, into its chunk of the final
-//! per-row vector; the host allocates that vector once per call.
+//! writes their [`RowInfo`] records in place, into its piece of the final
+//! per-row vector ([`speck_simt::launch_pieces`]); the host allocates that
+//! vector once per call.
 
 use crate::cascade::{symbolic_entry_bytes, KernelCascade};
-use crate::workspace::Slots;
 use speck_simt::{
-    launch, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport,
+    launch_pieces, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
 
@@ -129,22 +129,19 @@ pub(crate) fn analyze_with<V: Scalar>(
     let by_rows = n.div_ceil(dev.num_sms * dev.blocks_per_sm(threads, 0));
     let by_nnz = (n * 1024).div_ceil(a.nnz().max(1));
     let rows_per_block = by_rows.min(by_nnz).clamp(1, 4096).max(1);
-    let grid = n.div_ceil(rows_per_block);
     let cfg = KernelConfig::new(threads, 0);
 
+    // One block per `rows_per_block` rows; block `i` writes piece `i`.
     let mut rows = vec![RowInfo::default(); n];
-    let chunks = Slots::new(rows.chunks_mut(rows_per_block));
-    let report = launch(
+    let report = launch_pieces(
         dev,
         cost,
         "row_analysis",
-        grid,
+        &mut rows,
+        rows_per_block,
         cfg,
         records,
-        |ctx: &mut BlockCtx| {
-            let out = chunks
-                .take(ctx.block_id())
-                .expect("each analysis block runs once");
+        |ctx: &mut BlockCtx, out: &mut [RowInfo]| {
             let start = ctx.block_id() * rows_per_block;
             let mut nnz_in_block = 0usize;
             for (i, slot) in (start..).zip(out.iter_mut()) {

@@ -8,8 +8,10 @@
 //! Kernels borrow their accumulators from a [`WorkspacePool`], one
 //! checkout per host chunk of blocks, and write C in place as the paper's
 //! kernel does: the symbolic pass's exact counts fix every row's offset up
-//! front, so C's arrays are split into per-row slices, each taken once by
-//! the block that computes the row.
+//! front, so C's arrays are cut into per-row slices, each cut by the one
+//! block that computes the row. No block claims its rows: a
+//! [`NumericJob`] is checked once, when it is built, to list every row in
+//! exactly one block of one launch, and the executor runs each block once.
 
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
@@ -21,22 +23,85 @@ use crate::metrics::{Histogram, MetricsRegistry};
 use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
-use crate::workspace::{RowOut, RowSlices, Workspace, WorkspacePool};
+use crate::workspace::{Workspace, WorkspacePool};
 use speck_simt::{
     launch_map, launch_map_init, BlockCtx, BlockRecords, CostModel, DeviceConfig, KernelReport,
 };
 use speck_sparse::{Csr, Scalar};
+use std::marker::PhantomData;
 
 /// What one numeric block reports back besides the rows it wrote: whether
 /// it spilled to a global hash map, whether its rows still need the global
 /// radix pass, and how many entries it wrote.
 type BlockResult = (bool, bool, usize);
 
-/// Takes row `r`'s output slices; panics if the row was taken before.
+/// One row of C: its column and value slices in the final arrays.
+type RowOut<'c, V> = (&'c mut [u32], &'c mut [V]);
+
+/// C's column and value arrays, cut a row at a time: row `r` is
+/// `row_ptr[r]..row_ptr[r + 1]` of both. Nothing is stored per row, so
+/// handing out a 300,000-row C costs nothing beyond `row_ptr`.
+struct RowSlices<'c, V> {
+    row_ptr: &'c [usize],
+    cols: *mut u32,
+    vals: *mut V,
+    _out: PhantomData<RowOut<'c, V>>,
+}
+
+// SAFETY: each row is cut once (see `take_row`), so sharing the arrays
+// moves each `&mut` row to at most one other thread; `row_ptr` is only
+// read.
+unsafe impl<V: Send> Sync for RowSlices<'_, V> {}
+
+impl<'c, V> RowSlices<'c, V> {
+    /// Cuts `cols`/`vals` at the offsets of a checked job's `row_ptr`,
+    /// which never decrease. Panics unless both arrays end at the last
+    /// offset.
+    fn new(job: &NumericJob<'c>, cols: &'c mut [u32], vals: &'c mut [V]) -> Self {
+        let end = job.row_ptr.last().copied().unwrap_or(0);
+        assert!(
+            cols.len() == end && vals.len() == end,
+            "C's arrays must end at the last row offset"
+        );
+        Self {
+            row_ptr: job.row_ptr,
+            cols: cols.as_mut_ptr(),
+            vals: vals.as_mut_ptr(),
+            _out: PhantomData,
+        }
+    }
+
+    /// Row `r`'s slices.
+    ///
+    /// # Safety
+    ///
+    /// No row may be cut twice while the arrays are borrowed.
+    #[inline]
+    unsafe fn cut(&self, r: usize) -> RowOut<'c, V> {
+        let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
+        // SAFETY: the job's check found the offsets never decreasing and
+        // `new` that the arrays end at the last one, so rows are disjoint
+        // in-bounds ranges of arrays borrowed mutably for `'c`; the caller
+        // cuts each row once.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.cols.add(start), end - start),
+                std::slice::from_raw_parts_mut(self.vals.add(start), end - start),
+            )
+        }
+    }
+}
+
+/// Cuts row `r`'s output slices, for the one block that computes it.
 #[inline]
 fn take_row<'c, V>(out: &RowSlices<'c, V>, r: u32) -> RowOut<'c, V> {
-    out.take(r as usize)
-        .unwrap_or_else(|| panic!("numeric row {r} computed twice"))
+    // SAFETY: `out` was cut from a `NumericJob`, and every way to build
+    // one runs `check_partition` on its plan and offsets first (directly
+    // or when a `CheckedPlan` was built), which lists row `r` in exactly
+    // one block of one launch. The executor runs each block id of a launch
+    // once, and the block kernels below call this once per row of their
+    // block. So this is row `r`'s only cut.
+    unsafe { out.cut(r as usize) }
 }
 
 /// Checks that row `r` produced exactly as many entries as its slice has.
@@ -296,8 +361,69 @@ pub struct NumericPlan {
 }
 
 impl NumericPlan {
-    /// The numeric pass's inputs, borrowed from this plan.
+    /// The numeric pass's inputs, borrowed from this plan and checked as
+    /// [`NumericJob::new`] checks them.
     pub fn job(&self) -> NumericJob<'_> {
+        NumericJob::new(&self.plan, &self.row_ptr)
+    }
+}
+
+/// Precomputed, pattern-only inputs of the numeric pass: the block plan
+/// with its launches and C's exact row structure, checked to fit each
+/// other.
+///
+/// Borrowed rather than owned so one [`crate::SpgemmPlan`] can drive any
+/// number of executions; a plan's inputs are checked once, when it is
+/// built, and never again per execution.
+pub struct NumericJob<'a> {
+    plan: &'a PassPlan,
+    row_ptr: &'a [usize],
+}
+
+impl<'a> NumericJob<'a> {
+    /// The numeric pass's inputs: the block plan `plan` and C's row
+    /// offsets `row_ptr` ([`row_ptr_from_nnz`] of the symbolic pass's
+    /// exact row counts).
+    ///
+    /// Panics, before any kernel runs, unless `plan`'s launches list every
+    /// row of C (`0..row_ptr.len() - 1`) in exactly one block, every dense
+    /// block computes one row, and `row_ptr` never decreases.
+    pub fn new(plan: &'a PassPlan, row_ptr: &'a [usize]) -> Self {
+        check_partition(plan, row_ptr);
+        Self { plan, row_ptr }
+    }
+}
+
+/// A numeric block plan and C's row offsets, owned and checked once, when
+/// built, as [`NumericJob::new`] checks them: a cached
+/// [`crate::SpgemmPlan`] runs its numeric pass any number of times
+/// without checking again. The fields are private so the checked pair
+/// cannot change.
+#[derive(Clone, Debug)]
+pub(crate) struct CheckedPlan {
+    plan: PassPlan,
+    row_ptr: Vec<usize>,
+}
+
+impl CheckedPlan {
+    /// Checks `plan` against `row_ptr` (see [`NumericJob::new`]).
+    pub(crate) fn new(plan: PassPlan, row_ptr: Vec<usize>) -> Self {
+        check_partition(&plan, &row_ptr);
+        Self { plan, row_ptr }
+    }
+
+    /// The numeric block plan.
+    pub(crate) fn plan(&self) -> &PassPlan {
+        &self.plan
+    }
+
+    /// C's row offsets.
+    pub(crate) fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// The numeric pass's inputs, checked when this plan was built.
+    pub(crate) fn job(&self) -> NumericJob<'_> {
         NumericJob {
             plan: &self.plan,
             row_ptr: &self.row_ptr,
@@ -305,24 +431,44 @@ impl NumericPlan {
     }
 }
 
-/// Precomputed, pattern-only inputs of the numeric pass: the block plan
-/// with its launches and C's exact row structure.
+/// The one serial check that lets the numeric pass hand C's rows out
+/// without a claim per block: `row_ptr` never decreases, `plan`'s
+/// launches list every row of C in exactly one block, and every dense
+/// block computes one row (the dense kernel writes only its first).
 ///
-/// Borrowed rather than owned so one [`crate::SpgemmPlan`] can drive any
-/// number of executions; the cold path builds these fresh per call.
-pub struct NumericJob<'a> {
-    /// The numeric block plan.
-    pub plan: &'a PassPlan,
-    /// Prefix-summed row offsets of C — [`row_ptr_from_nnz`] of the
-    /// symbolic pass's exact row counts.
-    pub row_ptr: &'a [usize],
+/// Panics with "numeric row {r} computed twice" for a row listed twice,
+/// and "some rows were never computed" for a row left out.
+fn check_partition(plan: &PassPlan, row_ptr: &[usize]) {
+    let ordered = row_ptr.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]));
+    assert!(ordered, "row offsets must never decrease");
+    let n = row_ptr.len().saturating_sub(1);
+    let (mut listed, mut count) = (vec![false; n], 0usize);
+    for l in &plan.launches {
+        for i in l.blocks.clone() {
+            let rows = plan.block_rows(i);
+            assert!(
+                l.method != AccMethod::Dense || rows.len() == 1,
+                "a dense block computes one row"
+            );
+            for &r in rows {
+                let seen = listed
+                    .get_mut(r as usize)
+                    .unwrap_or_else(|| panic!("numeric row {r} is not a row of C ({n} rows)"));
+                assert!(!*seen, "numeric row {r} computed twice");
+                *seen = true;
+            }
+            count += rows.len();
+        }
+    }
+    // No row was listed twice, so `n` listings cover every row.
+    assert!(count == n, "some rows were never computed");
 }
 
 /// Runs the numeric pass and assembles C. Its launches keep per-block
 /// records as `records` asks.
 ///
-/// Panics if a row's computed entry count disagrees with `job.row_ptr`,
-/// if the plan lists a row in two blocks, or if it leaves a row out.
+/// Panics if a row's computed entry count disagrees with the job's row
+/// offsets, or if `a` does not have one row per row of C.
 #[allow(clippy::too_many_arguments)]
 pub fn run_numeric<V: Scalar>(
     dev: &DeviceConfig,
@@ -346,11 +492,11 @@ pub fn run_numeric<V: Scalar>(
     // The symbolic counts are exact, so C's layout is known before the
     // numeric kernels run: every block writes its rows in place.
     let n = a.rows();
-    debug_assert_eq!(row_ptr.len(), n + 1);
+    assert_eq!(row_ptr.len(), n + 1, "C has one row per row of A");
     let total = *row_ptr.last().unwrap_or(&0);
     let mut col_idx = vec![0u32; total];
     let mut vals = vec![V::zero(); total];
-    let out = RowSlices::new(row_ptr, &mut col_idx, &mut vals);
+    let out = RowSlices::new(job, &mut col_idx, &mut vals);
 
     for l in &plan.launches {
         let (cfg_idx, first, grid) = (l.cfg_idx, l.blocks.start, l.blocks.len());
@@ -418,7 +564,6 @@ pub fn run_numeric<V: Scalar>(
         }
         reports.push(report);
     }
-    assert!(out.all_taken(), "some rows were never computed");
 
     // Trailing radix sort pass for rows the hash kernels left unsorted.
     // (Functionally our accumulator already emits sorted entries; the pass
@@ -460,6 +605,32 @@ mod tests {
         let cost = CostModel::default();
         let cascade = KernelCascade::for_device(&dev);
         let pool = WorkspacePool::new();
+        let (info, mut nplan) = numeric_plan(a, cfg, &pool);
+        tamper(&mut nplan.plan, &mut nplan.row_ptr);
+        run_numeric(
+            &dev,
+            &cost,
+            &cascade,
+            cfg,
+            a,
+            a,
+            &info,
+            &nplan.job(),
+            &pool,
+            BlockRecords::Skip,
+        )
+    }
+
+    /// The analysis and the numeric plan of `a * a`, after the symbolic
+    /// pass.
+    fn numeric_plan(
+        a: &Csr<f64>,
+        cfg: &SpeckConfig,
+        pool: &WorkspacePool<f64>,
+    ) -> (AnalysisInfo, NumericPlan) {
+        let dev = DeviceConfig::titan_v();
+        let cost = CostModel::default();
+        let cascade = KernelCascade::for_device(&dev);
         let (info, _) = analyze(&dev, &cost, a, a);
         let splan = plan_symbolic(
             &dev,
@@ -479,10 +650,10 @@ mod tests {
             a,
             &info,
             &splan,
-            &pool,
+            pool,
             BlockRecords::Skip,
         );
-        let mut nplan = plan_numeric(
+        let nplan = plan_numeric(
             &dev,
             &cost,
             &cascade,
@@ -494,19 +665,7 @@ mod tests {
             BlockRecords::Skip,
         );
         assert_eq!(nplan.row_ptr, row_ptr_from_nnz(&sym.row_nnz));
-        tamper(&mut nplan.plan, &mut nplan.row_ptr);
-        run_numeric(
-            &dev,
-            &cost,
-            &cascade,
-            cfg,
-            a,
-            a,
-            &info,
-            &nplan.job(),
-            &pool,
-            BlockRecords::Skip,
-        )
+        (info, nplan)
     }
 
     fn check(a: &Csr<f64>, cfg: &SpeckConfig) -> NumericOutput<f64> {
@@ -647,6 +806,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn two_launches_over_one_block_panic_before_any_kernel_runs() {
+        let a = uniform_random(300, 300, 2, 8, 21);
+        let pool = WorkspacePool::new();
+        let (_, nplan) = numeric_plan(&a, &SpeckConfig::default(), &pool);
+        let mut plan = nplan.plan.clone();
+        let last = plan.launches.last().unwrap().clone();
+        plan.launches.push(last);
+        // The job is rejected when it is built, before `run_numeric` can
+        // launch a kernel.
+        let msg = panic_message(|| {
+            NumericJob::new(&plan, &nplan.row_ptr);
+        });
+        assert!(msg.contains("computed twice"), "{msg}");
+    }
+
+    #[test]
+    fn a_caller_built_job_over_a_tampered_plan_is_rejected() {
+        let a = uniform_random(300, 300, 2, 8, 21);
+        let pool = WorkspacePool::new();
+        let (_, nplan) = numeric_plan(&a, &SpeckConfig::default(), &pool);
+        let reject = |plan: &PassPlan, row_ptr: &[usize]| {
+            panic_message(|| {
+                NumericJob::new(plan, row_ptr);
+            })
+        };
+        // The plan as built passes.
+        NumericJob::new(&nplan.plan, &nplan.row_ptr);
+        // Row offsets that decrease.
+        let mut row_ptr = nplan.row_ptr.clone();
+        row_ptr[150] = row_ptr[151] + 1;
+        let msg = reject(&nplan.plan, &row_ptr);
+        assert!(msg.contains("row offsets must never decrease"), "{msg}");
+        // Row offsets one row short of the plan's rows.
+        let msg = reject(&nplan.plan, &nplan.row_ptr[..300]);
+        assert!(msg.contains("is not a row of C"), "{msg}");
+        // A row dropped from its block.
+        let mut plan = nplan.plan.clone();
+        drop_row(&mut plan, 7);
+        let msg = reject(&plan, &nplan.row_ptr);
+        assert!(msg.contains("some rows were never computed"), "{msg}");
+        // Dense blocks of several rows, all but the first of which their
+        // kernel would skip.
+        let mut plan = nplan.plan.clone();
+        let l = (plan.launches.iter())
+            .position(|l| plan.block_rows(l.blocks.start).len() > 1)
+            .expect("some block computes several rows");
+        plan.launches[l].method = AccMethod::Dense;
+        let msg = reject(&plan, &nplan.row_ptr);
+        assert!(msg.contains("a dense block computes one row"), "{msg}");
+    }
+
     /// The panic message of `f`, which must panic.
     fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
         let payload = std::panic::catch_unwind(f).expect_err("the multiply must panic");
@@ -659,8 +870,9 @@ mod tests {
 
     #[test]
     fn row_hand_out_checks_hold_around_the_bitmap_word_boundary() {
-        // C's rows are handed out through one take-once bit each, 64 to a
-        // word: the last row sits in a partial, a full and a one-bit word.
+        // Row counts on both sides of 64, a word of any per-row bitmap:
+        // the partition check must catch the last row left out or listed
+        // twice at every one.
         for n in [0usize, 63, 64, 65] {
             let cfg = SpeckConfig::default();
             if n == 0 {
@@ -687,7 +899,7 @@ mod tests {
 
     #[test]
     fn many_row_multiply_matches_reference() {
-        // 300,000 rows: C's hand-out spans thousands of bitmap words.
+        // 300,000 rows, cut from C's arrays by 300,000 one-row blocks.
         let a = speck_sparse::gen::banded(300_000, 1, 1.0, 1);
         check(&a, &SpeckConfig::default());
     }

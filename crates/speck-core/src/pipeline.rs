@@ -22,7 +22,7 @@ use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
 use crate::global_lb::{plan_numeric, plan_symbolic, ThresholdSet};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::numeric::{run_numeric, NumericJob, NumericPlan};
+use crate::numeric::{run_numeric, CheckedPlan, NumericPlan};
 use crate::plan::{fnv1a_bytes, PatternId, PatternKey, PlanCache, SpgemmPlan};
 use crate::symbolic::run_symbolic;
 use crate::trace::{pass_annotations, timeline_of, ExecutionTrace, Recorder, TraceRecord};
@@ -483,9 +483,10 @@ impl SpeckSpgemm {
             symbolic: splan.summary(),
             numeric: nplan.summary(),
             info,
-            nplan,
+            // The one check of the numeric hand-out, for every execution
+            // of this plan.
+            nplan: CheckedPlan::new(nplan, row_ptr),
             row_nnz: sym.row_nnz,
-            row_ptr,
             setup: rec.into_records(),
             setup_mem_bytes,
             sym_spilled_blocks: sym.spilled_blocks,
@@ -525,10 +526,7 @@ impl SpeckSpgemm {
         mem.alloc(plan.nnz_c() * (4 + std::mem::size_of::<V>()));
 
         // Stage 5: numeric SpGEMM.
-        let job = NumericJob {
-            plan: &plan.nplan,
-            row_ptr: &plan.row_ptr,
-        };
+        let job = plan.nplan.job();
         let num = {
             let _s = span.child("numeric");
             run_numeric(
@@ -537,8 +535,13 @@ impl SpeckSpgemm {
         };
         let anns = self
             .observing()
-            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, &plan.nplan));
-        rec.pass(stage::NUMERIC, &num.reports, &plan.nplan.launches, anns);
+            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, plan.nplan.plan()));
+        rec.pass(
+            stage::NUMERIC,
+            &num.reports,
+            &plan.nplan.plan().launches,
+            anns,
+        );
         num.record_metrics(m);
 
         // Stage 6: sorting.

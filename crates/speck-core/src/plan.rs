@@ -29,7 +29,8 @@
 //! kernels at all, so its simulated time drops along with the wall clock.
 
 use crate::analysis::AnalysisInfo;
-use crate::global_lb::{PassPlan, PassSummary};
+use crate::global_lb::PassSummary;
+use crate::numeric::CheckedPlan;
 use crate::trace::{timeline_of, TraceRecord};
 use speck_sparse::{Csr, Scalar};
 use std::any::{Any, TypeId};
@@ -179,12 +180,11 @@ pub struct SpgemmPlan<V> {
     /// Decision summary of the numeric pass, read like `symbolic`.
     pub(crate) numeric: PassSummary,
     /// The numeric block plan (bins, methods, kernel configurations),
-    /// with its launches.
-    pub(crate) nplan: PassPlan,
+    /// with its launches, and the prefix-summed row offsets of C
+    /// (`row_nnz` scanned; len `rows+1`), checked once to fit each other.
+    pub(crate) nplan: CheckedPlan,
     /// Exact NNZ of every row of C (symbolic pass output).
     pub(crate) row_nnz: Vec<u32>,
-    /// Prefix-summed row offsets of C (`row_nnz` scanned; len `rows+1`).
-    pub(crate) row_ptr: Vec<usize>,
     /// Records of the setup stages (analysis through numeric load
     /// balancing, including their allocation overheads). A cold execute
     /// resumes the multiply's record stream from them; a reused one never
@@ -203,7 +203,7 @@ pub struct SpgemmPlan<V> {
 impl<V: Scalar> SpgemmPlan<V> {
     /// Exact NNZ of the output matrix C.
     pub fn nnz_c(&self) -> usize {
-        *self.row_ptr.last().unwrap_or(&0)
+        *self.nplan.row_ptr().last().unwrap_or(&0)
     }
 
     /// Exact NNZ of every row of C, as counted by the symbolic pass.
@@ -213,7 +213,7 @@ impl<V: Scalar> SpgemmPlan<V> {
 
     /// Prefix-summed row offsets of C (length `rows + 1`).
     pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        self.nplan.row_ptr()
     }
 
     /// Simulated seconds of the setup stages this plan amortises
