@@ -9,7 +9,7 @@
 #                       #     pool threads) +
 #                       #     perfbench build and smoke run + three
 #                       #     experiments run by name + one round of
-#                       #     each host-cost probe
+#                       #     each host-cost probe + the root examples
 #   ./ci.sh --bench     # ... plus the wall-clock throughput benchmark
 #                       #     (rewrites BENCH_throughput.json)
 #   ./ci.sh --smoke     # ... plus a simulation-neutrality check: fails if
@@ -154,12 +154,17 @@ experiments_smoke() {
         >target/ci/experiments.txt
 }
 
-# The host-cost probes (examples) run once at one round each, so they
-# keep running and not just compiling.
+# The host-cost probes (examples) run once at one round each, and the
+# five root examples once each (`out_of_core` runs the banded multiplies
+# of `partial.rs`), so they keep running and not just compiling.
 examples_smoke() {
     cargo run --release --offline -p speck-simt --example launch_overhead -- 1
     RAYON_NUM_THREADS=1 cargo run --release --offline -p speck-core --example accumulator_cost -- 1
     RAYON_NUM_THREADS=1 cargo run --release --offline -p speck-core --example setup_cost -- 1
+    local example
+    for example in quickstart amg_galerkin graph_triangles method_shootout out_of_core; do
+        cargo run --release --offline --example "$example"
+    done
 }
 
 # One bench run serves every enabled bench gate.
@@ -271,7 +276,7 @@ gate "cargo test (rayon + speck-simt + speck-core lib, RAYON_NUM_THREADS=3)" ove
 gate "perfbench build (repo benchmark against the engine API)" perfbench_build
 gate "perfbench smoke run (small workload, 1 s)" perfbench_smoke
 gate "experiment driver (run_all_experiments table4 fig8 fig11)" experiments_smoke
-gate "examples_smoke (launch_overhead, accumulator_cost, setup_cost at ROUNDS=1)" examples_smoke
+gate "examples_smoke (launch_overhead, accumulator_cost, setup_cost at ROUNDS=1; the five root examples)" examples_smoke
 
 if [ "$run_bench" -eq 1 ] || [ "$run_smoke" -eq 1 ] || [ "$run_metrics" -eq 1 ] \
     || [ "$run_audit" -eq 1 ]; then

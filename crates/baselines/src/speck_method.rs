@@ -1,7 +1,7 @@
 //! Adapter exposing spECK (`speck-core`) through the comparison trait.
 
 use crate::{MethodResult, SpgemmMethod};
-use speck_core::{multiply, SpeckConfig};
+use speck_core::{SpeckConfig, SpeckSpgemm};
 use speck_simt::{CostModel, DeviceConfig};
 use speck_sparse::Csr;
 
@@ -32,7 +32,10 @@ impl SpgemmMethod for SpeckMethod {
         a: &Csr<f64>,
         b: &Csr<f64>,
     ) -> MethodResult {
-        let (c, report) = multiply(dev, cost, &self.config, a, b);
+        let mut engine = SpeckSpgemm::with_config(self.config.clone()).with_plan_cache_capacity(0);
+        engine.device = dev.clone();
+        engine.cost = cost.clone();
+        let (c, report) = engine.multiply(a, b);
         if report.peak_mem_bytes > dev.memory_bytes {
             return MethodResult::failure("out of device memory");
         }

@@ -9,7 +9,7 @@
 use crate::out::render_table;
 use speck_baselines::all_methods;
 use speck_core::pipeline::stage;
-use speck_core::{multiply, GlobalLbMode, MultiplyReport, SpeckConfig};
+use speck_core::{GlobalLbMode, MultiplyReport, SpeckConfig, SpeckSpgemm};
 use speck_simt::{CostModel, DeviceConfig};
 use speck_sparse::gen::{common_matrices, uniform_random};
 
@@ -28,6 +28,9 @@ pub fn block_merge_ablation(dev: &DeviceConfig, cost: &CostModel) -> String {
         block_merge,
         ..SpeckConfig::default()
     };
+    let mut engine = SpeckSpgemm::default().with_plan_cache_capacity(0);
+    engine.device = dev.clone();
+    engine.cost = cost.clone();
     let shipped = SpeckConfig::default().global_lb;
     let passes_s = |r: &MultiplyReport| -> f64 {
         r.timeline
@@ -56,10 +59,13 @@ pub fn block_merge_ablation(dev: &DeviceConfig, cost: &CostModel) -> String {
     .enumerate()
     {
         let a = uniform_random(n, n, lo, hi, 800 + i as u64);
-        let time = |cfg: &SpeckConfig| multiply(dev, cost, cfg, &a, &a).1;
-        let (d_on, d_off) = (time(&arm(shipped, true)), time(&arm(shipped, false)));
-        let on = time(&arm(GlobalLbMode::AlwaysOn, true));
-        let off = time(&arm(GlobalLbMode::AlwaysOn, false));
+        let mut time = |cfg| {
+            engine.config = cfg;
+            engine.multiply(&a, &a).1
+        };
+        let (d_on, d_off) = (time(arm(shipped, true)), time(arm(shipped, false)));
+        let on = time(arm(GlobalLbMode::AlwaysOn, true));
+        let off = time(arm(GlobalLbMode::AlwaysOn, false));
         rows.push(vec![
             format!("uniform_n{n}_{lo}to{hi}"),
             format!("{:.2}", d_off.sim_time_s / d_on.sim_time_s),

@@ -12,8 +12,10 @@
 //!
 //! Run it on one pool thread: the planning steps run on one thread
 //! whatever the pool's width, and the analysis launch then reads its work,
-//! not its parallel speed-up. The best of `ROUNDS` rounds (default 15) is
-//! reported. Operands: `banded(300000, 1, 1.0)` (short rows, one numeric
+//! not its parallel speed-up. Each round times a batch of calls that
+//! covers `SAMPLE_ROWS` rows, about 1 ms even for the cheapest per-row
+//! step, and the best of `ROUNDS` rounds (default 15) is reported per
+//! call. Operands: `banded(300000, 1, 1.0)` (short rows, one numeric
 //! dense block each), the `hugebubbles` stand-in `banded(40000, 2, 0.55)`
 //! and `banded(400, 1, 1.0)` (a `small`-workload size). `set-up` sums the
 //! three planning steps.
@@ -42,15 +44,24 @@ use std::time::Instant;
 /// Calls per round of the per-block table.
 const CALLS: usize = 500;
 
-/// Best wall seconds of `rounds` calls of `f`.
-fn best_of(rounds: usize, mut f: impl FnMut()) -> f64 {
-    (0..rounds)
+/// Rows one round of the set-up table covers: its calls per round are
+/// `SAMPLE_ROWS / rows`, rounded up, so that a round of the cheapest
+/// per-row step (about 4 ns per row) still takes about 1 ms.
+const SAMPLE_ROWS: usize = 250_000;
+
+/// Best wall seconds per call of `f` over `rounds` rounds of `calls`
+/// calls each.
+fn best_of(rounds: usize, calls: usize, mut f: impl FnMut()) -> f64 {
+    let best = (0..rounds)
         .map(|_| {
             let start = Instant::now();
-            f();
+            for _ in 0..calls {
+                f();
+            }
             start.elapsed().as_secs_f64()
         })
-        .fold(f64::INFINITY, f64::min)
+        .fold(f64::INFINITY, f64::min);
+    best / calls as f64
 }
 
 /// Best host seconds of each step of `A·A`'s set-up, in the order of
@@ -62,12 +73,13 @@ fn steps(rounds: usize, a: &Csr<f64>) -> [f64; 5] {
     let cfg = SpeckConfig::default();
     let skip = BlockRecords::Skip;
     let cols = a.cols();
-    let analysis = best_of(rounds, || {
+    let calls = SAMPLE_ROWS.div_ceil(a.rows());
+    let analysis = best_of(rounds, calls, || {
         black_box(analyze(&dev, &cost, a, a));
     });
     let (info, _) = analyze(&dev, &cost, a, a);
     let plan_sym = || plan_symbolic(&dev, &cost, &cascade, &cfg, &info, cols, skip);
-    let symbolic = best_of(rounds, || {
+    let symbolic = best_of(rounds, calls, || {
         black_box(plan_sym());
     });
     let splan = plan_sym();
@@ -77,17 +89,17 @@ fn steps(rounds: usize, a: &Csr<f64>) -> [f64; 5] {
     )
     .row_nnz;
     let plan_num = || plan_numeric(&dev, &cost, &cascade, &cfg, &info, &row_nnz, cols, 8, skip);
-    let numeric = best_of(rounds, || {
+    let numeric = best_of(rounds, calls, || {
         black_box(plan_num());
     });
     let nplan = plan_num().plan;
-    let metrics = best_of(rounds, || {
+    let metrics = best_of(rounds, calls, || {
         let m = MetricsRegistry::new();
         splan.record_metrics(&m, "symbolic");
         nplan.record_metrics(&m, "numeric");
         black_box(m);
     });
-    let seq = best_of(rounds, || {
+    let seq = best_of(rounds, calls, || {
         black_box(spgemm_seq(a, a));
     });
     [analysis, symbolic, numeric, metrics, seq]
@@ -114,10 +126,8 @@ fn per_block(rounds: usize) -> [f64; 2] {
     let pool = WorkspacePool::new();
     let (info, report) = analyze(&dev, &cost, &a, &a);
     assert_eq!(report.grid, a.rows(), "one row per analysis block");
-    let analysis = best_of(rounds, || {
-        for _ in 0..CALLS {
-            black_box(analyze(&dev, &cost, &a, &a));
-        }
+    let analysis = best_of(rounds, CALLS, || {
+        black_box(analyze(&dev, &cost, &a, &a));
     });
     let splan = plan_symbolic(&dev, &cost, &cascade, &cfg, &info, a.cols(), skip);
     let sym = run_symbolic(
@@ -140,14 +150,12 @@ fn per_block(rounds: usize) -> [f64; 2] {
         "one row per numeric block"
     );
     let job = nplan.job();
-    let numeric = best_of(rounds, || {
-        for _ in 0..CALLS {
-            black_box(run_numeric(
-                &dev, &cost, &cascade, &cfg, &a, &a, &info, &job, &pool, skip,
-            ));
-        }
+    let numeric = best_of(rounds, CALLS, || {
+        black_box(run_numeric(
+            &dev, &cost, &cascade, &cfg, &a, &a, &info, &job, &pool, skip,
+        ));
     });
-    [analysis, numeric].map(|t| t * 1e9 / (CALLS * a.rows()) as f64)
+    [analysis, numeric].map(|t| t * 1e9 / a.rows() as f64)
 }
 
 /// [`per_block`] at `threads` pool threads: measured here when the pool
@@ -188,7 +196,8 @@ fn main() {
         ("banded_400", banded(400, 1, 1.0, 1)),
     ];
     println!(
-        "host ns per row of the serial set-up, {} pool thread(s), best of {rounds} rounds",
+        "host ns per row of the serial set-up, {} pool thread(s), best of {rounds} rounds \
+         of {SAMPLE_ROWS} rows' calls",
         rayon::current_num_threads()
     );
     print!("{:<14}", "step");

@@ -63,33 +63,12 @@ pub struct AnalysisInfo {
 }
 
 impl AnalysisInfo {
-    /// Mean products per row (0 for an empty matrix).
-    pub fn avg_products(&self) -> f64 {
-        if self.rows.is_empty() {
-            0.0
-        } else {
-            self.total_products as f64 / self.rows.len() as f64
-        }
-    }
-
-    /// The paper's `m_max / m_avg` load-variance measure over the
-    /// conservative scratchpad demands (§5). Returns 1.0 for degenerate
-    /// inputs so the "uniform" branch is taken.
-    pub fn demand_ratio(&self) -> f64 {
-        let avg = self.avg_products();
-        if avg <= 0.0 {
-            1.0
-        } else {
-            self.max_products as f64 / avg
-        }
-    }
-
     /// Features of a block of `rows` that the local load balancer reads
     /// (paper §3.2): `(nnz_a, products, max_b_row)` — NZ of A and
     /// products summed over the rows, and the longest referenced row of
     /// B.
     #[inline]
-    pub fn block_features(&self, rows: &[u32]) -> (u64, u64, u64) {
+    pub(crate) fn block_features(&self, rows: &[u32]) -> (u64, u64, u64) {
         let info = &self.rows;
         let nnz_a = rows.iter().map(|&r| info[r as usize].nnz_a as u64).sum();
         let products = rows.iter().map(|&r| info[r as usize].products).sum();
@@ -252,8 +231,12 @@ mod tests {
     fn demand_ratio_distinguishes_uniform_from_skewed() {
         let uniform = uniform_random(500, 500, 4, 4, 1);
         let skewed = rmat(9, 8, 0.57, 0.19, 0.19, 1);
-        let ru = run(&uniform, &uniform).demand_ratio();
-        let rs = run(&skewed, &skewed).demand_ratio();
+        // The paper's `m_max / m_avg` load-variance measure (§5).
+        let ratio = |info: AnalysisInfo| {
+            info.max_products as f64 / (info.total_products as f64 / info.rows.len() as f64)
+        };
+        let ru = ratio(run(&uniform, &uniform));
+        let rs = ratio(run(&skewed, &skewed));
         assert!(ru < 3.0, "uniform ratio {ru}");
         assert!(rs > 5.0, "skewed ratio {rs}");
     }
@@ -289,6 +272,5 @@ mod tests {
         let info = run(&a, &a);
         assert_eq!(info.total_products, 0);
         assert_eq!(info.max_products, 0);
-        assert_eq!(info.demand_ratio(), 1.0);
     }
 }

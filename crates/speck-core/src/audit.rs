@@ -23,10 +23,10 @@
 //! `tests/audit_reconcile.rs`). Alternative estimates are counterfactual
 //! perturbations of the same measured block (scaled rounds, scaled
 //! compute, or a re-planned pass costed by the profiler's per-row
-//! attribution, [`ExecutionTrace::row_cycles`]), so they are
+//! attribution, `ExecutionTrace::row_cycles`), so they are
 //! deterministic but *optimistic bounds*, not replays. Blocks are read
 //! through the trace's block view and their features through
-//! [`AnalysisInfo::block_features`], the fold the kernels use.
+//! `AnalysisInfo::block_features`, the fold the kernels use.
 //!
 //! Everything here is read-only post-processing: auditing never changes
 //! simulated results, and [`DecisionReport::canonical_json`] is
@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Format tag embedded in every audit export.
-pub const AUDIT_FORMAT: &str = "speck-audit-v1";
+pub(crate) const AUDIT_FORMAT: &str = "speck-audit-v1";
 
 /// Relative tolerance separating a tie from a real cycle gap.
 const TIE_RTOL: f64 = 1e-9;
@@ -166,7 +166,7 @@ pub struct DecisionReport {
 impl DecisionReport {
     /// Aggregates the records into `(stage/kind, acc, bin)` cells, keyed
     /// like the profiler's attribution cells.
-    pub fn summary(&self) -> BTreeMap<BinKey, AuditGroupStats> {
+    pub(crate) fn summary(&self) -> BTreeMap<BinKey, AuditGroupStats> {
         let mut cells: BTreeMap<BinKey, AuditGroupStats> = BTreeMap::new();
         for r in &self.records {
             let key = (format!("{}/{}", r.stage, r.kind), r.acc, r.bin);
@@ -196,7 +196,7 @@ impl DecisionReport {
     }
 
     /// Total estimated regret cycles across every misprediction.
-    pub fn total_regret_cycles(&self) -> f64 {
+    pub(crate) fn total_regret_cycles(&self) -> f64 {
         self.records.iter().map(|r| r.regret_cycles).sum()
     }
 
@@ -386,7 +386,7 @@ pub struct AuditDiff {
     /// `new.total_regret_cycles() - old.total_regret_cycles()`.
     pub regret_delta_cycles: f64,
     /// Summary cells whose statistics differ, keyed like
-    /// [`DecisionReport::summary`], with `(old, new)` stats (a missing
+    /// `DecisionReport::summary`, with `(old, new)` stats (a missing
     /// side contributes zeroed stats). Empty for identical reports.
     pub cells: BTreeMap<BinKey, (AuditGroupStats, AuditGroupStats)>,
 }

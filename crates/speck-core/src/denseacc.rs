@@ -66,24 +66,19 @@ impl<V: Scalar> DenseChunk<V> {
         }
     }
 
-    /// First column covered by the chunk.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
     /// Number of columns covered.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// One-past-last column covered.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.base as u64 + self.width as u64
     }
 
     /// True when `col` falls inside this chunk.
     #[inline]
-    pub fn contains(&self, col: u32) -> bool {
+    pub(crate) fn contains(&self, col: u32) -> bool {
         (col as u64) >= self.base as u64 && (col as u64) < self.end()
     }
 
@@ -105,7 +100,7 @@ impl<V: Scalar> DenseChunk<V> {
     }
 
     /// Symbolic: marks `col`; returns `true` when new. Panics outside the
-    /// chunk (kernels clip with [`DenseChunk::contains`]).
+    /// chunk (kernels clip with `DenseChunk::contains`).
     pub fn mark(&mut self, col: u32) -> bool {
         debug_assert!(self.contains(col));
         self.ops += 1;
@@ -171,7 +166,7 @@ impl<V: Scalar> DenseChunk<V> {
     /// Re-arms the chunk as a numeric window `[base, base + width)`,
     /// reusing the mask/value allocations (equivalent to
     /// [`DenseChunk::numeric`] without the heap traffic).
-    pub fn reuse_numeric(&mut self, base: u32, width: usize) {
+    pub(crate) fn reuse_numeric(&mut self, base: u32, width: usize) {
         assert!(width > 0);
         self.base = base;
         self.width = width;
@@ -190,7 +185,7 @@ impl<V: Scalar> DenseChunk<V> {
     /// Re-arms the chunk as a symbolic window `[base, base + width)`,
     /// reusing the mask allocation (equivalent to
     /// [`DenseChunk::symbolic`] without the heap traffic).
-    pub fn reuse_symbolic(&mut self, base: u32, width: usize) {
+    pub(crate) fn reuse_symbolic(&mut self, base: u32, width: usize) {
         assert!(width > 0);
         self.base = base;
         self.width = width;
@@ -206,7 +201,7 @@ impl<V: Scalar> DenseChunk<V> {
 
     /// Visits the occupied slots in column order without allocating
     /// (the zero-copy variant of [`DenseChunk::extract_sorted`]).
-    pub fn for_each_set(&self, mut f: impl FnMut(u32, V)) {
+    pub(crate) fn for_each_set(&self, mut f: impl FnMut(u32, V)) {
         for (w, &word) in self.mask.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -224,7 +219,7 @@ impl<V: Scalar> DenseChunk<V> {
     }
 
     /// Resets the chunk for the next window starting at `base`.
-    pub fn reset(&mut self, base: u32) {
+    pub(crate) fn reset(&mut self, base: u32) {
         self.base = base;
         self.mask.fill(0);
         if !self.vals.is_empty() {
@@ -238,7 +233,7 @@ impl<V: Scalar> DenseChunk<V> {
     /// occupied slots in column order while zeroing them, leaving the chunk
     /// clean at `O(touched)` cost instead of [`DenseChunk::reset`]'s
     /// `O(width)` refill.
-    pub fn drain_set(&mut self, mut f: impl FnMut(u32, V)) {
+    pub(crate) fn drain_set(&mut self, mut f: impl FnMut(u32, V)) {
         let numeric = !self.vals.is_empty();
         for (w, word) in self.mask.iter_mut().enumerate() {
             let mut bits = *word;
@@ -266,7 +261,7 @@ impl<V: Scalar> DenseChunk<V> {
     /// touching its (all-zero) contents. `width` must not exceed the
     /// current width; call [`DenseChunk::drain_set`] (or
     /// [`DenseChunk::reset`]) first.
-    pub fn slide(&mut self, base: u32, width: usize) {
+    pub(crate) fn slide(&mut self, base: u32, width: usize) {
         assert!(width > 0 && width <= self.width);
         debug_assert!(!self.dirty, "slide requires a drained chunk");
         self.base = base;

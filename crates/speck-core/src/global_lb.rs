@@ -33,7 +33,7 @@ pub enum AccMethod {
 
 impl AccMethod {
     /// Lower-case name used in exports and tables.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AccMethod::Hash => "hash",
             AccMethod::Dense => "dense",
@@ -42,7 +42,7 @@ impl AccMethod {
     }
 
     /// Inverse of [`AccMethod::name`].
-    pub fn from_name(s: &str) -> Option<AccMethod> {
+    pub(crate) fn from_name(s: &str) -> Option<AccMethod> {
         [AccMethod::Hash, AccMethod::Dense, AccMethod::Direct]
             .into_iter()
             .find(|a| a.name() == s)
@@ -131,7 +131,7 @@ pub struct PassPlan {
 /// Copyable decision summary of one pass plan — everything a
 /// [`crate::MultiplyReport`] needs about the pass, without keeping the
 /// full block list alive. Reusable multiplication plans
-/// ([`crate::SpgemmPlan`]) retain one per pass.
+/// ([`crate::plan::SpgemmPlan`]) retain one per pass.
 #[derive(Clone, Copy, Debug)]
 pub struct PassSummary {
     /// The pass's global-LB gate.
@@ -182,7 +182,7 @@ impl PassPlan {
     }
 
     /// The pass's copyable decision summary (for reports).
-    pub fn summary(&self) -> PassSummary {
+    pub(crate) fn summary(&self) -> PassSummary {
         PassSummary {
             gate: self.gate,
             method_counts: self.method_counts(),
@@ -190,7 +190,7 @@ impl PassPlan {
     }
 
     /// Number of blocks per method, for reports and tests.
-    pub fn method_counts(&self) -> (usize, usize, usize) {
+    pub(crate) fn method_counts(&self) -> (usize, usize, usize) {
         let mut n = [0; 3];
         for l in &self.launches {
             n[l.method as usize] += l.blocks.len();
@@ -242,7 +242,7 @@ pub(crate) fn direct_kernel_config(dev: &DeviceConfig) -> KernelConfig {
 /// *and* the matrix has at least `thr_rows` rows to amortise the binning
 /// kernels. Shared by the pipeline's gate ([`plan_symbolic`] /
 /// [`plan_numeric`]) and the auto-tuner's predictor
-/// ([`crate::tuning::predict`]), so audits of the one are claims about
+/// (`tuning::predict`), so audits of the one are claims about
 /// the other.
 pub fn lb_threshold_fires(ratio: f64, rows: usize, thr_ratio: f64, thr_rows: usize) -> bool {
     ratio >= thr_ratio && rows >= thr_rows

@@ -86,7 +86,7 @@ pub struct AccStats {
 /// Deterministic trivial hasher for the global fallback map (keys are
 /// already well-mixed compound indices; avoid SipHash overhead).
 #[derive(Default)]
-pub struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
@@ -327,18 +327,13 @@ impl<V: Scalar> Accumulator<V> {
     }
 
     /// Local slot capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.keys.len()
     }
 
     /// True once the accumulator has fallen back to global memory.
     pub fn spilled_to_global(&self) -> bool {
         self.global.is_some()
-    }
-
-    /// Current local fill rate in `[0, 1]`.
-    pub fn fill(&self) -> f64 {
-        self.touched.len() as f64 / self.capacity() as f64
     }
 
     /// Ensures `headroom` more inserts can all land locally; if not,
@@ -547,7 +542,7 @@ impl<V: Scalar> Accumulator<V> {
     /// [`Accumulator::drain_sorted`] into a caller-provided buffer
     /// (cleared first), so a reused workspace pays no allocation. Gathers
     /// from the claimed slots only and empties them.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<(u64, V)>) {
+    pub(crate) fn drain_sorted_into(&mut self, out: &mut Vec<(u64, V)>) {
         out.clear();
         out.reserve(self.len());
         out.extend(
@@ -760,14 +755,5 @@ mod tests {
         assert_eq!(acc.insert_row_keys(0, &[3, 2, 1], 4), 0);
         assert_eq!(acc.stats.smem_inserts, 9);
         assert_eq!(acc.len(), 3);
-    }
-
-    #[test]
-    fn fill_rate_reported() {
-        let mut acc: Accumulator<f64> = Accumulator::new(10);
-        for i in 0..5 {
-            acc.insert(i, 1.0);
-        }
-        assert!((acc.fill() - 0.5).abs() < 1e-12);
     }
 }

@@ -5,18 +5,18 @@
 //! Dependency-free. The writer emits deterministic text, so exports are
 //! byte-stable across runs. The parser keeps every number token's exact
 //! text, so a `u64` counter above 2^53 reads back exactly through
-//! [`JsonValue::as_u64`] while [`JsonValue::as_f64`] recovers any `f64`
+//! `JsonValue::as_u64` while [`JsonValue::as_f64`] recovers any `f64`
 //! written with shortest-roundtrip `Display`.
 //!
 //! Every parse-back path reads fields through the typed accessors
-//! [`JsonValue::req`] and [`JsonValue::opt`] (and [`JsonValue::typed`]
+//! `JsonValue::req` and `JsonValue::opt` (and `JsonValue::typed`
 //! for array items and object values), so a malformed document fails
 //! with an error naming the missing or mistyped key.
 
 use std::fmt::Write as _;
 
 /// Writes `s` as a JSON string literal (quotes and escapes included).
-pub fn push_json_string(out: &mut String, s: &str) {
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -81,7 +81,7 @@ impl JsonValue {
 
     /// The value as u64, if a non-negative integer — read from the token
     /// text, so every u64 is exact.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(t) => t.parse::<u64>().ok().or_else(|| {
                 let v = self.as_f64()?;
@@ -92,17 +92,17 @@ impl JsonValue {
     }
 
     /// The value as usize, if a non-negative integer that fits.
-    pub fn as_usize(&self) -> Option<usize> {
+    pub(crate) fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|v| v.try_into().ok())
     }
 
     /// The value as u32, if a non-negative integer that fits.
-    pub fn as_u32(&self) -> Option<u32> {
+    pub(crate) fn as_u32(&self) -> Option<u32> {
         self.as_u64().and_then(|v| v.try_into().ok())
     }
 
     /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
             _ => None,
@@ -110,7 +110,7 @@ impl JsonValue {
     }
 
     /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(v) => Some(v),
             _ => None,
@@ -118,7 +118,7 @@ impl JsonValue {
     }
 
     /// The value's fields, if an object.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
+    pub(crate) fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
         match self {
             JsonValue::Obj(fields) => Some(fields),
             _ => None,
@@ -128,7 +128,7 @@ impl JsonValue {
     /// The value read through `as_t` (one of the `as_*` readers, or a
     /// closure over one), or an error naming it `what` when it has
     /// another type.
-    pub fn typed<'a, T>(
+    pub(crate) fn typed<'a, T>(
         &'a self,
         what: &str,
         as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
@@ -138,7 +138,7 @@ impl JsonValue {
 
     /// Required field `key` read through `as_t`: an error names the key
     /// when it is missing or has another type.
-    pub fn req<'a, T>(
+    pub(crate) fn req<'a, T>(
         &'a self,
         key: &str,
         as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
@@ -152,7 +152,7 @@ impl JsonValue {
     /// Optional field `key` read through `as_t`: `None` when it is
     /// missing or `null`, an error naming the key when it has another
     /// type.
-    pub fn opt<'a, T>(
+    pub(crate) fn opt<'a, T>(
         &'a self,
         key: &str,
         as_t: impl FnOnce(&'a JsonValue) -> Option<T>,

@@ -19,8 +19,7 @@
 //!    accumulator choice plus in-scratchpad or global sorting ([`sort`]).
 //! 6. **Output assembly**.
 //!
-//! Entry point: [`SpeckSpgemm`], the one way into the pipeline; the free
-//! [`multiply`] runs a one-off engine with plan caching off.
+//! Entry point: [`SpeckSpgemm`], the one way into the pipeline.
 //!
 //! ```
 //! use speck_core::SpeckSpgemm;
@@ -36,7 +35,7 @@
 //! ## Plan reuse
 //!
 //! Stages 1–4 depend only on the sparsity patterns of A and B. The
-//! [`plan`] module captures them as a reusable [`SpgemmPlan`];
+//! [`plan`] module captures them as a reusable [`SpgemmPlan`](plan::SpgemmPlan);
 //! [`SpeckSpgemm::multiply`] caches plans by pattern fingerprint so a
 //! repeated pattern transparently skips analysis and the symbolic pass,
 //! and [`SpeckSpgemm::execute_plan`] exposes the split explicitly:
@@ -91,17 +90,15 @@ pub mod trace;
 pub mod tuning;
 pub mod workspace;
 
-pub use analysis::{analyze, AnalysisInfo, RowInfo};
-pub use audit::{
-    diff_reports, AuditDiff, AuditGroupStats, DecisionRecord, DecisionReport, Verdict, AUDIT_FORMAT,
-};
+pub use analysis::analyze;
+pub use audit::{diff_reports, DecisionReport, Verdict};
 pub use cascade::KernelCascade;
-pub use config::{GlobalLbMode, GlobalLbThresholds, LocalLbMode, SpeckConfig};
-pub use json::{parse_json_value, JsonValue};
-pub use metrics::{compare_snapshots, MetricsRegistry, MetricsSnapshot};
+pub use config::{GlobalLbMode, LocalLbMode, SpeckConfig};
+pub use json::parse_json_value;
+pub use metrics::MetricsRegistry;
 pub use partial::{multiply_multi_gpu, multiply_partitioned};
-pub use pipeline::{multiply, MultiplyReport, SpeckSpgemm, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use plan::{pattern_fingerprint, SpgemmPlan};
-pub use profile::{diff_traces, profile_trace, ProfileReport, TraceDiff};
-pub use trace::{ExecutionTrace, KernelTraceRecord, Recorder, TraceRecord, TRACE_FORMAT};
-pub use workspace::{Workspace, WorkspacePool};
+pub use pipeline::{MultiplyReport, SpeckSpgemm};
+pub use plan::pattern_fingerprint;
+pub use profile::{diff_traces, profile_trace};
+pub use trace::ExecutionTrace;
+pub use workspace::WorkspacePool;

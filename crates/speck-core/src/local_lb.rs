@@ -85,7 +85,7 @@ pub fn rounds_for_g(g: usize, threads: usize, b_row_lens: impl IntoIterator<Item
 /// `k = T/g` groups; the span bound is the longest row alone. The
 /// decision-audit layer scales a block's *measured* rounds by the ratio
 /// of these estimates to shadow-cost a rejected group size.
-pub fn estimated_rounds(
+pub(crate) fn estimated_rounds(
     g: usize,
     threads: usize,
     nnz_a: u64,
@@ -107,7 +107,7 @@ pub fn estimated_rounds(
 /// neighbouring powers of two (half and double), clamped to
 /// `[1, threads]` — the counterfactual candidates a decision audit
 /// shadow-costs against the chosen `g`.
-pub fn alternative_group_sizes(g: usize, threads: usize) -> Vec<usize> {
+pub(crate) fn alternative_group_sizes(g: usize, threads: usize) -> Vec<usize> {
     let g = g.clamp(1, threads.max(1));
     let mut alts = Vec::new();
     if g > 1 {

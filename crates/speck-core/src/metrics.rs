@@ -19,7 +19,7 @@
 //! * Recording — every multiply records into its engine's registry, and
 //!   the pipeline's stages take `&MetricsRegistry` directly. The per-launch
 //!   `sim/stage/*` and `sim/kernel/*` counters are not recorded launch by
-//!   launch: [`MetricsRegistry::record_launches`] folds them from the
+//!   launch: `MetricsRegistry::record_launches` folds them from the
 //!   multiply's one record stream ([`crate::trace`]), the same records
 //!   the `Timeline` and the execution trace fold.
 //! * [`MetricsSnapshot`] — a point-in-time copy with two serialisations:
@@ -69,7 +69,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Snapshot-format identifier embedded in every serialised snapshot.
-pub const SNAPSHOT_FORMAT: &str = "speck-metrics-v1";
+pub(crate) const SNAPSHOT_FORMAT: &str = "speck-metrics-v1";
 
 /// Relative tolerance for `wall/` gauges when the baseline does not
 /// declare one (see [`compare_snapshots`]).
@@ -82,10 +82,10 @@ pub const WALL_ABS_FLOOR_S: f64 = 0.01;
 
 /// Number of histogram buckets: bucket 0 holds the value 0; bucket `i`
 /// (1..=64) holds values of bit-width `i`, i.e. `[2^(i-1), 2^i)`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Bucket index of a value: 0 for 0, else its bit width.
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
@@ -111,21 +111,21 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Records one observation of `v`.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(v);
     }
 
     /// Records `n` observations of `v` at once.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         self.buckets[bucket_of(v)] += n;
         self.count += n;
         self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
     }
 
     /// Adds every observation of `other`.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (b, n) in self.buckets.iter_mut().zip(other.buckets) {
             *b += n;
         }
@@ -134,7 +134,7 @@ impl Histogram {
     }
 
     /// Point-in-time copy.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count,
             sum: self.sum,
@@ -145,7 +145,7 @@ impl Histogram {
 
 /// The metrics store: plain integers behind one lock.
 ///
-/// Each recording call — [`Self::record_launches`], a pass's
+/// Each recording call — `Self::record_launches`, a pass's
 /// load-balancing outcome, a fixed-name counter or histogram, a span's
 /// start and end — takes the lock once and adds integers; only
 /// [`Self::snapshot`] formats metric names. A metric appears in the
@@ -282,7 +282,7 @@ impl MetricsRegistry {
     /// launch count and simulated cycles (millicycle resolution), and per
     /// stage every cost-model counter and the grid-size histogram, plus
     /// the launch-cycle histogram. Fixed-cost records carry no counters.
-    pub fn record_launches(&self, records: &[TraceRecord]) {
+    pub(crate) fn record_launches(&self, records: &[TraceRecord]) {
         let mut guard = self.state();
         let st = &mut *guard;
         for r in records {
@@ -453,7 +453,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

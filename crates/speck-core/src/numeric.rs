@@ -372,7 +372,7 @@ impl NumericPlan {
 /// with its launches and C's exact row structure, checked to fit each
 /// other.
 ///
-/// Borrowed rather than owned so one [`crate::SpgemmPlan`] can drive any
+/// Borrowed rather than owned so one [`crate::plan::SpgemmPlan`] can drive any
 /// number of executions; a plan's inputs are checked once, when it is
 /// built, and never again per execution.
 pub struct NumericJob<'a> {
@@ -396,7 +396,7 @@ impl<'a> NumericJob<'a> {
 
 /// A numeric block plan and C's row offsets, owned and checked once, when
 /// built, as [`NumericJob::new`] checks them: a cached
-/// [`crate::SpgemmPlan`] runs its numeric pass any number of times
+/// [`crate::plan::SpgemmPlan`] runs its numeric pass any number of times
 /// without checking again. The fields are private so the checked pair
 /// cannot change.
 #[derive(Clone, Debug)]

@@ -16,7 +16,7 @@
 //! does.
 
 use crate::config::SpeckConfig;
-use crate::pipeline::{multiply, MultiplyReport};
+use crate::pipeline::SpeckSpgemm;
 use speck_simt::{CostModel, DeviceConfig, Timeline};
 use speck_sparse::{Csr, Scalar};
 
@@ -117,13 +117,17 @@ pub fn multiply_partitioned<V: Scalar>(
         bands.push((0, 0));
     }
 
+    // Plan caching off: every band runs the full cold pipeline.
+    let mut engine = SpeckSpgemm::with_config(cfg.clone()).with_plan_cache_capacity(0);
+    engine.device = dev.clone();
+    engine.cost = cost.clone();
     let mut results: Vec<Csr<V>> = Vec::with_capacity(bands.len());
     let mut timeline = Timeline::new();
     let mut total = 0.0f64;
     let mut peak = 0usize;
     for &(s, e) in &bands {
         let band = row_band(a, s, e);
-        let (c, report): (Csr<V>, MultiplyReport) = multiply(dev, cost, cfg, &band, b);
+        let (c, report) = engine.multiply(&band, b);
         total += report.sim_time_s;
         peak = peak.max(report.peak_mem_bytes + b.size_bytes() + band.size_bytes());
         timeline.merge(&report.timeline);
@@ -199,19 +203,23 @@ pub fn multiply_multi_gpu<V: Scalar>(
     }
     bands.push((start, n));
 
+    // Plan caching off: every band runs the full cold pipeline.
+    let mut engine = SpeckSpgemm::with_config(cfg.clone()).with_plan_cache_capacity(0);
+    engine.device = dev.clone();
+    engine.cost = cost.clone();
     let mut results = Vec::with_capacity(bands.len());
     let mut device_times_s = Vec::with_capacity(bands.len());
     let mut peak = 0usize;
     for &(s, e) in &bands {
         let band = row_band(a, s, e);
-        let (c, report) = multiply(dev, cost, cfg, &band, b);
+        let (c, report) = engine.multiply(&band, b);
         device_times_s.push(report.sim_time_s);
         peak = peak.max(report.peak_mem_bytes + b.size_bytes() + band.size_bytes());
         results.push(c);
     }
     let c = vcat(&results);
     let makespan = device_times_s.iter().cloned().fold(0.0f64, f64::max);
-    let single = multiply(dev, cost, cfg, a, b).1.sim_time_s;
+    let single = engine.multiply(a, b).1.sim_time_s;
     (
         c,
         MultiGpuReport {

@@ -13,9 +13,9 @@
 //!
 //! [`SpeckSpgemm::multiply`] is plan-then-execute in one call, and caches
 //! plans by pattern fingerprint so repeated patterns transparently skip
-//! the setup stages entirely (see [`crate::plan`]). The free [`multiply`]
-//! runs a one-off engine with plan caching off: the cold path, bit
-//! identical to the unfactored pipeline.
+//! the setup stages entirely (see [`crate::plan`]). An engine built
+//! [`SpeckSpgemm::with_plan_cache_capacity`]`(0)` runs every call on the
+//! cold path, bit identical to the unfactored pipeline.
 
 use crate::analysis::analyze_with;
 use crate::cascade::KernelCascade;
@@ -120,14 +120,14 @@ impl MultiplyReport {
 }
 
 /// Default number of reusable plans a [`SpeckSpgemm`] caches (LRU).
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 /// Reusable engine: device + cost model + configuration.
 ///
 /// The engine owns a [`SharedWorkspaces`] registry, so repeated `multiply`
 /// calls reuse the same host-side accumulator buffers instead of
 /// reallocating them (a host optimisation only — simulated cost is
-/// unchanged), and a [`PlanCache`] keyed by pattern fingerprint, so
+/// unchanged), and a plan cache keyed by pattern fingerprint, so
 /// `multiply` on a repeated sparsity pattern transparently skips the
 /// analysis and symbolic stages (an algorithmic win — simulated time
 /// drops too; the report records `reused_plan: true`). Clones share both.
@@ -391,7 +391,7 @@ impl SpeckSpgemm {
         let span = m.span("plan");
         let cascade = KernelCascade::for_device(dev);
         let records = self.block_records();
-        let mut rec = Recorder::new(dev);
+        let mut rec = Recorder::new(dev, &[]);
         let mut setup_mem_bytes = 0usize;
         let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
 
@@ -518,7 +518,7 @@ impl SpeckSpgemm {
         let alloc_s = dev.cycles_to_seconds(dev.alloc_overhead_cycles);
         let setup: &[TraceRecord] = if reused { &[] } else { &plan.setup };
         let records = self.block_records();
-        let mut rec = Recorder::resume(dev, setup);
+        let mut rec = Recorder::new(dev, setup);
         let mut mem = MemTracker::new();
         mem.alloc(plan.setup_mem_bytes);
         // Output matrix C: counted for memory, not for time (paper §6: "the
@@ -597,27 +597,6 @@ impl SpeckSpgemm {
         };
         (num.c, report)
     }
-}
-
-/// Computes `C = A · B` with spECK on the simulator: a one-off
-/// [`SpeckSpgemm`] with plan caching off runs the full cold pipeline.
-///
-/// Panics when `a.cols() != b.rows()` (matching the reference
-/// implementations in `speck-sparse`).
-pub fn multiply<V: Scalar>(
-    dev: &DeviceConfig,
-    cost: &CostModel,
-    cfg: &SpeckConfig,
-    a: &Csr<V>,
-    b: &Csr<V>,
-) -> (Csr<V>, MultiplyReport) {
-    let engine = SpeckSpgemm {
-        device: dev.clone(),
-        cost: cost.clone(),
-        config: cfg.clone(),
-        ..SpeckSpgemm::default()
-    };
-    engine.with_plan_cache_capacity(0).multiply(a, b)
 }
 
 #[cfg(test)]

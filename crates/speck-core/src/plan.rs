@@ -15,11 +15,11 @@
 //!   [`crate::SpeckSpgemm::plan`], consumed by
 //!   [`crate::SpeckSpgemm::execute_plan`], which refuses operands of any
 //!   other pattern before a kernel runs.
-//! * [`PatternKey`] + [`pattern_fingerprint`] — a cheap FNV-1a fingerprint
+//! * `PatternKey` + [`pattern_fingerprint`] — a cheap FNV-1a fingerprint
 //!   of `(dims, row_ptr, col_idx)` of both operands, so
 //!   [`crate::SpeckSpgemm::multiply`] can transparently detect a repeated
 //!   pattern.
-//! * [`PlanCache`] — a bounded LRU map from [`PatternKey`] to a
+//! * `PlanCache` — a bounded LRU map from `PatternKey` to a
 //!   type-erased [`SpgemmPlan`], shared by engine clones.
 //!
 //! This mirrors the reuse APIs of production SpGEMM libraries (cuSPARSE's
@@ -132,7 +132,7 @@ impl PatternId {
 /// land in the same bucket and are separated by `Eq` (exercised by the
 /// collision tests below).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PatternKey {
+pub(crate) struct PatternKey {
     pub(crate) pattern: PatternId,
     pub(crate) env: u64,
     pub(crate) vtype: TypeId,
@@ -149,7 +149,7 @@ impl PatternKey {
     /// Builds the key for multiplying `a · b` with scalar type `V` under
     /// the environment digest `env` (see
     /// [`crate::SpeckSpgemm`]'s cache: device + cost + config).
-    pub fn new<V: Scalar>(a: &Csr<V>, b: &Csr<V>, env: u64) -> Self {
+    pub(crate) fn new<V: Scalar>(a: &Csr<V>, b: &Csr<V>, env: u64) -> Self {
         PatternKey {
             pattern: PatternId::of(a, b),
             env,
@@ -166,7 +166,8 @@ impl PatternKey {
 /// numeric pass and the trailing sort; the plan supplies the analysis
 /// records, the numeric block plan with its launches, C's exact row
 /// structure, and the setup stages' records and memory so a cold
-/// plan-then-execute reproduces [`crate::multiply`] bit-for-bit.
+/// plan-then-execute reproduces a cold [`crate::SpeckSpgemm::multiply`]
+/// bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct SpgemmPlan<V> {
     /// Pattern identity of the operands the plan was built from;
@@ -204,16 +205,6 @@ impl<V: Scalar> SpgemmPlan<V> {
     /// Exact NNZ of the output matrix C.
     pub fn nnz_c(&self) -> usize {
         *self.nplan.row_ptr().last().unwrap_or(&0)
-    }
-
-    /// Exact NNZ of every row of C, as counted by the symbolic pass.
-    pub fn row_nnz(&self) -> &[u32] {
-        &self.row_nnz
-    }
-
-    /// Prefix-summed row offsets of C (length `rows + 1`).
-    pub fn row_ptr(&self) -> &[usize] {
-        self.nplan.row_ptr()
     }
 
     /// Simulated seconds of the setup stages this plan amortises
@@ -255,13 +246,13 @@ struct CacheSlot {
     last_used: u64,
 }
 
-/// Bounded LRU cache mapping [`PatternKey`]s to type-erased
+/// Bounded LRU cache mapping `PatternKey`s to type-erased
 /// [`SpgemmPlan`]s.
 ///
 /// Capacity 0 disables caching entirely (lookups miss, inserts are
 /// dropped). Eviction is strict least-recently-used by lookup/insert
 /// order.
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -272,7 +263,7 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// An empty cache holding at most `capacity` plans.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         PlanCache {
             capacity,
             tick: 0,
@@ -284,33 +275,28 @@ impl PlanCache {
     }
 
     /// Maximum number of plans retained.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of plans currently cached.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// `(hits, misses)` counters over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// Number of plans evicted by the LRU policy over the cache's
     /// lifetime (replacements and `clear` do not count).
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &PatternKey) -> Option<Arc<dyn Any + Send + Sync>> {
+    pub(crate) fn get(&mut self, key: &PatternKey) -> Option<Arc<dyn Any + Send + Sync>> {
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some(slot) => {
@@ -328,7 +314,7 @@ impl PlanCache {
     /// Inserts (or replaces) the plan under `key`, evicting the
     /// least-recently-used entry when full. A zero-capacity cache drops
     /// the insert.
-    pub fn insert(&mut self, key: PatternKey, plan: Arc<dyn Any + Send + Sync>) {
+    pub(crate) fn insert(&mut self, key: PatternKey, plan: Arc<dyn Any + Send + Sync>) {
         if self.capacity == 0 {
             return;
         }
@@ -354,7 +340,7 @@ impl PlanCache {
     }
 
     /// Drops every cached plan (counters keep running).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 }
@@ -496,7 +482,7 @@ mod tests {
         let mut cache = PlanCache::new(0);
         let k = key_with(1, 1, 0);
         cache.insert(k, plan_token(1));
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.get(&k).is_none());
         assert_eq!(cache.stats(), (0, 1));
     }

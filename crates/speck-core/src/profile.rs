@@ -6,8 +6,8 @@
 //! kernel's critical path.
 //!
 //! The folds read the trace's block view
-//! ([`crate::trace::KernelTraceRecord::traced_blocks`]) and its per-row
-//! attribution ([`ExecutionTrace::row_cycles`]). The `(stage, accumulator,
+//! (`KernelTraceRecord::traced_blocks`) and its per-row
+//! attribution (`ExecutionTrace::row_cycles`). The `(stage, accumulator,
 //! bin)` cell key, its table labels and the `(old, new)` pairing of two
 //! reports are shared with the decision audit's summary and diff.
 
@@ -87,7 +87,7 @@ pub struct BinCycles {
 /// Attribution-cell key: `(stage, accumulator, bin)`; helper kernels use
 /// `(stage, None, None)`. The decision audit keys its summary cells the
 /// same way, with `stage/kind` in the first slot.
-pub type BinKey = (String, Option<AccMethod>, Option<usize>);
+pub(crate) type BinKey = (String, Option<AccMethod>, Option<usize>);
 
 /// The accumulator and bin of a cell key as table text, `-` when absent.
 pub(crate) fn cell_labels(acc: Option<AccMethod>, bin: Option<usize>) -> (&'static str, String) {
@@ -458,7 +458,7 @@ mod tests {
     fn sample() -> ExecutionTrace {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_hash_c1", 8);
-        let mut rec = Recorder::new(&dev);
+        let mut rec = Recorder::new(&dev, &[]);
         rec.kernel(
             "num. SpGEMM",
             &rep,
@@ -519,11 +519,11 @@ mod tests {
     fn diff_reports_stage_deltas() {
         let dev = DeviceConfig::tiny();
         let rep = traced_report(&dev, "numeric_direct", 4);
-        let mut cold = Recorder::new(&dev);
+        let mut cold = Recorder::new(&dev, &[]);
         cold.fixed("analysis", "alloc", 2e-6);
         cold.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
         let cold = ExecutionTrace::new(&dev, cold.into_records());
-        let mut warm = Recorder::new(&dev);
+        let mut warm = Recorder::new(&dev, &[]);
         warm.kernel("num. SpGEMM", &rep, None, Some(AccMethod::Direct), None);
         let warm = ExecutionTrace::new(&dev, warm.into_records());
 

@@ -9,18 +9,18 @@
 use speck_simt::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport};
 
 /// Largest cascade index (inclusive) that sorts in scratchpad.
-pub const MAX_SCRATCH_SORT_CFG: usize = 2;
+pub(crate) const MAX_SCRATCH_SORT_CFG: usize = 2;
 
 /// Largest block map for which the quadratic rank sort beats handing the
 /// rows to the radix pass (the paper's small-kernel sizes keep `n` in this
 /// range; beyond it O(n^2) loses to O(n)-per-pass radix).
-pub const MAX_SCRATCH_SORT_ENTRIES: usize = 512;
+pub(crate) const MAX_SCRATCH_SORT_ENTRIES: usize = 512;
 
 /// Rank-sort cost for `n` entries on a `threads`-wide block, in warp-op
 /// units: each entry compares against all others (`n^2` comparisons
 /// total), the block's `T` lanes work in parallel (`ceil(n^2/T)` steps),
 /// and each step issues one op per resident warp (`T/32`).
-pub fn scratch_sort_steps(n: usize, threads: usize) -> u64 {
+pub(crate) fn scratch_sort_steps(n: usize, threads: usize) -> u64 {
     if n <= 1 {
         return 0;
     }

@@ -4,14 +4,14 @@
 //!
 //! # One record stream
 //!
-//! The pipeline calls a [`Recorder`] once per kernel launch
-//! ([`Recorder::kernel`], [`Recorder::pass`]) and once per fixed cost
-//! ([`Recorder::fixed`]). The resulting ordered `Vec<TraceRecord>` on a
+//! The pipeline calls a `Recorder` once per kernel launch
+//! (`Recorder::kernel`, `Recorder::pass`) and once per fixed cost
+//! (`Recorder::fixed`). The resulting ordered `Vec<TraceRecord>` on a
 //! multiply-local clock is the only per-launch ledger of the run; every
 //! other view is a fold of it:
 //!
-//! * [`timeline_of`] — the report's per-stage `Timeline` (paper Fig. 11);
-//! * [`crate::metrics::MetricsRegistry::record_launches`] — the `sim/stage/*`
+//! * `timeline_of` — the report's per-stage `Timeline` (paper Fig. 11);
+//! * `MetricsRegistry::record_launches` — the `sim/stage/*`
 //!   and `sim/kernel/*` metrics counters;
 //! * [`ExecutionTrace`] — the records plus the device shape, for export,
 //!   profiling ([`crate::profile`]) and the decision audit
@@ -37,10 +37,10 @@
 //!
 //! # One view of a traced block
 //!
-//! [`KernelTraceRecord::traced_blocks`] joins each block event with its
-//! annotation (rows and `g`), [`KernelTraceRecord::row_shares`] splits a
+//! `KernelTraceRecord::traced_blocks` joins each block event with its
+//! annotation (rows and `g`), `KernelTraceRecord::row_shares` splits a
 //! block's serial cycles evenly over its rows, and
-//! [`ExecutionTrace::row_cycles`] sums those shares per row. The Chrome
+//! `ExecutionTrace::row_cycles` sums those shares per row. The Chrome
 //! export, the profiler ([`crate::profile`]) and the decision audit
 //! ([`crate::audit`]) read these instead of re-joining the records
 //! themselves. [`ExecutionTrace::from_chrome_trace`] reads the export back
@@ -66,7 +66,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Format tag embedded in exported traces (`otherData.format`).
-pub const TRACE_FORMAT: &str = "speck-trace-v1";
+pub(crate) const TRACE_FORMAT: &str = "speck-trace-v1";
 
 /// spECK semantics of one block of a SpGEMM kernel launch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -148,7 +148,7 @@ fn end_of(records: &[TraceRecord]) -> f64 {
 /// Folds records into the per-stage timeline of paper Fig. 11: seconds
 /// summed per stage in record order, kernel launches counted, and their
 /// event counters merged.
-pub fn timeline_of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Timeline {
+pub(crate) fn timeline_of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Timeline {
     let mut t = Timeline::new();
     for r in records {
         match &r.kind {
@@ -161,25 +161,18 @@ pub fn timeline_of<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Ti
 
 /// Builds the record stream of one multiply.
 #[derive(Clone, Debug)]
-pub struct Recorder<'a> {
+pub(crate) struct Recorder<'a> {
     dev: &'a DeviceConfig,
     start_s: f64,
     records: Vec<TraceRecord>,
 }
 
 impl<'a> Recorder<'a> {
-    /// An empty stream for `dev`, clock at zero. A kernel record carries
-    /// its per-block schedule, replayed from the launch's report
-    /// ([`KernelReport::block_trace`]), exactly when the launch kept its
-    /// per-block records ([`speck_simt::BlockRecords::Keep`]).
-    pub fn new(dev: &'a DeviceConfig) -> Self {
-        Self::resume(dev, &[])
-    }
-
-    /// An empty stream continuing after `setup` (a plan's setup records):
-    /// its clock starts where they end, so `setup` followed by this
-    /// stream's records is the whole multiply.
-    pub fn resume(dev: &'a DeviceConfig, setup: &[TraceRecord]) -> Self {
+    /// An empty stream for `dev` continuing after `setup` (a plan's setup
+    /// records, or none for a clock at zero): its clock starts where they
+    /// end, so `setup` followed by this stream's records is the whole
+    /// multiply.
+    pub(crate) fn new(dev: &'a DeviceConfig, setup: &[TraceRecord]) -> Self {
         Recorder {
             dev,
             start_s: end_of(setup),
@@ -203,8 +196,11 @@ impl<'a> Recorder<'a> {
     /// Appends one kernel launch, advancing the clock by its
     /// `sim_time_s`. `bin`/`acc`/`annotations` carry the spECK semantics
     /// for SpGEMM kernels and are `None` for helper kernels (analysis,
-    /// binning, merging, sorting).
-    pub fn kernel(
+    /// binning, merging, sorting). The record carries the launch's
+    /// per-block schedule, replayed from its report
+    /// ([`KernelReport::block_trace`]), exactly when the launch kept its
+    /// per-block records ([`speck_simt::BlockRecords::Keep`]).
+    pub(crate) fn kernel(
         &mut self,
         stage: &'static str,
         report: &KernelReport,
@@ -233,7 +229,7 @@ impl<'a> Recorder<'a> {
     /// launch of `launches[i]`, the order `run_symbolic`/`run_numeric`
     /// launch them. `annotations`, when given, holds one per-block list
     /// per launch.
-    pub fn pass(
+    pub(crate) fn pass(
         &mut self,
         stage: &'static str,
         reports: &[KernelReport],
@@ -249,18 +245,18 @@ impl<'a> Recorder<'a> {
 
     /// Appends a fixed-duration step (allocation overheads), advancing the
     /// clock by `seconds`.
-    pub fn fixed(&mut self, stage: &'static str, label: &str, seconds: f64) {
+    pub(crate) fn fixed(&mut self, stage: &'static str, label: &str, seconds: f64) {
         let label = label.to_string();
         self.push(stage, seconds, TraceRecordKind::Fixed { label });
     }
 
     /// The records so far, in clock order.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub(crate) fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
     /// Finishes the stream.
-    pub fn into_records(self) -> Vec<TraceRecord> {
+    pub(crate) fn into_records(self) -> Vec<TraceRecord> {
         self.records
     }
 }
@@ -289,7 +285,7 @@ pub struct ExecutionTrace {
 
 impl ExecutionTrace {
     /// The trace of `records` run on `dev`.
-    pub fn new(dev: &DeviceConfig, records: Vec<TraceRecord>) -> Self {
+    pub(crate) fn new(dev: &DeviceConfig, records: Vec<TraceRecord>) -> Self {
         ExecutionTrace {
             device_name: dev.name.to_string(),
             num_sms: dev.num_sms,
@@ -338,10 +334,10 @@ impl ExecutionTrace {
     }
 
     /// Serial block cycles attributed to each output row, with the number
-    /// of block events that touched it: [`KernelTraceRecord::row_shares`]
+    /// of block events that touched it: `KernelTraceRecord::row_shares`
     /// summed in record order over the kernels of `stage` (every stage
     /// when `None`).
-    pub fn row_cycles(&self, stage: Option<&str>) -> BTreeMap<u32, (f64, usize)> {
+    pub(crate) fn row_cycles(&self, stage: Option<&str>) -> BTreeMap<u32, (f64, usize)> {
         let mut rows: BTreeMap<u32, (f64, usize)> = BTreeMap::new();
         for (_, r, k) in self.kernels() {
             if stage.is_some_and(|s| s != r.stage) {
@@ -362,7 +358,7 @@ impl KernelTraceRecord {
     /// annotation: the block's event, the output rows it computed (empty
     /// for helper kernels) and its group size `g` (hash blocks only).
     /// Empty when the record carries no block schedule.
-    pub fn traced_blocks(&self) -> impl Iterator<Item = (&BlockEvent, &[u32], Option<u32>)> {
+    pub(crate) fn traced_blocks(&self) -> impl Iterator<Item = (&BlockEvent, &[u32], Option<u32>)> {
         let events = self.blocks.as_ref().map_or(&[][..], |bt| &bt.events[..]);
         events.iter().map(|e| {
             let ann = self.annotations.as_ref();
@@ -375,7 +371,7 @@ impl KernelTraceRecord {
     /// Each traced block's serial cycles split evenly over the rows it
     /// computed, as `(row, share)` in grid then row order — the one
     /// per-row attribution the profiler and the audit read.
-    pub fn row_shares(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+    pub(crate) fn row_shares(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         self.traced_blocks().flat_map(|(e, rows, _)| {
             let share = e.serial_cycles() / rows.len() as f64;
             rows.iter().map(move |&row| (row, share))
@@ -794,7 +790,7 @@ mod tests {
             ctx.charge_rounds((ctx.block_id() as u64 % 3) * 7 + 1);
             ctx.charge_gmem_tx(5 * ctx.block_id() as u64);
         });
-        let mut rec = Recorder::new(&dev);
+        let mut rec = Recorder::new(&dev, &[]);
         rec.kernel(
             "symb. SpGEMM",
             &report,

@@ -11,7 +11,7 @@
 
 use crate::config::{GlobalLbMode, GlobalLbThresholds, SpeckConfig};
 use crate::global_lb::ThresholdSet;
-use crate::pipeline::multiply;
+use crate::pipeline::SpeckSpgemm;
 use speck_simt::{CostModel, DeviceConfig};
 use speck_sparse::{Csr, Scalar};
 
@@ -31,7 +31,7 @@ pub struct MatrixMeasurement {
 
 /// Index into [`MatrixMeasurement::times`].
 #[inline]
-pub fn combo_index(sym_on: bool, num_on: bool) -> usize {
+pub(crate) fn combo_index(sym_on: bool, num_on: bool) -> usize {
     usize::from(sym_on) | (usize::from(num_on) << 1)
 }
 
@@ -65,12 +65,14 @@ pub fn measure<V: Scalar>(
     let mut times = [0.0f64; 4];
     let mut sym = (1.0, a.rows(), false);
     let mut num = (1.0, a.rows(), false);
+    let mut engine = SpeckSpgemm::with_config(base.clone()).with_plan_cache_capacity(0);
+    engine.device = dev.clone();
+    engine.cost = cost.clone();
+    engine.config.global_lb = GlobalLbMode::Auto;
     for s_on in [false, true] {
         for n_on in [false, true] {
-            let mut cfg = base.clone();
-            cfg.global_lb = GlobalLbMode::Auto;
-            cfg.thresholds = forced(s_on, n_on);
-            let (_, report) = multiply(dev, cost, &cfg, a, b);
+            engine.config.thresholds = forced(s_on, n_on);
+            let (_, report) = engine.multiply(a, b);
             times[combo_index(s_on, n_on)] = report.sim_time_s;
             if !s_on && !n_on {
                 sym = (
@@ -97,7 +99,7 @@ pub fn measure<V: Scalar>(
 /// The combination a threshold set would choose for a measurement. Uses
 /// the same predicate ([`crate::global_lb::lb_threshold_fires`]) as the
 /// pipeline's gate, so tuner predictions and audit provenance agree.
-pub fn predict(t: &GlobalLbThresholds, m: &MatrixMeasurement) -> (bool, bool) {
+pub(crate) fn predict(t: &GlobalLbThresholds, m: &MatrixMeasurement) -> (bool, bool) {
     use crate::global_lb::lb_threshold_fires;
     let sym_on = if m.sym.2 {
         lb_threshold_fires(
@@ -125,7 +127,7 @@ pub fn predict(t: &GlobalLbThresholds, m: &MatrixMeasurement) -> (bool, bool) {
 /// Mean slowdown of the thresholds' choices versus the per-matrix best —
 /// the paper's tuning loss (§5: "minimize the average slowdown compared to
 /// the best approach").
-pub fn loss(t: &GlobalLbThresholds, meas: &[MatrixMeasurement]) -> f64 {
+pub(crate) fn loss(t: &GlobalLbThresholds, meas: &[MatrixMeasurement]) -> f64 {
     if meas.is_empty() {
         return 0.0;
     }
@@ -175,7 +177,10 @@ fn candidates(values: impl Iterator<Item = f64>) -> Vec<f64> {
 /// Line search: sweep each of the eight parameters over candidate
 /// boundaries, keeping the value that minimises the loss; repeat until a
 /// full sweep makes no progress.
-pub fn line_search(meas: &[MatrixMeasurement], start: GlobalLbThresholds) -> GlobalLbThresholds {
+pub(crate) fn line_search(
+    meas: &[MatrixMeasurement],
+    start: GlobalLbThresholds,
+) -> GlobalLbThresholds {
     let ratio_cands_sym = candidates(meas.iter().map(|m| m.sym.0));
     let ratio_cands_num = candidates(meas.iter().map(|m| m.num.0));
     let row_cands: Vec<usize> = {

@@ -40,7 +40,7 @@ pub struct Workspace<V> {
     /// slots); re-arm with [`Accumulator::reset`] before use.
     pub acc: Accumulator<V>,
     /// Dense accumulator window (mask/value arrays); re-arm with
-    /// [`DenseChunk::reuse_numeric`] / [`DenseChunk::reuse_symbolic`].
+    /// `DenseChunk::reuse_numeric` / `DenseChunk::reuse_symbolic`.
     pub dense: DenseChunk<V>,
     /// Per-A-column cursors into B's rows (clear before use).
     pub cursors: Vec<usize>,
@@ -51,7 +51,7 @@ pub struct Workspace<V> {
 impl<V: Scalar> Workspace<V> {
     /// A workspace with minimal buffers; they grow on first use and stay
     /// grown.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             acc: Accumulator::new(1),
             dense: DenseChunk::symbolic(0, 1),
@@ -92,7 +92,7 @@ impl<V: Scalar> WorkspacePool<V> {
 
     /// Checks a workspace out; it returns to the pool when the guard
     /// drops.
-    pub fn acquire(&self) -> WorkspaceGuard<'_, V> {
+    pub(crate) fn acquire(&self) -> WorkspaceGuard<'_, V> {
         let ws = self.idle.lock().unwrap().pop().unwrap_or_default();
         let now = self.in_use.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_in_use.fetch_max(now, Ordering::Relaxed);
@@ -103,25 +103,20 @@ impl<V: Scalar> WorkspacePool<V> {
     }
 
     /// Number of idle workspaces currently pooled.
-    pub fn idle_count(&self) -> usize {
+    pub(crate) fn idle_count(&self) -> usize {
         self.idle.lock().unwrap().len()
-    }
-
-    /// Number of workspaces currently checked out.
-    pub fn in_use_count(&self) -> usize {
-        self.in_use.load(Ordering::Relaxed)
     }
 
     /// Highest number of simultaneously checked-out workspaces seen — the
     /// pool's occupancy high-water mark: host chunks running at once,
     /// which one dispatch keeps to at most the number of pool threads.
-    pub fn peak_in_use(&self) -> usize {
+    pub(crate) fn peak_in_use(&self) -> usize {
         self.peak_in_use.load(Ordering::Relaxed)
     }
 }
 
 /// RAII checkout of a [`Workspace`]; dereferences to the workspace.
-pub struct WorkspaceGuard<'a, V: Scalar> {
+pub(crate) struct WorkspaceGuard<'a, V: Scalar> {
     pool: &'a WorkspacePool<V>,
     ws: Option<Workspace<V>>,
 }
@@ -176,12 +171,12 @@ pub struct SharedWorkspaces {
 
 impl SharedWorkspaces {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The pool for scalar type `V`, created on first request.
-    pub fn pool<V: Scalar>(&self) -> Arc<WorkspacePool<V>> {
+    pub(crate) fn pool<V: Scalar>(&self) -> Arc<WorkspacePool<V>> {
         let mut pools = self.pools.lock().unwrap();
         let entry = pools.entry(TypeId::of::<V>()).or_insert_with(|| PoolEntry {
             pool: Arc::new(WorkspacePool::<V>::new()) as Arc<dyn Any + Send + Sync>,
@@ -203,7 +198,7 @@ impl SharedWorkspaces {
 
     /// Sum of every pool's occupancy high-water mark (see
     /// [`WorkspacePool::peak_in_use`]).
-    pub fn total_peak_in_use(&self) -> usize {
+    pub(crate) fn total_peak_in_use(&self) -> usize {
         let pools = self.pools.lock().unwrap();
         pools.values().map(|e| (e.peak)(e.pool.as_ref())).sum()
     }
@@ -231,10 +226,8 @@ mod tests {
             a.cursors.push(1);
             b.cursors.push(2);
             assert_eq!(pool.idle_count(), 0);
-            assert_eq!(pool.in_use_count(), 2);
         }
         assert_eq!(pool.idle_count(), 2);
-        assert_eq!(pool.in_use_count(), 0);
         assert_eq!(pool.peak_in_use(), 2);
         let c = pool.acquire();
         assert_eq!(pool.idle_count(), 1);

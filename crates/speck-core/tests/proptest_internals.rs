@@ -362,6 +362,12 @@ mod reference {
     use speck_simt::{launch, BlockRecords, CostModel, DeviceConfig, KernelConfig, KernelReport};
     use std::collections::BTreeMap;
 
+    /// Smallest configuration index whose hash map holds at least
+    /// `entries` entries; `None` if even the largest cannot.
+    pub fn fit_hash(cascade: &KernelCascade, entries: usize, entry_bytes: usize) -> Option<usize> {
+        (0..cascade.len()).find(|&i| cascade.hash_capacity(i, entry_bytes) >= entries)
+    }
+
     /// A plan with its blocks as `(method, cfg, rows)` in plan order.
     pub struct Plan {
         pub blocks: Vec<(AccMethod, usize, Vec<u32>)>,
@@ -475,9 +481,7 @@ mod reference {
         } else {
             max_entries as f64 / avg
         };
-        let max_cfg = cascade
-            .fit_hash(max_entries as usize, entry_bytes)
-            .unwrap_or(largest);
+        let max_cfg = fit_hash(cascade, max_entries as usize, entry_bytes).unwrap_or(largest);
         let gate = decide_lb(cfg.global_lb, ratio, n, max_cfg >= large_kernel_cut, thr);
         let mut plan = Plan {
             blocks: Vec::new(),
@@ -499,7 +503,7 @@ mod reference {
             let mut bins: Vec<Vec<u32>> = vec![Vec::new(); n_bins];
             for &r in &hash_rows {
                 let need = entries[r as usize] as usize;
-                bins[cascade.fit_hash(need, entry_bytes).unwrap_or(largest)].push(r);
+                bins[fit_hash(cascade, need, entry_bytes).unwrap_or(largest)].push(r);
             }
             plan.lb_reports
                 .push(charge_binning(dev, cost, pass_name, n, n_bins));
@@ -633,7 +637,7 @@ mod reference {
                 if direct[r] || row_nnz[r] == 0 {
                     continue;
                 }
-                match cascade.fit_hash(entries[r] as usize, entry_bytes) {
+                match fit_hash(cascade, entries[r] as usize, entry_bytes) {
                     None => dense[r] = Some(largest),
                     Some(idx) if idx == largest => dense[r] = Some(largest),
                     Some(idx) => {

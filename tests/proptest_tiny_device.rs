@@ -5,10 +5,18 @@
 //! must survive all of them.
 
 use proptest::prelude::*;
-use speck_repro::simt::{CostModel, DeviceConfig};
+use speck_repro::simt::DeviceConfig;
 use speck_repro::sparse::reference::spgemm_seq;
 use speck_repro::sparse::{Coo, Csr};
-use speck_repro::speck::{multiply, GlobalLbMode, SpeckConfig};
+use speck_repro::speck::{GlobalLbMode, SpeckConfig, SpeckSpgemm};
+
+/// A `tiny`-device engine with plan caching off: every call runs the full
+/// cold pipeline.
+fn tiny_engine(config: SpeckConfig) -> SpeckSpgemm {
+    let mut engine = SpeckSpgemm::with_config(config).with_plan_cache_capacity(0);
+    engine.device = DeviceConfig::tiny();
+    engine
+}
 
 fn arb_square_csr(n: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>> {
     proptest::collection::vec(
@@ -33,9 +41,7 @@ proptest! {
 
     #[test]
     fn tiny_device_default_config(a in arb_square_csr(64, 600)) {
-        let dev = DeviceConfig::tiny();
-        let cost = CostModel::default();
-        let (c, report) = multiply(&dev, &cost, &SpeckConfig::default(), &a, &a);
+        let (c, report) = tiny_engine(SpeckConfig::default()).multiply(&a, &a);
         prop_assert!(c.approx_eq(&spgemm_seq(&a, &a), 1e-9, 1e-12));
         prop_assert!(report.sim_time_s.is_finite() && report.sim_time_s > 0.0);
     }
@@ -43,21 +49,17 @@ proptest! {
     #[test]
     fn tiny_device_hash_only_forces_spills(a in arb_square_csr(96, 900)) {
         // Dense disabled: wide rows must survive through the global map.
-        let dev = DeviceConfig::tiny();
-        let cost = CostModel::default();
-        let (c, _) = multiply(&dev, &cost, &SpeckConfig::hash_only(), &a, &a);
+        let (c, _) = tiny_engine(SpeckConfig::hash_only()).multiply(&a, &a);
         prop_assert!(c.approx_eq(&spgemm_seq(&a, &a), 1e-9, 1e-12));
     }
 
     #[test]
     fn tiny_device_always_binning(a in arb_square_csr(64, 500)) {
-        let dev = DeviceConfig::tiny();
-        let cost = CostModel::default();
         let cfg = SpeckConfig {
             global_lb: GlobalLbMode::AlwaysOn,
             ..SpeckConfig::default()
         };
-        let (c, _) = multiply(&dev, &cost, &cfg, &a, &a);
+        let (c, _) = tiny_engine(cfg).multiply(&a, &a);
         prop_assert!(c.approx_eq(&spgemm_seq(&a, &a), 1e-9, 1e-12));
     }
 
@@ -66,9 +68,7 @@ proptest! {
         a in arb_square_csr(48, 300),
         b in arb_square_csr(48, 300),
     ) {
-        let dev = DeviceConfig::tiny();
-        let cost = CostModel::default();
-        let (c, _) = multiply(&dev, &cost, &SpeckConfig::default(), &a, &b);
+        let (c, _) = tiny_engine(SpeckConfig::default()).multiply(&a, &b);
         prop_assert!(c.approx_eq(&spgemm_seq(&a, &b), 1e-9, 1e-12));
     }
 }
