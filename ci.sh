@@ -132,18 +132,22 @@ perfbench_build() {
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
-# A one-second run of the benchmark's `small` workload: every product it
+# One-second runs of the benchmark's `small` workload, plain and traced
+# (`--trace 1` also reads the tracing and auditing engines, the profile,
+# `execute_plan` and the plan's set-up time): every product each run
 # computes must verify, and none may fail.
 perfbench_smoke() {
-    local last
-    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload small --seed 1 --seconds 1 --trace 0 | tail -n 1)
-    echo "$last"
-    if ! grep -q '"correct": *true' <<<"$last" \
-        || ! grep -q '"failed": *0[,}]' <<<"$last"; then
-        echo "FAIL: perfbench smoke run is not correct or has failed operations" >&2
-        exit 1
-    fi
+    local trace last
+    for trace in 0 1; do
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload small --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+        echo "$last"
+        if ! grep -q '"correct": *true' <<<"$last" \
+            || ! grep -q '"failed": *0[,}]' <<<"$last"; then
+            echo "FAIL: perfbench smoke run (--trace $trace) is not correct or has failed operations" >&2
+            exit 1
+        fi
+    done
 }
 
 # The experiment driver's by-name selection path, on three experiments
@@ -274,7 +278,7 @@ gate "cargo test (workspace, release)" release_tests
 gate "cargo test (speck-core + speck-simt, debug, debug assertions on)" debug_tests
 gate "cargo test (rayon + speck-simt + speck-core lib, RAYON_NUM_THREADS=3)" oversubscribed_tests
 gate "perfbench build (repo benchmark against the engine API)" perfbench_build
-gate "perfbench smoke run (small workload, 1 s)" perfbench_smoke
+gate "perfbench smoke runs (small workload, 1 s, --trace 0 and 1)" perfbench_smoke
 gate "experiment driver (run_all_experiments table4 fig8 fig11)" experiments_smoke
 gate "examples_smoke (launch_overhead, accumulator_cost, setup_cost at ROUNDS=1; the five root examples)" examples_smoke
 

@@ -15,7 +15,7 @@ use speck_core::analysis::analyze;
 use speck_core::cascade::{numeric_entry_bytes, smallest_fit, symbolic_entry_bytes, KernelCascade};
 use speck_core::config::{GlobalLbMode, LocalLbMode, SpeckConfig};
 use speck_core::global_lb::{AccMethod, GateProvenance, PassPlan, ThresholdSet};
-use speck_core::numeric::{row_ptr_from_nnz, run_numeric, NumericJob};
+use speck_core::numeric::{row_ptr_from_nnz, run_numeric, NumericPlan};
 use speck_core::symbolic::run_symbolic;
 use speck_core::WorkspacePool;
 use speck_simt::{BlockRecords, CostModel, DeviceConfig};
@@ -178,11 +178,10 @@ impl SpgemmMethod for NsparseLike {
             .collect();
         let nplan = plan(&cascade, &num_entries, num_entry);
         acct.alloc(nplan.lb_alloc_bytes);
+        let nplan = NumericPlan::new(nplan, row_ptr_from_nnz(&sym.row_nnz));
 
         // Step 5: numeric pass + sorting (run_numeric charges the trailing
         // radix pass for the larger bins).
-        let row_ptr = row_ptr_from_nnz(&sym.row_nnz);
-        let job = NumericJob::new(&nplan, &row_ptr);
         let num = run_numeric(
             dev,
             cost,
@@ -191,7 +190,7 @@ impl SpgemmMethod for NsparseLike {
             a,
             b,
             &info,
-            &job,
+            &nplan,
             &pool,
             BlockRecords::Skip,
         );

@@ -13,11 +13,10 @@
 //! plan reuse is measured separately by the reuse and warm rounds, whose
 //! *simulated* speedup is reported as `reuse_speedup`.
 //!
-//! Usage: `cargo run --release --bin bench_throughput [-- ROUNDS [OUT [BASELINE_MPS]]] [--expect-digest HEX]`
+//! Usage: `cargo run --release --bin bench_throughput [-- ROUNDS [OUT]] [--expect-digest HEX]`
+//! (see [`USAGE`]; a command line it cannot parse prints that to stderr
+//! and exits with status 2).
 //!
-//! `BASELINE_MPS` is a reference throughput (matrices/second) measured on
-//! the same machine — typically a pre-optimisation build run back-to-back
-//! with this one; when given, the report includes the speedup against it.
 //! `--expect-digest HEX` makes the run exit non-zero when the cold-path
 //! sim digest differs from `HEX` (CI smoke mode).
 //!
@@ -42,7 +41,7 @@
 //!   (per matrix + total misprediction rate + Table-2 gate accuracy) as
 //!   byte-deterministic JSON — the committed `BENCH_audit.json` baseline.
 
-use speck_bench::cli::parse_flags;
+use speck_bench::cli::{exit_usage, parse_flags};
 use speck_bench::corpus::{common_corpus, smoke_corpus};
 use speck_core::json::push_num;
 use speck_core::metrics::{compare_snapshots, MetricsRegistry, MetricsSnapshot};
@@ -59,6 +58,17 @@ use std::time::Instant;
 /// `wall/` gauges: on a loaded 2-core machine the machine alone moves
 /// them 20–40% between runs.
 const WALL_TOLERANCE: f64 = 0.35;
+
+/// How to run `bench_throughput`, printed with any command-line error.
+const USAGE: &str = "\
+usage: bench_throughput [ROUNDS [OUT]] [options]
+  ROUNDS                    rounds over the corpus (default 3)
+  OUT                       report path (default BENCH_throughput.json)
+  --expect-digest HEX       fail unless the cold-path sim digest is HEX
+  --metrics-out PATH        write the full metrics snapshot JSON to PATH
+  --metrics-table PATH      write the metrics table to PATH
+  --check-metrics BASELINE  fail on drift from a metrics baseline
+  --audit-out PATH          write the corpus audit statistics to PATH";
 
 /// Peak resident set size in bytes, from `/proc/self/status` (VmHWM).
 fn peak_rss_bytes() -> u64 {
@@ -106,10 +116,15 @@ fn main() {
         ],
         &[],
     )
-    .unwrap_or_else(|e| panic!("bench_throughput: {e}"));
-    let expect_digest: Option<u64> = parsed
-        .value("--expect-digest")
-        .map(|hex| u64::from_str_radix(hex, 16).expect("--expect-digest: bad hex value"));
+    .unwrap_or_else(|e| exit_usage(&format!("bench_throughput: {e}"), USAGE));
+    let expect_digest: Option<u64> = parsed.value("--expect-digest").map(|hex| {
+        u64::from_str_radix(hex, 16).unwrap_or_else(|_| {
+            exit_usage(
+                &format!("bench_throughput: --expect-digest: bad hex value {hex}"),
+                USAGE,
+            )
+        })
+    });
     let metrics_out = parsed.value("--metrics-out").map(String::from);
     let metrics_table = parsed.value("--metrics-table").map(String::from);
     let check_metrics = parsed.value("--check-metrics").map(String::from);
@@ -120,7 +135,12 @@ fn main() {
         .next()
         .cloned()
         .unwrap_or_else(|| "BENCH_throughput.json".into());
-    let baseline_mps: Option<f64> = positional.next().and_then(|s| s.parse().ok());
+    if let Some(extra) = positional.next() {
+        exit_usage(
+            &format!("bench_throughput: unexpected argument {extra}"),
+            USAGE,
+        );
+    }
 
     // Corpus: the paper's "common" matrices plus the fast smoke subset —
     // mixes large multiplications with launch-overhead-bound tiny ones.
@@ -223,14 +243,6 @@ fn main() {
     let _ = writeln!(json, "  \"rounds\": {rounds},");
     let _ = writeln!(json, "  \"multiplies\": {multiplies},");
     let _ = writeln!(json, "  \"matrices_per_sec\": {matrices_per_sec:.3},");
-    if let Some(base) = baseline_mps {
-        let _ = writeln!(json, "  \"baseline_matrices_per_sec\": {base:.3},");
-        let _ = writeln!(
-            json,
-            "  \"speedup_vs_baseline\": {:.3},",
-            matrices_per_sec / base
-        );
-    }
     let _ = writeln!(json, "  \"reuse_speedup\": {reuse_speedup:.3},");
     let _ = writeln!(json, "  \"reuse_cold_sim_s\": {cold_sim:.6},");
     let _ = writeln!(json, "  \"reuse_warm_sim_s\": {warm_sim:.6},");

@@ -5,38 +5,13 @@
 //!
 //! ```sh
 //! cargo run --release -p speck-bench --bin runspeck -- <matrix.mtx> [options]
-//!
-//! options:
-//!   --iterations N        execution iterations to average (default 5)
-//!   --warmup N            warm-up iterations (default 1)
-//!   --individual-times    print the per-stage breakdown of each run
-//!   --compare             validate column indices against cuSPARSE-style
-//!                         baseline (the artifact's CompareResult option)
-//!   --no-cache            skip reading/writing the binary cache
-//!   --synthetic FAMILY N  run on a generated matrix instead of a file
-//!   --metrics             print the engine's metrics table after the run
-//!                         (per-stage sim counters, spans, cache stats)
-//!   --metrics-table PATH  write the metrics table to PATH
-//!   --metrics-out PATH    write the full metrics snapshot JSON to PATH
-//!   --trace-out PATH      run one cold traced multiply and write its
-//!                         Chrome Trace Event JSON to PATH (open in
-//!                         Perfetto or chrome://tracing)
-//!   --profile             fold the trace into a profile report (hottest
-//!                         rows/blocks, per-bin cycles, SM utilization)
-//!                         and print it
-//!   --profile-from PATH   profile a previously exported trace file and
-//!                         exit (no multiply)
-//!   --trace-diff OLD NEW  diff two exported traces (e.g. cold vs warm
-//!                         plan) and exit
-//!   --audit-out PATH      run one cold audited multiply and write its
-//!                         decision-provenance report (canonical JSON)
-//!   --audit-table PATH    write the audit summary table to PATH
-//!                         ("-" prints it instead)
-//!   --audit-diff OLD NEW  diff two exported audit reports and exit
 //! ```
+//!
+//! The options are listed in [`USAGE`], which a command line it cannot
+//! parse prints (to stderr, exiting with status 2).
 
 use speck_baselines::{cusparse_like::CusparseLike, SpgemmMethod};
-use speck_bench::cli::parse_flags;
+use speck_bench::cli::{exit_usage, parse_flags};
 use speck_core::pipeline::stage;
 use speck_core::profile::{diff_traces, profile_trace};
 use speck_core::trace::ExecutionTrace;
@@ -50,6 +25,39 @@ use std::path::PathBuf;
 
 /// Hot rows/blocks shown by `--profile`.
 const PROFILE_TOP_K: usize = 15;
+
+/// How to run `runspeck`, printed with any command-line error.
+const USAGE: &str = "\
+usage: runspeck <matrix.mtx> [options]
+       runspeck --synthetic FAMILY N [options]    (FAMILY: banded | mesh3d | graph)
+
+options:
+  --iterations N        execution iterations to average (default 5)
+  --warmup N            warm-up iterations (default 1)
+  --individual-times    print the per-stage breakdown of each run
+  --compare             validate column indices against cuSPARSE-style
+                        baseline (the artifact's CompareResult option)
+  --no-cache            skip reading/writing the binary cache
+  --synthetic FAMILY N  run on a generated matrix instead of a file
+  --metrics             print the engine's metrics table after the run
+                        (per-stage sim counters, spans, cache stats)
+  --metrics-table PATH  write the metrics table to PATH
+  --metrics-out PATH    write the full metrics snapshot JSON to PATH
+  --trace-out PATH      run one cold traced multiply and write its
+                        Chrome Trace Event JSON to PATH (open in
+                        Perfetto or chrome://tracing)
+  --profile             fold the trace into a profile report (hottest
+                        rows/blocks, per-bin cycles, SM utilization)
+                        and print it
+  --profile-from PATH   profile a previously exported trace file and
+                        exit (no multiply)
+  --trace-diff OLD NEW  diff two exported traces (e.g. cold vs warm
+                        plan) and exit
+  --audit-out PATH      run one cold audited multiply and write its
+                        decision-provenance report (canonical JSON)
+  --audit-table PATH    write the audit summary table to PATH
+                        (\"-\" prints it instead)
+  --audit-diff OLD NEW  diff two exported audit reports and exit";
 
 struct Options {
     input: Option<PathBuf>,
@@ -92,7 +100,7 @@ fn parse_args() -> Options {
             "--profile",
         ],
     )
-    .unwrap_or_else(|e| panic!("runspeck: {e}"));
+    .unwrap_or_else(|e| exit_usage(&format!("runspeck: {e}"), USAGE));
 
     // Standalone trace-tool modes: no matrix load, no multiply.
     if let Some(path) = parsed.value("--profile-from") {
@@ -152,14 +160,16 @@ fn load(o: &Options) -> (Csr<f64>, String) {
             "banded" => banded(8_000 * n, 2, 1.0, 1),
             "mesh3d" => poisson_3d(12 * n, 12 * n, 12, 0.01, 2),
             "graph" => rmat(9 + *n as u32, 8, 0.57, 0.19, 0.19, 3),
-            other => panic!("unknown synthetic family '{other}'"),
+            other => exit_usage(
+                &format!("runspeck: unknown synthetic family '{other}'"),
+                USAGE,
+            ),
         };
         return (m, format!("synthetic {fam} x{n}"));
     }
-    let path = o
-        .input
-        .as_ref()
-        .expect("usage: runspeck <matrix.mtx> [options] (or --synthetic FAMILY N)");
+    let Some(path) = &o.input else {
+        exit_usage("runspeck: no matrix given", USAGE)
+    };
     // Binary cache next to the .mtx, like the artifact's ".hicsr" files.
     let cache_path = path.with_extension("hicsr");
     if o.cache && cache_path.exists() {
@@ -236,7 +246,7 @@ fn main() {
     let (h, d, r) = report.numeric_methods;
     println!(
         "  numeric blocks: {h} hash / {d} dense / {r} direct; global LB: symbolic={} numeric={}",
-        report.symbolic_used_lb, report.numeric_used_lb
+        report.symbolic_gate.used_global_lb, report.numeric_gate.used_global_lb
     );
     println!(
         "  sorting share: {:.1}%  (peak device memory {:.1} MiB)",

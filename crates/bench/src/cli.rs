@@ -81,6 +81,13 @@ pub fn parse_flags(
     Ok(out)
 }
 
+/// Prints `error` and then `usage` to stderr and exits with status 2: a
+/// bench binary's answer to a command line it cannot run.
+pub fn exit_usage(error: &str, usage: &str) -> ! {
+    eprintln!("{error}\n\n{usage}");
+    std::process::exit(2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,39 +9,30 @@
 //! The scheduler then reads the cycles straight from the map's output, in
 //! grid order, while the outputs move into the result vector.
 //!
-//! Per-block records — each block's [`BlockCost`] and cycles, which
-//! [`KernelReport::block_trace`] replays — cost the host a store per
-//! block that only an observer reads, so a launch keeps them only when
-//! its caller asks with [`BlockRecords::Keep`] (a tracing or auditing
+//! Per-block events — each block's [`BlockCost`], cycles and placement,
+//! captured by the launch's one deal — cost the host a store per block
+//! that only an observer reads, so a launch keeps them only when its
+//! caller asks with [`BlockRecords::Keep`] (a tracing or auditing
 //! engine). Whether they are kept never changes the report's figures.
 
 use crate::block::{BlockCtx, LaunchPricing};
 use crate::cost::{BlockCost, CostModel};
 use crate::device::DeviceConfig;
 use crate::kernel::KernelConfig;
-use crate::trace::{BlockEvent, BlockPlacement, KernelBlockTrace};
+use crate::trace::{BlockEvent, BlockPlacement};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::marker::PhantomData;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Whether a launch keeps per-block records ([`LaunchRecords`]).
+/// Whether a launch keeps its per-block events ([`KernelReport::blocks`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockRecords {
     /// Keep only the aggregate report: the plain path.
     Skip,
-    /// Also keep every block's counters and cycles, so
-    /// [`KernelReport::block_trace`] can replay the launch's schedule.
+    /// Also keep one [`BlockEvent`] per block: its counters, its cycles
+    /// and where the launch's deal placed it.
     Keep,
-}
-
-/// Per-block records of one launch, in grid order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LaunchRecords {
-    /// Per-block event counters.
-    pub costs: Vec<BlockCost>,
-    /// Per-block `(compute, memory)` cycles: the scheduler's input.
-    pub cycles: Vec<(f64, f64)>,
 }
 
 /// Outcome of one simulated kernel launch.
@@ -62,9 +53,11 @@ pub struct KernelReport {
     pub sim_cycles: f64,
     /// Simulated execution time in seconds.
     pub sim_time_s: f64,
-    /// Per-block records, present only when the launch was asked to keep
-    /// them ([`BlockRecords::Keep`]).
-    pub records: Option<LaunchRecords>,
+    /// One event per block in grid order, placed by the launch's own
+    /// deal; present only when the launch was asked to keep them
+    /// ([`BlockRecords::Keep`]). Shared, so trace records hold the same
+    /// events.
+    pub blocks: Option<Arc<[BlockEvent]>>,
 }
 
 /// Schedules per-block `(compute, memory)` cycle costs onto the device and
@@ -99,8 +92,8 @@ pub fn schedule_blocks(dev: &DeviceConfig, cfg: KernelConfig, blocks: &[(f64, f6
 /// lowest slot index on ties, and occupies it for its serial critical
 /// path). Recording placements shares the *same* loop and accumulators
 /// as the plain path, so the returned makespan is bit-identical whether
-/// or not placements are recorded — which is what lets
-/// [`KernelReport::block_trace`] replay a launch's schedule exactly.
+/// or not placements are recorded: a [`BlockRecords::Keep`] launch
+/// captures its events in the deal that prices it.
 pub fn schedule_blocks_placed(
     dev: &DeviceConfig,
     cfg: KernelConfig,
@@ -143,7 +136,7 @@ fn deal_key(load: f64, sm: usize) -> u128 {
 /// root (node 1) names the next SM. Charging a block changes one leaf,
 /// and only the `log2 n` nodes above it are recomputed. Per-SM sums
 /// accumulate in grid order, as in the scan, so every sum is bit-equal.
-pub(crate) fn deal(
+fn deal(
     dev: &DeviceConfig,
     cfg: KernelConfig,
     blocks: impl ExactSizeIterator<Item = (f64, f64)>,
@@ -269,9 +262,9 @@ where
     );
 
     // One pass over the map's output: the scheduler reads each block's
-    // cycles as its output (and, when kept, its records) moves out.
+    // cycles as its output (and, when kept, its counters) moves out.
     let mut outputs = Vec::with_capacity(grid);
-    let (total_cost, body, records) = match records {
+    let (total_cost, body, blocks) = match records {
         BlockRecords::Skip => {
             let (total, blocks) = run_blocks(dev, cost, grid, cfg, init, f);
             let cycles = blocks.into_iter().map(|(cycles, r)| {
@@ -287,18 +280,27 @@ where
                 let r = f(state, ctx);
                 (*ctx.cost(), r)
             });
-            let mut kept = LaunchRecords {
-                costs: Vec::with_capacity(grid),
-                cycles: Vec::with_capacity(grid),
-            };
+            let mut kept = Vec::with_capacity(grid);
             let cycles = blocks.into_iter().map(|(cycles, (c, r))| {
-                kept.costs.push(c);
-                kept.cycles.push(cycles);
+                kept.push((c, cycles));
                 outputs.push(r);
                 cycles
             });
-            let body = deal(dev, cfg, cycles, None);
-            (total, body, Some(kept))
+            // The launch's one deal, placing each block as it prices it.
+            let mut placements = Vec::with_capacity(grid);
+            let body = deal(dev, cfg, cycles, Some(&mut placements));
+            let events = kept.into_iter().zip(placements).enumerate();
+            let events = events.map(|(i, ((cost, (cc, mc)), p))| BlockEvent {
+                grid_idx: i as u32,
+                sm: p.sm,
+                slot: p.slot,
+                start_cycles: p.start_cycles,
+                end_cycles: p.end_cycles,
+                compute_cycles: cc,
+                memory_cycles: mc,
+                cost,
+            });
+            (total, body, Some(events.collect()))
         }
     };
 
@@ -311,7 +313,7 @@ where
         total_cost,
         sim_cycles,
         sim_time_s: dev.cycles_to_seconds(sim_cycles),
-        records,
+        blocks,
     };
     (report, outputs)
 }
@@ -381,38 +383,6 @@ where
 }
 
 impl KernelReport {
-    /// Per-block schedule of this launch on `dev` (the device it ran on),
-    /// rebuilt by replaying [`schedule_blocks_placed`] over the kept
-    /// per-block cycles. The replay is the loop the launch ran, so its
-    /// events and `body_cycles` are bit-identical to the launch's.
-    /// `None` when the launch kept no records ([`BlockRecords::Skip`]).
-    pub fn block_trace(&self, dev: &DeviceConfig) -> Option<KernelBlockTrace> {
-        let records = self.records.as_ref()?;
-        let mut placements = Vec::with_capacity(self.grid);
-        let body_cycles =
-            schedule_blocks_placed(dev, self.cfg, &records.cycles, Some(&mut placements));
-        let events = placements
-            .iter()
-            .zip(&records.costs)
-            .zip(&records.cycles)
-            .enumerate()
-            .map(|(i, ((p, c), &(cc, mc)))| BlockEvent {
-                grid_idx: i as u32,
-                sm: p.sm,
-                slot: p.slot,
-                start_cycles: p.start_cycles,
-                end_cycles: p.end_cycles,
-                compute_cycles: cc,
-                memory_cycles: mc,
-                cost: *c,
-            })
-            .collect();
-        Some(KernelBlockTrace {
-            events,
-            body_cycles,
-        })
-    }
-
     /// Kernel body cycles, excluding the launch overhead.
     pub fn body_cycles(&self, dev: &DeviceConfig) -> f64 {
         (self.sim_cycles - dev.launch_overhead_cycles).max(0.0)
@@ -613,7 +583,7 @@ mod tests {
         );
         assert_eq!(plain_out, shared_out);
         assert_eq!(plain.sim_cycles, shared.sim_cycles);
-        assert_eq!(plain.records, shared.records);
+        assert_eq!(plain.blocks, shared.blocks);
         // One state per host chunk, far fewer than one per block.
         let inits = inits.into_inner();
         assert!(
@@ -829,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn block_trace_replays_one_event_per_block() {
+    fn a_kept_launch_places_one_event_per_block() {
         let d = dev();
         let run = |records| {
             launch(
@@ -845,31 +815,42 @@ mod tests {
                 },
             )
         };
-        // A plain launch keeps nothing to replay.
-        assert!(run(BlockRecords::Skip).block_trace(&d).is_none());
+        // A plain launch keeps no events.
+        assert!(run(BlockRecords::Skip).blocks.is_none());
         let r = run(BlockRecords::Keep);
-        let tr = r.block_trace(&d).expect("the launch kept its records");
-        assert_eq!(tr.events.len(), 37);
-        // The replay reproduces the launch's makespan and counters.
-        assert_eq!(tr.body_cycles.to_bits(), r.body_cycles(&d).to_bits());
-        let merged = tr
-            .events
+        let events = r.blocks.as_deref().expect("the launch kept its events");
+        assert_eq!(events.len(), 37);
+        // The events carry the launch's counters.
+        let merged = events
             .iter()
             .fold(BlockCost::default(), |acc, e| acc.merge(&e.cost));
         assert_eq!(merged, r.total_cost);
         // Events are in grid order with sane placements.
         let bpsm = d.blocks_per_sm(64, 0) as u32;
-        for (i, e) in tr.events.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             assert_eq!(e.grid_idx as usize, i);
             assert!((e.sm as usize) < d.num_sms);
             assert!(e.slot < bpsm);
             assert!(e.end_cycles >= e.start_cycles);
             assert_eq!(e.end_cycles - e.start_cycles, e.serial_cycles());
         }
-        // Refolding the events through the scheduler reproduces the body
-        // makespan bit-for-bit.
-        let refold = tr.refold_body_cycles(&d, KernelConfig::new(64, 0));
-        assert_eq!(refold.to_bits(), tr.body_cycles.to_bits());
+        // The placements are the scheduler's own, and refolding the
+        // events' cycles through it reproduces the body makespan.
+        let cycles: Vec<(f64, f64)> = events
+            .iter()
+            .map(|e| (e.compute_cycles, e.memory_cycles))
+            .collect();
+        let mut placed = Vec::new();
+        let cfg = KernelConfig::new(64, 0);
+        let body = schedule_blocks_placed(&d, cfg, &cycles, Some(&mut placed));
+        assert_eq!(body.to_bits(), r.body_cycles(&d).to_bits());
+        for (e, p) in events.iter().zip(&placed) {
+            assert_eq!((e.sm, e.slot), (p.sm, p.slot));
+            assert_eq!(
+                (e.start_cycles, e.end_cycles),
+                (p.start_cycles, p.end_cycles)
+            );
+        }
     }
 
     #[test]
@@ -896,24 +877,23 @@ mod tests {
             let r = run(BlockRecords::Keep);
             assert_eq!(r.total_cost.issue_rounds, grid * (grid + 1) / 2);
             assert_eq!(r.total_cost.smem_ops, 3 * grid);
-            let kept = r.records.as_ref().expect("the launch kept its records");
+            let kept = r.blocks.as_deref().expect("the launch kept its events");
             let merged = kept
-                .costs
                 .iter()
-                .fold(BlockCost::default(), |acc, c| acc.merge(c));
+                .fold(BlockCost::default(), |acc, e| acc.merge(&e.cost));
             assert_eq!(merged, r.total_cost);
             // The per-chunk fold of a plain launch reaches the same total.
             let plain = run(BlockRecords::Skip);
-            assert!(plain.records.is_none());
+            assert!(plain.blocks.is_none());
             assert_eq!(plain.total_cost, r.total_cost);
         }
     }
 
     #[test]
     fn keeping_records_changes_no_figure() {
-        // Records are for observers: a launch that keeps them reports the
+        // Events are for observers: a launch that keeps them reports the
         // same counters and bit-identical times as one that does not, and
-        // its kept cycles are the pricing of its kept counters.
+        // its events' cycles are the pricing of their counters.
         let d = DeviceConfig::titan_v();
         let cost = CostModel::default();
         let cfg = KernelConfig::new(128, 2048);
@@ -931,12 +911,16 @@ mod tests {
             assert_eq!(plain_out, kept_out);
             assert_eq!(plain.total_cost, kept.total_cost);
             assert_eq!(plain.sim_cycles.to_bits(), kept.sim_cycles.to_bits());
-            let records = kept.records.expect("the launch kept its records");
-            assert_eq!(records.costs.len(), grid);
+            let events = kept.blocks.expect("the launch kept its events");
+            assert_eq!(events.len(), grid);
+            let cycles: Vec<(f64, f64)> = events
+                .iter()
+                .map(|e| (e.compute_cycles, e.memory_cycles))
+                .collect();
             let priced: Vec<(f64, f64)> =
-                records.costs.iter().map(|c| cost.split_cycles(c)).collect();
-            assert_eq!(priced, records.cycles);
-            let body = schedule_blocks(&d, cfg, &records.cycles);
+                events.iter().map(|e| cost.split_cycles(&e.cost)).collect();
+            assert_eq!(priced, cycles);
+            let body = schedule_blocks(&d, cfg, &cycles);
             assert_eq!(body.to_bits(), plain.body_cycles(&d).to_bits());
         }
     }
@@ -975,14 +959,13 @@ mod tests {
                     assert_eq!(piece, piece_len.min(len - block * piece_len));
                 }
                 match records {
-                    BlockRecords::Skip => assert!(r.records.is_none()),
+                    BlockRecords::Skip => assert!(r.blocks.is_none()),
                     BlockRecords::Keep => {
-                        let kept = r.records.expect("the launch kept its records");
-                        assert_eq!(kept.costs.len(), grid);
+                        let kept = r.blocks.expect("the launch kept its events");
+                        assert_eq!(kept.len(), grid);
                         let total = kept
-                            .costs
                             .iter()
-                            .fold(BlockCost::default(), |acc, c| acc.merge(c));
+                            .fold(BlockCost::default(), |acc, e| acc.merge(&e.cost));
                         assert_eq!(total, r.total_cost);
                     }
                 }

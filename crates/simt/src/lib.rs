@@ -43,10 +43,10 @@ pub use cost::{BlockCost, CostModel, COST_COUNTER_NAMES};
 pub use device::DeviceConfig;
 pub use exec::{
     launch, launch_map, launch_map_init, launch_pieces, schedule_blocks, schedule_blocks_placed,
-    BlockRecords, KernelReport, LaunchRecords,
+    BlockRecords, KernelReport,
 };
 pub use kernel::KernelConfig;
 pub use memtrack::MemTracker;
 pub use scratchpad::Scratchpad;
 pub use timeline::{StageTime, Timeline};
-pub use trace::{BlockEvent, BlockPlacement, KernelBlockTrace};
+pub use trace::{BlockEvent, BlockPlacement};

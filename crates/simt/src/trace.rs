@@ -2,21 +2,20 @@
 //!
 //! The scheduler in [`crate::exec::schedule_blocks`] reduces the
 //! per-block schedule to a single makespan. A launch asked to keep its
-//! per-block records ([`crate::exec::BlockRecords::Keep`], which only
-//! observers ask for) stores every block's cycles and [`BlockCost`] in
-//! its [`crate::exec::KernelReport`], so
-//! [`crate::exec::KernelReport::block_trace`] can rebuild the schedule
-//! after the fact: one [`BlockEvent`] per block — which SM it was dealt
-//! to, which resident slot it occupied, its start/end cycles on the slot
-//! clock, and its full [`BlockCost`] breakdown — as a
-//! [`KernelBlockTrace`]. A plain launch keeps no records, and its
-//! `block_trace` is `None`.
+//! per-block events ([`crate::exec::BlockRecords::Keep`], which only
+//! observers ask for) runs its one deal with placement capture
+//! ([`crate::exec::schedule_blocks_placed`]'s loop) and stores one
+//! [`BlockEvent`] per block in its [`crate::exec::KernelReport::blocks`]:
+//! which SM it was dealt to, which resident slot it occupied, its
+//! start/end cycles on the slot clock, and its full [`BlockCost`]
+//! breakdown. A plain launch keeps no events, and its `blocks` is
+//! `None`.
 //!
-//! # Replay
+//! # Capture, not replay
 //!
-//! The rebuild replays [`crate::exec::schedule_blocks_placed`] over the
-//! stored `(compute, memory)` pairs: the loop the launch itself ran, so
-//! events and `body_cycles` are bit-identical to the launch. Whether a
+//! The events come from the deal that priced the launch, which shares
+//! its loop and accumulators with the plain deal, so the launch's
+//! makespan is bit-identical whether or not it keeps them. Whether a
 //! trace can exist is decided by each launch's caller, so one caller's
 //! tracing never reaches another's launches.
 //!
@@ -78,35 +77,6 @@ impl BlockEvent {
     /// cycles it occupies its resident slot.
     pub fn serial_cycles(&self) -> f64 {
         self.compute_cycles.max(self.memory_cycles)
-    }
-}
-
-/// Per-block trace of one kernel launch, in grid order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct KernelBlockTrace {
-    /// One event per block, indexed by grid index.
-    pub events: Vec<BlockEvent>,
-    /// Kernel body makespan in cycles (excluding launch overhead) —
-    /// exactly the value `schedule_blocks` returned for this launch.
-    pub body_cycles: f64,
-}
-
-impl KernelBlockTrace {
-    /// Refolds the recorded events through the scheduler and returns the
-    /// recomputed body makespan. Because events are stored in grid order
-    /// — the order the greedy deal consumed them — this reproduces
-    /// [`KernelBlockTrace::body_cycles`] bit-for-bit; the reconciliation
-    /// proptests pin that invariant.
-    pub fn refold_body_cycles(
-        &self,
-        dev: &crate::device::DeviceConfig,
-        cfg: crate::kernel::KernelConfig,
-    ) -> f64 {
-        let pairs = self
-            .events
-            .iter()
-            .map(|e| (e.compute_cycles, e.memory_cycles));
-        crate::exec::deal(dev, cfg, pairs, None)
     }
 }
 

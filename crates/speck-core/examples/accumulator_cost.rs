@@ -79,7 +79,7 @@ fn passes(
     let sym_s = best_of(rounds, || {
         black_box(run_sym());
     });
-    let nplan = plan_numeric(
+    let (nplan, _) = plan_numeric(
         &dev,
         &cost,
         &cascade,
@@ -90,17 +90,16 @@ fn passes(
         8,
         skip,
     );
-    let job = nplan.job();
     let num_s = best_of(rounds, || {
         black_box(run_numeric(
-            &dev, &cost, &cascade, cfg, a, b, &info, &job, &pool, skip,
+            &dev, &cost, &cascade, cfg, a, b, &info, &nplan, &pool, skip,
         ));
     });
     (
         info.total_products,
         [
             (sym_s, share(&splan, &info, method)),
-            (num_s, share(&nplan.plan, &info, method)),
+            (num_s, share(nplan.plan(), &info, method)),
         ],
     )
 }

@@ -92,7 +92,8 @@ fn steps(rounds: usize, a: &Csr<f64>) -> [f64; 5] {
     let numeric = best_of(rounds, calls, || {
         black_box(plan_num());
     });
-    let nplan = plan_num().plan;
+    let (nplan, _) = plan_num();
+    let nplan = nplan.plan();
     let metrics = best_of(rounds, calls, || {
         let m = MetricsRegistry::new();
         splan.record_metrics(&m, "symbolic");
@@ -133,7 +134,7 @@ fn per_block(rounds: usize) -> [f64; 2] {
     let sym = run_symbolic(
         &dev, &cost, &cascade, &cfg, &a, &a, &info, &splan, &pool, skip,
     );
-    let nplan = plan_numeric(
+    let (nplan, _) = plan_numeric(
         &dev,
         &cost,
         &cascade,
@@ -145,14 +146,13 @@ fn per_block(rounds: usize) -> [f64; 2] {
         skip,
     );
     assert_eq!(
-        nplan.plan.blocks.len(),
+        nplan.plan().blocks.len(),
         a.rows(),
         "one row per numeric block"
     );
-    let job = nplan.job();
     let numeric = best_of(rounds, CALLS, || {
         black_box(run_numeric(
-            &dev, &cost, &cascade, &cfg, &a, &a, &info, &job, &pool, skip,
+            &dev, &cost, &cascade, &cfg, &a, &a, &info, &nplan, &pool, skip,
         ));
     });
     [analysis, numeric].map(|t| t * 1e9 / a.rows() as f64)

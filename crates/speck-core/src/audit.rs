@@ -41,9 +41,11 @@ use crate::global_lb::{
 use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::{alternative_group_sizes, estimated_rounds};
 use crate::pipeline::stage;
+use crate::plan::SpgemmPlan;
 use crate::profile::{cell_labels, pair_by_key, BinKey};
 use crate::trace::ExecutionTrace;
 use speck_simt::{BlockCost, BlockRecords, CostModel, DeviceConfig};
+use speck_sparse::Scalar;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -461,29 +463,28 @@ struct PassCtx<'a> {
     entry_bytes: usize,
 }
 
-/// Builds the decision report from a finished trace. Called by the
-/// pipeline after execution; read-only on everything it receives.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_report(
+/// Builds the decision report of a multiply from `plan` and its finished
+/// trace. Called by the pipeline after execution; read-only on everything
+/// it receives.
+pub(crate) fn build_report<V: Scalar>(
     dev: &DeviceConfig,
     model: &CostModel,
     cfg: &SpeckConfig,
-    info: &AnalysisInfo,
-    row_nnz: &[u32],
-    sym_gate: &GateProvenance,
-    num_gate: &GateProvenance,
-    b_cols: usize,
-    val_bytes: usize,
+    plan: &SpgemmPlan<V>,
     trace: &ExecutionTrace,
 ) -> DecisionReport {
     let cascade = KernelCascade::for_device(dev);
+    let (info, b_cols, val_bytes) = (&plan.info, plan.pattern.b_cols, std::mem::size_of::<V>());
+    // C's exact row sizes, read off its row offsets.
+    let row_ptr = plan.numeric.row_ptr();
+    let row_nnz: Vec<u32> = row_ptr.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
     let mut records = Vec::new();
     let passes = [
         PassCtx {
             pass: "symbolic",
             spgemm_stage: stage::SYMBOLIC,
             load_stage: stage::SYMBOLIC_LOAD,
-            gate: sym_gate,
+            gate: &plan.symbolic_gate,
             entries: info.rows.iter().map(|r| r.products).collect(),
             entry_bytes: symbolic_entry_bytes(b_cols),
         },
@@ -491,7 +492,7 @@ pub(crate) fn build_report(
             pass: "numeric",
             spgemm_stage: stage::NUMERIC,
             load_stage: stage::NUMERIC_LOAD,
-            gate: num_gate,
+            gate: &plan.numeric.plan().gate,
             entries: row_nnz
                 .iter()
                 .map(|&n| numeric_entries(n, cfg.numeric_max_fill))
@@ -506,9 +507,27 @@ pub(crate) fn build_report(
         if !trace.kernels().any(|(_, r, _)| r.stage == p.spgemm_stage) {
             continue;
         }
-        records.push(gate_record(
-            dev, model, &cascade, cfg, info, row_nnz, b_cols, val_bytes, p, trace,
-        ));
+        // Counterfactual: the same pass planned with the gate forced the
+        // other way. Planning is side-effect-free (pure launches, results
+        // discarded), so the audit never perturbs metrics or timelines.
+        let alt_cfg = SpeckConfig {
+            global_lb: if p.gate.used_global_lb {
+                GlobalLbMode::AlwaysOff
+            } else {
+                GlobalLbMode::AlwaysOn
+            },
+            ..cfg.clone()
+        };
+        let skip = BlockRecords::Skip;
+        records.push(if p.pass == "symbolic" {
+            let alt = plan_symbolic(dev, model, &cascade, &alt_cfg, info, b_cols, skip);
+            gate_record(p, &alt, trace)
+        } else {
+            let (alt, _) = plan_numeric(
+                dev, model, &cascade, &alt_cfg, info, &row_nnz, b_cols, val_bytes, skip,
+            );
+            gate_record(p, alt.plan(), trace)
+        });
         if let Some(r) = merge_record(p, trace) {
             records.push(r);
         }
@@ -590,22 +609,11 @@ fn launch_bound(block_cycles: &[f64], trace: &ExecutionTrace) -> f64 {
 
 /// The pass's global-LB gate decision (Table 2 thresholds). Measured
 /// cost is what the pass actually paid (binning + SpGEMM kernels); the
-/// alternative re-plans the pass with the gate forced the other way and
-/// costs the resulting launch groups by row attribution — an optimistic
-/// bound, since re-planned blocks reuse the measured per-row cycles.
-#[allow(clippy::too_many_arguments)]
-fn gate_record(
-    dev: &DeviceConfig,
-    model: &CostModel,
-    cascade: &KernelCascade,
-    cfg: &SpeckConfig,
-    info: &AnalysisInfo,
-    row_nnz: &[u32],
-    b_cols: usize,
-    val_bytes: usize,
-    p: &PassCtx<'_>,
-    trace: &ExecutionTrace,
-) -> DecisionRecord {
+/// alternative is `alt_plan`, the pass re-planned with the gate forced the
+/// other way, whose launch groups are costed by row attribution — an
+/// optimistic bound, since re-planned blocks reuse the measured per-row
+/// cycles.
+fn gate_record(p: &PassCtx<'_>, alt_plan: &PassPlan, trace: &ExecutionTrace) -> DecisionRecord {
     let mut measured = 0.0;
     let mut has_load = false;
     for (_, r, k) in trace.kernels() {
@@ -615,41 +623,6 @@ fn gate_record(
         }
     }
 
-    // Counterfactual: the same pass planned with the gate forced the
-    // other way. Planning is side-effect-free (pure launches, results
-    // discarded), so the audit never perturbs metrics or timelines.
-    let alt_cfg = SpeckConfig {
-        global_lb: if p.gate.used_global_lb {
-            GlobalLbMode::AlwaysOff
-        } else {
-            GlobalLbMode::AlwaysOn
-        },
-        ..cfg.clone()
-    };
-    let alt_plan: PassPlan = if p.pass == "symbolic" {
-        plan_symbolic(
-            dev,
-            model,
-            cascade,
-            &alt_cfg,
-            info,
-            b_cols,
-            BlockRecords::Skip,
-        )
-    } else {
-        plan_numeric(
-            dev,
-            model,
-            cascade,
-            &alt_cfg,
-            info,
-            row_nnz,
-            b_cols,
-            val_bytes,
-            BlockRecords::Skip,
-        )
-        .plan
-    };
     // Measured per-row cycles of the pass, the profiler's attribution.
     let attr = trace.row_cycles(Some(p.spgemm_stage));
     let mut alt_est = 0.0;

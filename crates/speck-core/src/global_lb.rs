@@ -128,18 +128,6 @@ pub struct PassPlan {
     pub gate: GateProvenance,
 }
 
-/// Copyable decision summary of one pass plan — everything a
-/// [`crate::MultiplyReport`] needs about the pass, without keeping the
-/// full block list alive. Reusable multiplication plans
-/// ([`crate::plan::SpgemmPlan`]) retain one per pass.
-#[derive(Clone, Copy, Debug)]
-pub struct PassSummary {
-    /// The pass's global-LB gate.
-    pub gate: GateProvenance,
-    /// Blocks per method: (hash, dense, direct).
-    pub method_counts: (usize, usize, usize),
-}
-
 impl PassPlan {
     /// Rows of A that block `i` computes.
     pub fn block_rows(&self, i: usize) -> &[u32] {
@@ -178,14 +166,6 @@ impl PassPlan {
                 blocks: first..end,
             }),
             _ => {}
-        }
-    }
-
-    /// The pass's copyable decision summary (for reports).
-    pub(crate) fn summary(&self) -> PassSummary {
-        PassSummary {
-            gate: self.gate,
-            method_counts: self.method_counts(),
         }
     }
 
@@ -462,7 +442,7 @@ fn plan_pass(
 }
 
 /// Plans the symbolic pass from the row analysis. Its load-balancing
-/// launches keep per-block records as `records` asks.
+/// launches keep per-block events as `records` asks.
 pub fn plan_symbolic(
     dev: &DeviceConfig,
     cost: &CostModel,
@@ -514,8 +494,10 @@ pub fn plan_symbolic(
 }
 
 /// Plans the numeric pass from the exact row sizes the symbolic pass
-/// produced, and builds C's row offsets in the same sweep. Its
-/// load-balancing launches keep per-block records as `records` asks.
+/// produced, and builds C's row offsets and the distribution of the row
+/// sizes (`sim/symbolic/row_nnz`) in the same sweep. The plan is checked
+/// as [`NumericPlan::new`] checks it. Its load-balancing launches keep
+/// per-block events as `records` asks.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_numeric(
     dev: &DeviceConfig,
@@ -527,7 +509,7 @@ pub fn plan_numeric(
     cols_b: usize,
     val_bytes: usize,
     records: BlockRecords,
-) -> NumericPlan {
+) -> (NumericPlan, Histogram) {
     let entry_bytes = numeric_entry_bytes(cols_b, val_bytes);
     let caps = cascade.hash_capacities(entry_bytes);
     let three_chunks: Vec<u64> = (0..cascade.len())
@@ -586,11 +568,7 @@ pub fn plan_numeric(
         cascade.len() - 2, // starred set: two largest of six (Table 2)
         records,
     );
-    NumericPlan {
-        plan,
-        row_ptr,
-        row_nnz_hist,
-    }
+    (NumericPlan::new(plan, row_ptr), row_nnz_hist)
 }
 
 #[cfg(test)]
@@ -780,7 +758,7 @@ mod tests {
         let (dev, cost, cascade, info) = setup(&a);
         let cfg = SpeckConfig::default();
         let row_nnz = vec![64u32; 256];
-        let plan = plan_numeric(
+        let (plan, _) = plan_numeric(
             &dev,
             &cost,
             &cascade,
@@ -791,11 +769,11 @@ mod tests {
             8,
             BlockRecords::Skip,
         );
-        let (h, d, _) = plan.plan.method_counts();
+        let (h, d, _) = plan.plan().method_counts();
         assert_eq!(h, 0, "fully dense rows must use the dense accumulator");
         assert_eq!(d, 256);
         // With dense disabled they fall back to hash.
-        let plan2 = plan_numeric(
+        let (plan2, _) = plan_numeric(
             &dev,
             &cost,
             &cascade,
@@ -806,7 +784,7 @@ mod tests {
             8,
             BlockRecords::Skip,
         );
-        let (h2, d2, _) = plan2.plan.method_counts();
+        let (h2, d2, _) = plan2.plan().method_counts();
         assert!(h2 > 0);
         assert_eq!(d2, 0);
     }
@@ -847,7 +825,7 @@ mod tests {
         let cfg = SpeckConfig::default();
         let c = speck_sparse::reference::spgemm_seq(&a, &a);
         let row_nnz: Vec<u32> = (0..c.rows()).map(|i| c.row_nnz(i) as u32).collect();
-        let plan = plan_numeric(
+        let (plan, _) = plan_numeric(
             &dev,
             &cost,
             &cascade,
@@ -859,7 +837,7 @@ mod tests {
             BlockRecords::Skip,
         );
         assert_eq!(
-            rows_covered(&plan.plan),
+            rows_covered(plan.plan()),
             (0..a.rows() as u32).collect::<Vec<_>>()
         );
     }

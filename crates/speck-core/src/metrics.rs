@@ -93,7 +93,7 @@ pub(crate) fn bucket_of(v: u64) -> usize {
 /// and hands it to the registry in one call; the registry keeps its own
 /// histograms the same way.
 #[derive(Clone, Debug)]
-pub(crate) struct Histogram {
+pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,

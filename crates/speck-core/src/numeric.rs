@@ -10,8 +10,9 @@
 //! kernel does: the symbolic pass's exact counts fix every row's offset up
 //! front, so C's arrays are cut into per-row slices, each cut by the one
 //! block that computes the row. No block claims its rows: a
-//! [`NumericJob`] is checked once, when it is built, to list every row in
+//! [`NumericPlan`] is checked once, when it is built, to list every row in
 //! exactly one block of one launch, and the executor runs each block once.
+//! A cached plan runs any number of numeric passes without checking again.
 
 use crate::analysis::AnalysisInfo;
 use crate::cascade::{numeric_entry_bytes, KernelCascade};
@@ -19,7 +20,7 @@ use crate::config::SpeckConfig;
 use crate::global_lb::{direct_kernel_config, AccMethod, PassPlan};
 use crate::hashacc::split_key;
 use crate::local_lb::{rounds_for_g, select_group_size};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::sort::{
     radix_sort_pass, scratch_sort_steps, MAX_SCRATCH_SORT_CFG, MAX_SCRATCH_SORT_ENTRIES,
 };
@@ -54,17 +55,17 @@ struct RowSlices<'c, V> {
 unsafe impl<V: Send> Sync for RowSlices<'_, V> {}
 
 impl<'c, V> RowSlices<'c, V> {
-    /// Cuts `cols`/`vals` at the offsets of a checked job's `row_ptr`,
+    /// Cuts `cols`/`vals` at the offsets of a checked plan's `row_ptr`,
     /// which never decrease. Panics unless both arrays end at the last
     /// offset.
-    fn new(job: &NumericJob<'c>, cols: &'c mut [u32], vals: &'c mut [V]) -> Self {
-        let end = job.row_ptr.last().copied().unwrap_or(0);
+    fn new(nplan: &'c NumericPlan, cols: &'c mut [u32], vals: &'c mut [V]) -> Self {
+        let end = nplan.row_ptr.last().copied().unwrap_or(0);
         assert!(
             cols.len() == end && vals.len() == end,
             "C's arrays must end at the last row offset"
         );
         Self {
-            row_ptr: job.row_ptr,
+            row_ptr: &nplan.row_ptr,
             cols: cols.as_mut_ptr(),
             vals: vals.as_mut_ptr(),
             _out: PhantomData,
@@ -79,7 +80,7 @@ impl<'c, V> RowSlices<'c, V> {
     #[inline]
     unsafe fn cut(&self, r: usize) -> RowOut<'c, V> {
         let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        // SAFETY: the job's check found the offsets never decreasing and
+        // SAFETY: the plan's check found the offsets never decreasing and
         // `new` that the arrays end at the last one, so rows are disjoint
         // in-bounds ranges of arrays borrowed mutably for `'c`; the caller
         // cuts each row once.
@@ -95,12 +96,11 @@ impl<'c, V> RowSlices<'c, V> {
 /// Cuts row `r`'s output slices, for the one block that computes it.
 #[inline]
 fn take_row<'c, V>(out: &RowSlices<'c, V>, r: u32) -> RowOut<'c, V> {
-    // SAFETY: `out` was cut from a `NumericJob`, and every way to build
-    // one runs `check_partition` on its plan and offsets first (directly
-    // or when a `CheckedPlan` was built), which lists row `r` in exactly
-    // one block of one launch. The executor runs each block id of a launch
-    // once, and the block kernels below call this once per row of their
-    // block. So this is row `r`'s only cut.
+    // SAFETY: `out` was cut from a `NumericPlan`, whose one constructor
+    // runs `check_partition` on its plan and offsets, which lists row `r`
+    // in exactly one block of one launch. The executor runs each block id
+    // of a launch once, and the block kernels below call this once per row
+    // of their block. So this is row `r`'s only cut.
     unsafe { out.cut(r as usize) }
 }
 
@@ -347,40 +347,28 @@ pub fn row_ptr_from_nnz(row_nnz: &[u32]) -> Vec<usize> {
     row_ptr
 }
 
-/// The numeric pass plan and C's row structure, read off one sweep over
-/// the exact row sizes.
+/// The numeric pass's pattern-only inputs: the block plan with its
+/// launches and C's exact row structure, checked once, when built, to fit
+/// each other. One [`crate::plan::SpgemmPlan`] holds one and runs its
+/// numeric pass any number of times without checking again. The fields
+/// are private, so the checked pair cannot change and no struct literal
+/// skips the check:
+///
+/// ```compile_fail,E0451
+/// use speck_core::global_lb::PassPlan;
+/// use speck_core::numeric::NumericPlan;
+///
+/// fn unchecked(plan: PassPlan, row_ptr: Vec<usize>) -> NumericPlan {
+///     NumericPlan { plan, row_ptr }
+/// }
+/// ```
 #[derive(Clone, Debug)]
 pub struct NumericPlan {
-    /// The numeric pass plan.
-    pub plan: PassPlan,
-    /// Prefix-summed row offsets of C (`rows + 1` entries; the last one is
-    /// NNZ(C)), as [`row_ptr_from_nnz`] builds them.
-    pub row_ptr: Vec<usize>,
-    /// Distribution of the exact row sizes (`sim/symbolic/row_nnz`).
-    pub(crate) row_nnz_hist: Histogram,
+    plan: PassPlan,
+    row_ptr: Vec<usize>,
 }
 
 impl NumericPlan {
-    /// The numeric pass's inputs, borrowed from this plan and checked as
-    /// [`NumericJob::new`] checks them.
-    pub fn job(&self) -> NumericJob<'_> {
-        NumericJob::new(&self.plan, &self.row_ptr)
-    }
-}
-
-/// Precomputed, pattern-only inputs of the numeric pass: the block plan
-/// with its launches and C's exact row structure, checked to fit each
-/// other.
-///
-/// Borrowed rather than owned so one [`crate::plan::SpgemmPlan`] can drive any
-/// number of executions; a plan's inputs are checked once, when it is
-/// built, and never again per execution.
-pub struct NumericJob<'a> {
-    plan: &'a PassPlan,
-    row_ptr: &'a [usize],
-}
-
-impl<'a> NumericJob<'a> {
     /// The numeric pass's inputs: the block plan `plan` and C's row
     /// offsets `row_ptr` ([`row_ptr_from_nnz`] of the symbolic pass's
     /// exact row counts).
@@ -388,46 +376,20 @@ impl<'a> NumericJob<'a> {
     /// Panics, before any kernel runs, unless `plan`'s launches list every
     /// row of C (`0..row_ptr.len() - 1`) in exactly one block, every dense
     /// block computes one row, and `row_ptr` never decreases.
-    pub fn new(plan: &'a PassPlan, row_ptr: &'a [usize]) -> Self {
-        check_partition(plan, row_ptr);
-        Self { plan, row_ptr }
-    }
-}
-
-/// A numeric block plan and C's row offsets, owned and checked once, when
-/// built, as [`NumericJob::new`] checks them: a cached
-/// [`crate::plan::SpgemmPlan`] runs its numeric pass any number of times
-/// without checking again. The fields are private so the checked pair
-/// cannot change.
-#[derive(Clone, Debug)]
-pub(crate) struct CheckedPlan {
-    plan: PassPlan,
-    row_ptr: Vec<usize>,
-}
-
-impl CheckedPlan {
-    /// Checks `plan` against `row_ptr` (see [`NumericJob::new`]).
-    pub(crate) fn new(plan: PassPlan, row_ptr: Vec<usize>) -> Self {
+    pub fn new(plan: PassPlan, row_ptr: Vec<usize>) -> Self {
         check_partition(&plan, &row_ptr);
         Self { plan, row_ptr }
     }
 
     /// The numeric block plan.
-    pub(crate) fn plan(&self) -> &PassPlan {
+    pub fn plan(&self) -> &PassPlan {
         &self.plan
     }
 
-    /// C's row offsets.
-    pub(crate) fn row_ptr(&self) -> &[usize] {
+    /// Prefix-summed row offsets of C (`rows + 1` entries; the last one is
+    /// NNZ(C)).
+    pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
-    }
-
-    /// The numeric pass's inputs, checked when this plan was built.
-    pub(crate) fn job(&self) -> NumericJob<'_> {
-        NumericJob {
-            plan: &self.plan,
-            row_ptr: &self.row_ptr,
-        }
     }
 }
 
@@ -465,9 +427,9 @@ fn check_partition(plan: &PassPlan, row_ptr: &[usize]) {
 }
 
 /// Runs the numeric pass and assembles C. Its launches keep per-block
-/// records as `records` asks.
+/// events as `records` asks.
 ///
-/// Panics if a row's computed entry count disagrees with the job's row
+/// Panics if a row's computed entry count disagrees with the plan's row
 /// offsets, or if `a` does not have one row per row of C.
 #[allow(clippy::too_many_arguments)]
 pub fn run_numeric<V: Scalar>(
@@ -478,13 +440,12 @@ pub fn run_numeric<V: Scalar>(
     a: &Csr<V>,
     b: &Csr<V>,
     info: &AnalysisInfo,
-    job: &NumericJob<'_>,
+    nplan: &NumericPlan,
     pool: &WorkspacePool<V>,
     records: BlockRecords,
 ) -> NumericOutput<V> {
     let entry_bytes = numeric_entry_bytes(b.cols(), std::mem::size_of::<V>());
-    let plan = job.plan;
-    let row_ptr = job.row_ptr;
+    let (plan, row_ptr) = (&nplan.plan, &nplan.row_ptr);
     let mut reports = Vec::new();
     let mut spilled_blocks = 0usize;
     let mut radix_elems = 0usize;
@@ -496,7 +457,7 @@ pub fn run_numeric<V: Scalar>(
     let total = *row_ptr.last().unwrap_or(&0);
     let mut col_idx = vec![0u32; total];
     let mut vals = vec![V::zero(); total];
-    let out = RowSlices::new(job, &mut col_idx, &mut vals);
+    let out = RowSlices::new(nplan, &mut col_idx, &mut vals);
 
     for l in &plan.launches {
         let (cfg_idx, first, grid) = (l.cfg_idx, l.blocks.start, l.blocks.len());
@@ -605,8 +566,12 @@ mod tests {
         let cost = CostModel::default();
         let cascade = KernelCascade::for_device(&dev);
         let pool = WorkspacePool::new();
-        let (info, mut nplan) = numeric_plan(a, cfg, &pool);
-        tamper(&mut nplan.plan, &mut nplan.row_ptr);
+        let (info, nplan) = numeric_plan(a, cfg, &pool);
+        let NumericPlan {
+            mut plan,
+            mut row_ptr,
+        } = nplan;
+        tamper(&mut plan, &mut row_ptr);
         run_numeric(
             &dev,
             &cost,
@@ -615,7 +580,7 @@ mod tests {
             a,
             a,
             &info,
-            &nplan.job(),
+            &NumericPlan::new(plan, row_ptr),
             &pool,
             BlockRecords::Skip,
         )
@@ -653,7 +618,7 @@ mod tests {
             pool,
             BlockRecords::Skip,
         );
-        let nplan = plan_numeric(
+        let (nplan, _) = plan_numeric(
             &dev,
             &cost,
             &cascade,
@@ -814,10 +779,10 @@ mod tests {
         let mut plan = nplan.plan.clone();
         let last = plan.launches.last().unwrap().clone();
         plan.launches.push(last);
-        // The job is rejected when it is built, before `run_numeric` can
+        // The plan is rejected when it is built, before `run_numeric` can
         // launch a kernel.
         let msg = panic_message(|| {
-            NumericJob::new(&plan, &nplan.row_ptr);
+            NumericPlan::new(plan, nplan.row_ptr.clone());
         });
         assert!(msg.contains("computed twice"), "{msg}");
     }
@@ -829,11 +794,11 @@ mod tests {
         let (_, nplan) = numeric_plan(&a, &SpeckConfig::default(), &pool);
         let reject = |plan: &PassPlan, row_ptr: &[usize]| {
             panic_message(|| {
-                NumericJob::new(plan, row_ptr);
+                NumericPlan::new(plan.clone(), row_ptr.to_vec());
             })
         };
         // The plan as built passes.
-        NumericJob::new(&nplan.plan, &nplan.row_ptr);
+        NumericPlan::new(nplan.plan.clone(), nplan.row_ptr.clone());
         // Row offsets that decrease.
         let mut row_ptr = nplan.row_ptr.clone();
         row_ptr[150] = row_ptr[151] + 1;
@@ -949,7 +914,7 @@ mod tests {
             &pool,
             BlockRecords::Skip,
         );
-        let nplan = plan_numeric(
+        let (nplan, _) = plan_numeric(
             &dev,
             &cost,
             &cascade,
@@ -968,7 +933,7 @@ mod tests {
             &a,
             &a,
             &info,
-            &nplan.job(),
+            &nplan,
             &pool,
             BlockRecords::Skip,
         );

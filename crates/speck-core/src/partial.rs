@@ -16,7 +16,7 @@
 //! does.
 
 use crate::config::SpeckConfig;
-use crate::pipeline::SpeckSpgemm;
+use crate::pipeline::{MultiplyReport, SpeckSpgemm};
 use speck_simt::{CostModel, DeviceConfig, Timeline};
 use speck_sparse::{Csr, Scalar};
 
@@ -68,16 +68,67 @@ fn vcat<V: Scalar>(bands: &[Csr<V>]) -> Csr<V> {
     Csr::from_parts_unchecked(rows, cols, row_ptr, col_idx, vals)
 }
 
-/// Estimated device bytes one band's multiplication needs (band of A,
-/// resident B, band of C at the conservative no-compaction bound).
-fn band_footprint<V: Scalar>(a: &Csr<V>, b: &Csr<V>, start: usize, end: usize) -> usize {
-    let elem = 4 + std::mem::size_of::<V>();
-    let nnz_a = a.row_ptr()[end] - a.row_ptr()[start];
-    let products: u64 = a.col_idx()[a.row_ptr()[start]..a.row_ptr()[end]]
-        .iter()
-        .map(|&k| b.row_nnz(k as usize) as u64)
-        .sum();
-    b.size_bytes() + nnz_a * elem + (products as usize) * elem
+/// The greedy bands of A's rows [`multiply_partitioned`] runs for a
+/// device budget of `budget` bytes. Each band's footprint is kept
+/// running, so banding reads each row at most twice.
+fn memory_bands<V: Scalar>(a: &Csr<V>, b: &Csr<V>, budget: usize) -> Vec<(usize, usize)> {
+    let (elem, b_bytes) = (4 + std::mem::size_of::<V>(), b.size_bytes());
+    // Row `r`'s NZ and products.
+    let row = |r: usize| {
+        let cols = a.row(r).0;
+        let products: u64 = cols.iter().map(|&k| b.row_nnz(k as usize) as u64).sum();
+        (cols.len(), products)
+    };
+    let n = a.rows();
+    let mut bands = Vec::new();
+    let mut start = 0usize;
+    while start < n {
+        let (mut end, mut size) = (start + 1, row(start));
+        while end < n {
+            let (nnz_a, products) = row(end);
+            let grown = (size.0 + nnz_a, size.1 + products);
+            if b_bytes + grown.0 * elem + (grown.1 as usize) * elem > budget {
+                break;
+            }
+            end += 1;
+            size = grown;
+        }
+        bands.push((start, end));
+        start = end;
+    }
+    if bands.is_empty() {
+        bands.push((0, 0));
+    }
+    bands
+}
+
+/// Multiplies each band `(start, end)` of A's rows by `B` on one engine
+/// over `dev`/`cost`/`cfg` with plan caching off, so every band runs the
+/// full cold pipeline. Returns `C` stacked from the band results, each
+/// band's report, the peak memory of any band (its own plus the resident
+/// `B` and the band of `A`), and the engine.
+fn run_bands<V: Scalar>(
+    dev: &DeviceConfig,
+    cost: &CostModel,
+    cfg: &SpeckConfig,
+    a: &Csr<V>,
+    b: &Csr<V>,
+    bands: &[(usize, usize)],
+) -> (Csr<V>, Vec<MultiplyReport>, usize, SpeckSpgemm) {
+    let mut engine = SpeckSpgemm::with_config(cfg.clone()).with_plan_cache_capacity(0);
+    engine.device = dev.clone();
+    engine.cost = cost.clone();
+    let mut results = Vec::with_capacity(bands.len());
+    let mut reports = Vec::with_capacity(bands.len());
+    let mut peak = 0usize;
+    for &(s, e) in bands {
+        let band = row_band(a, s, e);
+        let (c, report) = engine.multiply(&band, b);
+        peak = peak.max(report.peak_mem_bytes + b.size_bytes() + band.size_bytes());
+        results.push(c);
+        reports.push(report);
+    }
+    (vcat(&results), reports, peak, engine)
 }
 
 /// Multiplies `A · B` in row bands of `A`, each chosen so the estimated
@@ -102,38 +153,14 @@ pub fn multiply_partitioned<V: Scalar>(
         b.rows(),
         "multiply_partitioned: dimension mismatch"
     );
-    let n = a.rows();
-    let mut bands: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let mut end = start + 1;
-        while end < n && band_footprint(a, b, start, end + 1) <= mem_budget_bytes {
-            end += 1;
-        }
-        bands.push((start, end));
-        start = end;
-    }
-    if bands.is_empty() {
-        bands.push((0, 0));
-    }
-
-    // Plan caching off: every band runs the full cold pipeline.
-    let mut engine = SpeckSpgemm::with_config(cfg.clone()).with_plan_cache_capacity(0);
-    engine.device = dev.clone();
-    engine.cost = cost.clone();
-    let mut results: Vec<Csr<V>> = Vec::with_capacity(bands.len());
+    let bands = memory_bands(a, b, mem_budget_bytes);
+    let (c, reports, peak, _) = run_bands(dev, cost, cfg, a, b, &bands);
     let mut timeline = Timeline::new();
     let mut total = 0.0f64;
-    let mut peak = 0usize;
-    for &(s, e) in &bands {
-        let band = row_band(a, s, e);
-        let (c, report) = engine.multiply(&band, b);
+    for report in &reports {
         total += report.sim_time_s;
-        peak = peak.max(report.peak_mem_bytes + b.size_bytes() + band.size_bytes());
         timeline.merge(&report.timeline);
-        results.push(c);
     }
-    let c = vcat(&results);
     (
         c,
         PartialReport {
@@ -203,21 +230,8 @@ pub fn multiply_multi_gpu<V: Scalar>(
     }
     bands.push((start, n));
 
-    // Plan caching off: every band runs the full cold pipeline.
-    let mut engine = SpeckSpgemm::with_config(cfg.clone()).with_plan_cache_capacity(0);
-    engine.device = dev.clone();
-    engine.cost = cost.clone();
-    let mut results = Vec::with_capacity(bands.len());
-    let mut device_times_s = Vec::with_capacity(bands.len());
-    let mut peak = 0usize;
-    for &(s, e) in &bands {
-        let band = row_band(a, s, e);
-        let (c, report) = engine.multiply(&band, b);
-        device_times_s.push(report.sim_time_s);
-        peak = peak.max(report.peak_mem_bytes + b.size_bytes() + band.size_bytes());
-        results.push(c);
-    }
-    let c = vcat(&results);
+    let (c, reports, peak, engine) = run_bands(dev, cost, cfg, a, b, &bands);
+    let device_times_s: Vec<f64> = reports.iter().map(|r| r.sim_time_s).collect();
     let makespan = device_times_s.iter().cloned().fold(0.0f64, f64::max);
     let single = engine.multiply(a, b).1.sim_time_s;
     (
@@ -247,6 +261,76 @@ mod tests {
             CostModel::default(),
             SpeckConfig::default(),
         )
+    }
+
+    /// Footprint of rows `start..end` as the banding loop first summed
+    /// it: from the band's first row, on every call.
+    fn footprint(a: &Csr<f64>, b: &Csr<f64>, start: usize, end: usize) -> usize {
+        let elem = 4 + std::mem::size_of::<f64>();
+        let nnz_a = a.row_ptr()[end] - a.row_ptr()[start];
+        let products: u64 = a.col_idx()[a.row_ptr()[start]..a.row_ptr()[end]]
+            .iter()
+            .map(|&k| b.row_nnz(k as usize) as u64)
+            .sum();
+        b.size_bytes() + nnz_a * elem + (products as usize) * elem
+    }
+
+    /// The banding loop as first written, each candidate band re-summed.
+    fn reference_bands(a: &Csr<f64>, b: &Csr<f64>, budget: usize) -> Vec<(usize, usize)> {
+        let n = a.rows();
+        let mut bands = Vec::new();
+        let mut start = 0usize;
+        while start < n {
+            let mut end = start + 1;
+            while end < n && footprint(a, b, start, end + 1) <= budget {
+                end += 1;
+            }
+            bands.push((start, end));
+            start = end;
+        }
+        if bands.is_empty() {
+            bands.push((0, 0));
+        }
+        bands
+    }
+
+    #[test]
+    fn running_bands_match_the_resumming_loop() {
+        let mut split = false;
+        for seed in 0..32u64 {
+            let n = [1usize, 7, 60, 300][seed as usize / 4 % 4];
+            let a = match seed % 4 {
+                0 => Csr::empty(n % 3, n % 3),
+                1 => uniform_random(n, n, 0, 9, seed),
+                2 => rmat(6 + seed as u32 % 3, 6, 0.57, 0.19, 0.19, seed),
+                _ => speck_sparse::gen::with_hub_rows(n.max(3), 1, 3, n / 2, seed),
+            };
+            // Budgets at no band, every band, and exactly at (and one byte
+            // either side of) the footprint of the first half of the rows.
+            let base = a.size_bytes();
+            let half = footprint(&a, &a, 0, a.rows() / 2);
+            let budgets = [
+                0,
+                1,
+                base,
+                base + 5_000,
+                half - 1,
+                half,
+                half + 1,
+                2 * base,
+                usize::MAX,
+            ];
+            for budget in budgets {
+                let bands = memory_bands(&a, &a, budget);
+                assert_eq!(
+                    bands,
+                    reference_bands(&a, &a, budget),
+                    "seed {seed}, budget {budget}"
+                );
+                split |= bands.len() > 1 && bands.iter().any(|&(s, e)| e - s > 1);
+            }
+        }
+        assert!(split, "no case grew a band of several rows among several");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 use crate::analysis::analyze_with;
 use crate::cascade::KernelCascade;
 use crate::config::SpeckConfig;
-use crate::global_lb::{plan_numeric, plan_symbolic, ThresholdSet};
+use crate::global_lb::{plan_numeric, plan_symbolic, GateProvenance};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::numeric::{run_numeric, CheckedPlan, NumericPlan};
+use crate::numeric::run_numeric;
 use crate::plan::{fnv1a_bytes, PatternId, PatternKey, PlanCache, SpgemmPlan};
 use crate::symbolic::run_symbolic;
 use crate::trace::{pass_annotations, timeline_of, ExecutionTrace, Recorder, TraceRecord};
@@ -70,18 +70,12 @@ pub struct MultiplyReport {
     /// the paper's Table 3/Fig. 10 convention). Plan-held setup structures
     /// are counted whether the call built them or reused them.
     pub peak_mem_bytes: usize,
-    /// Whether the symbolic pass used the global load balancer.
-    pub symbolic_used_lb: bool,
-    /// Whether the numeric pass used the global load balancer.
-    pub numeric_used_lb: bool,
-    /// Threshold set consulted for the symbolic decision.
-    pub symbolic_threshold_set: ThresholdSet,
-    /// Threshold set consulted for the numeric decision.
-    pub numeric_threshold_set: ThresholdSet,
-    /// Demand-variance ratio `m_max/m_avg` seen by the symbolic decision.
-    pub symbolic_ratio: f64,
-    /// Demand-variance ratio seen by the numeric decision.
-    pub numeric_ratio: f64,
+    /// The symbolic pass's global-LB gate: the demand-variance ratio
+    /// `m_max/m_avg` it saw, the threshold set it consulted, and whether
+    /// binning ran.
+    pub symbolic_gate: GateProvenance,
+    /// The numeric pass's global-LB gate, read like `symbolic_gate`.
+    pub numeric_gate: GateProvenance,
     /// Blocks per method in the numeric pass: (hash, dense, direct).
     pub numeric_methods: (usize, usize, usize),
     /// Blocks that spilled to global hash maps across both passes (the
@@ -435,12 +429,9 @@ impl SpeckSpgemm {
         rec.fixed(stage::SYMBOLIC, "alloc", alloc_s);
 
         // Stage 4: numeric load balancing on exact sizes, which also lays
-        // out C's rows.
-        let NumericPlan {
-            plan: nplan,
-            row_ptr,
-            row_nnz_hist,
-        } = {
+        // out C's rows. The plan is checked here, once for every execution
+        // of it.
+        let (nplan, row_nnz_hist) = {
             let _s = span.child("numeric_lb");
             plan_numeric(
                 dev,
@@ -454,13 +445,14 @@ impl SpeckSpgemm {
                 records,
             )
         };
-        for r in &nplan.lb_reports {
+        let npass = nplan.plan();
+        for r in &npass.lb_reports {
             rec.kernel(stage::NUMERIC_LOAD, r, None, None, None);
         }
-        nplan.record_metrics(m, "numeric");
+        npass.record_metrics(m, "numeric");
         m.merge_histogram("sim/symbolic/row_nnz", &row_nnz_hist);
-        if nplan.lb_alloc_bytes > 0 {
-            setup_mem_bytes += nplan.lb_alloc_bytes;
+        if npass.lb_alloc_bytes > 0 {
+            setup_mem_bytes += npass.lb_alloc_bytes;
             rec.fixed(stage::NUMERIC_LOAD, "alloc", alloc_s);
         }
 
@@ -480,13 +472,9 @@ impl SpeckSpgemm {
 
         SpgemmPlan {
             pattern: pattern.unwrap_or_else(|| PatternId::of(a, b)),
-            symbolic: splan.summary(),
-            numeric: nplan.summary(),
+            symbolic_gate: splan.gate,
+            numeric: nplan,
             info,
-            // The one check of the numeric hand-out, for every execution
-            // of this plan.
-            nplan: CheckedPlan::new(nplan, row_ptr),
-            row_nnz: sym.row_nnz,
             setup: rec.into_records(),
             setup_mem_bytes,
             sym_spilled_blocks: sym.spilled_blocks,
@@ -526,22 +514,17 @@ impl SpeckSpgemm {
         mem.alloc(plan.nnz_c() * (4 + std::mem::size_of::<V>()));
 
         // Stage 5: numeric SpGEMM.
-        let job = plan.nplan.job();
+        let (nplan, npass) = (&plan.numeric, plan.numeric.plan());
         let num = {
             let _s = span.child("numeric");
             run_numeric(
-                dev, cost, &cascade, cfg, a, b, &plan.info, &job, &pool, records,
+                dev, cost, &cascade, cfg, a, b, &plan.info, nplan, &pool, records,
             )
         };
         let anns = self
             .observing()
-            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, plan.nplan.plan()));
-        rec.pass(
-            stage::NUMERIC,
-            &num.reports,
-            &plan.nplan.plan().launches,
-            anns,
-        );
+            .then(|| pass_annotations(dev, &cascade, cfg, &plan.info, npass));
+        rec.pass(stage::NUMERIC, &num.reports, &npass.launches, anns);
         num.record_metrics(m);
 
         // Stage 6: sorting.
@@ -564,29 +547,16 @@ impl SpeckSpgemm {
             .then(|| ExecutionTrace::new(dev, [setup, rec.records()].concat()));
         let audit = match &trace {
             Some(tr) if self.auditing => Some(Arc::new(crate::audit::build_report(
-                dev,
-                cost,
-                cfg,
-                &plan.info,
-                &plan.row_nnz,
-                &plan.symbolic.gate,
-                &plan.numeric.gate,
-                plan.pattern.b_cols,
-                std::mem::size_of::<V>(),
-                tr,
+                dev, cost, cfg, plan, tr,
             ))),
             _ => None,
         };
         let report = MultiplyReport {
             sim_time_s: timeline.total_seconds(),
             peak_mem_bytes: mem.peak(),
-            symbolic_used_lb: plan.symbolic.gate.used_global_lb,
-            numeric_used_lb: plan.numeric.gate.used_global_lb,
-            symbolic_threshold_set: plan.symbolic.gate.threshold_set,
-            numeric_threshold_set: plan.numeric.gate.threshold_set,
-            symbolic_ratio: plan.symbolic.gate.ratio,
-            numeric_ratio: plan.numeric.gate.ratio,
-            numeric_methods: plan.numeric.method_counts,
+            symbolic_gate: plan.symbolic_gate,
+            numeric_gate: npass.gate,
+            numeric_methods: npass.method_counts(),
             spilled_blocks: plan.sym_spilled_blocks + num.spilled_blocks,
             radix_elems: num.radix_elems,
             products: plan.info.total_products,
@@ -644,12 +614,12 @@ mod tests {
         let r = verify(&a, &a);
         // The analysis must see the degree skew even if the (tuned)
         // decision judges this matrix too small to bin profitably.
-        assert!(r.symbolic_ratio > 5.0);
+        assert!(r.symbolic_gate.ratio > 5.0);
 
         // With pronounced hub rows the load balancer must engage.
         let hub = speck_sparse::gen::with_hub_rows(6_000, 1, 4, 3_000, 5);
         let r = verify(&hub, &hub);
-        assert!(r.symbolic_used_lb || r.numeric_used_lb);
+        assert!(r.symbolic_gate.used_global_lb || r.numeric_gate.used_global_lb);
     }
 
     #[test]
@@ -893,7 +863,7 @@ mod tests {
         // Every kernel record carries its per-block schedule.
         for (_, _, k) in tr.kernels() {
             let bt = k.blocks.as_ref().expect("tracing attaches block schedules");
-            assert_eq!(bt.events.len(), k.grid);
+            assert_eq!(bt.len(), k.grid);
         }
         // The export is byte-deterministic across engines.
         let (_, r2) = SpeckSpgemm::default()
@@ -955,7 +925,7 @@ mod tests {
         for tr in &traces {
             for (_, _, k) in tr.kernels() {
                 let bt = k.blocks.as_ref().expect("traced record without blocks");
-                assert_eq!(bt.events.len(), k.grid);
+                assert_eq!(bt.len(), k.grid);
             }
             assert_eq!(tr.chrome_trace_json(), solo_json);
         }

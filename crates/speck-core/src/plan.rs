@@ -11,8 +11,11 @@
 //! * [`SpgemmPlan`] — the self-contained result of the setup stages
 //!   (analysis, symbolic load balancing, symbolic pass, numeric load
 //!   balancing), enough to run the numeric pass directly, plus the
-//!   pattern identity of the operands it was built from. Built by
-//!   [`crate::SpeckSpgemm::plan`], consumed by
+//!   pattern identity of the operands it was built from. Each fact lives
+//!   in it once: the symbolic gate, and one checked
+//!   [`crate::numeric::NumericPlan`] holding the numeric gate, blocks and
+//!   launches and C's row offsets, from which reports and the audit read
+//!   everything else. Built by [`crate::SpeckSpgemm::plan`], consumed by
 //!   [`crate::SpeckSpgemm::execute_plan`], which refuses operands of any
 //!   other pattern before a kernel runs.
 //! * `PatternKey` + [`pattern_fingerprint`] — a cheap FNV-1a fingerprint
@@ -29,8 +32,8 @@
 //! kernels at all, so its simulated time drops along with the wall clock.
 
 use crate::analysis::AnalysisInfo;
-use crate::global_lb::PassSummary;
-use crate::numeric::CheckedPlan;
+use crate::global_lb::GateProvenance;
+use crate::numeric::NumericPlan;
 use crate::trace::{timeline_of, TraceRecord};
 use speck_sparse::{Csr, Scalar};
 use std::any::{Any, TypeId};
@@ -175,17 +178,13 @@ pub struct SpgemmPlan<V> {
     pub(crate) pattern: PatternId,
     /// Per-row analysis records (paper Alg. 1) the numeric kernels read.
     pub(crate) info: AnalysisInfo,
-    /// Decision summary of the symbolic pass; reports and the decision
-    /// audit read its gate.
-    pub(crate) symbolic: PassSummary,
-    /// Decision summary of the numeric pass, read like `symbolic`.
-    pub(crate) numeric: PassSummary,
-    /// The numeric block plan (bins, methods, kernel configurations),
-    /// with its launches, and the prefix-summed row offsets of C
-    /// (`row_nnz` scanned; len `rows+1`), checked once to fit each other.
-    pub(crate) nplan: CheckedPlan,
-    /// Exact NNZ of every row of C (symbolic pass output).
-    pub(crate) row_nnz: Vec<u32>,
+    /// The symbolic pass's global-LB gate; reports and the decision audit
+    /// read it. The numeric gate is the numeric plan's.
+    pub(crate) symbolic_gate: GateProvenance,
+    /// The numeric block plan (bins, methods, kernel configurations, its
+    /// gate), with its launches, and the prefix-summed row offsets of C
+    /// (len `rows+1`), checked once to fit each other.
+    pub(crate) numeric: NumericPlan,
     /// Records of the setup stages (analysis through numeric load
     /// balancing, including their allocation overheads). A cold execute
     /// resumes the multiply's record stream from them; a reused one never
@@ -204,7 +203,7 @@ pub struct SpgemmPlan<V> {
 impl<V: Scalar> SpgemmPlan<V> {
     /// Exact NNZ of the output matrix C.
     pub fn nnz_c(&self) -> usize {
-        *self.nplan.row_ptr().last().unwrap_or(&0)
+        *self.numeric.row_ptr().last().unwrap_or(&0)
     }
 
     /// Simulated seconds of the setup stages this plan amortises

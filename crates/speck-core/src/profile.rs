@@ -159,7 +159,7 @@ pub fn profile_trace(tr: &ExecutionTrace, top_k: usize) -> ProfileReport {
         cell.seconds += rec.dur_s;
 
         let Some(bt) = &k.blocks else { continue };
-        cell.blocks += bt.events.len();
+        cell.blocks += bt.len();
 
         let bpsm = k.blocks_per_sm.max(1) as f64;
         let mut busy = vec![0.0f64; tr.num_sms.max(1)];

@@ -34,7 +34,7 @@ pub struct SymbolicOutput {
 impl SymbolicOutput {
     /// Records the pass's spilled-block count under `sim/symbolic/`. The
     /// numeric planning sweep reads every row count, so C's row-size
-    /// distribution comes from there ([`crate::numeric::NumericPlan`]).
+    /// distribution comes from there ([`crate::global_lb::plan_numeric`]).
     pub(crate) fn record_metrics(&self, m: &MetricsRegistry) {
         m.add("sim/symbolic/spilled_blocks", self.spilled_blocks as u64);
     }

@@ -24,11 +24,11 @@
 //!
 //! # Annotations
 //!
-//! The simulator's [`speck_simt::trace`] module rebuilds *where each block
-//! ran* (SM, resident slot, start/end cycles, cost breakdown) from a
-//! launch's report when the launch kept its per-block records (an
-//! observing engine asks for them), and the recorder attaches that
-//! schedule to the kernel's record. This module adds the spECK semantics the
+//! A launch that keeps its per-block events (an observing engine asks
+//! for them) captures *where each block ran* (SM, resident slot,
+//! start/end cycles, cost breakdown) in the deal that priced it (see
+//! [`speck_simt::trace`]), and the recorder shares those events with the
+//! kernel's record. This module adds the spECK semantics the
 //! profiler needs — which cascade bin and accumulator a launch used,
 //! which output rows each block computed, and the dynamic group size `g`
 //! it chose. Bin and accumulator are always recorded; per-block
@@ -60,7 +60,7 @@ use crate::global_lb::{direct_kernel_config, AccMethod, LaunchGroup, PassPlan};
 use crate::json::{parse_json_value, push_json_string, push_num, JsonValue};
 use crate::local_lb::select_group_size;
 use crate::pipeline::stage;
-use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelBlockTrace, KernelReport, Timeline};
+use speck_simt::{BlockCost, BlockEvent, DeviceConfig, KernelReport, Timeline};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -105,9 +105,9 @@ pub struct KernelTraceRecord {
     pub bin: Option<usize>,
     /// Accumulator kind for SpGEMM kernels.
     pub acc: Option<AccMethod>,
-    /// Per-block schedule from the simulator (grid order), when the
-    /// recorder was built to attach block schedules.
-    pub blocks: Option<Arc<KernelBlockTrace>>,
+    /// Per-block events from the simulator (grid order), shared with the
+    /// launch's report, when the launch kept them.
+    pub blocks: Option<Arc<[BlockEvent]>>,
     /// Per-block spECK annotations (grid order), for SpGEMM kernels.
     pub annotations: Option<Vec<BlockAnnotation>>,
 }
@@ -196,10 +196,9 @@ impl<'a> Recorder<'a> {
     /// Appends one kernel launch, advancing the clock by its
     /// `sim_time_s`. `bin`/`acc`/`annotations` carry the spECK semantics
     /// for SpGEMM kernels and are `None` for helper kernels (analysis,
-    /// binning, merging, sorting). The record carries the launch's
-    /// per-block schedule, replayed from its report
-    /// ([`KernelReport::block_trace`]), exactly when the launch kept its
-    /// per-block records ([`speck_simt::BlockRecords::Keep`]).
+    /// binning, merging, sorting). The record shares the launch's
+    /// per-block events ([`KernelReport::blocks`]), present exactly when
+    /// the launch kept them ([`speck_simt::BlockRecords::Keep`]).
     pub(crate) fn kernel(
         &mut self,
         stage: &'static str,
@@ -219,7 +218,7 @@ impl<'a> Recorder<'a> {
             cost: report.total_cost,
             bin,
             acc,
-            blocks: report.block_trace(self.dev).map(Arc::new),
+            blocks: report.blocks.clone(),
             annotations,
         };
         self.push(stage, report.sim_time_s, TraceRecordKind::Kernel(rec));
@@ -359,7 +358,7 @@ impl KernelTraceRecord {
     /// for helper kernels) and its group size `g` (hash blocks only).
     /// Empty when the record carries no block schedule.
     pub(crate) fn traced_blocks(&self) -> impl Iterator<Item = (&BlockEvent, &[u32], Option<u32>)> {
-        let events = self.blocks.as_ref().map_or(&[][..], |bt| &bt.events[..]);
+        let events = self.blocks.as_deref().unwrap_or_default();
         events.iter().map(|e| {
             let ann = self.annotations.as_ref();
             let ann = ann.and_then(|a| a.get(e.grid_idx as usize));
@@ -757,10 +756,7 @@ impl ExecutionTrace {
                 kr.cost = evs
                     .iter()
                     .fold(BlockCost::default(), |acc, (e, _)| acc.merge(&e.cost));
-                kr.blocks = Some(Arc::new(KernelBlockTrace {
-                    body_cycles: kr.body_cycles,
-                    events: evs.into_iter().map(|(e, _)| e).collect(),
-                }));
+                kr.blocks = Some(evs.into_iter().map(|(e, _)| e).collect());
             }
             records.push(rec);
         }
@@ -852,11 +848,7 @@ mod tests {
                     assert_eq!(ka.bin, kb.bin);
                     assert_eq!(ka.acc, kb.acc);
                     assert_eq!(ka.annotations, kb.annotations);
-                    let (ba, bb) = (ka.blocks.as_ref().unwrap(), kb.blocks.as_ref().unwrap());
-                    assert_eq!(ba.events.len(), bb.events.len());
-                    for (ea, eb) in ba.events.iter().zip(&bb.events) {
-                        assert_eq!(ea, eb);
-                    }
+                    assert_eq!(ka.blocks.as_ref().unwrap(), kb.blocks.as_ref().unwrap());
                 }
                 _ => panic!("record kind changed in roundtrip"),
             }

@@ -10,7 +10,7 @@
 //! the bench crate drives it over the synthetic corpus.
 
 use crate::config::{GlobalLbMode, GlobalLbThresholds, SpeckConfig};
-use crate::global_lb::ThresholdSet;
+use crate::global_lb::GateProvenance;
 use crate::pipeline::SpeckSpgemm;
 use speck_simt::{CostModel, DeviceConfig};
 use speck_sparse::{Csr, Scalar};
@@ -75,16 +75,9 @@ pub fn measure<V: Scalar>(
             let (_, report) = engine.multiply(a, b);
             times[combo_index(s_on, n_on)] = report.sim_time_s;
             if !s_on && !n_on {
-                sym = (
-                    report.symbolic_ratio,
-                    a.rows(),
-                    report.symbolic_threshold_set == ThresholdSet::Large,
-                );
-                num = (
-                    report.numeric_ratio,
-                    a.rows(),
-                    report.numeric_threshold_set == ThresholdSet::Large,
-                );
+                let features = |g: GateProvenance| (g.ratio, a.rows(), g.needs_large_kernel);
+                sym = features(report.symbolic_gate);
+                num = features(report.numeric_gate);
             }
         }
     }

@@ -17,7 +17,7 @@
 //! buffers are not workspaces: kernels that write one in place cut its
 //! pieces per block without any shared state (the row analysis through
 //! [`speck_simt::launch_pieces`], the numeric pass C's rows through the
-//! partition [`crate::numeric::NumericJob`] checks once per plan).
+//! partition a [`crate::numeric::NumericPlan`] checks once, when built).
 //!
 //! **Invariant — host-side reuse never changes simulated cost.** Whatever
 //! a kernel charges through [`speck_simt::BlockCtx`] must be identical

@@ -804,15 +804,15 @@ proptest! {
                     let old = reference::plan_symbolic(&dev, &cost, &cascade, &cfg, &info, b.cols());
                     assert_plans_match(&new, &old, "symbolic");
                     for val_bytes in [4, 8] {
-                        let new = plan_numeric(
+                        let (new, _) = plan_numeric(
                             &dev, &cost, &cascade, &cfg, &info, &row_nnz, b.cols(), val_bytes,
                             BlockRecords::Skip,
                         );
                         let old = reference::plan_numeric(
                             &dev, &cost, &cascade, &cfg, &info, &row_nnz, b.cols(), val_bytes,
                         );
-                        assert_plans_match(&new.plan, &old, "numeric");
-                        prop_assert_eq!(&new.row_ptr, &row_ptr_from_nnz(&row_nnz));
+                        assert_plans_match(new.plan(), &old, "numeric");
+                        prop_assert_eq!(new.row_ptr(), &row_ptr_from_nnz(&row_nnz)[..]);
                     }
                 }
             }

@@ -87,7 +87,7 @@ fn main() {
     );
     println!(
         "load balancing engaged: symbolic={} numeric={} (degree skew demands it)",
-        report.symbolic_used_lb, report.numeric_used_lb
+        report.symbolic_gate.used_global_lb, report.numeric_gate.used_global_lb
     );
     println!("triangles: {t}");
 

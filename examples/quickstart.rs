@@ -38,10 +38,10 @@ fn main() {
     );
     println!(
         "global load balancer: symbolic={}, numeric={} (demand ratios {:.1} / {:.1})",
-        report.symbolic_used_lb,
-        report.numeric_used_lb,
-        report.symbolic_ratio,
-        report.numeric_ratio
+        report.symbolic_gate.used_global_lb,
+        report.numeric_gate.used_global_lb,
+        report.symbolic_gate.ratio,
+        report.numeric_gate.ratio
     );
     let (hash, dense, direct) = report.numeric_methods;
     println!("numeric blocks: {hash} hash, {dense} dense, {direct} direct");

@@ -6,7 +6,7 @@
 //! comparisons here are bitwise, not approximate.
 
 use proptest::prelude::*;
-use speck_repro::simt::KernelConfig;
+use speck_repro::simt::{schedule_blocks, KernelConfig};
 use speck_repro::sparse::{Coo, Csr};
 use speck_repro::speck::SpeckSpgemm;
 
@@ -79,11 +79,14 @@ proptest! {
         let mut kernels = 0usize;
         for (_, _, k) in tr.kernels() {
             kernels += 1;
-            let blocks = k.blocks.as_ref().expect("per-block capture enabled");
-            prop_assert_eq!(blocks.events.len(), k.grid);
-            prop_assert_eq!(blocks.body_cycles.to_bits(), k.body_cycles.to_bits());
+            let blocks = k.blocks.as_deref().expect("per-block capture enabled");
+            prop_assert_eq!(blocks.len(), k.grid);
+            let cycles: Vec<(f64, f64)> = blocks
+                .iter()
+                .map(|e| (e.compute_cycles, e.memory_cycles))
+                .collect();
             let cfg = KernelConfig::new(k.threads, k.scratch_bytes);
-            let refold = blocks.refold_body_cycles(&traced.device, cfg);
+            let refold = schedule_blocks(&traced.device, cfg, &cycles);
             prop_assert_eq!(refold.to_bits(), k.body_cycles.to_bits());
             // Annotated rows stay within the output matrix.
             if let Some(ann) = &k.annotations {
